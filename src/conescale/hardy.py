@@ -391,15 +391,7 @@ def _forward_continuation(F, lam_points):
                                   None, worst)
     out = np.zeros((lam.size, F.dim), dtype=complex)
     for comp in range(F.dim):
-        vals = F.values[:, comp]
-        m = np.abs(vals)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lm = np.where(m > 0, np.log(np.where(m > 0, m, 1.0)), -np.inf)
-            ph = np.where(m > 0, vals / np.where(m > 0, m, 1.0), 0.0)
-        tot = expo + lm[None, :]
-        term = np.where(np.isneginf(tot.real), 0.0,
-                        np.exp(np.where(np.isneginf(tot.real), 0.0, tot)))
-        out[:, comp] = term @ ph
+        out[:, comp] = np.sum(scaled_values(F.values[:, comp], expo), axis=1)
     return out * (F.ray.direction * F.grid.spacing / _SQRT2PI)
 
 

@@ -8,38 +8,39 @@ The transform pair implemented here maps samples on a time-side ray
     inverse:  F(z)      = e^{+i zeta w} / sqrt(2 pi) * integral e^{+i z lam} Fhat(lam) dlam
 
 with the normalizing factor chosen so the pair is an isometry between the
-weighted L2 spaces (see parseval_check).  Quadrature is a direct O(N*M)
-oscillatory sum rather than an FFT: rays are rotated and weights are
-exponential in complex directions, and at desk scale correctness wins over
-speed.  The phase kernel separates as
+weighted L2 spaces (see parseval_check).  The phase kernel separates as
 
     e^{-i lam z} = e^{-i xi t} * (pure diagonal phases in xi and t),
 
-so one dense kernel exp(-i xi t) per grid pair serves every (psi, zeta, w)
-combination and is cached.
+and the diagonal phases carry every (psi, zeta, w) dependence, applied in
+log space.  Grids are paired commensurately (dxi * dt = 2 pi / M, see
+dual_grid; other destination grids are rejected).  With node indices
+centred on the symmetric grids this gives the exact integer identity
 
-Grids are paired commensurately (dxi * dt = 2 pi / M); then the discrete
-forward and inverse are exact inverses of each other at the nodes, for any
-sampled data, which is what the round-trip contract asks for.  The uniform
-quadrature weights used here agree with composite trapezoid whenever the
-integrand has decayed at the window ends, which the preconditions require.
+    xi_j t_k = (pi / 2M) (2j - M + 1)(2k - N + 1),
+
+so exp(-i xi t) is a constant times diagonal phases around one length-M
+DFT, each phase exp(-i pi r / 2M) with the integer r reduced mod 4M.  The
+sums therefore cost one FFT per transform and carry no argument-rounding
+error that grows with N.  The discrete forward and inverse are exact
+inverses of each other at the nodes (for M >= N), for any sampled data,
+which is what the round-trip contract asks for.  The uniform quadrature
+weights used here agree with composite trapezoid whenever the integrand has
+decayed at the window ends, which the preconditions require.
 """
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, WeightOverflowError
+from .errors import ConfigurationError, NumericalError, WeightOverflowError
 from .geometry import (FREQUENCY, LOG_OVERFLOW_BOUND, TIME, Grid, Ray,
                        RayFunction, weighted_l2_norm)
 from .stencils import derivative_uniform
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-
-_KERNEL_CACHE = OrderedDict()
-_KERNEL_CACHE_MAX = 3
+_LN2 = math.log(2.0)
 
 
 def dual_grid(grid, count=None):
@@ -53,28 +54,66 @@ def dual_grid(grid, count=None):
     return Grid(half_width=0.5 * (count - 1) * dxi, count=count)
 
 
-def _kernel(src_grid, dst_grid):
-    """Cached M x N matrix exp(-i * outer(xi, t))."""
-    key = (src_grid, dst_grid)
-    if key in _KERNEL_CACHE:
-        _KERNEL_CACHE.move_to_end(key)
-        return _KERNEL_CACHE[key]
-    E = np.exp(-1j * np.outer(dst_grid.nodes, src_grid.nodes))
-    _KERNEL_CACHE[key] = E
-    while len(_KERNEL_CACHE) > _KERNEL_CACHE_MAX:
-        _KERNEL_CACHE.popitem(last=False)
-    return E
+def _quarter_phase(r, count):
+    """exp(-i pi r / (2 count)) for integers r, reduced mod 4 count first."""
+    return np.exp(-0.5j * math.pi / count * np.mod(r, 4 * count))
+
+
+def _dft_phases(src_count, dst_count):
+    """(const, row, col) such that, for commensurate grids,
+
+    exp(-i xi_j t_k) = const * row_j * col_k * exp(-2 pi i j k / M).
+    """
+    n, m = src_count, dst_count
+    const = _quarter_phase((m - 1) * (n - 1), m)
+    row = _quarter_phase(-2 * (n - 1) * np.arange(m), m)
+    col = _quarter_phase(-2 * (m - 1) * np.arange(n), m)
+    return const, row[:, None], col[:, None]
+
+
+def _apply_kernel(src_grid, dst_grid, x):
+    """exp(-i outer(xi, t)) @ x for commensurate grids, via one FFT.
+
+    Rows of x beyond M fold onto k mod M; fewer than M rows are zero-padded.
+    """
+    n, m = src_grid.count, dst_grid.count
+    const, row, col = _dft_phases(n, m)
+    y = col * x
+    if n > m:
+        y = np.concatenate([y, np.zeros(((-n) % m,) + y.shape[1:], dtype=complex)])
+        y = y.reshape((-1, m) + y.shape[1:]).sum(axis=0)
+    return const * row * np.fft.fft(y, n=m, axis=0)
+
+
+def _apply_kernel_adjoint(src_grid, dst_grid, y):
+    """exp(+i outer(t, xi)) @ y for commensurate grids, via one FFT."""
+    n, m = src_grid.count, dst_grid.count
+    const, row, col = _dft_phases(n, m)
+    sums = np.fft.ifft(np.conj(row) * y, axis=0, norm="forward")
+    return np.conj(const) * np.conj(col) * sums[np.arange(n) % m]
 
 
 def scaled_values(values, exponents):
     """values * exp(exponents), evaluated safely when either factor alone
-    would overflow or underflow; zeros stay zeros."""
+    would overflow or underflow; zeros stay zeros, non-finite values raise.
+
+    Exponents of lower rank than values align with its leading axes.
+    """
     values = np.asarray(values, dtype=complex)
     exponents = np.asarray(exponents, dtype=complex)
-    mag = np.abs(values)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_mag = np.where(mag > 0.0, np.log(np.where(mag > 0.0, mag, 1.0)), -np.inf)
-        phase = np.where(mag > 0.0, values / np.where(mag > 0.0, mag, 1.0), 0.0)
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise NumericalError(f"non-finite sample {values[index]} at index {index}")
+    # split off a power of two so magnitude and phase stay representable
+    # for subnormal and near-maximal values alike
+    _, e = np.frexp(np.maximum(np.abs(values.real), np.abs(values.imag)))
+    unit = np.ldexp(values.real, -e) + 1j * np.ldexp(values.imag, -e)
+    mag = np.abs(unit)
+    nonzero = mag > 0.0
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(mag) + e * _LN2
+    phase = np.where(nonzero, unit / np.where(nonzero, mag, 1.0), 0.0)
     if exponents.ndim < values.ndim:
         exponents = exponents.reshape(exponents.shape + (1,) * (values.ndim - exponents.ndim))
     total = exponents + log_mag
@@ -109,6 +148,13 @@ class TransformContext:
             raise ConfigurationError(
                 "time spacing violates the Nyquist bound pi / T for the "
                 "frequency grid extent"
+            )
+        m = self.dst_grid.count
+        if abs(self.dst_grid.spacing * self.src_grid.spacing * m
+               - 2.0 * math.pi) > 1e-12 * 2.0 * math.pi:
+            raise ConfigurationError(
+                "frequency grid is not commensurate with the source grid: "
+                "dxi * dt must equal 2 pi / M (see dual_grid)"
             )
 
     @property
@@ -162,8 +208,7 @@ class TransformContext:
         dir_t = self.time_ray.direction
         dir_f = self.frequency_ray.direction
         inner = scaled_values(f.values, -1j * self.zeta * dir_t * t)
-        E = _kernel(self.src_grid, self.dst_grid)
-        sums = E @ inner
+        sums = _apply_kernel(self.src_grid, self.dst_grid, inner)
         prefactor = (
             self.src_grid.spacing / _SQRT2PI * dir_t
             * np.exp(-2j * self.zeta * self.w)
@@ -181,8 +226,7 @@ class TransformContext:
         dir_t = self.time_ray.direction
         dir_f = self.frequency_ray.direction
         inner = scaled_values(fhat.values, 1j * self.w * dir_f * xi)
-        E = _kernel(self.src_grid, self.dst_grid)
-        sums = np.conj(E.T @ np.conj(inner))
+        sums = _apply_kernel_adjoint(self.src_grid, self.dst_grid, inner)
         prefactor = (
             self.dst_grid.spacing / _SQRT2PI * dir_f
             * np.exp(2j * self.zeta * self.w)
@@ -208,8 +252,8 @@ class TransformContext:
             k = int(np.argmax(b * t + log_data))
             raise WeightOverflowError(k, self.time_ray.points(t[k]), float(worst))
         inner = scaled_values(f.values, -1j * self.zeta * (dir_t * t + self.w))
-        E = _kernel(self.src_grid, self.dst_grid)
-        spectrum = (self.src_grid.spacing / _SQRT2PI) * (E @ inner)
+        spectrum = (self.src_grid.spacing / _SQRT2PI
+                    * _apply_kernel(self.src_grid, self.dst_grid, inner))
         return self.dst_grid.nodes, spectrum, self.dst_grid.spacing
 
     def evaluate_continuation(self, fhat, z_points):
@@ -230,16 +274,9 @@ class TransformContext:
         if worst > LOG_OVERFLOW_BOUND:
             flat = int(np.argmax(combined))
             raise WeightOverflowError(flat % lam.size, lam[flat % lam.size], worst)
-        mag = np.abs(fhat.values)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_mag = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
-            phase = np.where(mag > 0, fhat.values / np.where(mag > 0, mag, 1.0), 0.0)
         out = np.zeros((z.size, fhat.dim), dtype=complex)
         for comp in range(fhat.dim):
-            total = expo + log_mag[None, :, comp]
-            term = np.where(np.isneginf(total.real), 0.0,
-                            np.exp(np.where(np.isneginf(total.real), 0.0, total)))
-            out[:, comp] = term @ phase[:, comp]
+            out[:, comp] = np.sum(scaled_values(fhat.values[:, comp], expo), axis=1)
         prefactor = (self.dst_grid.spacing / _SQRT2PI
                      * self.frequency_ray.direction
                      * np.exp(1j * self.zeta * self.w))

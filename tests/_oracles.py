@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's transform-based solve
 path: closed-form integrals, adaptive quadrature of explicit solution
-formulas, and dense finite-difference collocation.
+formulas, dense finite-difference collocation, and the dense transform
+kernel that the FFT factorization replaced.
 """
 
 import math
@@ -14,6 +15,16 @@ from conescale.stencils import differentiation_matrix
 
 GAUSS_L2 = math.pi ** 0.25                      # (int e^{-t^2} dt)^(1/2)
 GAUSS_SOBOLEV1 = (1.5 * math.sqrt(math.pi)) ** 0.5   # (int (1+t^2) e^{-t^2})^(1/2)
+
+
+def dense_kernel(src_grid, dst_grid):
+    """The M x N matrix exp(-i * outer(xi, t)), formed entry by entry.
+
+    Limited to N, M <= 1024: the matrix costs 16 N M bytes.
+    """
+    if max(src_grid.count, dst_grid.count) > 1024:
+        raise ValueError("the dense kernel oracle is limited to 1024 nodes")
+    return np.exp(-1j * np.outer(dst_grid.nodes, src_grid.nodes))
 
 
 def variation_of_constants(rhs, t_values):

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conescale import (ConfigurationError, Grid, Ray, RayFunction, TIME,
-                       TransformContext, WeightOverflowError,
-                       apply_derivative_rule, dual_grid, parseval_check)
-from conescale.transform import derivative_rule_deviation
+from conescale import (ConfigurationError, Grid, NumericalError, Ray,
+                       RayFunction, TIME, TransformContext,
+                       WeightOverflowError, apply_derivative_rule, dual_grid,
+                       parseval_check)
+from conescale.transform import (_apply_kernel, _apply_kernel_adjoint,
+                                 derivative_rule_deviation, scaled_values)
 from conftest import gaussian_on
+from _oracles import dense_kernel
 
 
 class TestGrids:
@@ -20,6 +24,28 @@ class TestGrids:
         too_coarse = Grid(half_width=400.0, count=32)
         with pytest.raises(ConfigurationError, match="Nyquist"):
             TransformContext(0.0, 0j, 0j, grid4096, too_coarse)
+
+    def test_non_commensurate_rejected(self, grid4096):
+        # satisfies both Nyquist bounds, but dxi * dt * M != 2 pi
+        finer = Grid(half_width=100.0, count=4096)
+        with pytest.raises(ConfigurationError, match="commensurate"):
+            TransformContext(0.0, 0j, 0j, grid4096, finer)
+
+
+class TestFFTAgainstDenseKernel:
+    @pytest.mark.parametrize("n, m", [(1024, 1024), (1001, 1001),
+                                      (64, 80), (65, 64)])
+    def test_matches_dense_oracle(self, n, m):
+        rng = np.random.default_rng(n + m)
+        src = Grid(7.0, n)
+        dst = dual_grid(src, m)
+        E = dense_kernel(src, dst)
+        x = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        y = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+        fwd, ref = _apply_kernel(src, dst, x), E @ x
+        assert np.max(np.abs(fwd - ref)) <= 1e-12 * np.max(np.abs(ref))
+        adj, ref = _apply_kernel_adjoint(src, dst, y), E.conj().T @ y
+        assert np.max(np.abs(adj - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestForwardInverse:
@@ -41,8 +67,25 @@ class TestForwardInverse:
         assert np.max(np.abs(fhat.values[:, 0] - np.exp(-lam ** 2 / 2))) < 1e-7
 
     def test_round_trip_gaussian(self, ctx4096, gauss4096):
-        back = ctx4096.inverse(ctx4096.forward(gauss4096))
-        assert np.max(np.abs(back.values - gauss4096.values)) < 1e-8
+        grid = Grid(40.0, 16384)
+        ctx = TransformContext(0.0, 0j, 0j, grid)
+        for ctx, f in ((ctx4096, gauss4096), (ctx, gaussian_on(grid))):
+            back = ctx.inverse(ctx.forward(f))
+            assert np.max(np.abs(back.values - f.values)) < 1e-8
+
+    def test_round_trip_subnormal_tail(self):
+        # exp(-t^2) passes through subnormal values near |t| = 27
+        grid = Grid(40.0, 4096)
+        ctx = TransformContext(0.0, 0j, 0j, grid)
+        f = gaussian_on(grid, width=1.0)
+        back = ctx.inverse(ctx.forward(f))
+        assert np.max(np.abs(back.values - f.values)) < 1e-13
+
+    def test_scaled_values_rejects_non_finite(self):
+        # RayFunction rejects such samples; an overflowed sum must not be
+        # zeroed by the next scaling pass either
+        with pytest.raises(NumericalError, match="non-finite"):
+            scaled_values(np.array([1.0, np.inf]), np.zeros(2))
 
     def test_round_trip_one_sided(self, ctx4096, one_sided4096):
         back = ctx4096.inverse(ctx4096.forward(one_sided4096))
@@ -168,3 +211,49 @@ def test_round_trip_corpus(ctx4096, grid4096, real_ray, maker):
     f = RayFunction(real_ray, grid4096, maker(grid4096.nodes))
     back = ctx4096.inverse(ctx4096.forward(f))
     assert np.max(np.abs(back.values - f.values)) < 1e-8
+
+
+@st.composite
+def transform_cases(draw):
+    """A context within the overflow bounds plus two random data sets."""
+    count = draw(st.integers(8, 256))
+    grid = Grid(draw(st.floats(2.0, 20.0)), count)
+    part = st.floats(-0.5, 0.5)
+    ctx = TransformContext(draw(st.floats(-math.pi / 4, math.pi / 4)),
+                           complex(draw(part), draw(part)),
+                           complex(draw(part), draw(part)), grid)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (2, count, 2)
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return ctx, [RayFunction(ctx.time_ray, grid, v, 0.0, ctx.zeta) for v in data]
+
+
+def _time_weight(ctx):
+    """|exp(-i zeta z)| along the time ray, the weight the sums see."""
+    return np.exp((ctx.zeta * ctx.time_ray.direction).imag * ctx.src_grid.nodes)[:, None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(transform_cases())
+def test_round_trip_exact_at_nodes_property(case):
+    ctx, (f, _) = case
+    back = ctx.inverse(ctx.forward(f))
+    weight = _time_weight(ctx)
+    err = np.max(np.abs(back.values - f.values) * weight)
+    assert err <= 1e-12 * np.max(np.abs(f.values) * weight)
+
+
+@settings(max_examples=60, deadline=None)
+@given(transform_cases(), st.complex_numbers(max_magnitude=2.0),
+       st.complex_numbers(max_magnitude=2.0))
+def test_linearity_property(case, a, b):
+    ctx, (f, g) = case
+    lhs = ctx.forward(f.with_values(a * f.values + b * g.values)).values
+    rhs = a * ctx.forward(f).values + b * ctx.forward(g).values
+    # undo the frequency-side weight so every node is compared at unit scale
+    dir_f = ctx.frequency_ray.direction
+    unweight = np.exp(-(ctx.w * dir_f).imag * ctx.dst_grid.nodes)[:, None]
+    weight = _time_weight(ctx)
+    scale = ctx.src_grid.spacing * (abs(a) * np.sum(np.abs(f.values) * weight)
+                                    + abs(b) * np.sum(np.abs(g.values) * weight))
+    assert np.max(np.abs(lhs - rhs) * unweight) <= 1e-13 * scale
