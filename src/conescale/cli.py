@@ -23,7 +23,7 @@ from .errors import (ConescaleError, HypothesisViolationError, NumericalError,
                      ValidationError)
 from .geometry import TIME, Cone, Disk, Grid, Ray
 from .hardy import ConeFunction, membership_scan, paley_wiener_check
-from .pencil import MatrixPencil, cone_clearance, spectrum
+from .pencil import MatrixPencil, cone_clearance, search_radius, spectrum
 from .rhs import BumpRhs, GaussianRhs, OneSidedExpRhs, SampledRhs
 from .solver import (ConstantProblem, VariableProblem,
                      continuation_certificate, solve_const, solve_scaled,
@@ -266,12 +266,6 @@ class Problem:
                                sector_start=sector_start,
                                sector_angle=alpha)
 
-    def search_radius(self):
-        spec = spectrum(self.pencil)
-        top = max((abs(l - self.cone.vertex) for l in spec.eigenvalues),
-                  default=1.0)
-        return 2.0 * top + 1.0
-
 
 def load_problem(path):
     try:
@@ -329,7 +323,8 @@ def cmd_spectrum(problem, args):
 
 
 def cmd_clearance(problem, args):
-    radius = args.radius if args.radius is not None else problem.search_radius()
+    radius = args.radius if args.radius is not None else \
+        search_radius(problem.pencil, problem.cone.vertex)
     clearance = cone_clearance(problem.pencil, problem.cone, radius)
     report = Report("clearance")
     _echo_config(report, problem)
@@ -562,7 +557,8 @@ def cmd_demo_cylinder(args):
     report.meta("eigenvalue_max_rel_err", _fmt(worst))
 
     clearance = cone_clearance(problem.pencil, problem.cone,
-                               problem.search_radius())
+                               search_radius(problem.pencil,
+                                             problem.cone.vertex))
     report.meta("clearance", clearance.verdict)
     if not clearance.clear:
         report.table("eigenvalues",
@@ -680,7 +676,8 @@ def main(argv=None):
     except HypothesisViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (NumericalError, ConescaleError) as exc:
+    except (NumericalError, ConescaleError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError but is a numerical failure
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -6,6 +6,8 @@ mathematical hypotheses (spectrum in the way, non-contractive perturbation).
 The CLI maps these onto its exit codes 2 / 3 / 4.
 """
 
+import math
+
 
 class ConescaleError(Exception):
     """Base class for all package errors."""
@@ -43,15 +45,24 @@ class WeightOverflowError(NumericalError):
 
 
 class NearEigenvalueError(NumericalError):
-    """A resolvent solve hit a point within tolerance of the spectrum."""
+    """A resolvent solve hit a point within tolerance of the spectrum.
 
-    def __init__(self, lam, residual=None):
-        msg = f"pencil is singular to tolerance at lambda = {lam}"
+    ``node`` is the index of the failing node in a batched solve (None for
+    a single solve); ``residual`` is the relative solve residual, inf when
+    it is not finite.
+    """
+
+    def __init__(self, lam, residual=None, node=None):
+        if residual is not None and not math.isfinite(residual):
+            residual = math.inf
+        where = f"node {node}, " if node is not None else ""
+        msg = f"pencil is singular to tolerance at {where}lambda = {lam}"
         if residual is not None:
             msg += f" (solve residual {residual:.3g})"
         super().__init__(msg)
         self.lam = lam
         self.residual = residual
+        self.node = node
 
 
 class EigenSolverError(NumericalError):

@@ -10,11 +10,24 @@ an empirical probe of the resolvent growth bound
     sum_j |lam|^j |A(lam)^{-1} f|_(m-j) <= c |f|_0
 
 over sampled lam in a closed cone pair.
+
+Each pencil is factored once, on first use: the eigendecomposition
+A V = B V J of its block companion pencil lam B - A (``factorization``)
+serves every spectrum report and, through the standard triple
+X = V[:n], Y = (B V)^{-1}[:, (m-1)n:], every batched resolvent
+
+    A(lam)^{-1} = X (lam - J)^{-1} Y,
+
+applied to N nodes at once with two matrix products.  Each node's residual
+|A(lam_k) u_k - f_k| is still certified against RESOLVENT_TOL; nodes that
+fail it, and every node of a pencil without a usable triple (singular A_0,
+or a singular (B V)), are solved by per-node LU instead.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -98,6 +111,69 @@ class MatrixPencil:
                        for j, c in enumerate(self.coefficients))
         return MatrixPencil(coeffs, self.norm_forms)
 
+    @cached_property
+    def factorization(self):
+        """The companion eigendecomposition, computed on first use."""
+        return PencilFactorization(self)
+
+
+class PencilFactorization:
+    """Eigendecomposition of the block companion pencil of one MatrixPencil.
+
+    ``eigenvalues`` holds all m n companion eigenvalues (inf where A_0 is
+    singular).  ``X`` (n x mn) and ``Y`` (mn x n) are the standard triple,
+    A(lam)^{-1} = X diag(1 / (lam - eigenvalues)) Y, or both None when the
+    pencil has none.  ``spectra`` caches clustered, certified spectra per
+    (tol_cluster, tol_inf).
+    """
+
+    def __init__(self, p):
+        a, b = _companion(p)
+        try:
+            self.eigenvalues, vecs = scipy.linalg.eig(a, b)
+        except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
+            raise EigenSolverError(f"companion eigenvalue solve failed: {exc}")
+        self.spectra = {}
+        try:
+            self.X, self.Y = _standard_triple(self.eigenvalues, vecs, b, p.dim)
+        except np.linalg.LinAlgError:
+            self.X = self.Y = None
+        # shared by every later solve on this pencil
+        for arr in (self.eigenvalues, self.X, self.Y):
+            if arr is not None:
+                arr.flags.writeable = False
+
+
+def _companion(p):
+    """The block companion pencil lam * B - A of p, as the pair (A, B)."""
+    m, n = p.degree, p.dim
+    # A holds the companion blocks and B carries the leading coefficient,
+    # so a singular A_0 shows up as infinite lams
+    A = np.zeros((m * n, m * n), dtype=complex)
+    B = np.eye(m * n, dtype=complex)
+    for k in range(m - 1):
+        A[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = np.eye(n)
+    for k in range(m):
+        # row of powers: -A_m, -A_{m-1}, ..., -A_1
+        A[(m - 1) * n:, k * n:(k + 1) * n] = -p.coefficients[m - k]
+    B[(m - 1) * n:, (m - 1) * n:] = p.coefficients[0]
+    return A, B
+
+
+def _standard_triple(vals, vecs, B, n):
+    """X = V[:n] and Y = (B V)^{-1}[:, (m-1)n:] from A V = B V diag(vals).
+
+    Then lam B - A = B V (lam - J) V^{-1}, and the first block row of its
+    inverse applied to the last block column is A(lam)^{-1}.  Raises
+    LinAlgError when the triple does not exist numerically.
+    """
+    if not np.all(np.isfinite(vals)):
+        raise np.linalg.LinAlgError("infinite eigenvalues: A_0 is singular")
+    Y = np.linalg.inv(B @ vecs)[:, -n:]
+    if not np.all(np.isfinite(Y)):
+        raise np.linalg.LinAlgError("(B V)^{-1} is not finite")
+    return vecs[:n], Y
+
 
 def evaluate(p, lam):
     """A(lam) by Horner's scheme on the matrix coefficients."""
@@ -107,12 +183,16 @@ def evaluate(p, lam):
     return out
 
 
-def evaluate_batch(p, lams):
-    """A(lam) for a vector of lams, stacked as (len(lams), n, n)."""
-    lams = np.asarray(lams, dtype=complex)
-    out = np.broadcast_to(p.coefficients[0], (lams.size, p.dim, p.dim)).copy()
+def evaluate_batch(p, lams, us):
+    """Rows A(lam_k) u_k for nodes lams and stacked vectors us (N x n).
+
+    Horner's scheme on the products us A_j^T: no (N, n, n) stack of
+    matrices is formed.
+    """
+    lams = np.asarray(lams, dtype=complex)[:, None]
+    out = us @ p.coefficients[0].T
     for c in p.coefficients[1:]:
-        out = out * lams[:, None, None] + c
+        out = out * lams + us @ c.T
     return out
 
 
@@ -124,33 +204,44 @@ def resolvent_apply(p, lam, f, tol=RESOLVENT_TOL):
         u = np.linalg.solve(a, f)
     except np.linalg.LinAlgError:
         raise NearEigenvalueError(lam)
-    scale = float(np.linalg.norm(f))
-    residual = float(np.linalg.norm(a @ u - f))
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale = float(np.linalg.norm(f))
+        residual = float(np.linalg.norm(a @ u - f))
     if not np.all(np.isfinite(u)) or residual > tol * max(scale, 1e-300):
         raise NearEigenvalueError(lam, residual / max(scale, 1e-300))
     return u
 
 
-def resolvent_apply_batch(p, lams, rhs):
-    """A(lam)^{-1} applied nodewise to stacked right-hand sides.
+def resolvent_apply_batch(p, lams, rhs, tol=RESOLVENT_TOL):
+    """A(lam_k)^{-1} rhs_k for every node k, certified nodewise.
 
-    ``rhs`` has shape (len(lams), n); nodes where the solve fails its
-    residual check raise NearEigenvalueError with the offending lam.
+    ``rhs`` has shape (len(lams), n).  With a standard triple the solves
+    are U = ((F Y^T) / (lam_k - lambda_i)) X^T, and each node must pass
+    |A(lam_k) u_k - f_k| <= tol |f_k| (rows with |f_k| <= 1e-280 only need a
+    finite residual).  Failing nodes, or all nodes when the pencil has no
+    triple, are re-solved by resolvent_apply; the first one that fails there
+    too raises NearEigenvalueError carrying its node index and lam.
     """
     lams = np.asarray(lams, dtype=complex)
-    mats = evaluate_batch(p, lams)
-    try:
-        sols = np.linalg.solve(mats, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        raise NearEigenvalueError("batched solve hit a singular node")
-    res = np.linalg.norm(np.einsum("kij,kj->ki", mats, sols) - rhs, axis=1)
-    scale = np.maximum(np.linalg.norm(rhs, axis=1), 1e-300)
-    bad = np.nonzero(~np.isfinite(res) | (res > RESOLVENT_TOL * scale))[0]
-    # fully zero rows trivially pass; only data-bearing nodes can fail
-    bad = [k for k in bad if scale[k] > 1e-280]
-    if bad:
-        k = int(bad[0])
-        raise NearEigenvalueError(lams[k], float(res[k] / scale[k]))
+    rhs = np.asarray(rhs, dtype=complex)
+    fact = p.factorization
+    if fact.X is None:
+        sols = np.zeros_like(rhs)
+        redo = range(lams.size)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sols = ((rhs @ fact.Y.T)
+                    / (lams[:, None] - fact.eigenvalues)) @ fact.X.T
+            res = np.linalg.norm(evaluate_batch(p, lams, sols) - rhs, axis=1)
+            scale = np.linalg.norm(rhs, axis=1)
+        redo = np.nonzero(~np.isfinite(res)
+                          | ((res > tol * scale) & (scale > 1e-280)))[0]
+    for k in redo:
+        try:
+            sols[k] = resolvent_apply(p, lams[k], rhs[k], tol)
+        except NearEigenvalueError as exc:
+            raise NearEigenvalueError(exc.lam, exc.residual, node=int(k)) \
+                from None
     return sols
 
 
@@ -167,26 +258,6 @@ class SpectrumReport:
         return iter(zip(self.eigenvalues, self.multiplicities, self.residuals))
 
 
-def _companion_eigenvalues(p):
-    """All finite eigenvalues via the block companion pencil."""
-    m, n = p.degree, p.dim
-    # pencil lam * B - A with A holding the companion blocks and B carrying
-    # the leading coefficient, so a singular A_0 shows up as infinite lams
-    A = np.zeros((m * n, m * n), dtype=complex)
-    B = np.eye(m * n, dtype=complex)
-    for k in range(m - 1):
-        A[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = np.eye(n)
-    for k in range(m):
-        # row of powers: -A_m, -A_{m-1}, ..., -A_1
-        A[(m - 1) * n:, k * n:(k + 1) * n] = -p.coefficients[m - k]
-    B[(m - 1) * n:, (m - 1) * n:] = p.coefficients[0]
-    try:
-        vals = scipy.linalg.eigvals(A, B)
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise EigenSolverError(f"companion eigenvalue solve failed: {exc}")
-    return vals
-
-
 def _cluster(values, tol):
     """Greedy chaining of sorted values into clusters of diameter ~tol."""
     order = np.lexsort((values.imag, values.real))
@@ -200,31 +271,29 @@ def _cluster(values, tol):
     return clusters
 
 
-def spectrum(p, region=None, tol_cluster=TOL_CLUSTER, tol_inf=TOL_INF):
-    """Finite spectrum of the pencil, clustered and residual-certified.
+def _certified_clusters(p, tol_cluster, tol_inf):
+    """Leading notes and (lam, multiplicity, residual, notes) per cluster.
 
-    Eigenvalues beyond 1/tol_inf in magnitude are treated as infinite and
-    dropped with a note (they appear when A_0 is singular).  Multiplicity is
-    the cluster size under absolute distance tol_cluster; Jordan structure
-    is not resolved, clusters of size > 1 are flagged instead.
+    Computed once per pencil and tolerance pair from the cached
+    factorization; clusters keep their chaining order.
     """
-    raw = _companion_eigenvalues(p)
+    key = (tol_cluster, tol_inf)
+    cache = p.factorization.spectra
+    if key in cache:
+        return cache[key]
+    raw = p.factorization.eigenvalues
     finite = raw[np.isfinite(raw)]
     kept = finite[np.abs(finite) <= 1.0 / tol_inf]
-    notes = []
+    head = []
     dropped = raw.size - kept.size
     if dropped:
-        notes.append(f"dropped {dropped} eigenvalue(s) at or near infinity")
+        head.append(f"dropped {dropped} eigenvalue(s) at or near infinity")
     scale = p.coefficient_scale()
-    eigenvalues, multiplicities, residuals = [], [], []
+    clusters = []
     for cluster in _cluster(kept, tol_cluster):
         lam = complex(np.mean(cluster))
-        if region is not None and not region.contains_closed(lam):
-            continue
         sing = np.linalg.svd(evaluate(p, lam), compute_uv=False)
-        eigenvalues.append(lam)
-        multiplicities.append(len(cluster))
-        residuals.append(float(sing[-1]))
+        notes = []
         if sing[-1] > 1e-8 * scale:
             notes.append(
                 f"eigenvalue {lam} fails its residual certificate: smallest "
@@ -235,6 +304,31 @@ def spectrum(p, region=None, tol_cluster=TOL_CLUSTER, tol_inf=TOL_INF):
                 f"cluster at {lam}: multiplicity {len(cluster)} by distance; "
                 f"Jordan chains unresolved, may be defective"
             )
+        clusters.append((lam, len(cluster), float(sing[-1]), tuple(notes)))
+    cache[key] = (tuple(head), tuple(clusters))
+    return cache[key]
+
+
+def spectrum(p, region=None, tol_cluster=TOL_CLUSTER, tol_inf=TOL_INF):
+    """Finite spectrum of the pencil, clustered and residual-certified.
+
+    Eigenvalues beyond 1/tol_inf in magnitude are treated as infinite and
+    dropped with a note (they appear when A_0 is singular).  Multiplicity is
+    the cluster size under absolute distance tol_cluster; Jordan structure
+    is not resolved, clusters of size > 1 are flagged instead.  The
+    clustered report is cached on the pencil; only the ``region`` filter
+    runs per call.
+    """
+    head, clusters = _certified_clusters(p, tol_cluster, tol_inf)
+    notes = list(head)
+    eigenvalues, multiplicities, residuals = [], [], []
+    for lam, mult, res, cluster_notes in clusters:
+        if region is not None and not region.contains_closed(lam):
+            continue
+        eigenvalues.append(lam)
+        multiplicities.append(mult)
+        residuals.append(res)
+        notes.extend(cluster_notes)
     order = np.lexsort((np.array([v.imag for v in eigenvalues]),
                         np.array([v.real for v in eigenvalues]))) \
         if eigenvalues else []
@@ -244,6 +338,16 @@ def spectrum(p, region=None, tol_cluster=TOL_CLUSTER, tol_inf=TOL_INF):
         tuple(residuals[i] for i in order),
         tuple(notes),
     )
+
+
+def search_radius(p, vertex):
+    """2 max |lam - vertex| + 1 over the finite spectrum (3 if it is empty).
+
+    A clearance radius that covers every eigenvalue with room to spare.
+    """
+    top = max((abs(lam - vertex) for lam in spectrum(p).eigenvalues),
+              default=1.0)
+    return 2.0 * top + 1.0
 
 
 @dataclass(frozen=True)
@@ -301,6 +405,7 @@ def verify_growth_condition(p, cone_pair, R, sample_count=8,
     m = p.degree
     h0 = p.norm_forms[0]
     basis = np.linalg.inv(np.linalg.cholesky(h0)).conj().T  # H_0-orthonormal columns
+    rhs = np.ascontiguousarray(basis.T)  # one basis vector per row
     band_edges = [(R, 2 * R), (2 * R, 4 * R), (4 * R, 8 * R)]
     band_maxima = []
     samples = []
@@ -320,13 +425,15 @@ def verify_growth_condition(p, cone_pair, R, sample_count=8,
                                for ev in spec.eigenvalues):
                             skipped.append(lam)
                             continue
-                        for col in range(basis.shape[1]):
-                            f = basis[:, col]
-                            try:
-                                u = resolvent_apply(p, lam, f)
-                            except NearEigenvalueError:
-                                skipped.append(lam)
-                                break
+                        lams = np.full(len(rhs), lam)
+                        try:
+                            sols = resolvent_apply_batch(p, lams, rhs)
+                        except NearEigenvalueError as exc:
+                            # the columns before the failing one still count
+                            sols = resolvent_apply_batch(
+                                p, lams[:exc.node], rhs[:exc.node])
+                            skipped.append(lam)
+                        for u, f in zip(sols, rhs):
                             num = sum(abs(lam) ** j * p.vector_norm(u, m - j)
                                       for j in range(m + 1))
                             ratio = num / max(p.vector_norm(f, 0), 1e-300)

@@ -28,7 +28,7 @@ from .errors import (ContractionFailureError, LocalizationFailureError,
 from .geometry import TIME, Cone, Ray, RayFunction
 from .hardy import halfline_projection
 from .pencil import (MatrixPencil, cone_clearance, line_distance,
-                     resolvent_apply_batch, spectrum)
+                     resolvent_apply_batch, search_radius, spectrum)
 from .stencils import derivative_uniform, derivative_with_cuts
 from .transform import TransformContext
 
@@ -190,6 +190,10 @@ def solve_scaled(problem, phi, cone=None, scale_tol=SCALE_TOL,
     analytic continuation of the unrotated solution evaluated off its ray
     from the frequency-side data (a genuinely different contour).  Signed
     phi selects the rotation side; the dual cone must be clear.
+
+    The first comparison is enforced: a deviation above ``scale_tol`` (or a
+    non-finite one) raises NumericalError.  ``deviation_continuation`` is
+    report-only, since its shallow window can be empty (it is then nan).
     """
     if problem.evaluator is None:
         raise ValueError("scaled solves need an analytic right-hand-side evaluator")
@@ -198,10 +202,8 @@ def solve_scaled(problem, phi, cone=None, scale_tol=SCALE_TOL,
     if cone is None:
         cone = Cone(aperture, problem.zeta, orientation) if aperture > 0 else None
     if cone is not None:
-        spec = spectrum(problem.pencil)
-        radius = 2.0 * max((abs(l - cone.vertex) for l in spec.eigenvalues),
-                           default=1.0) + 1.0
-        clearance = cone_clearance(problem.pencil, cone, radius)
+        clearance = cone_clearance(problem.pencil, cone,
+                                   search_radius(problem.pencil, cone.vertex))
         if not clearance.clear:
             raise SpectralObstructionError(
                 f"dual cone of aperture {aperture:.6g} holds eigenvalues "
@@ -230,6 +232,11 @@ def solve_scaled(problem, phi, cone=None, scale_tol=SCALE_TOL,
     rot = solve_const(rot_prob, res_tol=res_tol)
 
     deviation = float(np.max(np.abs(v.u.values - rot.u.values)))
+    if not deviation <= scale_tol:
+        raise NumericalError(
+            f"scaled and rotated-ray solves deviate by {deviation:.3e}, "
+            f"above scale_tol {scale_tol:.3e}"
+        )
     # Continuation off the unrotated ray amplifies frequency-edge noise by
     # e^{depth * Xi}, so the different-contour cross-check is well posed
     # only at shallow depth; restrict it to nodes within that window.

@@ -2,15 +2,18 @@
 
 Everything here deliberately avoids the package's transform-based solve
 path: closed-form integrals, adaptive quadrature of explicit solution
-formulas, dense finite-difference collocation, and the dense transform
-kernel that the FFT factorization replaced.
+formulas, dense finite-difference collocation, the dense transform kernel
+that the FFT factorization replaced, and the uncached spectrum that the
+per-pencil factorization replaced.
 """
 
 import math
 
 import numpy as np
 import scipy.integrate
+import scipy.linalg
 
+from conescale.pencil import SpectrumReport, _cluster, _companion, evaluate
 from conescale.stencils import differentiation_matrix
 
 GAUSS_L2 = math.pi ** 0.25                      # (int e^{-t^2} dt)^(1/2)
@@ -25,6 +28,50 @@ def dense_kernel(src_grid, dst_grid):
     if max(src_grid.count, dst_grid.count) > 1024:
         raise ValueError("the dense kernel oracle is limited to 1024 nodes")
     return np.exp(-1j * np.outer(dst_grid.nodes, src_grid.nodes))
+
+
+def spectrum_uncached(p, region=None, tol_cluster=1e-7, tol_inf=1e-8):
+    """The spectrum as computed before factorizations were cached.
+
+    A fresh eigenvalue-only companion solve per call, with the region
+    filter applied before each cluster's SVD certificate.
+    """
+    raw = scipy.linalg.eigvals(*_companion(p))
+    finite = raw[np.isfinite(raw)]
+    kept = finite[np.abs(finite) <= 1.0 / tol_inf]
+    notes = []
+    if raw.size - kept.size:
+        notes.append(f"dropped {raw.size - kept.size} eigenvalue(s) at or "
+                     f"near infinity")
+    scale = p.coefficient_scale()
+    eigenvalues, multiplicities, residuals = [], [], []
+    for cluster in _cluster(kept, tol_cluster):
+        lam = complex(np.mean(cluster))
+        if region is not None and not region.contains_closed(lam):
+            continue
+        sing = np.linalg.svd(evaluate(p, lam), compute_uv=False)
+        eigenvalues.append(lam)
+        multiplicities.append(len(cluster))
+        residuals.append(float(sing[-1]))
+        if sing[-1] > 1e-8 * scale:
+            notes.append(
+                f"eigenvalue {lam} fails its residual certificate: smallest "
+                f"singular value {sing[-1]:.3e} vs scale {scale:.3e}"
+            )
+        if len(cluster) > 1:
+            notes.append(
+                f"cluster at {lam}: multiplicity {len(cluster)} by distance; "
+                f"Jordan chains unresolved, may be defective"
+            )
+    order = np.lexsort((np.array([v.imag for v in eigenvalues]),
+                        np.array([v.real for v in eigenvalues]))) \
+        if eigenvalues else []
+    return SpectrumReport(
+        tuple(eigenvalues[i] for i in order),
+        tuple(multiplicities[i] for i in order),
+        tuple(residuals[i] for i in order),
+        tuple(notes),
+    )
 
 
 def variation_of_constants(rhs, t_values):

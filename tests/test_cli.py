@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import conescale.cli
 from conescale.cli import main, parse_problem, cylinder_problem_dict
 from conescale.errors import ValidationError
 
@@ -299,6 +300,23 @@ class TestExitCodes:
         data["rhs"] = {"kind": "one_sided_exp"}
         path = write(tmp_path, data)
         assert run(["solve", path, "--scaled", str(math.pi / 8)]) == 2
+
+    def test_scale_tol_enforced_exit_3(self, tmp_path, capsys):
+        data = linear_problem()
+        data["solver"] = {"scale_tol": 1e-30}
+        path = write(tmp_path, data)
+        assert run(["solve", path, "--scaled", str(math.pi / 8)]) == 3
+        assert "scale_tol 1.000e-30" in capsys.readouterr().err
+
+    def test_linalg_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError; it must not read as bad input
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(conescale.cli, "spectrum", fail)
+        path = write(tmp_path, quad_problem())
+        assert run(["spectrum", path]) == 3
+        assert "Singular matrix" in capsys.readouterr().err
 
     def test_continuation_suite_with_perturbation(self, tmp_path, capsys):
         data = linear_problem()

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import conescale.pencil
 from conescale import (Cone, Disk, MatrixPencil, NearEigenvalueError,
                        cone_clearance, evaluate, resolvent_apply, spectrum,
                        verify_growth_condition)
-from _oracles import fd_laplacian_eigenvalues
+from conescale.pencil import (evaluate_batch, resolvent_apply_batch,
+                              search_radius)
+from _oracles import fd_laplacian_eigenvalues, spectrum_uncached
 
 
 @pytest.fixture(scope="module")
@@ -218,3 +222,156 @@ def test_evaluate_resolvent_identity(lam, f):
     u = resolvent_apply(p, lam, f)
     residual = np.linalg.norm(evaluate(p, lam) @ u - f)
     assert residual <= 1e-10 * max(np.linalg.norm(f), 1.0)
+
+
+def nodewise(p, lams, rhs):
+    """The per-node LU route the batched resolvent is checked against."""
+    return np.array([resolvent_apply(p, lam, f) for lam, f in zip(lams, rhs)])
+
+
+class TestEvaluateBatch:
+    def test_matches_nodewise_products(self):
+        rng = np.random.default_rng(3)
+        p = MatrixPencil(tuple(rng.standard_normal((3, 3)) for _ in range(3)))
+        lams = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        us = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        want = np.array([evaluate(p, lam) @ u for lam, u in zip(lams, us)])
+        assert np.allclose(evaluate_batch(p, lams, us), want,
+                           rtol=1e-13, atol=1e-13)
+
+
+class TestResolventBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(degree=st.integers(1, 3), n=st.integers(1, 8),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_fast_path_matches_nodewise(self, degree, n, seed):
+        rng = np.random.default_rng(seed)
+        p = MatrixPencil(tuple(
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for _ in range(degree + 1)))
+        assert p.factorization.X is not None
+        lams = 3.0 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        rhs = rng.standard_normal((16, n)) + 1j * rng.standard_normal((16, n))
+        try:
+            want = nodewise(p, lams, rhs)
+        except NearEigenvalueError:
+            assume(False)
+        got = resolvent_apply_batch(p, lams, rhs)
+        # both routes certify |A(lam) u - f| <= 1e-10 |f|, so they can differ
+        # by at most 2e-10 |f| / sigma_min(A(lam)) at each node
+        for lam, f, u, v in zip(lams, rhs, got, want):
+            smin = np.linalg.svd(evaluate(p, lam), compute_uv=False)[-1]
+            bound = 2e-10 * np.linalg.norm(f) / smin
+            assert np.linalg.norm(u - v) <= 2.0 * bound
+
+    def test_well_conditioned_pencil_needs_no_lu(self, monkeypatch):
+        p = dirichlet_pencil(8)
+        lams = np.linspace(-30.0, 30.0, 41) + 0.5j
+        rhs = np.ones((41, 8), dtype=complex)
+        want = nodewise(p, lams, rhs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fell back to per-node LU")
+
+        monkeypatch.setattr(conescale.pencil, "resolvent_apply", refuse)
+        got = resolvent_apply_batch(p, lams, rhs)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: MatrixPencil((np.zeros((1, 1)), np.eye(1))),
+        lambda: MatrixPencil((np.diag([1.0, 0.0]), np.eye(2))),
+        lambda: MatrixPencil((np.diag([0.0, 2.0]), np.zeros((2, 2)),
+                              np.array([[2.0, 1.0], [1.0, 3.0]]))),
+    ])
+    def test_singular_leading_coefficient_falls_back(self, make):
+        p = make()
+        assert p.factorization.X is None
+        lams = np.array([0.1, 2.0, 1.5j, -3.0 + 0.5j])
+        rhs = np.arange(1, 4 * p.dim + 1, dtype=complex).reshape(4, p.dim)
+        assert np.array_equal(resolvent_apply_batch(p, lams, rhs),
+                              nodewise(p, lams, rhs))
+
+    def test_node_on_eigenvalue_names_node(self, quad_pencil):
+        lams = np.array([0.0, 1j, 2.0])
+        with pytest.raises(NearEigenvalueError) as info:
+            resolvent_apply_batch(quad_pencil, lams, np.ones((3, 1)))
+        assert info.value.node == 1
+        assert info.value.lam == 1j
+        assert "node 1" in str(info.value)
+        assert "nan" not in str(info.value)
+
+    def test_non_finite_residual_message(self, quad_pencil):
+        with pytest.raises(NearEigenvalueError) as info:
+            resolvent_apply(quad_pencil, 2.0, np.array([np.inf]))
+        assert info.value.residual == math.inf
+        assert "nan" not in str(info.value)
+        with pytest.raises(NearEigenvalueError) as info:
+            resolvent_apply_batch(quad_pencil, np.array([1.0, 2.0]),
+                                  np.array([[1.0], [np.inf]]))
+        assert info.value.node == 1
+        assert "nan" not in str(info.value)
+
+
+class TestFactorizationCache:
+    @pytest.mark.parametrize("make, kwargs", [
+        (lambda: dirichlet_pencil(8), {}),
+        (lambda: dirichlet_pencil(8), {"region": Disk(0j, 40.0)}),
+        (lambda: dirichlet_pencil(8), {"region": Disk(40j, 20.0)}),
+        (lambda: MatrixPencil((np.zeros((1, 1)), np.eye(1))), {}),
+        (lambda: MatrixPencil((np.diag([1.0, 0.0]), np.eye(2))),
+         {"region": Disk(0j, 5.0)}),
+        (lambda: MatrixPencil((np.eye(1), -2.0 * np.eye(1), np.eye(1))),
+         {"tol_cluster": 1e-5}),
+    ])
+    def test_cached_equals_fresh(self, make, kwargs):
+        p = make()
+        spectrum(p)                       # fill the cache first
+        cached = spectrum(p, **kwargs)
+        assert cached == spectrum(make(), **kwargs)
+        assert cached == spectrum_uncached(make(), **kwargs)
+
+    def test_factored_once(self):
+        p = dirichlet_pencil(4)
+        first = p.factorization
+        spectrum(p)
+        spectrum(p, region=Disk(0j, 1.0))
+        resolvent_apply_batch(p, np.array([0.5]), np.ones((1, 4)))
+        assert p.factorization is first
+
+    def test_scaled_pencil_has_its_own(self):
+        p = dirichlet_pencil(4)
+        phi = math.pi / 8
+        q = p.scaled(phi)
+        assert q.factorization is not p.factorization
+        # A_q(lam) = A(e^{i phi} lam): eigenvalues rotate by e^{-i phi}
+        rotated = [lam * np.exp(-1j * phi) for lam in spectrum(p).eigenvalues]
+        assert all(min(abs(lam - mu) for mu in spectrum(q).eigenvalues) < 1e-9
+                   for lam in rotated)
+        w = np.array([0.3 + 0.1j, -2.0])
+        f = np.ones((2, 4), dtype=complex)
+        assert np.allclose(resolvent_apply_batch(q, w, f),
+                           resolvent_apply_batch(p, np.exp(1j * phi) * w, f),
+                           rtol=1e-12, atol=0.0)
+
+
+class TestSearchRadius:
+    def test_values(self, quad_pencil, identity_pencil):
+        assert search_radius(quad_pencil, 0j) == 3.0
+        assert search_radius(quad_pencil, 2j) == 7.0
+        assert search_radius(identity_pencil, 5.0) == 3.0
+
+
+def test_growth_samples_match_columnwise():
+    p = MatrixPencil((np.eye(2), np.array([[0.0, 1.0], [-2.0, 0.5j]])),
+                     (np.eye(2), np.diag([2.0, 3.0])))
+    cones = (Cone(math.pi / 8, 0j, 1), Cone(math.pi / 8, 0j, -1))
+    rep = verify_growth_condition(p, cones, 4.0, sample_count=3,
+                                  angle_count=2)
+    assert not rep.skipped
+    basis = np.linalg.inv(np.linalg.cholesky(p.norm_forms[0])).conj().T
+    for k, (lam, ratio) in enumerate(rep.samples):
+        f = basis[:, k % 2]
+        u = resolvent_apply(p, lam, f)
+        want = (p.vector_norm(u, 1) + abs(lam) * p.vector_norm(u, 0)) \
+            / p.vector_norm(f, 0)
+        assert ratio == pytest.approx(want, rel=1e-12)
