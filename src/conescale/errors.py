@@ -47,12 +47,13 @@ class WeightOverflowError(NumericalError):
 class NearEigenvalueError(NumericalError):
     """A resolvent solve hit a point within tolerance of the spectrum.
 
-    ``node`` is the index of the failing node in a batched solve (None for
-    a single solve); ``residual`` is the relative solve residual, inf when
-    it is not finite.
+    ``node`` is the index of the failing node in a batched solve and
+    ``partial`` the solutions of the nodes before it (both None for a
+    single solve); ``residual`` is the relative solve residual, inf when it
+    is not finite.
     """
 
-    def __init__(self, lam, residual=None, node=None):
+    def __init__(self, lam, residual=None, node=None, partial=None):
         if residual is not None and not math.isfinite(residual):
             residual = math.inf
         where = f"node {node}, " if node is not None else ""
@@ -63,6 +64,7 @@ class NearEigenvalueError(NumericalError):
         self.lam = lam
         self.residual = residual
         self.node = node
+        self.partial = partial
 
 
 class EigenSolverError(NumericalError):

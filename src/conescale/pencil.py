@@ -11,17 +11,19 @@ an empirical probe of the resolvent growth bound
 
 over sampled lam in a closed cone pair.
 
-Each pencil is factored once, on first use: the eigendecomposition
-A V = B V J of its block companion pencil lam B - A (``factorization``)
-serves every spectrum report and, through the standard triple
-X = V[:n], Y = (B V)^{-1}[:, (m-1)n:], every batched resolvent
+Each pencil caches its factorization (``factorization``), each part
+computed on first need.  The eigenvalues J of its block companion pencil
+lam B - A serve every spectrum report.  The eigendecomposition
+A V = B V J, computed only when a batched resolvent first needs it, gives
+the standard triple X = V[:n], Y = (B V)^{-1}[:, (m-1)n:] and
 
     A(lam)^{-1} = X (lam - J)^{-1} Y,
 
 applied to N nodes at once with two matrix products.  Each node's residual
 |A(lam_k) u_k - f_k| is still certified against RESOLVENT_TOL; nodes that
 fail it, and every node of a pencil without a usable triple (singular A_0,
-or a singular (B V)), are solved by per-node LU instead.
+or a singular (B V)), are solved by stacked LU instead, and a node that
+fails there too by its own certified LU solve.
 """
 
 import cmath
@@ -120,33 +122,46 @@ class MatrixPencil:
 class PencilFactorization:
     """Eigendecomposition of the block companion pencil of one MatrixPencil.
 
-    ``eigenvalues`` holds all m n companion eigenvalues (inf where A_0 is
-    singular).  ``X`` (n x mn) and ``Y`` (mn x n) are the standard triple,
-    A(lam)^{-1} = X diag(1 / (lam - eigenvalues)) Y, or both None when the
-    pencil has none.  ``spectra`` caches clustered, certified spectra per
+    Each part is computed on first use.  ``eigenvalues`` holds all m n
+    companion eigenvalues (inf where A_0 is singular); it comes from an
+    eigenvalue-only solve unless the triple was built first.  ``triple`` is
+    (w, X, Y) with A(lam)^{-1} = X diag(1 / (lam - w)) Y, or None when the
+    pencil has none; only it pays for eigenvectors and (B V)^{-1}.
+    ``spectra`` caches clustered, certified spectra per
     (tol_cluster, tol_inf).
     """
 
     def __init__(self, p):
-        a, b = _companion(p)
-        try:
-            self.eigenvalues, vecs = scipy.linalg.eig(a, b)
-        except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-            raise EigenSolverError(f"companion eigenvalue solve failed: {exc}")
+        self._coefficients = p.coefficients
         self.spectra = {}
+
+    @cached_property
+    def eigenvalues(self):
+        vals = _companion_eig(*_companion(self._coefficients), vectors=False)
+        vals.flags.writeable = False
+        return vals
+
+    @cached_property
+    def triple(self):
+        a, b = _companion(self._coefficients)
+        vals, vecs = _companion_eig(a, b, vectors=True)
+        vals.flags.writeable = False
+        # a later spectrum reuses these instead of a second solve
+        vars(self).setdefault("eigenvalues", vals)
         try:
-            self.X, self.Y = _standard_triple(self.eigenvalues, vecs, b, p.dim)
+            X, Y = _standard_triple(vals, vecs, b,
+                                    self._coefficients[0].shape[0])
         except np.linalg.LinAlgError:
-            self.X = self.Y = None
+            return None
         # shared by every later solve on this pencil
-        for arr in (self.eigenvalues, self.X, self.Y):
-            if arr is not None:
-                arr.flags.writeable = False
+        X.flags.writeable = False
+        Y.flags.writeable = False
+        return vals, X, Y
 
 
-def _companion(p):
-    """The block companion pencil lam * B - A of p, as the pair (A, B)."""
-    m, n = p.degree, p.dim
+def _companion(coefficients):
+    """The block companion pencil lam * B - A of A_0..A_m, as (A, B)."""
+    m, n = len(coefficients) - 1, coefficients[0].shape[0]
     # A holds the companion blocks and B carries the leading coefficient,
     # so a singular A_0 shows up as infinite lams
     A = np.zeros((m * n, m * n), dtype=complex)
@@ -155,9 +170,22 @@ def _companion(p):
         A[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = np.eye(n)
     for k in range(m):
         # row of powers: -A_m, -A_{m-1}, ..., -A_1
-        A[(m - 1) * n:, k * n:(k + 1) * n] = -p.coefficients[m - k]
-    B[(m - 1) * n:, (m - 1) * n:] = p.coefficients[0]
+        A[(m - 1) * n:, k * n:(k + 1) * n] = -coefficients[m - k]
+    B[(m - 1) * n:, (m - 1) * n:] = coefficients[0]
     return A, B
+
+
+def _companion_eig(A, B, vectors):
+    """scipy.linalg.eig(A, B), or eigvals without vectors.
+
+    LAPACK failures are raised as EigenSolverError.
+    """
+    try:
+        if vectors:
+            return scipy.linalg.eig(A, B)
+        return scipy.linalg.eigvals(A, B)
+    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
+        raise EigenSolverError(f"companion eigenvalue solve failed: {exc}")
 
 
 def _standard_triple(vals, vecs, B, n):
@@ -212,37 +240,73 @@ def resolvent_apply(p, lam, f, tol=RESOLVENT_TOL):
     return u
 
 
-def resolvent_apply_batch(p, lams, rhs, tol=RESOLVENT_TOL):
+def resolvent_apply_batch(p, lams, rhs):
     """A(lam_k)^{-1} rhs_k for every node k, certified nodewise.
 
     ``rhs`` has shape (len(lams), n).  With a standard triple the solves
-    are U = ((F Y^T) / (lam_k - lambda_i)) X^T, and each node must pass
-    |A(lam_k) u_k - f_k| <= tol |f_k| (rows with |f_k| <= 1e-280 only need a
-    finite residual).  Failing nodes, or all nodes when the pencil has no
-    triple, are re-solved by resolvent_apply; the first one that fails there
-    too raises NearEigenvalueError carrying its node index and lam.
+    are U = ((F Y^T) / (lam_k - w_i)) X^T, and each node must pass
+    |A(lam_k) u_k - f_k| <= RESOLVENT_TOL |f_k| (rows with |f_k| <= 1e-280
+    only need a finite residual).  Failing nodes, or all nodes when the
+    pencil has no triple, go to the LU fallback (_lu_fallback).
     """
     lams = np.asarray(lams, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
-    fact = p.factorization
-    if fact.X is None:
+    triple = p.factorization.triple
+    if triple is None:
         sols = np.zeros_like(rhs)
-        redo = range(lams.size)
+        redo = np.arange(lams.size)
     else:
+        w, X, Y = triple
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            sols = ((rhs @ fact.Y.T)
-                    / (lams[:, None] - fact.eigenvalues)) @ fact.X.T
+            sols = ((rhs @ Y.T) / (lams[:, None] - w)) @ X.T
             res = np.linalg.norm(evaluate_batch(p, lams, sols) - rhs, axis=1)
             scale = np.linalg.norm(rhs, axis=1)
-        redo = np.nonzero(~np.isfinite(res)
-                          | ((res > tol * scale) & (scale > 1e-280)))[0]
-    for k in redo:
-        try:
-            sols[k] = resolvent_apply(p, lams[k], rhs[k], tol)
-        except NearEigenvalueError as exc:
-            raise NearEigenvalueError(exc.lam, exc.residual, node=int(k)) \
-                from None
+        fails = (res > RESOLVENT_TOL * scale) & (scale > 1e-280)
+        redo = np.nonzero(~np.isfinite(res) | fails)[0]
+    if redo.size:
+        _lu_fallback(p, lams, rhs, redo, sols)
     return sols
+
+
+# the LU fallback stacks at most this many matrix entries (32 MiB) at once
+_LU_STACK_ENTRIES = 1 << 21
+
+
+def _lu_fallback(p, lams, rhs, nodes, sols):
+    """Fill sols[nodes] by stacked LU, certified as in resolvent_apply.
+
+    Nodes go in increasing order, in chunks of stacked A(lam_k).  A node
+    whose stacked solve fails the certificate, or every node of a chunk
+    whose stack is exactly singular, is solved alone by resolvent_apply;
+    the first one that fails there raises NearEigenvalueError with its node
+    index, its lam and ``partial``, the solutions of all earlier nodes.
+    """
+    chunk = max(1, _LU_STACK_ENTRIES // p.dim ** 2)
+    for start in range(0, nodes.size, chunk):
+        ks = nodes[start:start + chunk]
+        mats = np.broadcast_to(p.coefficients[0],
+                               (ks.size, p.dim, p.dim)).copy()
+        for c in p.coefficients[1:]:
+            mats = mats * lams[ks, None, None] + c
+        try:
+            out = np.linalg.solve(mats, rhs[ks, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            alone = ks
+        else:
+            with np.errstate(invalid="ignore", over="ignore"):
+                res = np.linalg.norm(
+                    np.einsum("kij,kj->ki", mats, out) - rhs[ks], axis=1)
+                scale = np.linalg.norm(rhs[ks], axis=1)
+            ok = (np.all(np.isfinite(out), axis=1)
+                  & (res <= RESOLVENT_TOL * np.maximum(scale, 1e-300)))
+            sols[ks[ok]] = out[ok]
+            alone = ks[~ok]
+        for k in alone:
+            try:
+                sols[k] = resolvent_apply(p, lams[k], rhs[k])
+            except NearEigenvalueError as exc:
+                raise NearEigenvalueError(exc.lam, exc.residual, node=int(k),
+                                          partial=sols[:k]) from None
 
 
 @dataclass(frozen=True)
@@ -430,8 +494,7 @@ def verify_growth_condition(p, cone_pair, R, sample_count=8,
                             sols = resolvent_apply_batch(p, lams, rhs)
                         except NearEigenvalueError as exc:
                             # the columns before the failing one still count
-                            sols = resolvent_apply_batch(
-                                p, lams[:exc.node], rhs[:exc.node])
+                            sols = exc.partial
                             skipped.append(lam)
                         for u, f in zip(sols, rhs):
                             num = sum(abs(lam) ** j * p.vector_norm(u, m - j)

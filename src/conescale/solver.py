@@ -191,9 +191,10 @@ def solve_scaled(problem, phi, cone=None, scale_tol=SCALE_TOL,
     from the frequency-side data (a genuinely different contour).  Signed
     phi selects the rotation side; the dual cone must be clear.
 
-    The first comparison is enforced: a deviation above ``scale_tol`` (or a
-    non-finite one) raises NumericalError.  ``deviation_continuation`` is
-    report-only, since its shallow window can be empty (it is then nan).
+    The first comparison is enforced: a deviation above ``scale_tol`` times
+    max(1, |u|_inf) (or a non-finite one) raises NumericalError.
+    ``deviation_continuation`` is report-only, since its shallow window can
+    be empty (it is then nan).
     """
     if problem.evaluator is None:
         raise ValueError("scaled solves need an analytic right-hand-side evaluator")
@@ -232,10 +233,12 @@ def solve_scaled(problem, phi, cone=None, scale_tol=SCALE_TOL,
     rot = solve_const(rot_prob, res_tol=res_tol)
 
     deviation = float(np.max(np.abs(v.u.values - rot.u.values)))
-    if not deviation <= scale_tol:
+    # relative to max(1, |u|_inf), as the solve residuals are
+    rel_deviation = deviation / max(1.0, float(np.max(np.abs(rot.u.values))))
+    if not rel_deviation <= scale_tol:
         raise NumericalError(
-            f"scaled and rotated-ray solves deviate by {deviation:.3e}, "
-            f"above scale_tol {scale_tol:.3e}"
+            f"scaled and rotated-ray solves deviate by {rel_deviation:.3e} "
+            f"relative to max(1, |u|_inf), above scale_tol {scale_tol:.3e}"
         )
     # Continuation off the unrotated ray amplifies frequency-edge noise by
     # e^{depth * Xi}, so the different-contour cross-check is well posed

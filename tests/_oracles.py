@@ -36,7 +36,7 @@ def spectrum_uncached(p, region=None, tol_cluster=1e-7, tol_inf=1e-8):
     A fresh eigenvalue-only companion solve per call, with the region
     filter applied before each cluster's SVD certificate.
     """
-    raw = scipy.linalg.eigvals(*_companion(p))
+    raw = scipy.linalg.eigvals(*_companion(p.coefficients))
     finite = raw[np.isfinite(raw)]
     kept = finite[np.abs(finite) <= 1.0 / tol_inf]
     notes = []

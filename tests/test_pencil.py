@@ -249,7 +249,7 @@ class TestResolventBatch:
         p = MatrixPencil(tuple(
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             for _ in range(degree + 1)))
-        assert p.factorization.X is not None
+        assert p.factorization.triple is not None
         lams = 3.0 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
         rhs = rng.standard_normal((16, n)) + 1j * rng.standard_normal((16, n))
         try:
@@ -271,9 +271,9 @@ class TestResolventBatch:
         want = nodewise(p, lams, rhs)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("fell back to per-node LU")
+            raise AssertionError("fell back to LU")
 
-        monkeypatch.setattr(conescale.pencil, "resolvent_apply", refuse)
+        monkeypatch.setattr(conescale.pencil, "_lu_fallback", refuse)
         got = resolvent_apply_batch(p, lams, rhs)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -283,13 +283,48 @@ class TestResolventBatch:
         lambda: MatrixPencil((np.diag([0.0, 2.0]), np.zeros((2, 2)),
                               np.array([[2.0, 1.0], [1.0, 3.0]]))),
     ])
-    def test_singular_leading_coefficient_falls_back(self, make):
+    @pytest.mark.parametrize("stack_entries", [1 << 21, 4])
+    def test_singular_leading_coefficient_falls_back(self, make,
+                                                     stack_entries,
+                                                     monkeypatch):
+        # a stack limit of 4 entries splits the nodes into several chunks
+        monkeypatch.setattr(conescale.pencil, "_LU_STACK_ENTRIES",
+                            stack_entries)
         p = make()
-        assert p.factorization.X is None
-        lams = np.array([0.1, 2.0, 1.5j, -3.0 + 0.5j])
-        rhs = np.arange(1, 4 * p.dim + 1, dtype=complex).reshape(4, p.dim)
+        assert p.factorization.triple is None
+        lams = np.array([0.1, 2.0, 1.5j, -3.0 + 0.5j, 7.0, -0.25j])
+        rhs = np.arange(1, 6 * p.dim + 1, dtype=complex).reshape(6, p.dim)
         assert np.array_equal(resolvent_apply_batch(p, lams, rhs),
                               nodewise(p, lams, rhs))
+
+    def test_fallback_stacks_instead_of_looping(self, identity_pencil,
+                                                monkeypatch):
+        # the identity pencil has no triple; a full stack never fails, so
+        # no node is solved alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved a node alone")
+
+        monkeypatch.setattr(conescale.pencil, "resolvent_apply", refuse)
+        lams = np.linspace(-5.0, 5.0, 4096) + 1j
+        rhs = np.linspace(0.0, 1.0, 4096)[:, None] + 0j
+        assert np.array_equal(resolvent_apply_batch(identity_pencil, lams,
+                                                    rhs), rhs)
+
+    @pytest.mark.parametrize("stack_entries", [1 << 21, 4])
+    def test_singular_node_in_fallback(self, stack_entries, monkeypatch):
+        # A(lam) = diag(lam + 1, 1) is singular at lam = -1, which makes the
+        # stacked LU of its chunk fail outright
+        monkeypatch.setattr(conescale.pencil, "_LU_STACK_ENTRIES",
+                            stack_entries)
+        p = MatrixPencil((np.diag([1.0, 0.0]), np.eye(2)))
+        lams = np.array([0.5, 2.0, -1.0, 3.0])
+        rhs = np.ones((4, 2), dtype=complex)
+        with pytest.raises(NearEigenvalueError) as info:
+            resolvent_apply_batch(p, lams, rhs)
+        assert info.value.node == 2
+        assert info.value.lam == -1.0
+        assert np.array_equal(info.value.partial,
+                              nodewise(p, lams[:2], rhs[:2]))
 
     def test_node_on_eigenvalue_names_node(self, quad_pencil):
         lams = np.array([0.0, 1j, 2.0])
@@ -298,6 +333,7 @@ class TestResolventBatch:
         assert info.value.node == 1
         assert info.value.lam == 1j
         assert "node 1" in str(info.value)
+        assert np.allclose(info.value.partial, [[1.0]], rtol=1e-14, atol=0.0)
         assert "nan" not in str(info.value)
 
     def test_non_finite_residual_message(self, quad_pencil):
@@ -338,6 +374,21 @@ class TestFactorizationCache:
         resolvent_apply_batch(p, np.array([0.5]), np.ones((1, 4)))
         assert p.factorization is first
 
+    def test_spectrum_alone_computes_no_eigenvectors(self):
+        p = dirichlet_pencil(8)
+        spectrum(p)
+        assert "triple" not in vars(p.factorization)
+        first = p.factorization.eigenvalues
+        assert p.factorization.triple is not None
+        assert p.factorization.eigenvalues is first
+
+    def test_resolvent_first_shares_eigenvalues(self):
+        p = dirichlet_pencil(8)
+        resolvent_apply_batch(p, np.array([0.5j]), np.ones((1, 8)))
+        w, _, _ = p.factorization.triple
+        assert p.factorization.eigenvalues is w
+        assert spectrum(p) == spectrum_uncached(dirichlet_pencil(8))
+
     def test_scaled_pencil_has_its_own(self):
         p = dirichlet_pencil(4)
         phi = math.pi / 8
@@ -375,3 +426,27 @@ def test_growth_samples_match_columnwise():
         want = (p.vector_norm(u, 1) + abs(lam) * p.vector_norm(u, 0)) \
             / p.vector_norm(f, 0)
         assert ratio == pytest.approx(want, rel=1e-12)
+
+
+def test_growth_probe_keeps_columns_before_a_failure(monkeypatch):
+    p = MatrixPencil((np.eye(2), np.array([[0.0, 1.0], [-2.0, 0.5j]])))
+    cones = (Cone(math.pi / 8, 0j, 1), Cone(math.pi / 8, 0j, -1))
+    real = conescale.pencil.resolvent_apply_batch
+    calls = []
+
+    def fail_first(p, lams, rhs):
+        sols = real(p, lams, rhs)
+        calls.append(lams[0])
+        if len(calls) == 1:
+            # as if column 1 failed its certificate: no second solve follows
+            raise NearEigenvalueError(lams[1], 1.0, node=1, partial=sols[:1])
+        return sols
+
+    monkeypatch.setattr(conescale.pencil, "resolvent_apply_batch", fail_first)
+    rep = verify_growth_condition(p, cones, 4.0, sample_count=2,
+                                  angle_count=2)
+    assert rep.skipped == (calls[0],)
+    # one sample from the failed lam, then two per later lam
+    assert [lam for lam, _ in rep.samples[:3]] == [calls[0], calls[1],
+                                                  calls[1]]
+    assert len(rep.samples) == 2 * len(calls) - 1

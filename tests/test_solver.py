@@ -6,7 +6,8 @@ import pytest
 import scipy.interpolate
 
 from conescale import (ContractionFailureError, Grid, GaussianRhs,
-                       LocalizationFailureError, MatrixPencil, PoleRhs,
+                       LocalizationFailureError, MatrixPencil,
+                       NumericalError, PoleRhs,
                        SpectralObstructionError,
                        VariableProblem, constant_problem,
                        continuation_certificate, localize_traces, solve_const,
@@ -100,6 +101,17 @@ class TestSolveScaled:
     def test_negative_angle(self, linear_problem):
         u, v, rep = solve_scaled(linear_problem, -math.pi / 8)
         assert rep.deviation <= 1e-6
+
+    def test_scale_tol_is_relative_to_solution_size(self, grid):
+        # at amplitude 1e8 the absolute deviation is ~1e-7 while the
+        # agreement relative to |u|_inf stays near machine precision
+        p = constant_problem(LINEAR, GaussianRhs(amplitude=1e8), grid)
+        u, v, rep = solve_scaled(p, math.pi / 8, scale_tol=1e-12,
+                                 ray_table_angles=2)
+        assert rep.deviation > 1e-12
+        with pytest.raises(NumericalError, match="scale_tol"):
+            solve_scaled(p, math.pi / 8, scale_tol=1e-20,
+                         ray_table_angles=2)
 
     def test_clearance_guard(self, grid):
         # +-i obstruct any upper cone through the origin wider than nothing
