@@ -143,6 +143,9 @@ class PencilFactorization:
 
     @cached_property
     def triple(self):
+        known = vars(self).get("eigenvalues")
+        if known is not None and not np.all(np.isfinite(known)):
+            return None  # singular A_0: no triple, so skip the eigenvectors
         a, b = _companion(self._coefficients)
         vals, vecs = _companion_eig(a, b, vectors=True)
         vals.flags.writeable = False

@@ -382,6 +382,17 @@ class TestFactorizationCache:
         assert p.factorization.triple is not None
         assert p.factorization.eigenvalues is first
 
+    def test_known_singular_leading_coefficient_skips_eigenvectors(
+            self, monkeypatch):
+        p = MatrixPencil((np.diag([1.0, 0.0]), np.eye(2)))
+        spectrum(p)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed eigenvectors")
+
+        monkeypatch.setattr(conescale.pencil, "_companion_eig", refuse)
+        assert p.factorization.triple is None
+
     def test_resolvent_first_shares_eigenvalues(self):
         p = dirichlet_pencil(8)
         resolvent_apply_batch(p, np.array([0.5j]), np.ones((1, 8)))
