@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 from .errors import (ConescaleError, ConfigurationError,
                      ContractionFailureError, HypothesisViolationError,
                      IllConditionedKernelError, LocalizationFailureError,
-                     NearEigenvalueError, NumericalError,
-                     SpectralObstructionError, ValidationError,
-                     WeightOverflowError)
+                     NearEigenvalueError, NonFiniteSampleError,
+                     NumericalError, SpectralObstructionError,
+                     ValidationError, WeightOverflowError)
 from .geometry import (FREQUENCY, TIME, Cone, Disk, Grid, Ray, RayFunction,
                        exp_weight, exp_weight_log, sobolev_norm_derivative,
                        sobolev_norm_spectral, weighted_l2_norm,

@@ -39,6 +39,20 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
+# numeric cells print as _fmt does, every other cell as str(); one
+# %-format string per tuple of cell types renders a whole row
+_NUMERIC = (int, float, np.floating)
+_ROW_FORMATS = {}
+
+
+def _row_format(types):
+    fmt = _ROW_FORMATS.get(types)
+    if fmt is None:
+        fmt = _ROW_FORMATS[types] = ",".join(
+            "%.17g" if issubclass(t, _NUMERIC) else "%s" for t in types)
+    return fmt
+
+
 def _require_keys(obj, path, required, optional=()):
     if not isinstance(obj, dict):
         raise ValidationError("expected an object", path)
@@ -55,12 +69,16 @@ def _complex_pair(value, path):
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(v, (int, float)) for v in value)):
         raise ValidationError("expected a [re, im] pair", path)
+    if not all(math.isfinite(v) for v in value):
+        raise ValidationError("expected finite numbers", path)
     return complex(value[0], value[1])
 
 
 def _number(value, path, kind=float, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"expected a {kind.__name__}", path)
+    if not math.isfinite(value):
+        raise ValidationError("expected a finite number", path)
     if kind is int and not float(value).is_integer():
         raise ValidationError("expected an integer", path)
     value = kind(value)
@@ -291,9 +309,8 @@ class Report:
         self.lines.append(f"# table={name}")
         self.lines.append(",".join(header))
         for row in rows:
-            self.lines.append(",".join(
-                _fmt(v) if isinstance(v, (int, float, np.floating)) else str(v)
-                for v in row))
+            row = tuple(row)
+            self.lines.append(_row_format(tuple(map(type, row))) % row)
 
     def render(self):
         return "\n".join(self.lines) + "\n"
@@ -336,13 +353,10 @@ def cmd_clearance(problem, args):
 
 
 def _solution_rows(u):
-    rows = []
-    for k, t in enumerate(u.grid.nodes):
-        row = [t]
-        for comp in range(u.dim):
-            row.extend((u.values[k, comp].real, u.values[k, comp].imag))
-        rows.append(tuple(row))
-    return rows
+    """Rows (t, re_0, im_0, re_1, im_1, ...) as lists of Python floats."""
+    parts = np.stack([u.values.real, u.values.imag], axis=2)
+    return np.column_stack([u.grid.nodes,
+                            parts.reshape(u.grid.count, -1)]).tolist()
 
 
 def _solution_header(dim):
@@ -456,6 +470,8 @@ def _verify_continuation(problem, report, args):
     report.meta("offset", _fmt(args.offset))
     report.meta("verdict", cert.verdict)
     report.meta("ratio", _fmt(cert.ratio) if np.isfinite(cert.ratio) else "inf")
+    for psi, reason in cert.blown:
+        report.meta("diagnostic", f"ray psi={_fmt(psi)} blew up: {reason}")
     report.table("continuation", ("psi", "energy"),
                  [(p, v if np.isfinite(v) else "inf") for p, v in cert.rows])
 

@@ -31,6 +31,10 @@ class NumericalError(ConescaleError):
     """A computation failed numerically."""
 
 
+class NonFiniteSampleError(NumericalError):
+    """A sample that must be finite (data on a ray, a summand) is inf or nan."""
+
+
 class WeightOverflowError(NumericalError):
     """An exponential weight would overflow at a quadrature node."""
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WeightOverflowError
+from .errors import NonFiniteSampleError, WeightOverflowError
 from .stencils import derivative_uniform
 
 # exp() overflows near 709.78 for float64; stay clear of it
@@ -210,7 +210,7 @@ class RayFunction:
             )
         if not np.all(np.isfinite(vals)):
             bad = int(np.argwhere(~np.isfinite(vals))[0][0])
-            raise ValueError(f"non-finite sample at node {bad}")
+            raise NonFiniteSampleError(f"non-finite sample at node {bad}")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -239,7 +239,7 @@ class NormReport:
 
 
 def _quadratic_form(values, form):
-    """<H v, v> per node, real and clipped at zero.
+    """<H v, v> per node, real and clipped at zero; one GEMM for a form.
 
     Infs are allowed to propagate: the norm overflow check downstream turns
     them into a structured error.
@@ -248,8 +248,28 @@ def _quadratic_form(values, form):
         if form is None:
             q = np.sum(np.abs(values) ** 2, axis=1)
         else:
-            q = np.real(np.einsum("ki,ij,kj->k", np.conj(values), form, values))
+            q = np.real(np.sum(np.conj(values) * (values @ form.T), axis=1))
     return np.maximum(q, 0.0)
+
+
+def exp_weighted(log_weight, q, points):
+    """exp(log_weight) * q for q >= 0, without forming an overflowing weight.
+
+    Where the weight alone would overflow the product is formed in log
+    space, so a zero (or underflowed) q contributes zero whatever its
+    weight.  Raises WeightOverflowError naming the first node whose product
+    itself exceeds LOG_OVERFLOW_BOUND.
+    """
+    with np.errstate(divide="ignore"):
+        log_total = log_weight + np.log(q)
+    if np.any(log_total > LOG_OVERFLOW_BOUND):
+        k = int(np.argmax(log_total))
+        raise WeightOverflowError(k, points[k], float(log_total[k]))
+    out = np.exp(np.minimum(log_weight, LOG_OVERFLOW_BOUND)) * q
+    big = log_weight > LOG_OVERFLOW_BOUND
+    if np.any(big):
+        out[big] = np.exp(log_total[big])
+    return out
 
 
 def _weighted_integrand_log(f, order, number, form, mask=None):
@@ -278,12 +298,7 @@ def weighted_l2_report(f, form=None, order=None, number=None, mask=None):
     order = f.weight_order if order is None else float(order)
     number = f.weight_number if number is None else complex(number)
     log_w, q = _weighted_integrand_log(f, order, number, form, mask)
-    with np.errstate(divide="ignore"):
-        log_total = log_w + np.where(q > 0.0, np.log(np.where(q > 0, q, 1.0)), -np.inf)
-    if np.any(log_total > LOG_OVERFLOW_BOUND):
-        k = int(np.argmax(log_total))
-        raise WeightOverflowError(k, f.points[k], float(log_total[k]))
-    integrand = np.exp(log_w) * q
+    integrand = exp_weighted(log_w, q, f.points)
     w = f.grid.trapezoid_weights()
     total = float(np.sum(w * integrand) * f.grid.spacing)
     peak = float(np.max(integrand)) if integrand.size else 0.0

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedKernelError, WeightOverflowError
-from .geometry import (FREQUENCY, LOG_OVERFLOW_BOUND, TIME, Cone, Grid, Ray,
-                       RayFunction, weighted_l2_report)
-from .transform import TransformContext, scaled_values
+from .errors import (IllConditionedKernelError, NumericalError,
+                     WeightOverflowError)
+from .geometry import (FREQUENCY, TIME, Cone, Grid, Ray, RayFunction,
+                       exp_weighted, weighted_l2_report)
+from .transform import TransformContext, exp_sum, scaled_values
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -376,23 +377,11 @@ def _forward_continuation(F, lam_points):
     For samples that vanish near the grid ends the defining integral
     converges for every complex lam, so the quadrature sum itself is the
     entire continuation.  Exponents combine with data magnitudes in log
-    space; a genuinely overflowing value raises.
+    space (transform.exp_sum); a genuinely overflowing value raises.
     """
-    t = F.grid.nodes
-    z = F.points
     lam = np.asarray(lam_points, dtype=complex)
-    mag = np.max(np.abs(F.values), axis=1)
-    with np.errstate(divide="ignore"):
-        log_data = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
-    expo = -1j * np.outer(lam, z)
-    worst = float(np.max(expo.real + log_data[None, :]))
-    if worst > LOG_OVERFLOW_BOUND:
-        raise WeightOverflowError(int(np.argmax(np.max(expo.real + log_data, axis=0))),
-                                  None, worst)
-    out = np.zeros((lam.size, F.dim), dtype=complex)
-    for comp in range(F.dim):
-        out[:, comp] = np.sum(scaled_values(F.values[:, comp], expo), axis=1)
-    return out * (F.ray.direction * F.grid.spacing / _SQRT2PI)
+    sums = exp_sum(F.values, -1j * np.outer(lam, F.points))
+    return sums * (F.ray.direction * F.grid.spacing / _SQRT2PI)
 
 
 @dataclass(frozen=True)
@@ -411,7 +400,7 @@ def entire_window_check(F, n_angles=7, bound=WINDOW_BOUND,
     half-ray norms are weighted with the endpoint weight numbers (b on the
     positive halves, a on the negative halves).  Bounded sweeps are
     consistent with compact support in [a, b]; unweighted-growth blow-up
-    (including overflow) is flagged.
+    (including overflow and other numerical failures) is flagged.
     """
     if F.ray.side != TIME:
         raise ValueError("window checks act on time-side ray functions")
@@ -438,7 +427,7 @@ def entire_window_check(F, n_angles=7, bound=WINDOW_BOUND,
             rf = RayFunction(ray, freq_grid, vals, F.weight_order, 0j)
             n_pos = weighted_l2_report(rf, number=b, mask=pos).value
             n_neg = weighted_l2_report(rf, number=a, mask=neg).value
-        except (WeightOverflowError, ValueError):
+        except NumericalError:
             table.append((float(psi), math.inf, math.inf))
             flagged = True
             continue
@@ -464,7 +453,8 @@ def decay_profile(f, ell, n_levels=8):
     Only rays at angular distance >= angle/10 from the boundary are used.
     The running maximum of the profile over |lam - zeta| >= L must strictly
     decrease along the sampled upper range of L for the decay claim to be
-    consistent.
+    consistent.  The weight joins the rest in log space (exp_weighted), so
+    WeightOverflowError is raised only where the profile itself overflows.
     """
     margin = f.cone.angle / 10.0
     tables = []
@@ -475,9 +465,9 @@ def decay_profile(f, ell, n_levels=8):
         t = rf.grid.nodes
         lam = rf.points
         norms = np.sqrt(np.sum(np.abs(rf.values) ** 2, axis=1))
-        profile = (np.exp(-np.imag(f.weight_number * lam))
-                   * (1.0 + np.abs(lam)) ** float(ell)
-                   * np.sqrt(np.abs(t)) * norms)
+        profile = exp_weighted(-np.imag(f.weight_number * lam),
+                               (1.0 + np.abs(lam)) ** float(ell)
+                               * np.sqrt(np.abs(t)) * norms, lam)
         tables.append((float(psi), np.abs(t), profile))
         if np.max(profile) == 0.0:
             continue

@@ -23,9 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (ContractionFailureError, LocalizationFailureError,
-                     NumericalError, SpectralObstructionError,
-                     WeightOverflowError)
-from .geometry import TIME, Cone, Ray, RayFunction
+                     NonFiniteSampleError, NumericalError,
+                     SpectralObstructionError)
+from .geometry import (TIME, Cone, Ray, RayFunction, _quadratic_form,
+                       exp_weighted)
 from .hardy import halfline_projection
 from .pencil import (MatrixPencil, cone_clearance, line_distance,
                      resolvent_apply_batch, search_radius, spectrum)
@@ -159,24 +160,27 @@ class ScalingReport:
 
 
 def _ray_energy(pencil, u, zeta, forward_only=False):
-    """sum_j integral |e^{-i zeta z} D^j u|_{m-j}^2 |dz| along u's ray."""
+    """sum_j integral |e^{-i zeta z} D^j u|_{m-j}^2 |dz| along u's ray.
+
+    The weight joins each quadratic form in log space (exp_weighted), so
+    WeightOverflowError is raised only where an integrand itself overflows.
+    """
     m = pencil.degree
     t = u.grid.nodes
     z = u.points
-    weight = np.exp(-2.0 * np.imag(zeta * z))
+    log_w = -2.0 * np.imag(zeta * z)
     keep = t >= 0.0 if forward_only else np.ones_like(t, dtype=bool)
     dir_inv = 1.0 / u.ray.direction
     total = 0.0
     for j in range(m + 1):
         deriv, core = derivative_uniform(u.values, u.grid.spacing, j, acc=8)
         deriv = deriv * (-1j * dir_inv) ** j
-        h = pencil.norm_forms[m - j]
-        q = np.real(np.einsum("ki,ij,kj->k", np.conj(deriv), h, deriv))
         mask = np.zeros_like(t, dtype=bool)
         mask[core] = True
         mask &= keep
-        total += float(np.sum(weight[mask] * np.maximum(q[mask], 0.0))
-                       * u.grid.spacing)
+        q = np.where(mask, _quadratic_form(deriv, pencil.norm_forms[m - j]), 0.0)
+        integrand = exp_weighted(log_w, q, z)
+        total += float(np.sum(integrand[mask]) * u.grid.spacing)
     return total
 
 
@@ -334,7 +338,8 @@ def _prepare_perturbation(vp, grid):
     for j in range(m + 1):
         arr = np.stack([stacks[k][j] for k in range(len(z))])
         if not np.all(np.isfinite(arr)):
-            raise ValueError(f"perturbing coefficient Q_{j} is not finite")
+            raise NonFiniteSampleError(
+                f"perturbing coefficient Q_{j} is not finite")
         per_j.append(arr if np.max(np.abs(arr)) > 0.0 else None)
     return per_j
 
@@ -497,11 +502,15 @@ def localize_traces(traces, cone, orientation=1, zeta=0j, gamma=None):
 
 @dataclass(frozen=True)
 class CertificateReport:
+    """Energy rows (psi, energy) and the verdict; ``blown`` holds one
+    (psi, reason) pair per ray whose solve or energy failed numerically."""
+
     rows: tuple
     base_value: float
     max_value: float
     ratio: float
     verdict: str
+    blown: tuple = ()
 
 
 def continuation_certificate(problem, phi, offset=None, n_angles=9,
@@ -516,8 +525,9 @@ def continuation_certificate(problem, phi, offset=None, n_angles=9,
 
     is recorded.  The certificate "holds" when every ray succeeds and the
     sweep maximum stays within cert_bound of the psi = 0 value; per-ray
-    numerical blow-ups (overflow, residual failures) are recorded as
-    blow-up data rather than raised.
+    numerical blow-ups (overflow, residual failures, non-finite samples or
+    energies) are recorded as blow-up data, with their reasons in
+    ``blown``, rather than raised.  Other errors propagate.
     """
     if problem.evaluator is None:
         raise ValueError("certificates need an analytic right-hand-side evaluator")
@@ -547,7 +557,9 @@ def continuation_certificate(problem, phi, offset=None, n_angles=9,
                 u = solve_const(sub, res_tol=res_tol).u
             value = _ray_energy(problem.pencil, u, problem.zeta,
                                 forward_only=True)
-        except (NumericalError, WeightOverflowError, ValueError) as exc:
+            if not math.isfinite(value):
+                raise NumericalError(f"ray energy is {value}")
+        except (NumericalError, np.linalg.LinAlgError) as exc:
             rows.append((float(psi), math.inf))
             blown.append((float(psi), str(exc)))
             continue
@@ -565,4 +577,5 @@ def continuation_certificate(problem, phi, offset=None, n_angles=9,
         max_value=max_value,
         ratio=ratio,
         verdict="holds" if holds else "blow-up",
+        blown=tuple(blown),
     )

@@ -91,27 +91,6 @@ def _window(k, n_nodes, width, segments):
     return start
 
 
-def differentiation_matrix(n_nodes, spacing, m, acc=6, cuts=()):
-    """Dense N x N matrix applying d^m/dt^m on a uniform grid.
-
-    `cuts` are node indices where the sampled function may lose smoothness;
-    stencil windows never straddle a cut (one-sided near cuts and edges), so
-    piecewise-smooth functions are differentiated at full accuracy on each
-    piece.
-    """
-    width = m + acc
-    if (m + width) % 2 == 1:
-        width += 1
-    bounds = sorted({0, n_nodes, *[int(c) for c in cuts if 0 < c < n_nodes]})
-    segments = list(zip(bounds[:-1], bounds[1:]))
-    D = np.zeros((n_nodes, n_nodes))
-    for k in range(n_nodes):
-        start = _window(k, n_nodes, width, segments)
-        xs = (np.arange(start, start + width) - k).astype(float)
-        D[k, start:start + width] = fornberg_weights(0.0, xs, m)
-    return D / spacing ** m
-
-
 def derivative_with_cuts(values, spacing, m, acc=6, cuts=()):
     """Like derivative_uniform but one-sided near the given cut indices.
 

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, WeightOverflowError
+from .errors import (ConfigurationError, NonFiniteSampleError,
+                     WeightOverflowError)
 from .geometry import (FREQUENCY, LOG_OVERFLOW_BOUND, TIME, Grid, Ray,
                        RayFunction, weighted_l2_norm)
 from .stencils import derivative_uniform
@@ -93,6 +94,14 @@ def _apply_kernel_adjoint(src_grid, dst_grid, y):
     return np.conj(const) * np.conj(col) * sums[np.arange(n) % m]
 
 
+def _require_finite(values):
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise NonFiniteSampleError(
+            f"non-finite sample {values[index]} at index {index}")
+
+
 def scaled_values(values, exponents):
     """values * exp(exponents), evaluated safely when either factor alone
     would overflow or underflow; zeros stay zeros, non-finite values raise.
@@ -101,10 +110,7 @@ def scaled_values(values, exponents):
     """
     values = np.asarray(values, dtype=complex)
     exponents = np.asarray(exponents, dtype=complex)
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        index = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise NumericalError(f"non-finite sample {values[index]} at index {index}")
+    _require_finite(values)
     # split off a power of two so magnitude and phase stay representable
     # for subnormal and near-maximal values alike
     _, e = np.frexp(np.maximum(np.abs(values.real), np.abs(values.imag)))
@@ -119,6 +125,44 @@ def scaled_values(values, exponents):
     total = exponents + log_mag
     out = np.where(np.isneginf(total.real), 0.0, np.exp(np.where(np.isneginf(total.real), 0.0, total)))
     return out * phase
+
+
+def exp_sum(values, exponents, points=None):
+    """sum_k exp(exponents[:, k]) * values[k, :] as one exp and one GEMM.
+
+    ``values`` is (K, C) and ``exponents`` (P, K); the result is (P, C).
+    Each node's values are divided by a power of two near their largest
+    component magnitude and its log is folded into the node's exponents, so
+    every exp() stays representable whenever the largest product does.
+    All-zero nodes are dropped first: their exponents are unconstrained.
+    Raises WeightOverflowError naming the node (and its entry of
+    ``points``, if given) whose largest product would exceed
+    LOG_OVERFLOW_BOUND, and NonFiniteSampleError on non-finite values.
+
+    Precision limit: a component more than about 2^1000 below its node's
+    largest one falls into the subnormal range after the division and
+    loses relative accuracy (the per-component scaled_values does not).
+    """
+    values = np.asarray(values, dtype=complex)
+    exponents = np.asarray(exponents, dtype=complex)
+    _require_finite(values)
+    top = np.max(np.maximum(np.abs(values.real), np.abs(values.imag)), axis=1)
+    keep = np.flatnonzero(top > 0.0)
+    if keep.size == 0:
+        return np.zeros((exponents.shape[0], values.shape[1]), dtype=complex)
+    _, e = np.frexp(top[keep])
+    shift = e[:, None]
+    unit = (np.ldexp(values.real[keep], -shift)
+            + 1j * np.ldexp(values.imag[keep], -shift))
+    log_scale = e * _LN2
+    expo = exponents[:, keep] + log_scale
+    combined = expo.real + np.log(np.max(np.abs(unit), axis=1))
+    worst = float(np.max(combined))
+    if worst > LOG_OVERFLOW_BOUND:
+        k = int(keep[int(np.argmax(combined)) % keep.size])
+        raise WeightOverflowError(k, None if points is None else points[k],
+                                  worst)
+    return np.exp(expo) @ unit
 
 
 @dataclass(frozen=True)
@@ -265,22 +309,12 @@ class TransformContext:
         whenever the products stay representable.
         """
         self._require_ray(fhat, self.frequency_ray)
-        z = np.asarray(z_points, dtype=complex)
         lam = fhat.points
-        log_data = self._data_log(fhat.values)
-        expo = 1j * np.outer(z, lam)
-        combined = expo.real + log_data[None, :]
-        worst = float(np.max(combined))
-        if worst > LOG_OVERFLOW_BOUND:
-            flat = int(np.argmax(combined))
-            raise WeightOverflowError(flat % lam.size, lam[flat % lam.size], worst)
-        out = np.zeros((z.size, fhat.dim), dtype=complex)
-        for comp in range(fhat.dim):
-            out[:, comp] = np.sum(scaled_values(fhat.values[:, comp], expo), axis=1)
+        expo = 1j * np.outer(np.asarray(z_points, dtype=complex), lam)
         prefactor = (self.dst_grid.spacing / _SQRT2PI
                      * self.frequency_ray.direction
                      * np.exp(1j * self.zeta * self.w))
-        return out * prefactor
+        return exp_sum(fhat.values, expo, lam) * prefactor
 
     def _require_ray(self, f, ray):
         got = f.ray

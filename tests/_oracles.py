@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's transform-based solve
 path: closed-form integrals, adaptive quadrature of explicit solution
 formulas, dense finite-difference collocation, the dense transform kernel
-that the FFT factorization replaced, and the uncached spectrum that the
-per-pencil factorization replaced.
+that the FFT factorization replaced, the uncached spectrum that the
+per-pencil factorization replaced, and the per-component exponential sum
+that transform.exp_sum replaced.
 """
 
 import math
@@ -14,7 +15,8 @@ import scipy.integrate
 import scipy.linalg
 
 from conescale.pencil import SpectrumReport, _cluster, _companion, evaluate
-from conescale.stencils import differentiation_matrix
+from conescale.stencils import _window, fornberg_weights
+from conescale.transform import scaled_values
 
 GAUSS_L2 = math.pi ** 0.25                      # (int e^{-t^2} dt)^(1/2)
 GAUSS_SOBOLEV1 = (1.5 * math.sqrt(math.pi)) ** 0.5   # (int (1+t^2) e^{-t^2})^(1/2)
@@ -28,6 +30,23 @@ def dense_kernel(src_grid, dst_grid):
     if max(src_grid.count, dst_grid.count) > 1024:
         raise ValueError("the dense kernel oracle is limited to 1024 nodes")
     return np.exp(-1j * np.outer(dst_grid.nodes, src_grid.nodes))
+
+
+def exp_sum_per_component(values, exponents):
+    """sum_k exp(exponents[:, k]) * values[k, c], one scaled_values pass per
+    component c, as the continuations summed before exp_sum.
+
+    Returns (sums, sizes) with sizes[p, c] = sum_k |exp(E[p, k]) v[k, c]|,
+    the scale against which rounding in the sum is measured.
+    """
+    values = np.asarray(values, dtype=complex)
+    sums = np.zeros((exponents.shape[0], values.shape[1]), dtype=complex)
+    sizes = np.zeros(sums.shape)
+    for comp in range(values.shape[1]):
+        terms = scaled_values(values[:, comp], exponents)
+        sums[:, comp] = np.sum(terms, axis=1)
+        sizes[:, comp] = np.sum(np.abs(terms), axis=1)
+    return sums, sizes
 
 
 def spectrum_uncached(p, region=None, tol_cluster=1e-7, tol_inf=1e-8):
@@ -91,6 +110,30 @@ def fd_laplacian_eigenvalues(n):
     h = 1.0 / (n + 1)
     k = np.arange(1, n + 1)
     return 2.0 / h * np.sin(k * math.pi * h / 2.0)
+
+
+def differentiation_matrix(n_nodes, spacing, m, acc=6, cuts=()):
+    """Dense N x N matrix applying d^m/dt^m on a uniform grid.
+
+    The collocation oracles' operator; the package itself differentiates
+    with banded stencils (stencils.derivative_with_cuts).
+
+    `cuts` are node indices where the sampled function may lose smoothness;
+    stencil windows never straddle a cut (one-sided near cuts and edges), so
+    piecewise-smooth functions are differentiated at full accuracy on each
+    piece.
+    """
+    width = m + acc
+    if (m + width) % 2 == 1:
+        width += 1
+    bounds = sorted({0, n_nodes, *[int(c) for c in cuts if 0 < c < n_nodes]})
+    segments = list(zip(bounds[:-1], bounds[1:]))
+    D = np.zeros((n_nodes, n_nodes))
+    for k in range(n_nodes):
+        start = _window(k, n_nodes, width, segments)
+        xs = (np.arange(start, start + width) - k).astype(float)
+        D[k, start:start + width] = fornberg_weights(0.0, xs, m)
+    return D / spacing ** m
 
 
 def _pins(pencil_root_imag_signs):

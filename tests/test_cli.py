@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import conescale.cli
+from conescale import TIME, Grid, Ray, RayFunction
 from conescale.cli import main, parse_problem, cylinder_problem_dict
 from conescale.errors import ValidationError
 
@@ -227,6 +228,58 @@ class TestVerifyCommand:
         assert "# verdict=holds" in capsys.readouterr().out
 
 
+    def test_continuation_blown_rays_explained(self, tmp_path, capsys):
+        # a residual tolerance no solve can meet blows up every ray
+        data = linear_problem()
+        data["solver"] = {"phi_list": [math.pi / 8], "res_tol": 1e-30}
+        path = write(tmp_path, data)
+        assert run(["verify", "--suite", "continuation", path]) == 0
+        out = capsys.readouterr().out
+        assert "# verdict=blow-up" in out
+        lines = out.splitlines()
+        diags = [l for l in lines if l.startswith("# diagnostic=ray psi=")]
+        assert len(diags) == len(table_lines(out, "continuation")) - 1 == 9
+        assert all("blew up: solve residual" in l for l in diags)
+        assert lines.index(diags[-1]) < lines.index("# table=continuation")
+
+    def test_continuation_holds_without_diagnostics(self, tmp_path, capsys):
+        data = linear_problem()
+        data["solver"] = {"phi_list": [math.pi / 8]}
+        path = write(tmp_path, data)
+        assert run(["verify", "--suite", "continuation", path]) == 0
+        assert "# diagnostic=" not in capsys.readouterr().out
+
+
+def _per_cell_row(row):
+    """The row rendering Report.table used before it formatted whole rows."""
+    return ",".join(f"{float(v):.17g}"
+                    if isinstance(v, (int, float, np.floating)) else str(v)
+                    for v in row)
+
+
+class TestReportTable:
+    def test_rows_match_per_cell_rendering(self):
+        rows = [
+            (0.1, -0.0, 0.0, math.inf, -math.inf, math.nan, "inf"),
+            (3, True, False, np.int64(2 ** 60), np.float64(1e-310), "x%sy", -7),
+            [np.float32(0.1), 2 ** 60, np.int32(-4), 1 + 2j, None, 1e308, 5e-324],
+            (),
+            (np.bool_(True), np.float64(-0.0), "nan", 12345678901234567890),
+        ]
+        report = conescale.cli.Report("test")
+        report.table("mixed", ("a", "b"), rows)
+        assert report.lines[-len(rows):] == [_per_cell_row(r) for r in rows]
+
+    def test_solution_rows_interleave_re_im(self):
+        grid = Grid(1.0, 3)
+        values = np.array([[1 + 2j, -0.0 - 3j], [0.5, 1e-300j], [7.0, -1j]])
+        u = RayFunction(Ray(0.0, 0j, TIME), grid, values)
+        rows = conescale.cli._solution_rows(u)
+        assert rows == [[t] + [x for v in row for x in (v.real, v.imag)]
+                        for t, row in zip(grid.nodes.tolist(), values.tolist())]
+        assert all(type(x) is float for row in rows for x in row)
+
+
 class TestDemoCylinder:
     def test_byte_determinism_and_round_trip(self, tmp_path):
         out1 = tmp_path / "r1.csv"
@@ -295,6 +348,20 @@ class TestDeterminism:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["geometry"].update(weight=[math.nan, 0.0]),
+        lambda d: d["grid"].update(half_width=math.inf),
+        lambda d: d.update(rhs={"kind": "sampled",
+                                "values": [[math.inf, 0.0]] * 2048}),
+    ], ids=["nan_weight", "inf_half_width", "inf_sample"])
+    def test_non_finite_input_exit_2(self, tmp_path, capsys, edit):
+        # json writes these as NaN / Infinity, which json.load accepts
+        data = quad_problem()
+        edit(data)
+        path = write(tmp_path, data)
+        assert run(["spectrum", path]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_scaled_with_non_analytic_rhs_exit_2(self, tmp_path):
         data = identity_problem()
         data["rhs"] = {"kind": "one_sided_exp"}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conescale import (Cone, Grid, Ray, RayFunction, TIME, FREQUENCY,
-                       WeightOverflowError, exp_weight,
+                       NonFiniteSampleError, WeightOverflowError, exp_weight,
                        exp_weight_log, sobolev_norm_derivative,
                        sobolev_norm_spectral, weighted_l2_norm,
                        weighted_l2_report)
@@ -106,7 +106,7 @@ class TestRayFunction:
         g = Grid(1.0, 4)
         vals = np.ones(4, dtype=complex)
         vals[2] = np.nan
-        with pytest.raises(ValueError, match="node 2"):
+        with pytest.raises(NonFiniteSampleError, match="node 2"):
             RayFunction(real_ray, g, vals)
 
     def test_shape_check(self, real_ray):

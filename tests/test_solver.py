@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 import scipy.interpolate
 
+import conescale.solver
 from conescale import (ContractionFailureError, Grid, GaussianRhs,
                        LocalizationFailureError, MatrixPencil,
-                       NumericalError, PoleRhs,
-                       SpectralObstructionError,
-                       VariableProblem, constant_problem,
+                       NumericalError, PoleRhs, Ray, RayFunction,
+                       SpectralObstructionError, TIME,
+                       VariableProblem, WeightOverflowError, constant_problem,
                        continuation_certificate, localize_traces, solve_const,
                        solve_scaled, solve_variable)
-from conescale.solver import apply_pencil_fd
+from conescale.solver import _ray_energy, apply_pencil_fd
 from _oracles import (collocation_constant, collocation_perturbed_first_order,
                       variation_of_constants)
 
@@ -271,6 +272,62 @@ class TestContinuationCertificate:
         cert = continuation_certificate(p, -math.pi / 8, offset=1.0,
                                         n_angles=17)
         assert cert.verdict == "blow-up"
+
+    def test_pole_crossing_reasons_kept(self, grid):
+        p = constant_problem(LINEAR, PoleRhs(5.0 + 0.25j), grid)
+        cert = continuation_certificate(p, -math.pi / 8, offset=1.0,
+                                        n_angles=17)
+        blown_rows = [psi for psi, v in cert.rows if not np.isfinite(v)]
+        assert blown_rows
+        assert [psi for psi, _ in cert.blown] == blown_rows
+        assert all("residual" in reason for _, reason in cert.blown)
+
+    def test_holding_certificate_has_no_reasons(self, linear_problem):
+        cert = continuation_certificate(linear_problem, math.pi / 8,
+                                        offset=1.0)
+        assert cert.blown == ()
+
+    def test_non_finite_energy_is_blow_up(self, linear_problem, monkeypatch):
+        energy = conescale.solver._ray_energy
+        calls = []
+
+        def nan_on_second_ray(*args, **kwargs):
+            calls.append(1)
+            return math.nan if len(calls) == 2 else energy(*args, **kwargs)
+
+        monkeypatch.setattr(conescale.solver, "_ray_energy", nan_on_second_ray)
+        cert = continuation_certificate(linear_problem, math.pi / 8,
+                                        offset=1.0, n_angles=3)
+        assert cert.verdict == "blow-up"
+        assert cert.rows[1] == (cert.rows[1][0], math.inf)
+        assert cert.blown == ((cert.rows[1][0], "ray energy is nan"),)
+
+    def test_programming_error_propagates(self, linear_problem, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("not a numerical failure")
+
+        monkeypatch.setattr(conescale.solver, "_ray_energy", broken)
+        with pytest.raises(ValueError, match="not a numerical failure"):
+            continuation_certificate(linear_problem, math.pi / 8, offset=1.0)
+
+
+class TestRayEnergy:
+    def gaussian(self):
+        grid = Grid(40.0, 2048)
+        return RayFunction(Ray(0.0, 0j, TIME), grid,
+                           np.exp(-grid.nodes ** 2))
+
+    def test_weight_past_exp_range_over_decayed_tail(self):
+        # e^{20 t} overflows for t > 35.5, where u has underflowed to zero;
+        # the integrand e^{20 t - 2 t^2} (1 + 4 t^2) itself peaks near e^50
+        energy = _ray_energy(LINEAR, self.gaussian(), -10j)
+        exact = 102.0 * math.sqrt(math.pi / 2.0) * math.exp(50.0)
+        assert energy == pytest.approx(exact, rel=1e-5)
+
+    def test_overflowing_integrand_raises(self):
+        # e^{80 t - 2 t^2} peaks at e^800
+        with pytest.raises(WeightOverflowError):
+            _ray_energy(LINEAR, self.gaussian(), -40j)
 
 
 class TestPerturbedCertificate:

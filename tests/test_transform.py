@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conescale import (ConfigurationError, Grid, NumericalError, Ray,
-                       RayFunction, TIME, TransformContext,
-                       WeightOverflowError, apply_derivative_rule, dual_grid,
-                       parseval_check)
+from conescale import (ConfigurationError, Grid, NonFiniteSampleError,
+                       NumericalError, Ray, RayFunction, TIME,
+                       TransformContext, WeightOverflowError,
+                       apply_derivative_rule, dual_grid, parseval_check)
+from conescale.geometry import LOG_OVERFLOW_BOUND
 from conescale.transform import (_apply_kernel, _apply_kernel_adjoint,
-                                 derivative_rule_deviation, scaled_values)
+                                 derivative_rule_deviation, exp_sum,
+                                 scaled_values)
 from conftest import gaussian_on
-from _oracles import dense_kernel
+from _oracles import dense_kernel, exp_sum_per_component
 
 
 class TestGrids:
@@ -257,3 +259,82 @@ def test_linearity_property(case, a, b):
     scale = ctx.src_grid.spacing * (abs(a) * np.sum(np.abs(f.values) * weight)
                                     + abs(b) * np.sum(np.abs(g.values) * weight))
     assert np.max(np.abs(lhs - rhs) * unweight) <= 1e-13 * scale
+
+
+class TestExpSum:
+    def test_zero_nodes_ignore_their_exponents(self):
+        # exp(1e4) overflows; a zero node must not turn it into inf * 0
+        values = np.array([[0.0, 0.0], [1.0, -2.0j], [0.0, 0.0]])
+        expo = np.array([[1e4, 0.5, 1e4]])
+        got = exp_sum(values, expo)
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, np.exp(0.5) * values[1])
+
+    def test_all_zero(self):
+        assert np.array_equal(exp_sum(np.zeros((3, 2)), np.full((4, 3), 1e4)),
+                              np.zeros((4, 2)))
+
+    def test_overflow_names_node_and_point(self):
+        values = np.ones((3, 1))
+        expo = np.array([[0.0, 710.0, 0.0], [0.0, 0.0, 720.0]])
+        points = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(WeightOverflowError) as err:
+            exp_sum(values, expo, points)
+        assert err.value.node_index == 2
+        assert err.value.point == 3.0
+        assert err.value.log_magnitude == pytest.approx(720.0)
+
+    def test_weight_past_exp_range(self):
+        # exp(750) alone overflows; its products with these values do not
+        values = np.array([[1e-300, 2e-301j]])
+        got = exp_sum(values, np.array([[750.0 + 0.25j]]))
+        want = np.exp(750.0 + 0.25j + np.log(values[0]))
+        assert np.allclose(got[0], want, rtol=1e-12)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(NonFiniteSampleError, match="non-finite"):
+            exp_sum(np.array([[1.0], [np.nan]]), np.zeros((1, 2)))
+        with pytest.raises(NonFiniteSampleError, match="non-finite"):
+            scaled_values(np.array([1.0, np.inf]), np.zeros(2))
+
+
+@st.composite
+def exp_sum_cases(draw):
+    """Component magnitudes spread over 1e-100..1e100, some all-zero nodes,
+    and exponents whose largest product per node reaches up to the
+    overflow bound (zero nodes get exponents far past it)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k, c, p = (draw(st.integers(1, 40)), draw(st.integers(1, 6)),
+               draw(st.integers(1, 12)))
+    mags = 10.0 ** rng.uniform(-100.0, 100.0, (k, c))
+    values = mags * np.exp(2j * math.pi * rng.uniform(size=(k, c)))
+    zero = rng.uniform(size=k) < draw(st.floats(0.0, 0.5))
+    values[zero] = 0.0
+    log_top = np.zeros(k)
+    log_top[~zero] = np.log(np.max(np.abs(values[~zero]), axis=1))
+    combined = rng.uniform(-200.0, LOG_OVERFLOW_BOUND - 1e-9, (p, k))
+    if draw(st.booleans()):
+        combined[:, rng.integers(k)] = LOG_OVERFLOW_BOUND - 1e-9
+    real = combined - log_top
+    real[:, zero] = rng.uniform(-1e4, 1e4, (p, int(np.sum(zero))))
+    return values, real + 1j * rng.uniform(-50.0, 50.0, (p, k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(exp_sum_cases())
+def test_exp_sum_matches_per_component_property(case):
+    values, expo = case
+    want, sizes = exp_sum_per_component(values, expo)
+    got = exp_sum(values, expo)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 1e-12 * sizes)
+
+
+def test_continuation_overflow_names_frequency_node():
+    ctx = TransformContext(0.0, 0j, 0j, Grid(20.0, 256))
+    fhat = RayFunction(ctx.frequency_ray, ctx.dst_grid, np.ones(256))
+    # Re(i z lam) = 100 lam at z = -100i, largest at the last node
+    with pytest.raises(WeightOverflowError) as err:
+        ctx.evaluate_continuation(fhat, np.array([0.0, -100j]))
+    assert err.value.node_index == 255
+    assert err.value.point == fhat.points[255]
