@@ -69,7 +69,7 @@ def _complex_pair(value, path):
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(v, (int, float)) for v in value)):
         raise ValidationError("expected a [re, im] pair", path)
-    if not all(math.isfinite(v) for v in value):
+    if not (math.isfinite(value[0]) and math.isfinite(value[1])):
         raise ValidationError("expected finite numbers", path)
     return complex(value[0], value[1])
 
