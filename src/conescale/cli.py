@@ -39,18 +39,8 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-# numeric cells print as _fmt does, every other cell as str(); one
-# %-format string per tuple of cell types renders a whole row
+# table cells of these types print as _fmt does, every other cell as str()
 _NUMERIC = (int, float, np.floating)
-_ROW_FORMATS = {}
-
-
-def _row_format(types):
-    fmt = _ROW_FORMATS.get(types)
-    if fmt is None:
-        fmt = _ROW_FORMATS[types] = ",".join(
-            "%.17g" if issubclass(t, _NUMERIC) else "%s" for t in types)
-    return fmt
 
 
 def _require_keys(obj, path, required, optional=()):
@@ -301,6 +291,8 @@ class Report:
 
     def __init__(self, command):
         self.lines = [f"# conescale={__version__}", f"# command={command}"]
+        # one %-format string per tuple of cell types renders a whole row
+        self._row_formats = {}
 
     def meta(self, key, value):
         self.lines.append(f"# {key}={value}")
@@ -310,7 +302,12 @@ class Report:
         self.lines.append(",".join(header))
         for row in rows:
             row = tuple(row)
-            self.lines.append(_row_format(tuple(map(type, row))) % row)
+            types = tuple(map(type, row))
+            fmt = self._row_formats.get(types)
+            if fmt is None:
+                fmt = self._row_formats[types] = ",".join(
+                    "%.17g" if issubclass(t, _NUMERIC) else "%s" for t in types)
+            self.lines.append(fmt % row)
 
     def render(self):
         return "\n".join(self.lines) + "\n"
