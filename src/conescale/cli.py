@@ -265,7 +265,7 @@ class Problem:
 
         def coefficients(z):
             out = [zero] * (m + 1)
-            out[0] = (eps / (z ** 2 + scale ** 2)) * eye
+            out[0] = (eps / (z ** 2 + scale ** 2))[:, None, None] * eye
             return out
 
         sector_start = -0.6 * self.grid.half_width

@@ -282,12 +282,15 @@ def solve_scaled(problem, phi, cone=None, scale_tol=SCALE_TOL,
 class VariableProblem:
     """Base problem plus dilation-analytic perturbing coefficients.
 
-    ``coefficients`` maps complex points to the list [Q_0(z), ..., Q_m(z)]
-    of n x n matrices (Q_j multiplies D^(m-j)).  They must extend
-    holomorphically to the sector |arg(z - sector_start)| <= sector_angle
-    and decay there.  The perturbation acts through half-line projections
-    of order ell - j past the cut point; eta defaults to
-    zeta + 2i * aperture_scale.
+    ``coefficients`` is called once per solve with the array ``z`` of the
+    N ray nodes (shape (N,)).  It returns the list [Q_0, ..., Q_m], each
+    Q_j an array that broadcasts to (N, n, n), row k holding Q_j(z_k);
+    Q_j multiplies D^(m-j).  For example ``(eps / (z**2 + 9))[:, None,
+    None] * np.eye(n)``; a plain n x n matrix is a constant coefficient.
+    The Q_j must extend holomorphically to the sector
+    |arg(z - sector_start)| <= sector_angle and decay there.  The
+    perturbation acts through half-line projections of order ell - j past
+    the cut point; eta defaults to zeta + 2i * aperture_scale.
     """
 
     base: ConstantProblem
@@ -325,22 +328,29 @@ class VariableSolveResult:
 
 
 def _prepare_perturbation(vp, grid):
+    """The nonzero Q_j sampled once on the ray nodes, as (N, n, n) stacks
+    (None for a Q_j that vanishes identically)."""
     z = vp.base.ray.points(grid.nodes)
     m = vp.base.pencil.degree
     n = vp.base.pencil.dim
-    stacks = []
-    for k, point in enumerate(z):
-        qs = vp.coefficients(point)
-        if len(qs) != m + 1:
-            raise ValueError("coefficient callable must return m + 1 matrices")
-        stacks.append([np.asarray(q, dtype=complex).reshape(n, n) for q in qs])
+    qs = vp.coefficients(z)
+    if len(qs) != m + 1:
+        raise ValueError("coefficient callable must return m + 1 matrices")
+    shape = (z.size, n, n)
     per_j = []
-    for j in range(m + 1):
-        arr = np.stack([stacks[k][j] for k in range(len(z))])
-        if not np.all(np.isfinite(arr)):
+    for j, q in enumerate(qs):
+        q = np.asarray(q, dtype=complex)
+        try:
+            arr = np.broadcast_to(q, shape)
+        except ValueError:
+            raise ValueError(
+                f"perturbing coefficient Q_{j} has shape {q.shape}, which "
+                f"does not broadcast to {shape}") from None
+        # every entry of q appears in arr, so q alone decides both tests
+        if not np.all(np.isfinite(q)):
             raise NonFiniteSampleError(
                 f"perturbing coefficient Q_{j} is not finite")
-        per_j.append(arr if np.max(np.abs(arr)) > 0.0 else None)
+        per_j.append(arr if np.max(np.abs(q)) > 0.0 else None)
     return per_j
 
 

@@ -7,6 +7,8 @@ frequency side, the checks re-apply differential operators here, on the
 samples, so the two routes stay independent.
 """
 
+import functools
+
 import numpy as np
 
 
@@ -49,8 +51,7 @@ def centered_weights(m, acc):
         return np.array([0]), np.array([1.0])
     half = (m + 1) // 2 + acc // 2 - 1
     half = max(half, (m + acc) // 2)
-    offsets = np.arange(-half, half + 1)
-    return offsets, fornberg_weights(0.0, offsets.astype(float), m)
+    return np.arange(-half, half + 1), _window_weights(-half, 2 * half + 1, m)
 
 
 def derivative_uniform(values, spacing, m, acc=8):
@@ -76,6 +77,16 @@ def derivative_uniform(values, spacing, m, acc=8):
     out[:half] = out[half]
     out[n - half:] = out[n - half - 1]
     return out, core
+
+
+@functools.lru_cache(maxsize=256)
+def _window_weights(first, width, m):
+    """Read-only weights of d^m/dx^m at 0 on the unit-spaced nodes
+    first, first + 1, ..., first + width - 1, computed once per
+    (first, width, m)."""
+    w = fornberg_weights(0.0, np.arange(first, first + width, dtype=float), m)
+    w.flags.writeable = False
+    return w
 
 
 def _window(k, n_nodes, width, segments):
@@ -113,7 +124,6 @@ def derivative_with_cuts(values, spacing, m, acc=6, cuts=()):
         redo.update(range(max(int(c) - width, 0), min(int(c) + width, n)))
     for k in sorted(redo):
         start = _window(k, n, width, segments)
-        xs = (np.arange(start, start + width) - k).astype(float)
-        w = fornberg_weights(0.0, xs, m)
+        w = _window_weights(start - k, width, m)
         out[k] = values[start:start + width].T @ w / spacing ** m
     return out, core

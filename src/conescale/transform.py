@@ -10,25 +10,31 @@ The transform pair implemented here maps samples on a time-side ray
 with the normalizing factor chosen so the pair is an isometry between the
 weighted L2 spaces (see parseval_check).  The phase kernel separates as
 
-    e^{-i lam z} = e^{-i xi t} * (pure diagonal phases in xi and t),
+    e^{-i lam z} = e^{-i xi t} * (diagonal factors in xi and t),
 
-and the diagonal phases carry every (psi, zeta, w) dependence, applied in
-log space.  Grids are paired commensurately (dxi * dt = 2 pi / M, see
-dual_grid; other destination grids are rejected).  With node indices
-centred on the symmetric grids this gives the exact integer identity
+and the diagonal factors carry every (psi, zeta, w) dependence.  Grids are
+paired commensurately (dxi * dt = 2 pi / M, see dual_grid; other
+destination grids are rejected).  With node indices centred on the
+symmetric grids this gives the exact integer identity
 
     xi_j t_k = (pi / 2M) (2j - M + 1)(2k - N + 1),
 
 so exp(-i xi t) is a constant times diagonal phases around one length-M
 DFT, each phase exp(-i pi r / 2M) with the integer r reduced mod 4M.  The
 sums therefore cost one FFT per transform and carry no argument-rounding
-error that grows with N.  The discrete forward and inverse are exact
+error that grows with N.  On each side of the FFT, the weight exponent,
+the DFT phase and the constant prefactor of a node are summed in log space
+and applied as one complex factor per node (scaled_values: one exp per
+node and one multiply per sample); only nodes whose factor alone would
+leave the normal double range are scaled with a power-of-two split.  The discrete forward and inverse are exact
 inverses of each other at the nodes (for M >= N), for any sampled data,
 which is what the round-trip contract asks for.  The uniform quadrature
 weights used here agree with composite trapezoid whenever the integrand has
 decayed at the window ends, which the preconditions require.
 """
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +48,8 @@ from .stencils import derivative_uniform
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _LN2 = math.log(2.0)
+# exp(x) is a normal double for |x| <= 700
+_LOG_NORMAL = 700.0
 
 
 def dual_grid(grid, count=None):
@@ -55,43 +63,54 @@ def dual_grid(grid, count=None):
     return Grid(half_width=0.5 * (count - 1) * dxi, count=count)
 
 
-def _quarter_phase(r, count):
-    """exp(-i pi r / (2 count)) for integers r, reduced mod 4 count first."""
-    return np.exp(-0.5j * math.pi / count * np.mod(r, 4 * count))
+def _quarter_log_phase(r, count):
+    """-i pi r / (2 count) for integers r, reduced mod 4 count first."""
+    return -0.5j * math.pi / count * np.mod(r, 4 * count)
 
 
+@functools.lru_cache(maxsize=32)
 def _dft_phases(src_count, dst_count):
-    """(const, row, col) such that, for commensurate grids,
+    """Log-phases (const, row, col) such that, for commensurate grids,
 
-    exp(-i xi_j t_k) = const * row_j * col_k * exp(-2 pi i j k / M).
+    exp(-i xi_j t_k) = exp(const + row_j + col_k) * exp(-2 pi i j k / M).
+
+    Cached per (N, M); the arrays are read-only.
     """
     n, m = src_count, dst_count
-    const = _quarter_phase((m - 1) * (n - 1), m)
-    row = _quarter_phase(-2 * (n - 1) * np.arange(m), m)
-    col = _quarter_phase(-2 * (m - 1) * np.arange(n), m)
-    return const, row[:, None], col[:, None]
+    const = complex(_quarter_log_phase((m - 1) * (n - 1), m))
+    row = _quarter_log_phase(-2 * (n - 1) * np.arange(m), m)
+    col = _quarter_log_phase(-2 * (m - 1) * np.arange(n), m)
+    row.flags.writeable = False
+    col.flags.writeable = False
+    return const, row, col
 
 
-def _apply_kernel(src_grid, dst_grid, x):
-    """exp(-i outer(xi, t)) @ x for commensurate grids, via one FFT.
+def _apply_kernel(src_grid, dst_grid, x, pre=0.0, post=0.0):
+    """exp(post_j) * sum_k exp(-i xi_j t_k) exp(pre_k) x_k for commensurate
+    grids, via one FFT.
 
-    Rows of x beyond M fold onto k mod M; fewer than M rows are zero-padded.
+    ``pre`` (one entry per source node) and ``post`` (one per destination
+    node) are log factors; each is folded with the DFT phases into one
+    scaled_values pass.  Rows of x beyond M fold onto k mod M; fewer than M
+    rows are zero-padded.
     """
     n, m = src_grid.count, dst_grid.count
     const, row, col = _dft_phases(n, m)
-    y = col * x
+    y = scaled_values(x, col + pre)
     if n > m:
         y = np.concatenate([y, np.zeros(((-n) % m,) + y.shape[1:], dtype=complex)])
         y = y.reshape((-1, m) + y.shape[1:]).sum(axis=0)
-    return const * row * np.fft.fft(y, n=m, axis=0)
+    return scaled_values(np.fft.fft(y, n=m, axis=0), const + row + post)
 
 
-def _apply_kernel_adjoint(src_grid, dst_grid, y):
-    """exp(+i outer(t, xi)) @ y for commensurate grids, via one FFT."""
+def _apply_kernel_adjoint(src_grid, dst_grid, y, pre=0.0, post=0.0):
+    """exp(post_k) * sum_j exp(+i t_k xi_j) exp(pre_j) y_j for commensurate
+    grids, via one FFT; ``pre`` lives on the frequency nodes, ``post`` on
+    the time nodes."""
     n, m = src_grid.count, dst_grid.count
     const, row, col = _dft_phases(n, m)
-    sums = np.fft.ifft(np.conj(row) * y, axis=0, norm="forward")
-    return np.conj(const) * np.conj(col) * sums[np.arange(n) % m]
+    sums = np.fft.ifft(scaled_values(y, pre - row), axis=0, norm="forward")
+    return scaled_values(sums[np.arange(n) % m], post - const - col)
 
 
 def _require_finite(values):
@@ -103,28 +122,33 @@ def _require_finite(values):
 
 
 def scaled_values(values, exponents):
-    """values * exp(exponents), evaluated safely when either factor alone
-    would overflow or underflow; zeros stay zeros, non-finite values raise.
+    """values * exp(exponents), one exponent per row (the leading axes).
 
-    Exponents of lower rank than values align with its leading axes.
+    Each row is multiplied by its factor exp(exponents[k]), one exp per
+    row.  Rows whose factor alone would leave the normal double range are
+    scaled with a power-of-two split of factor and values (frexp/ldexp), so
+    every representable product comes out right however large or small its
+    factors are.  Zeros stay zeros whatever their exponent, a product that
+    overflows is inf, and non-finite values raise NonFiniteSampleError.
     """
     values = np.asarray(values, dtype=complex)
     exponents = np.asarray(exponents, dtype=complex)
     _require_finite(values)
-    # split off a power of two so magnitude and phase stay representable
-    # for subnormal and near-maximal values alike
-    _, e = np.frexp(np.maximum(np.abs(values.real), np.abs(values.imag)))
-    unit = np.ldexp(values.real, -e) + 1j * np.ldexp(values.imag, -e)
-    mag = np.abs(unit)
-    nonzero = mag > 0.0
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(mag) + e * _LN2
-    phase = np.where(nonzero, unit / np.where(nonzero, mag, 1.0), 0.0)
-    if exponents.ndim < values.ndim:
-        exponents = exponents.reshape(exponents.shape + (1,) * (values.ndim - exponents.ndim))
-    total = exponents + log_mag
-    out = np.where(np.isneginf(total.real), 0.0, np.exp(np.where(np.isneginf(total.real), 0.0, total)))
-    return out * phase
+    pad = (1,) * (values.ndim - exponents.ndim)
+    wide = np.abs(exponents.real) > _LOG_NORMAL
+    out = values * np.exp(np.where(wide, 0.0, exponents)).reshape(exponents.shape + pad)
+    if np.any(wide):
+        v = values[wide]
+        # past +-2000 every nonzero product over- or underflows either way;
+        # the clip keeps the split factor finite, so zeros stay zeros
+        re = np.clip(exponents.real[wide], -2000.0, 2000.0)
+        p = np.rint(re / _LN2)
+        unit = np.exp(re - p * _LN2 + 1j * exponents.imag[wide]).reshape((-1,) + pad)
+        _, e = np.frexp(np.maximum(np.abs(v.real), np.abs(v.imag)))
+        y = (np.ldexp(v.real, -e) + 1j * np.ldexp(v.imag, -e)) * unit
+        shift = e + p.astype(int).reshape((-1,) + pad)
+        out[wide] = np.ldexp(y.real, shift) + 1j * np.ldexp(y.imag, shift)
+    return out
 
 
 def exp_sum(values, exponents, points=None):
@@ -141,7 +165,7 @@ def exp_sum(values, exponents, points=None):
 
     Precision limit: a component more than about 2^1000 below its node's
     largest one falls into the subnormal range after the division and
-    loses relative accuracy (the per-component scaled_values does not).
+    loses relative accuracy (a per-element log-space product does not).
     """
     values = np.asarray(values, dtype=complex)
     exponents = np.asarray(exponents, dtype=complex)
@@ -251,13 +275,11 @@ class TransformContext:
         self._check_pair_overflow(1.0, xi, t, 0.0, self._data_log(f.values))
         dir_t = self.time_ray.direction
         dir_f = self.frequency_ray.direction
-        inner = scaled_values(f.values, -1j * self.zeta * dir_t * t)
-        sums = _apply_kernel(self.src_grid, self.dst_grid, inner)
-        prefactor = (
-            self.src_grid.spacing / _SQRT2PI * dir_t
-            * np.exp(-2j * self.zeta * self.w)
-        )
-        out = scaled_values(sums * prefactor, -1j * self.w * dir_f * xi)
+        log_prefactor = (cmath.log(self.src_grid.spacing / _SQRT2PI * dir_t)
+                         - 2j * self.zeta * self.w)
+        out = _apply_kernel(self.src_grid, self.dst_grid, f.values,
+                            pre=-1j * self.zeta * dir_t * t,
+                            post=-1j * self.w * dir_f * xi + log_prefactor)
         return RayFunction(self.frequency_ray, self.dst_grid, out,
                            f.weight_order, self.w)
 
@@ -269,13 +291,11 @@ class TransformContext:
         self._check_pair_overflow(-1.0, xi, t, self._data_log(fhat.values), 0.0)
         dir_t = self.time_ray.direction
         dir_f = self.frequency_ray.direction
-        inner = scaled_values(fhat.values, 1j * self.w * dir_f * xi)
-        sums = _apply_kernel_adjoint(self.src_grid, self.dst_grid, inner)
-        prefactor = (
-            self.dst_grid.spacing / _SQRT2PI * dir_f
-            * np.exp(2j * self.zeta * self.w)
-        )
-        out = scaled_values(sums * prefactor, 1j * self.zeta * dir_t * t)
+        log_prefactor = (cmath.log(self.dst_grid.spacing / _SQRT2PI * dir_f)
+                         + 2j * self.zeta * self.w)
+        out = _apply_kernel_adjoint(self.src_grid, self.dst_grid, fhat.values,
+                                    pre=1j * self.w * dir_f * xi,
+                                    post=1j * self.zeta * dir_t * t + log_prefactor)
         return RayFunction(self.time_ray, self.src_grid, out,
                            fhat.weight_order, self.zeta)
 
@@ -295,9 +315,9 @@ class TransformContext:
         if worst > LOG_OVERFLOW_BOUND:
             k = int(np.argmax(b * t + log_data))
             raise WeightOverflowError(k, self.time_ray.points(t[k]), float(worst))
-        inner = scaled_values(f.values, -1j * self.zeta * (dir_t * t + self.w))
-        spectrum = (self.src_grid.spacing / _SQRT2PI
-                    * _apply_kernel(self.src_grid, self.dst_grid, inner))
+        spectrum = _apply_kernel(self.src_grid, self.dst_grid, f.values,
+                                 pre=-1j * self.zeta * (dir_t * t + self.w),
+                                 post=math.log(self.src_grid.spacing / _SQRT2PI))
         return self.dst_grid.nodes, spectrum, self.dst_grid.spacing
 
     def evaluate_continuation(self, fhat, z_points):

@@ -4,8 +4,10 @@ Everything here deliberately avoids the package's transform-based solve
 path: closed-form integrals, adaptive quadrature of explicit solution
 formulas, dense finite-difference collocation, the dense transform kernel
 that the FFT factorization replaced, the uncached spectrum that the
-per-pencil factorization replaced, and the per-component exponential sum
-that transform.exp_sum replaced.
+per-pencil factorization replaced, the per-element log-space scaling (and
+the forward/inverse transforms and per-component exponential sum built on
+it) that per-row factors and transform.exp_sum replaced, and per-point
+sampling of perturbing coefficients.
 """
 
 import math
@@ -16,7 +18,7 @@ import scipy.linalg
 
 from conescale.pencil import SpectrumReport, _cluster, _companion, evaluate
 from conescale.stencils import _window, fornberg_weights
-from conescale.transform import scaled_values
+from conescale.transform import _SQRT2PI, _require_finite
 
 GAUSS_L2 = math.pi ** 0.25                      # (int e^{-t^2} dt)^(1/2)
 GAUSS_SOBOLEV1 = (1.5 * math.sqrt(math.pi)) ** 0.5   # (int (1+t^2) e^{-t^2})^(1/2)
@@ -32,9 +34,83 @@ def dense_kernel(src_grid, dst_grid):
     return np.exp(-1j * np.outer(dst_grid.nodes, src_grid.nodes))
 
 
+def scaled_values_per_element(values, exponents):
+    """values * exp(exponents), each element through its own log magnitude
+    and phase, as transforms scaled their data before per-row factors.
+
+    Exponents of lower rank than values align with its leading axes;
+    exponents of higher rank broadcast against values.
+    """
+    values = np.asarray(values, dtype=complex)
+    exponents = np.asarray(exponents, dtype=complex)
+    _require_finite(values)
+    # split off a power of two so magnitude and phase stay representable
+    # for subnormal and near-maximal values alike
+    _, e = np.frexp(np.maximum(np.abs(values.real), np.abs(values.imag)))
+    unit = np.ldexp(values.real, -e) + 1j * np.ldexp(values.imag, -e)
+    mag = np.abs(unit)
+    nonzero = mag > 0.0
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(mag) + e * math.log(2.0)
+    phase = np.where(nonzero, unit / np.where(nonzero, mag, 1.0), 0.0)
+    if exponents.ndim < values.ndim:
+        exponents = exponents.reshape(exponents.shape + (1,) * (values.ndim - exponents.ndim))
+    total = exponents + log_mag
+    out = np.where(np.isneginf(total.real), 0.0, np.exp(np.where(np.isneginf(total.real), 0.0, total)))
+    return out * phase
+
+
+def _transform_sizes(inner, log_post, scale):
+    """|scale| * exp(Re log_post_j) * sum_k |inner_k|: per output node, the
+    size against which rounding in a transform sum is measured."""
+    total = np.sum(np.abs(inner), axis=0) * abs(scale)
+    return np.abs(scaled_values_per_element(np.broadcast_to(total, (log_post.size, total.size)),
+                                            log_post.real))
+
+
+def forward_per_element(ctx, f):
+    """TransformContext.forward as computed before per-row factors: the data
+    and the sums scaled element by element, with the dense kernel (N, M <=
+    1024) in place of the FFT.  Returns (values, sizes)."""
+    t, xi = ctx.src_grid.nodes, ctx.dst_grid.nodes
+    dir_t = ctx.time_ray.direction
+    dir_f = ctx.frequency_ray.direction
+    inner = scaled_values_per_element(f.values, -1j * ctx.zeta * dir_t * t)
+    sums = dense_kernel(ctx.src_grid, ctx.dst_grid) @ inner
+    prefactor = (ctx.src_grid.spacing / _SQRT2PI * dir_t
+                 * np.exp(-2j * ctx.zeta * ctx.w))
+    log_post = -1j * ctx.w * dir_f * xi
+    out = scaled_values_per_element(sums * prefactor, log_post)
+    return out, _transform_sizes(inner, log_post, prefactor)
+
+
+def inverse_per_element(ctx, fhat):
+    """TransformContext.inverse as computed before per-row factors (see
+    forward_per_element).  Returns (values, sizes)."""
+    t, xi = ctx.src_grid.nodes, ctx.dst_grid.nodes
+    dir_t = ctx.time_ray.direction
+    dir_f = ctx.frequency_ray.direction
+    inner = scaled_values_per_element(fhat.values, 1j * ctx.w * dir_f * xi)
+    sums = dense_kernel(ctx.src_grid, ctx.dst_grid).conj().T @ inner
+    prefactor = (ctx.dst_grid.spacing / _SQRT2PI * dir_f
+                 * np.exp(2j * ctx.zeta * ctx.w))
+    log_post = 1j * ctx.zeta * dir_t * t
+    out = scaled_values_per_element(sums * prefactor, log_post)
+    return out, _transform_sizes(inner, log_post, prefactor)
+
+
+def perturbation_per_point(coefficients, z, n):
+    """Perturbing coefficients sampled one node at a time: Q_j(z_k) from
+    coefficients(z[k:k+1]), stacked to (N, n, n) per j."""
+    per_point = [coefficients(z[k:k + 1]) for k in range(z.size)]
+    return [np.stack([np.broadcast_to(np.asarray(qs[j], dtype=complex), (1, n, n))[0]
+                      for qs in per_point])
+            for j in range(len(per_point[0]))]
+
+
 def exp_sum_per_component(values, exponents):
-    """sum_k exp(exponents[:, k]) * values[k, c], one scaled_values pass per
-    component c, as the continuations summed before exp_sum.
+    """sum_k exp(exponents[:, k]) * values[k, c], one per-element scaling
+    pass per component c, as the continuations summed before exp_sum.
 
     Returns (sums, sizes) with sizes[p, c] = sum_k |exp(E[p, k]) v[k, c]|,
     the scale against which rounding in the sum is measured.
@@ -43,7 +119,7 @@ def exp_sum_per_component(values, exponents):
     sums = np.zeros((exponents.shape[0], values.shape[1]), dtype=complex)
     sizes = np.zeros(sums.shape)
     for comp in range(values.shape[1]):
-        terms = scaled_values(values[:, comp], exponents)
+        terms = scaled_values_per_element(values[:, comp], exponents)
         sums[:, comp] = np.sum(terms, axis=1)
         sizes[:, comp] = np.sum(np.abs(terms), axis=1)
     return sums, sizes

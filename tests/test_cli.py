@@ -9,6 +9,7 @@ import conescale.cli
 from conescale import TIME, Grid, Ray, RayFunction
 from conescale.cli import main, parse_problem, cylinder_problem_dict
 from conescale.errors import ValidationError
+from conescale.solver import _prepare_perturbation
 
 
 def quad_problem(**overrides):
@@ -195,6 +196,21 @@ class TestSolveCommand:
         assert run(["solve", path]) == 0
         out = capsys.readouterr().out
         assert "# mode=variable" in out
+
+
+def test_rational_decay_sampled_once_per_ray():
+    # one call on all nodes gives bitwise the per-node matrices
+    # (eps / (z^2 + s^2)) * I, and the zero slots are dropped
+    data = cylinder_problem_dict(3, math.pi / 16, count=256)
+    data["perturbation"] = {"kind": "rational_decay", "epsilon": 0.05,
+                            "pole_scale": 3.0}
+    vp = parse_problem(data).variable()
+    grid = vp.base.rhs.grid
+    z = vp.base.ray.points(grid.nodes)
+    per_j = _prepare_perturbation(vp, grid)
+    want = np.stack([(0.05 / (zk ** 2 + 9.0)) * np.eye(3) for zk in z])
+    assert np.array_equal(per_j[0], want)
+    assert per_j[1] is None and per_j[2] is None
 
 
 class TestVerifyCommand:

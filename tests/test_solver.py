@@ -13,8 +13,13 @@ from conescale import (ContractionFailureError, Grid, GaussianRhs,
                        VariableProblem, WeightOverflowError, constant_problem,
                        continuation_certificate, localize_traces, solve_const,
                        solve_scaled, solve_variable)
-from conescale.solver import _ray_energy, apply_pencil_fd
+from conescale.errors import NonFiniteSampleError
+from conescale.solver import (_prepare_perturbation, _ray_energy,
+                              apply_pencil_fd)
+from conescale.stencils import (_window_weights, derivative_with_cuts,
+                                fornberg_weights)
 from _oracles import (collocation_constant, collocation_perturbed_first_order,
+                      differentiation_matrix, perturbation_per_point,
                       variation_of_constants)
 
 IDENT = MatrixPencil((np.zeros((1, 1)), np.eye(1)))
@@ -135,7 +140,7 @@ class TestSolveScaled:
 
 def rational_coefficients(eps, pole_scale):
     def coefficients(z):
-        return [np.array([[eps / (z ** 2 + pole_scale ** 2)]]),
+        return [(eps / (z ** 2 + pole_scale ** 2))[:, None, None],
                 np.zeros((1, 1))]
     return coefficients
 
@@ -204,6 +209,89 @@ class TestSolveVariable:
         with pytest.raises(ValueError):
             VariableProblem(neumann_base, rational_coefficients(0.05, 3.0),
                             sector_start=-12.0, sector_angle=2.0)
+
+
+class TestPerturbationSampling:
+    """Q_j sampled once per ray on the array of nodes."""
+
+    PENCIL = MatrixPencil((np.eye(2), 1j * np.eye(2)))
+
+    def problem(self, coefficients):
+        base = constant_problem(self.PENCIL,
+                                GaussianRhs(cross_section=[1.0, 0.5j]),
+                                Grid(20.0, 256))
+        return VariableProblem(base, coefficients, sector_start=-12.0,
+                               sector_angle=math.pi / 24)
+
+    def test_matches_per_point_sampling(self):
+        mix = np.array([[1.0, 0.5j], [-0.25, 2.0]])
+
+        def coefficients(z):
+            return [(0.05 / (z ** 2 + 9.0))[:, None, None] * mix,
+                    np.array([[0.0, 0.01], [0.0, 0.0]])]
+
+        vp = self.problem(coefficients)
+        grid = vp.base.rhs.grid
+        got = _prepare_perturbation(vp, grid)
+        want = perturbation_per_point(coefficients,
+                                      vp.base.ray.points(grid.nodes), 2)
+        assert len(got) == 2
+        for q, ref in zip(got, want):
+            assert q.shape == (256, 2, 2)
+            assert np.array_equal(q, ref)
+
+    def test_zero_coefficient_dropped(self):
+        vp = self.problem(lambda z: [np.zeros((2, 2)),
+                                     (1.0 / (z ** 2 + 9.0))[:, None, None]])
+        q0, q1 = _prepare_perturbation(vp, vp.base.rhs.grid)
+        assert q0 is None and q1.shape == (256, 2, 2)
+
+    def test_wrong_shape_names_coefficient(self):
+        vp = self.problem(lambda z: [np.zeros((2, 2)), np.ones((3, 2, 2))])
+        with pytest.raises(ValueError, match=r"Q_1 .*\(256, 2, 2\)"):
+            _prepare_perturbation(vp, vp.base.rhs.grid)
+
+    def test_count_checked(self):
+        vp = self.problem(lambda z: [np.zeros((2, 2))])
+        with pytest.raises(ValueError, match="m \\+ 1"):
+            _prepare_perturbation(vp, vp.base.rhs.grid)
+
+    def test_non_finite_rejected(self):
+        def coefficients(z):
+            q = (1.0 / (z ** 2 + 9.0))[:, None, None] * np.eye(2)
+            q[17, 1, 0] = np.nan
+            return [np.zeros((2, 2)), q]
+
+        vp = self.problem(coefficients)
+        with pytest.raises(NonFiniteSampleError, match="Q_1"):
+            _prepare_perturbation(vp, vp.base.rhs.grid)
+
+
+class TestCachedStencilWeights:
+    @pytest.mark.parametrize("first, width, m", [(-4, 9, 1), (0, 9, 1),
+                                                 (-8, 9, 2), (-3, 7, 0)])
+    def test_equal_to_fresh_and_read_only(self, first, width, m):
+        w = _window_weights(first, width, m)
+        fresh = fornberg_weights(0.0, np.arange(first, first + width,
+                                                dtype=float), m)
+        assert np.array_equal(w, fresh)
+        assert _window_weights(first, width, m) is w
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 1.0
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_cut_rows_match_dense_oracle(self, m):
+        # rows within one stencil width of an edge or the cut take the
+        # windowed weights; the oracle builds the same windows densely
+        t = np.linspace(-1.0, 1.0, 64)
+        spacing = t[1] - t[0]
+        values = np.where(t < 0.0, np.sin(t), np.cos(3.0 * t))[:, None]
+        out, _ = derivative_with_cuts(values, spacing, m, acc=6, cuts=(32,))
+        ref = differentiation_matrix(64, spacing, m, acc=6, cuts=(32,)) @ values
+        rows = np.r_[0:8, 24:40, 56:64]
+        # rounding grows like |values| / spacing^m
+        assert np.max(np.abs(out[rows] - ref[rows])) <= \
+            1e-12 * np.max(np.abs(values)) / spacing ** m
 
 
 class TestLocalizeTraces:

@@ -10,10 +10,15 @@ from conescale import (ConfigurationError, Grid, NonFiniteSampleError,
                        apply_derivative_rule, dual_grid, parseval_check)
 from conescale.geometry import LOG_OVERFLOW_BOUND
 from conescale.transform import (_apply_kernel, _apply_kernel_adjoint,
-                                 derivative_rule_deviation, exp_sum,
-                                 scaled_values)
+                                 _dft_phases, derivative_rule_deviation,
+                                 exp_sum, scaled_values)
 from conftest import gaussian_on
-from _oracles import dense_kernel, exp_sum_per_component
+from _oracles import (dense_kernel, exp_sum_per_component,
+                      forward_per_element, inverse_per_element,
+                      scaled_values_per_element)
+
+# a few units in the last place of the subnormal range
+SUBNORMAL_SLACK = 8 * 2.0 ** -1074
 
 
 class TestGrids:
@@ -259,6 +264,178 @@ def test_linearity_property(case, a, b):
     scale = ctx.src_grid.spacing * (abs(a) * np.sum(np.abs(f.values) * weight)
                                     + abs(b) * np.sum(np.abs(g.values) * weight))
     assert np.max(np.abs(lhs - rhs) * unweight) <= 1e-13 * scale
+
+
+class TestPerRowScaling:
+    def test_dft_phases_cached_and_read_only(self):
+        const, row, col = _dft_phases(64, 80)
+        assert _dft_phases(64, 80)[1] is row
+        assert row.shape == (80,) and col.shape == (64,)
+        for arr in (row, col):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_log_space_rows_match_oracle(self):
+        # |Re(-i zeta t)| = 40 |t| passes 700 for |t| > 17.5: those rows
+        # take the power-of-two route on the time side of both passes; the
+        # data there is e^{-40 t - t^2}, as large as e^{400} or underflowed
+        # to zero.  The inverse pass gets the transform times e^{-120}, so
+        # that its (sum-of-magnitudes) overflow check passes.
+        grid = Grid(20.0, 256)
+        ctx = TransformContext(0.0, 40j, 0j, grid)
+        t = grid.nodes
+        f = RayFunction(ctx.time_ray, grid, np.exp(-40.0 * t - t ** 2), 0.0, 40j)
+        fhat = ctx.forward(f)
+        want, sizes = forward_per_element(ctx, f)
+        assert np.all(np.abs(fhat.values - want) <= 1e-12 * sizes)
+        fhat = fhat.with_values(fhat.values * math.exp(-120.0))
+        back = ctx.inverse(fhat)
+        want, sizes = inverse_per_element(ctx, fhat)
+        assert np.all(np.abs(back.values - want)
+                      <= 1e-12 * sizes + SUBNORMAL_SLACK)
+        # round trip, compared under the weight e^{40 t}
+        gap = scaled_values(back.values - f.values * math.exp(-120.0),
+                            40.0 * t + 120.0)
+        assert np.max(np.abs(gap)) < 1e-12
+
+    def test_zero_rows_ignore_their_exponents(self):
+        values = np.array([[0.0, 0.0], [1.0, -2.0j], [0.0, 0.0], [3.0, 1e-300]])
+        got = scaled_values(values, np.array([1e300, 0.5, -1e300, -1e300]))
+        assert np.array_equal(got[[0, 2, 3]], np.zeros((3, 2)))
+        assert np.allclose(got[1], np.exp(0.5) * values[1], rtol=1e-15)
+
+
+@st.composite
+def scaling_cases(draw):
+    """Rows spread over 1e-300..1e300, some subnormal, some all-zero, with
+    per-row exponents up to +-1500 (zero rows up to +-3000) whose products
+    lie in [e^-800, e^700]: representable, subnormal or underflowed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, dim = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    log_mag = rng.uniform(-690.0, 690.0, (n, dim))
+    sub = rng.uniform(size=n) < 0.2
+    log_mag[sub] = rng.uniform(-744.0, -709.0, (int(np.sum(sub)), dim))
+    values = np.exp(log_mag + 2j * math.pi * rng.uniform(size=(n, dim)))
+    zero = rng.uniform(size=n) < 0.2
+    values[zero] = 0.0
+    lo = -800.0 - np.min(log_mag, axis=1)
+    hi = 700.0 - np.max(log_mag, axis=1)
+    real = rng.uniform(lo, hi)
+    real[zero] = rng.uniform(-3000.0, 3000.0, int(np.sum(zero)))
+    return values, real + 1j * rng.uniform(-50.0, 50.0, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaling_cases())
+def test_scaled_values_matches_per_element_property(case):
+    values, expo = case
+    got = scaled_values(values, expo)
+    want = scaled_values_per_element(values, expo)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + SUBNORMAL_SLACK)
+
+
+def _rows_under(rng, log_cap, dim):
+    """Random rows whose largest magnitude is e^{L_k}, L_k <= log_cap[k]:
+    spread over 1e-300..1e300, some subnormal, some all-zero, and one row
+    within e^5 of its cap."""
+    n = log_cap.size
+    top = rng.uniform(-700.0, 690.0, n)
+    sub = rng.uniform(size=n) < 0.15
+    top[sub] = rng.uniform(-744.0, -709.0, int(np.sum(sub)))
+    top = np.minimum(top, log_cap - rng.uniform(0.0, 30.0, n))
+    zero = (rng.uniform(size=n) < 0.15) | (top < -744.0)
+    k = rng.integers(n)
+    top[k], zero[k] = min(690.0, log_cap[k] - rng.uniform(0.0, 5.0)), False
+    spread = np.zeros((n, dim))
+    spread[:, 1:] = rng.uniform(-40.0, 0.0, (n, dim - 1))
+    values = np.exp(top[:, None] + spread
+                    + 2j * math.pi * rng.uniform(size=(n, dim)))
+    values[zero] = 0.0
+    return values
+
+
+@st.composite
+def weighted_transform_cases(draw):
+    """A context with one of zeta, w possibly far off the real axis (|Im|
+    35 to 60, so that on many draws some nodes' factors leave the normal
+    range), N != M allowed, and data for each side scaled to pass the
+    overflow checks with representable sums.
+
+    Node exponents stay below about 1200 in size, so each side's largest
+    weighted row can be a normal double: sums formed wholly in the
+    subnormal range carry absolute rounding of order 2^-1074 per term,
+    which the destination factor magnifies in either route.
+    """
+    small = st.floats(-0.5, 0.5)
+    far = draw(st.sampled_from(["none", "zeta", "w"]))
+    far_im = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(35.0, 60.0))
+    zeta = complex(draw(small), far_im if far == "zeta" else draw(small))
+    w = complex(draw(small), far_im if far == "w" else draw(small))
+    count = draw(st.integers(8, 96))
+    if far == "zeta":
+        # |Im zeta| * T passes 700 on the time side for most draws
+        t_lo, t_hi = 12.0, 20.0
+    else:
+        # |Im w| * Xi <= 1200 with Xi about pi N / 2T, and past 700 on the
+        # frequency side for most draws with w far
+        t_lo = max(5.0, math.pi * (count + 8) * abs(w.imag) / 2400.0)
+        t_hi = min(20.0, 2.0 * t_lo) if far == "w" else 20.0
+    grid = Grid(draw(st.floats(t_lo, t_hi)), count)
+    ctx = TransformContext(draw(st.floats(-math.pi / 4, math.pi / 4)), zeta,
+                           w, grid, dual_grid(grid, count + draw(st.integers(-1, 8))))
+    a, b, c = ctx._phase_slopes()
+    t, xi = grid.nodes, ctx.dst_grid.nodes
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.integers(1, 2))
+    # headroom for the sums, the prefactors and the pair overflow checks
+    cap_t = 680.0 - max(0.0, np.max(a * xi) + max(c, 2 * c)) - math.log(xi.size)
+    cap_f = 680.0 - max(0.0, np.max(-b * t) + max(-c, -2 * c)) - math.log(t.size)
+    f = RayFunction(ctx.time_ray, grid, _rows_under(rng, cap_t - b * t, dim),
+                    0.0, zeta)
+    fhat = RayFunction(ctx.frequency_ray, ctx.dst_grid,
+                       _rows_under(rng, cap_f + a * xi, dim), 0.0, w)
+    return ctx, f, fhat
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_transform_cases())
+def test_forward_inverse_match_per_element_oracle_property(case):
+    ctx, f, fhat = case
+    got = ctx.forward(f).values
+    want, sizes = forward_per_element(ctx, f)
+    assert np.all(np.abs(got - want) <= 1e-12 * sizes + SUBNORMAL_SLACK)
+    got = ctx.inverse(fhat).values
+    want, sizes = inverse_per_element(ctx, fhat)
+    assert np.all(np.abs(got - want) <= 1e-12 * sizes + SUBNORMAL_SLACK)
+
+
+@st.composite
+def packet_cases(draw):
+    """Sums of Gaussian wave packets that have decayed, with their weights,
+    at both ends of both windows, so the trapezoid sums of parseval_check
+    equal the exact discrete isometry."""
+    grid = Grid(draw(st.floats(8.0, 20.0)), draw(st.integers(256, 1024)))
+    part = st.floats(-0.5, 0.5)
+    ctx = TransformContext(draw(st.floats(-math.pi / 8, math.pi / 8)),
+                           complex(draw(part), draw(part)),
+                           complex(draw(part), draw(part)), grid)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(1, 4))
+    t = grid.nodes[:, None]
+    centers = rng.uniform(-0.25, 0.25, k) * grid.half_width
+    widths = rng.uniform(1.0, 1.5, k)
+    kicks = rng.uniform(-0.2, 0.2, k) * ctx.dst_grid.half_width
+    amps = rng.standard_normal((k, 2)) + 1j * rng.standard_normal((k, 2))
+    values = np.exp(-((t - centers) / widths) ** 2 + 1j * kicks * t) @ amps
+    return ctx, RayFunction(ctx.time_ray, grid, values, 0.0, ctx.zeta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(packet_cases())
+def test_parseval_property(case):
+    ctx, f = case
+    assert parseval_check(ctx, f).rel_err <= 1e-12
 
 
 class TestExpSum:
