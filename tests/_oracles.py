@@ -60,43 +60,41 @@ def scaled_values_per_element(values, exponents):
     return out * phase
 
 
-def _transform_sizes(inner, log_post, scale):
-    """|scale| * exp(Re log_post_j) * sum_k |inner_k|: per output node, the
-    size against which rounding in a transform sum is measured."""
-    total = np.sum(np.abs(inner), axis=0) * abs(scale)
-    return np.abs(scaled_values_per_element(np.broadcast_to(total, (log_post.size, total.size)),
-                                            log_post.real))
+def _transform_per_element(kernel, values, log_pre, prefactor, log_post):
+    """(values, sizes): the sums scaled element by element on both sides of
+    a dense kernel, and per output entry |prefactor| * exp(Re log_post_j)
+    * sum_k |inner_k|, the size against which rounding is measured."""
+    inner = scaled_values_per_element(values, log_pre)
+    out = scaled_values_per_element((kernel @ inner) * prefactor, log_post)
+    total = np.sum(np.abs(inner), axis=0) * abs(prefactor)
+    sizes = np.abs(scaled_values_per_element(
+        np.broadcast_to(total, (log_post.size, total.size)), log_post.real))
+    return out, sizes
 
 
 def forward_per_element(ctx, f):
     """TransformContext.forward as computed before per-row factors: the data
     and the sums scaled element by element, with the dense kernel (N, M <=
     1024) in place of the FFT.  Returns (values, sizes)."""
-    t, xi = ctx.src_grid.nodes, ctx.dst_grid.nodes
     dir_t = ctx.time_ray.direction
-    dir_f = ctx.frequency_ray.direction
-    inner = scaled_values_per_element(f.values, -1j * ctx.zeta * dir_t * t)
-    sums = dense_kernel(ctx.src_grid, ctx.dst_grid) @ inner
     prefactor = (ctx.src_grid.spacing / _SQRT2PI * dir_t
                  * np.exp(-2j * ctx.zeta * ctx.w))
-    log_post = -1j * ctx.w * dir_f * xi
-    out = scaled_values_per_element(sums * prefactor, log_post)
-    return out, _transform_sizes(inner, log_post, prefactor)
+    return _transform_per_element(
+        dense_kernel(ctx.src_grid, ctx.dst_grid), f.values,
+        -1j * ctx.zeta * dir_t * ctx.src_grid.nodes, prefactor,
+        -1j * ctx.w * ctx.frequency_ray.direction * ctx.dst_grid.nodes)
 
 
 def inverse_per_element(ctx, fhat):
     """TransformContext.inverse as computed before per-row factors (see
     forward_per_element).  Returns (values, sizes)."""
-    t, xi = ctx.src_grid.nodes, ctx.dst_grid.nodes
-    dir_t = ctx.time_ray.direction
     dir_f = ctx.frequency_ray.direction
-    inner = scaled_values_per_element(fhat.values, 1j * ctx.w * dir_f * xi)
-    sums = dense_kernel(ctx.src_grid, ctx.dst_grid).conj().T @ inner
     prefactor = (ctx.dst_grid.spacing / _SQRT2PI * dir_f
                  * np.exp(2j * ctx.zeta * ctx.w))
-    log_post = 1j * ctx.zeta * dir_t * t
-    out = scaled_values_per_element(sums * prefactor, log_post)
-    return out, _transform_sizes(inner, log_post, prefactor)
+    return _transform_per_element(
+        dense_kernel(ctx.src_grid, ctx.dst_grid).conj().T, fhat.values,
+        1j * ctx.w * dir_f * ctx.dst_grid.nodes, prefactor,
+        1j * ctx.zeta * ctx.time_ray.direction * ctx.src_grid.nodes)
 
 
 def perturbation_per_point(coefficients, z, n):
