@@ -284,9 +284,11 @@ class VariableProblem:
 
     ``coefficients`` is called once per solve with the array ``z`` of the
     N ray nodes (shape (N,)).  It returns the list [Q_0, ..., Q_m], each
-    Q_j an array that broadcasts to (N, n, n), row k holding Q_j(z_k);
-    Q_j multiplies D^(m-j).  For example ``(eps / (z**2 + 9))[:, None,
-    None] * np.eye(n)``; a plain n x n matrix is a constant coefficient.
+    Q_j an array of shape (N, n, n), row k holding Q_j(z_k); Q_j
+    multiplies D^(m-j).  For example ``(eps / (z**2 + 9))[:, None, None]
+    * np.eye(n)``; a plain n x n matrix (or shape (1, n, n)) is a constant
+    coefficient.  Any other shape is rejected: the matrix axes are never
+    broadcast.
     The Q_j must extend holomorphically to the sector
     |arg(z - sector_start)| <= sector_angle and decay there.  The
     perturbation acts through half-line projections of order ell - j past
@@ -340,12 +342,13 @@ def _prepare_perturbation(vp, grid):
     per_j = []
     for j, q in enumerate(qs):
         q = np.asarray(q, dtype=complex)
-        try:
-            arr = np.broadcast_to(q, shape)
-        except ValueError:
+        # the matrix axes must be n x n exactly: broadcasting a size-1 axis
+        # would silently turn a scalar into a matrix of ones
+        if q.shape[-2:] != (n, n) or q.shape[:-2] not in ((), (1,), (z.size,)):
             raise ValueError(
-                f"perturbing coefficient Q_{j} has shape {q.shape}, which "
-                f"does not broadcast to {shape}") from None
+                f"perturbing coefficient Q_{j} has shape {q.shape}; expected "
+                f"{shape}, or ({n}, {n}) for a constant")
+        arr = np.broadcast_to(q, shape)
         # every entry of q appears in arr, so q alone decides both tests
         if not np.all(np.isfinite(q)):
             raise NonFiniteSampleError(

@@ -242,12 +242,25 @@ class TestPerturbationSampling:
 
     def test_zero_coefficient_dropped(self):
         vp = self.problem(lambda z: [np.zeros((2, 2)),
-                                     (1.0 / (z ** 2 + 9.0))[:, None, None]])
+                                     (1.0 / (z ** 2 + 9.0))[:, None, None]
+                                     * np.eye(2)])
         q0, q1 = _prepare_perturbation(vp, vp.base.rhs.grid)
         assert q0 is None and q1.shape == (256, 2, 2)
 
     def test_wrong_shape_names_coefficient(self):
         vp = self.problem(lambda z: [np.zeros((2, 2)), np.ones((3, 2, 2))])
+        with pytest.raises(ValueError, match=r"Q_1 .*\(256, 2, 2\)"):
+            _prepare_perturbation(vp, vp.base.rhs.grid)
+
+    @pytest.mark.parametrize("bad", [
+        lambda z: (1.0 / (z ** 2 + 9.0))[:, None, None],      # (N, 1, 1)
+        lambda z: np.ones((1, 2)),
+        lambda z: np.ones(2),
+        lambda z: np.float64(0.5),
+        lambda z: np.ones((2, 256, 2, 2)),
+    ])
+    def test_matrix_axes_not_broadcast(self, bad):
+        vp = self.problem(lambda z: [np.zeros((2, 2)), bad(z)])
         with pytest.raises(ValueError, match=r"Q_1 .*\(256, 2, 2\)"):
             _prepare_perturbation(vp, vp.base.rhs.grid)
 

@@ -263,10 +263,7 @@ def test_linearity_property(case, a, b):
     weight = _time_weight(ctx)
     scale = ctx.src_grid.spacing * (abs(a) * np.sum(np.abs(f.values) * weight)
                                     + abs(b) * np.sum(np.abs(g.values) * weight))
-    # for subnormal a or b the products in rhs round in the subnormal range;
-    # that absolute rounding is allowed before the unweighting magnifies it
-    gap = np.maximum(np.abs(lhs - rhs) - SUBNORMAL_SLACK, 0.0)
-    assert np.max(gap * unweight) <= 1e-13 * scale
+    assert np.max(np.abs(lhs - rhs) * unweight) <= 1e-13 * scale
 
 
 class TestPerRowScaling:
