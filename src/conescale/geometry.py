@@ -9,10 +9,14 @@ RayFunction couples samples of a vector-valued function on a ray with the
 weight metadata (order ``ell`` and a complex weight number) that define its
 weighted L2 and Sobolev norms.
 
-Norms are computed by composite trapezoid quadrature over the grid, with an
-exponential-weight log-magnitude pre-pass so overflow surfaces as a
-structured error instead of inf, and a tail-mass diagnostic so truncation
-problems surface as warnings.
+Weighted L2 norms and the spectral Sobolev norm use composite trapezoid
+quadrature over the grid, with a tail-mass diagnostic on the L2 norms so
+truncation problems surface as warnings.  Weighted derivative energies
+(derivative_energy, shared by the derivative-form Sobolev norm and the
+solver's ray energies) use the rectangle rule over each derivative order's
+stencil-valid core.  The L2 norms and the derivative energies join the
+exponential weight to the data in log space (exp_weighted), so overflow
+surfaces as a structured error instead of inf.
 """
 
 import cmath
@@ -141,9 +145,6 @@ class Cone:
         if not 0.0 <= psi_local <= self.angle + 1e-15:
             raise ValueError("local angle outside [0, cone angle]")
         return Ray(self.orientation * psi_local, self.vertex, side)
-
-    def boundary_rays(self, side=FREQUENCY):
-        return self.ray(0.0, side), self.ray(self.angle, side)
 
 
 @dataclass(frozen=True)
@@ -346,46 +347,56 @@ def sobolev_norm_spectral(f, ell, ctx, form=None):
     return math.sqrt(max(total, 0.0))
 
 
+def derivative_energy(f, forms, coeffs=None, keep=None, acc=8):
+    """Weighted derivative energy of a RayFunction along its ray.
+
+    Evaluates
+
+        sum_j coeffs[j] * integral |e^{-i w z} D^j f(z)|^2_{forms[j]} |dz|
+
+    with w the function's weight number, D the complex derivative along the
+    ray (centered differences of accuracy ``acc``), one order j per entry of
+    ``forms`` (None is the identity form) and ``coeffs`` defaulting to 1.
+    Order j is summed by the rectangle rule over its own stencil-valid core,
+    restricted to the boolean node mask ``keep`` if given.  The weight
+    joins each quadratic form in log space (exp_weighted), so
+    WeightOverflowError is raised only where an integrand itself overflows.
+    """
+    z = f.points
+    log_w = -2.0 * np.imag(f.weight_number * z)
+    dir_inv = 1.0 / f.ray.direction
+    total = 0.0
+    for j, form in enumerate(forms):
+        deriv, core = derivative_uniform(f.values, f.grid.spacing, j, acc=acc)
+        deriv = deriv * (-1j * dir_inv) ** j
+        mask = np.zeros(f.grid.count, dtype=bool)
+        mask[core] = True
+        if keep is not None:
+            mask &= keep
+        q = np.where(mask, _quadratic_form(deriv, form), 0.0)
+        integrand = exp_weighted(log_w, q, z)
+        term = float(np.sum(integrand[mask]) * f.grid.spacing)
+        total += term if coeffs is None else coeffs[j] * term
+    return total
+
+
 def sobolev_norm_derivative(f, ell, form=None, acc=8):
     """Sobolev norm from weighted derivatives along the ray.
 
-    For integer ell >= 0 this evaluates
+    For integer ell >= 0 this is the square root of derivative_energy with
+    the binomial weights C(ell, j), j = 0..ell,
 
-        sum_j C(ell, j) * integral |e^{-i zeta z} D^j f(z)|^2 |dz|
+        sum_j C(ell, j) * integral |e^{-i zeta z} D^j f(z)|^2 |dz|;
 
-    with D the complex derivative along the ray, approximated by centered
-    finite differences; the binomial weights make the value coincide with
-    the spectral-side norm (weight (1+xi^2)^ell) when the weight number is
-    zero, so the two routes can cross-check each other.  Quadrature covers
-    the stencil-valid interior, which is harmless for the decaying corpus.
+    they make the value coincide with the spectral-side norm (weight
+    (1+xi^2)^ell) when the weight number is zero, so the two routes can
+    cross-check each other.
     """
     ell = _check_integer_order(ell)
-    grid = f.grid
-    if grid.count < 2 * ell + 2:
+    if f.grid.count < 2 * ell + 2:
         raise ValueError("grid too short for the requested derivative order")
-    z = f.points
-    log_w = -2.0 * np.imag(f.weight_number * z)
-    if np.any(log_w > LOG_OVERFLOW_BOUND):
-        k = int(np.argmax(log_w))
-        raise WeightOverflowError(k, z[k], float(log_w[k]))
-    weight = np.exp(log_w)
-    dir_inv = 1.0 / f.ray.direction
-    total = 0.0
-    valid_lo, valid_hi = 0, grid.count
-    terms = []
-    for j in range(ell + 1):
-        deriv, core = derivative_uniform(f.values, grid.spacing, j, acc=acc)
-        deriv = deriv * (-1j * dir_inv) ** j
-        valid_lo = max(valid_lo, core.start)
-        valid_hi = min(valid_hi, core.stop)
-        terms.append((math.comb(ell, j), deriv))
-    sl = slice(valid_lo, valid_hi)
-    w = np.ones(valid_hi - valid_lo)
-    w[0] = w[-1] = 0.5
-    for coeff, deriv in terms:
-        q = _quadratic_form(deriv[sl], form)
-        total += coeff * float(np.sum(w * weight[sl] * q) * grid.spacing)
-    return math.sqrt(max(total, 0.0))
+    coeffs = [math.comb(ell, j) for j in range(ell + 1)]
+    return math.sqrt(derivative_energy(f, [form] * (ell + 1), coeffs, acc=acc))
 
 
 def _check_integer_order(ell):

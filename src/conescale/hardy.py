@@ -138,12 +138,13 @@ class CauchyResult:
 
 
 def _nappe_of(cone, lam):
+    """"+" or "-" for a point strictly inside that nappe, else None."""
     theta = (cone.orientation * cmath.phase(complex(lam) - cone.vertex)) % (2 * math.pi)
     if 0.0 < theta < cone.angle:
         return "+"
     if math.pi < theta < math.pi + cone.angle:
         return "-"
-    raise ValueError("reconstruction point is not strictly inside the cone")
+    return None
 
 
 def cauchy_reconstruct(f, lam, s=0, eta=None, dist_min_factor=DIST_MIN_FACTOR):
@@ -165,10 +166,12 @@ def cauchy_reconstruct(f, lam, s=0, eta=None, dist_min_factor=DIST_MIN_FACTOR):
     if s > f.weight_order + 1e-12:
         raise ValueError("kernel order s must not exceed the weight order")
     nappe = _nappe_of(cone, lam)
+    if nappe is None:
+        raise ValueError("reconstruction point is not strictly inside the cone")
     if s != 0:
         if eta is None:
             raise ValueError("s != 0 needs the auxiliary point eta")
-        if _nappe_of_or_none(cone, eta) != ("-" if nappe == "+" else "+"):
+        if _nappe_of(cone, eta) != ("-" if nappe == "+" else "+"):
             raise ValueError("eta must lie strictly inside the opposite half-cone")
     rf0, rf1 = f.boundary
     grid = rf0.grid
@@ -189,13 +192,6 @@ def cauchy_reconstruct(f, lam, s=0, eta=None, dist_min_factor=DIST_MIN_FACTOR):
         total += contrib
         tail += edge_tail
     return CauchyResult(total, tail)
-
-
-def _nappe_of_or_none(cone, lam):
-    try:
-        return _nappe_of(cone, lam)
-    except ValueError:
-        return None
 
 
 def _edge_quadrature(rf, lam, s, eta, w, nappe, sigma):

@@ -25,8 +25,7 @@ import numpy as np
 from .errors import (ContractionFailureError, LocalizationFailureError,
                      NonFiniteSampleError, NumericalError,
                      SpectralObstructionError)
-from .geometry import (TIME, Cone, Ray, RayFunction, _quadratic_form,
-                       exp_weighted)
+from .geometry import TIME, Cone, Ray, RayFunction, derivative_energy
 from .hardy import halfline_projection
 from .pencil import (MatrixPencil, cone_clearance, line_distance,
                      resolvent_apply_batch, search_radius, spectrum)
@@ -159,31 +158,6 @@ class ScalingReport:
     ray_norms: tuple
 
 
-def _ray_energy(pencil, u, zeta, forward_only=False):
-    """sum_j integral |e^{-i zeta z} D^j u|_{m-j}^2 |dz| along u's ray.
-
-    The weight joins each quadratic form in log space (exp_weighted), so
-    WeightOverflowError is raised only where an integrand itself overflows.
-    """
-    m = pencil.degree
-    t = u.grid.nodes
-    z = u.points
-    log_w = -2.0 * np.imag(zeta * z)
-    keep = t >= 0.0 if forward_only else np.ones_like(t, dtype=bool)
-    dir_inv = 1.0 / u.ray.direction
-    total = 0.0
-    for j in range(m + 1):
-        deriv, core = derivative_uniform(u.values, u.grid.spacing, j, acc=8)
-        deriv = deriv * (-1j * dir_inv) ** j
-        mask = np.zeros_like(t, dtype=bool)
-        mask[core] = True
-        mask &= keep
-        q = np.where(mask, _quadratic_form(deriv, pencil.norm_forms[m - j]), 0.0)
-        integrand = exp_weighted(log_w, q, z)
-        total += float(np.sum(integrand[mask]) * u.grid.spacing)
-    return total
-
-
 def solve_scaled(problem, phi, cone=None, scale_tol=SCALE_TOL,
                  res_tol=RES_TOL, ray_table_angles=5):
     """Solve, scale, and verify the two are the same analytic function.
@@ -266,7 +240,7 @@ def solve_scaled(problem, phi, cone=None, scale_tol=SCALE_TOL,
                           problem.rhs.weight_order, problem.zeta)
         res = solve_const(replace(problem, ray=ray, rhs=rhs), res_tol=res_tol)
         rows.append((float(psi),
-                     _ray_energy(problem.pencil, res.u, problem.zeta)))
+                     derivative_energy(res.u, problem.pencil.norm_forms[::-1])))
     report = ScalingReport(
         phi=float(phi),
         residual_unscaled=base.residual,
@@ -568,8 +542,8 @@ def continuation_certificate(problem, phi, offset=None, n_angles=9,
                 u = solve_variable(vsub, res_tol=res_tol).u
             else:
                 u = solve_const(sub, res_tol=res_tol).u
-            value = _ray_energy(problem.pencil, u, problem.zeta,
-                                forward_only=True)
+            value = derivative_energy(u, problem.pencil.norm_forms[::-1],
+                                      keep=u.grid.nodes >= 0.0)
             if not math.isfinite(value):
                 raise NumericalError(f"ray energy is {value}")
         except (NumericalError, np.linalg.LinAlgError) as exc:

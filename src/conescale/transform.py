@@ -44,7 +44,6 @@ from .errors import (ConfigurationError, NonFiniteSampleError,
                      WeightOverflowError)
 from .geometry import (FREQUENCY, LOG_OVERFLOW_BOUND, TIME, Grid, Ray,
                        RayFunction, weighted_l2_norm)
-from .stencils import derivative_uniform
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _LN2 = math.log(2.0)
@@ -344,12 +343,6 @@ class TransformContext:
                 f"ray function lives on {got}, context expects {ray}"
             )
 
-    def sample_time(self, evaluator, weight_order=0.0):
-        """Sample an analytic evaluator on the context's time ray."""
-        values = evaluator(self.time_ray.points(self.src_grid.nodes))
-        return RayFunction(self.time_ray, self.src_grid, values,
-                           weight_order, self.zeta)
-
 
 @dataclass(frozen=True)
 class ParsevalReport:
@@ -392,19 +385,3 @@ def apply_derivative_rule(ctx, fhat, j, tail_tol=1e-8):
                 f"frequency window ends; enlarge the grid"
             )
     return ctx.inverse(fhat.with_values(scaled))
-
-
-def derivative_rule_deviation(ctx, fhat, j, acc=2):
-    """Max-abs gap between the derivative rule and finite differences.
-
-    Compares D^j of the inverse transform (centered differences of the
-    stated accuracy along the time ray) with the inverse transform of
-    lam^j * Fhat, over the stencil-valid interior.
-    """
-    via_rule = apply_derivative_rule(ctx, fhat, j)
-    base = ctx.inverse(fhat)
-    deriv, core = derivative_uniform(base.values, base.grid.spacing, j, acc=acc)
-    dir_inv = 1.0 / base.ray.direction
-    deriv = deriv * (-1j * dir_inv) ** j
-    gap = np.abs(deriv[core] - via_rule.values[core])
-    return float(np.max(gap)) if gap.size else 0.0

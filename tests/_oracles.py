@@ -6,8 +6,9 @@ formulas, dense finite-difference collocation, the dense transform kernel
 that the FFT factorization replaced, the uncached spectrum that the
 per-pencil factorization replaced, the per-element log-space scaling (and
 the forward/inverse transforms and per-component exponential sum built on
-it) that per-row factors and transform.exp_sum replaced, and per-point
-sampling of perturbing coefficients.
+it) that per-row factors and transform.exp_sum replaced, per-point
+sampling of perturbing coefficients, and finite differences checked
+against the transform's derivative rule.
 """
 
 import math
@@ -17,8 +18,9 @@ import scipy.integrate
 import scipy.linalg
 
 from conescale.pencil import SpectrumReport, _cluster, _companion, evaluate
-from conescale.stencils import _window, fornberg_weights
-from conescale.transform import _SQRT2PI, _require_finite
+from conescale.stencils import _window, derivative_uniform, fornberg_weights
+from conescale.transform import (_SQRT2PI, _require_finite,
+                                 apply_derivative_rule)
 
 GAUSS_L2 = math.pi ** 0.25                      # (int e^{-t^2} dt)^(1/2)
 GAUSS_SOBOLEV1 = (1.5 * math.sqrt(math.pi)) ** 0.5   # (int (1+t^2) e^{-t^2})^(1/2)
@@ -95,6 +97,22 @@ def inverse_per_element(ctx, fhat):
         dense_kernel(ctx.src_grid, ctx.dst_grid).conj().T, fhat.values,
         1j * ctx.w * dir_f * ctx.dst_grid.nodes, prefactor,
         1j * ctx.zeta * ctx.time_ray.direction * ctx.src_grid.nodes)
+
+
+def derivative_rule_deviation(ctx, fhat, j, acc=2):
+    """Max-abs gap between the derivative rule and finite differences.
+
+    Compares D^j of the inverse transform (centered differences of the
+    stated accuracy along the time ray) with the inverse transform of
+    lam^j * Fhat, over the stencil-valid interior.
+    """
+    via_rule = apply_derivative_rule(ctx, fhat, j)
+    base = ctx.inverse(fhat)
+    deriv, core = derivative_uniform(base.values, base.grid.spacing, j, acc=acc)
+    dir_inv = 1.0 / base.ray.direction
+    deriv = deriv * (-1j * dir_inv) ** j
+    gap = np.abs(deriv[core] - via_rule.values[core])
+    return float(np.max(gap)) if gap.size else 0.0
 
 
 def perturbation_per_point(coefficients, z, n):

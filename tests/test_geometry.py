@@ -216,6 +216,23 @@ class TestSobolevNorms:
         assert n1 > n0
         assert abs(sobolev_norm_spectral(f, 1.0, ctx4096) - n1) <= 1e-6 * n1
 
+    def gaussian40(self, number):
+        grid = Grid(40.0, 2048)
+        return RayFunction(Ray(0.0, 0j, TIME), grid, np.exp(-grid.nodes ** 2),
+                           0.0, number)
+
+    def test_derivative_weight_past_exp_range_over_decayed_tail(self):
+        # e^{20 t} overflows for t > 35.5, where f has underflowed to zero;
+        # the integrand e^{20 t - 2 t^2} (1 + 4 t^2) itself peaks near e^50
+        norm = sobolev_norm_derivative(self.gaussian40(-10j), 1)
+        exact = 102.0 * math.sqrt(math.pi / 2.0) * math.exp(50.0)
+        assert norm ** 2 == pytest.approx(exact, rel=1e-5)
+
+    def test_derivative_overflowing_integrand_raises(self):
+        # e^{80 t - 2 t^2} peaks at e^800
+        with pytest.raises(WeightOverflowError):
+            sobolev_norm_derivative(self.gaussian40(-40j), 1)
+
     def test_negative_order_rejected(self, gauss4096):
         with pytest.raises(ValueError):
             sobolev_norm_derivative(gauss4096, -1)

@@ -130,6 +130,19 @@ class TestCauchyReconstruct:
         with pytest.raises(ValueError):
             cauchy_reconstruct(cone_pi6_gauss, 1j)
 
+    @pytest.mark.parametrize("lam", [0j, 1j], ids=["vertex", "outside"])
+    def test_point_not_inside_names_cone(self, cone_pi6_gauss, lam):
+        with pytest.raises(ValueError, match="not strictly inside the cone"):
+            cauchy_reconstruct(cone_pi6_gauss, lam)
+
+    @pytest.mark.parametrize("eta", [
+        -0.7 * cmath.exp(1j * math.pi / 12), 1j, 0j,
+    ], ids=["same-nappe", "outside", "vertex"])
+    def test_eta_off_opposite_nappe(self, cone_pi6_gauss, eta):
+        lam = -0.5 * cmath.exp(1j * math.pi / 12)
+        with pytest.raises(ValueError, match="opposite"):
+            cauchy_reconstruct(cone_pi6_gauss, lam, s=-1, eta=eta)
+
     def test_eta_must_be_opposite(self, cone_pi6_gauss):
         lam = 0.5 * cmath.exp(1j * math.pi / 12)
         with pytest.raises(ValueError, match="opposite"):

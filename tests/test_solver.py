@@ -14,8 +14,8 @@ from conescale import (ContractionFailureError, Grid, GaussianRhs,
                        continuation_certificate, localize_traces, solve_const,
                        solve_scaled, solve_variable)
 from conescale.errors import NonFiniteSampleError
-from conescale.solver import (_prepare_perturbation, _ray_energy,
-                              apply_pencil_fd)
+from conescale.geometry import derivative_energy
+from conescale.solver import _prepare_perturbation, apply_pencil_fd
 from conescale.stencils import (_window_weights, derivative_with_cuts,
                                 fornberg_weights)
 from _oracles import (collocation_constant, collocation_perturbed_first_order,
@@ -389,14 +389,14 @@ class TestContinuationCertificate:
         assert cert.blown == ()
 
     def test_non_finite_energy_is_blow_up(self, linear_problem, monkeypatch):
-        energy = conescale.solver._ray_energy
+        energy = conescale.solver.derivative_energy
         calls = []
 
         def nan_on_second_ray(*args, **kwargs):
             calls.append(1)
             return math.nan if len(calls) == 2 else energy(*args, **kwargs)
 
-        monkeypatch.setattr(conescale.solver, "_ray_energy", nan_on_second_ray)
+        monkeypatch.setattr(conescale.solver, "derivative_energy", nan_on_second_ray)
         cert = continuation_certificate(linear_problem, math.pi / 8,
                                         offset=1.0, n_angles=3)
         assert cert.verdict == "blow-up"
@@ -407,28 +407,28 @@ class TestContinuationCertificate:
         def broken(*args, **kwargs):
             raise ValueError("not a numerical failure")
 
-        monkeypatch.setattr(conescale.solver, "_ray_energy", broken)
+        monkeypatch.setattr(conescale.solver, "derivative_energy", broken)
         with pytest.raises(ValueError, match="not a numerical failure"):
             continuation_certificate(linear_problem, math.pi / 8, offset=1.0)
 
 
 class TestRayEnergy:
-    def gaussian(self):
+    def gaussian(self, zeta):
         grid = Grid(40.0, 2048)
         return RayFunction(Ray(0.0, 0j, TIME), grid,
-                           np.exp(-grid.nodes ** 2))
+                           np.exp(-grid.nodes ** 2), 0.0, zeta)
 
     def test_weight_past_exp_range_over_decayed_tail(self):
         # e^{20 t} overflows for t > 35.5, where u has underflowed to zero;
         # the integrand e^{20 t - 2 t^2} (1 + 4 t^2) itself peaks near e^50
-        energy = _ray_energy(LINEAR, self.gaussian(), -10j)
+        energy = derivative_energy(self.gaussian(-10j), LINEAR.norm_forms[::-1])
         exact = 102.0 * math.sqrt(math.pi / 2.0) * math.exp(50.0)
         assert energy == pytest.approx(exact, rel=1e-5)
 
     def test_overflowing_integrand_raises(self):
         # e^{80 t - 2 t^2} peaks at e^800
         with pytest.raises(WeightOverflowError):
-            _ray_energy(LINEAR, self.gaussian(), -40j)
+            derivative_energy(self.gaussian(-40j), LINEAR.norm_forms[::-1])
 
 
 class TestPerturbedCertificate:

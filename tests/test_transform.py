@@ -10,12 +10,11 @@ from conescale import (ConfigurationError, Grid, NonFiniteSampleError,
                        apply_derivative_rule, dual_grid, parseval_check)
 from conescale.geometry import LOG_OVERFLOW_BOUND
 from conescale.transform import (_apply_kernel, _apply_kernel_adjoint,
-                                 _dft_phases, derivative_rule_deviation,
-                                 exp_sum, scaled_values)
+                                 _dft_phases, exp_sum, scaled_values)
 from conftest import gaussian_on
-from _oracles import (dense_kernel, exp_sum_per_component,
-                      forward_per_element, inverse_per_element,
-                      scaled_values_per_element)
+from _oracles import (dense_kernel, derivative_rule_deviation,
+                      exp_sum_per_component, forward_per_element,
+                      inverse_per_element, scaled_values_per_element)
 
 # a few units in the last place of the subnormal range
 SUBNORMAL_SLACK = 8 * 2.0 ** -1074
