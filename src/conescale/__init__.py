@@ -16,9 +16,9 @@ from .errors import (ConescaleError, ConfigurationError,
                      NumericalError, SpectralObstructionError,
                      ValidationError, WeightOverflowError)
 from .geometry import (FREQUENCY, TIME, Cone, Disk, Grid, Ray, RayFunction,
-                       derivative_energy, exp_weight, exp_weight_log,
-                       sobolev_norm_derivative, sobolev_norm_spectral,
-                       weighted_l2_norm, weighted_l2_report)
+                       exp_weight, exp_weight_log, sobolev_norm_derivative,
+                       sobolev_norm_spectral, weighted_l2_norm,
+                       weighted_l2_report)
 from .hardy import (ConeFunction, cauchy_reconstruct, decay_profile,
                     entire_window_check, membership_scan, paley_wiener_check,
                     project_halfline, projection_idempotence_check)

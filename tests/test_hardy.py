@@ -127,13 +127,12 @@ class TestCauchyReconstruct:
             cauchy_reconstruct(cone_pi6_gauss, 0.5 + 1e-5j)
 
     def test_point_outside_rejected(self, cone_pi6_gauss):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not strictly inside the cone"):
             cauchy_reconstruct(cone_pi6_gauss, 1j)
 
-    @pytest.mark.parametrize("lam", [0j, 1j], ids=["vertex", "outside"])
-    def test_point_not_inside_names_cone(self, cone_pi6_gauss, lam):
+    def test_vertex_rejected(self, cone_pi6_gauss):
         with pytest.raises(ValueError, match="not strictly inside the cone"):
-            cauchy_reconstruct(cone_pi6_gauss, lam)
+            cauchy_reconstruct(cone_pi6_gauss, 0j)
 
     @pytest.mark.parametrize("eta", [
         -0.7 * cmath.exp(1j * math.pi / 12), 1j, 0j,
