@@ -88,7 +88,10 @@ class MatrixPencil:
                         f"negative eigenvalue {gap[0]:.3g}"
                     )
         object.__setattr__(self, "norm_forms", forms)
-        if not any(abs(np.linalg.det(evaluate(self, lam))) > 0.0 for lam in _PROBES):
+        # the sign of slogdet is 0 only for an exactly singular matrix;
+        # det itself under- or overflows at moderate sizes and scales
+        if not any(np.linalg.slogdet(evaluate(self, lam))[0] != 0
+                   for lam in _PROBES):
             raise ValueError("pencil is singular at every probe point")
 
     @property

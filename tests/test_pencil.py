@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,27 @@ class TestConstruction:
     def test_identically_singular_rejected(self):
         with pytest.raises(ValueError, match="singular at every probe"):
             MatrixPencil((np.zeros((1, 1)), np.zeros((1, 1))))
+        # A(lam) = (lam + 1) e_0 e_0^T: nonzero, singular for every lam
+        with pytest.raises(ValueError, match="singular at every probe"):
+            MatrixPencil((np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
+
+    def test_small_scale_regular_accepted(self):
+        # det(1e-3 (lam + 1) I) underflows to 0 at n = 200
+        p = MatrixPencil((1e-3 * np.eye(200), 1e-3 * np.eye(200)))
+        assert p.dim == 200
+
+    def test_wide_regularity_probe_silent(self):
+        # a clearance-wide sized pencil lam^2 I + (L_h + S): det overflows
+        n = 128
+        L = dirichlet_pencil(n).coefficients[2].real
+        rng = np.random.default_rng(0)
+        S = rng.standard_normal((n, n))
+        S = S + S.T
+        S *= 0.5 * np.linalg.eigvalsh(L)[0] / np.linalg.norm(S, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = MatrixPencil((np.eye(n), np.zeros((n, n)), L + S))
+        assert p.dim == n
 
     def test_nested_forms_enforced(self):
         good = (np.eye(2), 2.0 * np.eye(2))
