@@ -24,19 +24,24 @@ DFT, each phase exp(-i pi r / 2M) with the integer r reduced mod 4M.  The
 sums therefore cost one FFT per transform and carry no argument-rounding
 error that grows with N.  On each side of the FFT, the weight exponent,
 the DFT phase and the constant prefactor of a node are summed in log space
-and applied as one complex factor per node (scaled_values: one exp per
-node and one multiply per sample); only nodes whose factor alone would
-leave the normal double range are scaled with a power-of-two split.  The discrete forward and inverse are exact
-inverses of each other at the nodes (for M >= N), for any sampled data,
-which is what the round-trip contract asks for.  The uniform quadrature
-weights used here agree with composite trapezoid whenever the integrand has
-decayed at the window ends, which the preconditions require.
+into one complex factor per node; only nodes whose factor alone would
+leave the normal double range are scaled with a power-of-two split.  These
+factors depend on (psi, zeta, w) and the grids alone, so each context
+builds them once, on the first call of each pass, and keeps them with its
+nodes and rays in a plan (as an FFTW plan keeps its twiddle factors); every
+call then costs one multiply per sample on each side of the FFT, while the
+checks on the data still run per call.  The discrete forward and inverse
+are exact inverses of each other at the nodes (for M >= N), for any
+sampled data, which is what the round-trip contract asks for.  The uniform
+quadrature weights used here agree with composite trapezoid whenever the
+integrand has decayed at the window ends, which the preconditions require.
 """
 
 import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,37 +84,48 @@ def _dft_phases(src_count, dst_count):
     const = complex(_quarter_log_phase((m - 1) * (n - 1), m))
     row = _quarter_log_phase(-2 * (n - 1) * np.arange(m), m)
     col = _quarter_log_phase(-2 * (m - 1) * np.arange(n), m)
-    row.flags.writeable = False
-    col.flags.writeable = False
-    return const, row, col
+    return const, _read_only(row), _read_only(col)
 
 
-def _apply_kernel(src_grid, dst_grid, x, pre=0.0, post=0.0):
-    """exp(post_j) * sum_k exp(-i xi_j t_k) exp(pre_k) x_k for commensurate
-    grids, via one FFT.
+def _kernel_factors(src_count, dst_count, pre=0.0, post=0.0):
+    """Row factors (before, after the FFT) of _apply_kernel.
 
-    ``pre`` (one entry per source node) and ``post`` (one per destination
-    node) are log factors; each is folded with the DFT phases into one
-    scaled_values pass.  Rows of x beyond M fold onto k mod M; fewer than M
-    rows are zero-padded.
+    ``pre`` (one log factor per source node) and ``post`` (one per
+    destination node) are folded with the DFT phases, so that the kernel
+    computes exp(post_j) * sum_k exp(-i xi_j t_k) exp(pre_k) x_k.
     """
-    n, m = src_grid.count, dst_grid.count
-    const, row, col = _dft_phases(n, m)
-    y = scaled_values(x, col + pre)
+    const, row, col = _dft_phases(src_count, dst_count)
+    return _row_factors(col + pre), _row_factors(const + row + post)
+
+
+def _adjoint_factors(src_count, dst_count, pre=0.0, post=0.0):
+    """Row factors (before, after the FFT) of _apply_kernel_adjoint, which
+    then computes exp(post_k) * sum_j exp(+i t_k xi_j) exp(pre_j) y_j;
+    ``pre`` lives on the frequency nodes, ``post`` on the time nodes."""
+    const, row, col = _dft_phases(src_count, dst_count)
+    return _row_factors(pre - row), _row_factors(post - const - col)
+
+
+def _apply_kernel(x, pre, post):
+    """The sums of _kernel_factors for commensurate grids, via one FFT.
+
+    Rows of x beyond M fold onto k mod M; fewer than M rows are
+    zero-padded.
+    """
+    m = post.normal.shape[0]
+    y = _apply_factors(x, pre)
+    n = y.shape[0]
     if n > m:
         y = np.concatenate([y, np.zeros(((-n) % m,) + y.shape[1:], dtype=complex)])
         y = y.reshape((-1, m) + y.shape[1:]).sum(axis=0)
-    return scaled_values(np.fft.fft(y, n=m, axis=0), const + row + post)
+    return _apply_factors(np.fft.fft(y, n=m, axis=0), post)
 
 
-def _apply_kernel_adjoint(src_grid, dst_grid, y, pre=0.0, post=0.0):
-    """exp(post_k) * sum_j exp(+i t_k xi_j) exp(pre_j) y_j for commensurate
-    grids, via one FFT; ``pre`` lives on the frequency nodes, ``post`` on
-    the time nodes."""
-    n, m = src_grid.count, dst_grid.count
-    const, row, col = _dft_phases(n, m)
-    sums = np.fft.ifft(scaled_values(y, pre - row), axis=0, norm="forward")
-    return scaled_values(sums[np.arange(n) % m], post - const - col)
+def _apply_kernel_adjoint(y, pre, post):
+    """The sums of _adjoint_factors for commensurate grids, via one FFT."""
+    n, m = post.normal.shape[0], y.shape[0]
+    sums = np.fft.ifft(_apply_factors(y, pre), axis=0, norm="forward")
+    return _apply_factors(sums[np.arange(n) % m], post)
 
 
 def _require_finite(values):
@@ -118,6 +134,51 @@ def _require_finite(values):
         index = tuple(int(i) for i in np.argwhere(bad)[0])
         raise NonFiniteSampleError(
             f"non-finite sample {values[index]} at index {index}")
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+class _RowFactors(NamedTuple):
+    """exp(exponents) split for _apply_factors (see _row_factors)."""
+
+    normal: np.ndarray  # exp(exponent) per row, 1 on wide rows
+    wide: np.ndarray    # rows whose factor leaves the normal double range
+    unit: np.ndarray    # wide rows: exp(exponent - shift * ln 2)
+    shift: np.ndarray   # wide rows: the power of two split off
+
+
+def _row_factors(exponents):
+    """The factors exp(exponents) of scaled_values, one per row, built once
+    and applicable to any number of value arrays; the arrays are read-only.
+    """
+    exponents = np.asarray(exponents, dtype=complex)
+    wide = np.abs(exponents.real) > _LOG_NORMAL
+    normal = np.exp(np.where(wide, 0.0, exponents))
+    # past +-2000 every nonzero product over- or underflows either way;
+    # the clip keeps the split factor finite, so zeros stay zeros
+    re = np.clip(exponents.real[wide], -2000.0, 2000.0)
+    p = np.rint(re / _LN2)
+    unit = np.exp(re - p * _LN2 + 1j * exponents.imag[wide])
+    return _RowFactors(*map(_read_only, (normal, wide, unit, p.astype(int))))
+
+
+def _apply_factors(values, factors):
+    """values times the row factors of _row_factors (see scaled_values)."""
+    values = np.asarray(values, dtype=complex)
+    _require_finite(values)
+    pad = (1,) * (values.ndim - factors.normal.ndim)
+    out = values * factors.normal.reshape(factors.normal.shape + pad)
+    if factors.unit.size:
+        v = values[factors.wide]
+        _, e = np.frexp(np.maximum(np.abs(v.real), np.abs(v.imag)))
+        y = ((np.ldexp(v.real, -e) + 1j * np.ldexp(v.imag, -e))
+             * factors.unit.reshape((-1,) + pad))
+        shift = e + factors.shift.reshape((-1,) + pad)
+        out[factors.wide] = np.ldexp(y.real, shift) + 1j * np.ldexp(y.imag, shift)
+    return out
 
 
 def scaled_values(values, exponents):
@@ -130,24 +191,7 @@ def scaled_values(values, exponents):
     factors are.  Zeros stay zeros whatever their exponent, a product that
     overflows is inf, and non-finite values raise NonFiniteSampleError.
     """
-    values = np.asarray(values, dtype=complex)
-    exponents = np.asarray(exponents, dtype=complex)
-    _require_finite(values)
-    pad = (1,) * (values.ndim - exponents.ndim)
-    wide = np.abs(exponents.real) > _LOG_NORMAL
-    out = values * np.exp(np.where(wide, 0.0, exponents)).reshape(exponents.shape + pad)
-    if np.any(wide):
-        v = values[wide]
-        # past +-2000 every nonzero product over- or underflows either way;
-        # the clip keeps the split factor finite, so zeros stay zeros
-        re = np.clip(exponents.real[wide], -2000.0, 2000.0)
-        p = np.rint(re / _LN2)
-        unit = np.exp(re - p * _LN2 + 1j * exponents.imag[wide]).reshape((-1,) + pad)
-        _, e = np.frexp(np.maximum(np.abs(v.real), np.abs(v.imag)))
-        y = (np.ldexp(v.real, -e) + 1j * np.ldexp(v.imag, -e)) * unit
-        shift = e + p.astype(int).reshape((-1,) + pad)
-        out[wide] = np.ldexp(y.real, shift) + 1j * np.ldexp(y.imag, shift)
-    return out
+    return _apply_factors(values, _row_factors(exponents))
 
 
 def exp_sum(values, exponents, points=None):
@@ -188,6 +232,63 @@ def exp_sum(values, exponents, points=None):
     return np.exp(expo) @ unit
 
 
+def _top(values):
+    """(largest entry, its index)."""
+    k = int(np.argmax(values))
+    return values[k], k
+
+
+class _TransformPlan:
+    """What one context's transforms compute from (psi, zeta, w) and the
+    grids alone: the nodes, both rays, the data-independent halves of the
+    pair overflow checks and, built on each pass's first use, the row
+    factors on both sides of its FFT.  Arrays are read-only.
+    """
+
+    def __init__(self, ctx):
+        self.src_grid, self.dst_grid = ctx.src_grid, ctx.dst_grid
+        self.zeta, self.w = ctx.zeta, ctx.w
+        self.t = _read_only(ctx.src_grid.nodes)
+        self.xi = _read_only(ctx.dst_grid.nodes)
+        self.time_ray = Ray(ctx.psi, ctx.w, TIME)
+        self.frequency_ray = Ray(ctx.psi, ctx.zeta, FREQUENCY)
+        # separable pieces of Im(lam * z) = a*xi + b*t + c on the two grids
+        a = (self.frequency_ray.direction * self.w).imag
+        b = (self.zeta * self.time_ray.direction).imag
+        self.slopes = (a, b, (self.zeta * self.w).imag)
+        # each check pass: (max, argmax) of its destination-side exponents
+        # and the source-side exponents, to which the data's log is added
+        self.forward_check = _top(a * self.xi) + (_read_only(b * self.t),)
+        self.inverse_check = _top(-b * self.t) + (_read_only(-a * self.xi),)
+
+    @functools.cached_property
+    def forward(self):
+        dir_t = self.time_ray.direction
+        dir_f = self.frequency_ray.direction
+        log_prefactor = (cmath.log(self.src_grid.spacing / _SQRT2PI * dir_t)
+                         - 2j * self.zeta * self.w)
+        return _kernel_factors(self.src_grid.count, self.dst_grid.count,
+                               pre=-1j * self.zeta * dir_t * self.t,
+                               post=-1j * self.w * dir_f * self.xi + log_prefactor)
+
+    @functools.cached_property
+    def inverse(self):
+        dir_t = self.time_ray.direction
+        dir_f = self.frequency_ray.direction
+        log_prefactor = (cmath.log(self.dst_grid.spacing / _SQRT2PI * dir_f)
+                         + 2j * self.zeta * self.w)
+        return _adjoint_factors(self.src_grid.count, self.dst_grid.count,
+                                pre=1j * self.w * dir_f * self.xi,
+                                post=1j * self.zeta * dir_t * self.t + log_prefactor)
+
+    @functools.cached_property
+    def pullback(self):
+        dir_t = self.time_ray.direction
+        return _kernel_factors(self.src_grid.count, self.dst_grid.count,
+                               pre=-1j * self.zeta * (dir_t * self.t + self.w),
+                               post=math.log(self.src_grid.spacing / _SQRT2PI))
+
+
 @dataclass(frozen=True)
 class TransformContext:
     """Grids plus the (psi, zeta, w) parameters of one transform pair."""
@@ -224,36 +325,50 @@ class TransformContext:
                 "dxi * dt must equal 2 pi / M (see dual_grid)"
             )
 
+    @functools.cached_property
+    def _plan(self):
+        """The context's _TransformPlan, built on first use."""
+        return _TransformPlan(self)
+
     @property
     def time_ray(self):
-        return Ray(self.psi, self.w, TIME)
+        return self._plan.time_ray
 
     @property
     def frequency_ray(self):
-        return Ray(self.psi, self.zeta, FREQUENCY)
+        return self._plan.frequency_ray
 
-    # separable pieces of Im(lam * z) = a*xi + b*t + c on the two grids
-    def _phase_slopes(self):
-        dir_f = self.frequency_ray.direction
-        dir_t = self.time_ray.direction
-        a = (dir_f * self.w).imag
-        b = (self.zeta * dir_t).imag
-        c = (self.zeta * self.w).imag
-        return a, b, c
+    def _check_pair_overflow(self, sign, data_log):
+        """Refuse a pass whose largest data-times-kernel term could pass
+        LOG_OVERFLOW_BOUND.
 
-    def _check_pair_overflow(self, sign, xi, t, xi_log, t_log):
-        # |e^{-i lam z}| = e^{+Im(lam z)} on the forward pass (sign +1),
-        # |e^{+i z lam}| = e^{-Im(lam z)} on the inverse pass (sign -1)
-        a, b, c = self._phase_slopes()
-        xi_part = sign * a * xi + xi_log
-        t_part = sign * b * t + t_log
-        worst = np.max(xi_part) + np.max(t_part) + sign * c
+        |e^{-i lam z}| is e^{+Im(lam z)} on the forward pass (sign +1) and
+        e^{-Im(lam z)} on the inverse pass (sign -1), and Im(lam z) = a xi
+        + b t + c separates on the two grids.  The data (``data_log``, the
+        log of each source row's largest magnitude) enter on the source
+        side: t forward, xi inverse.  The test adds the largest source-side
+        term to the largest destination-side exponent, even where these sit
+        at nodes whose product is small.  That is deliberate: the bound
+        covers the FFT sum's rounding error, not only its range.  A sum that
+        cancels down from a large term keeps a rounding error of the size of
+        that term, and the destination factor multiplies it.  With
+        TransformContext(0, 40j, 0, Grid(20, 256)) and f = e^{-40 t - t^2},
+        every product of the inverse of forward(f) is representable, yet
+        with this check bypassed the FFT sum cancels down from about e^800
+        and its rounding error times the destination factor overflows to a
+        non-finite sample at node 0.
+        """
+        plan = self._plan
+        top, at, base = plan.forward_check if sign > 0 else plan.inverse_check
+        part = base + data_log
+        k = int(np.argmax(part))
+        worst = top + part[k] + sign * plan.slopes[2]
         if worst > LOG_OVERFLOW_BOUND:
-            i = int(np.argmax(xi_part))
-            k = int(np.argmax(t_part))
+            i, k = (at, k) if sign > 0 else (k, at)
             raise WeightOverflowError(
                 (i, k),
-                (self.frequency_ray.points(xi[i]), self.time_ray.points(t[k])),
+                (plan.frequency_ray.points(plan.xi[i]),
+                 plan.time_ray.points(plan.t[k])),
                 float(worst),
             )
 
@@ -268,34 +383,20 @@ class TransformContext:
         Returns samples of the transform on the frequency ray; the weight
         order is carried over and the frequency-side weight number is w.
         """
-        self._require_ray(f, self.time_ray)
-        t = self.src_grid.nodes
-        xi = self.dst_grid.nodes
-        self._check_pair_overflow(1.0, xi, t, 0.0, self._data_log(f.values))
-        dir_t = self.time_ray.direction
-        dir_f = self.frequency_ray.direction
-        log_prefactor = (cmath.log(self.src_grid.spacing / _SQRT2PI * dir_t)
-                         - 2j * self.zeta * self.w)
-        out = _apply_kernel(self.src_grid, self.dst_grid, f.values,
-                            pre=-1j * self.zeta * dir_t * t,
-                            post=-1j * self.w * dir_f * xi + log_prefactor)
-        return RayFunction(self.frequency_ray, self.dst_grid, out,
+        plan = self._plan
+        self._require_ray(f, plan.time_ray)
+        self._check_pair_overflow(1.0, self._data_log(f.values))
+        out = _apply_kernel(f.values, *plan.forward)
+        return RayFunction(plan.frequency_ray, self.dst_grid, out,
                            f.weight_order, self.w)
 
     def inverse(self, fhat):
         """Frequency side back to the time side (mirror of forward)."""
-        self._require_ray(fhat, self.frequency_ray)
-        t = self.src_grid.nodes
-        xi = self.dst_grid.nodes
-        self._check_pair_overflow(-1.0, xi, t, self._data_log(fhat.values), 0.0)
-        dir_t = self.time_ray.direction
-        dir_f = self.frequency_ray.direction
-        log_prefactor = (cmath.log(self.dst_grid.spacing / _SQRT2PI * dir_f)
-                         + 2j * self.zeta * self.w)
-        out = _apply_kernel_adjoint(self.src_grid, self.dst_grid, fhat.values,
-                                    pre=1j * self.w * dir_f * xi,
-                                    post=1j * self.zeta * dir_t * t + log_prefactor)
-        return RayFunction(self.time_ray, self.src_grid, out,
+        plan = self._plan
+        self._require_ray(fhat, plan.frequency_ray)
+        self._check_pair_overflow(-1.0, self._data_log(fhat.values))
+        out = _apply_kernel_adjoint(fhat.values, *plan.inverse)
+        return RayFunction(plan.time_ray, self.src_grid, out,
                            fhat.weight_order, self.zeta)
 
     def pullback_spectrum(self, f):
@@ -305,18 +406,15 @@ class TransformContext:
         (2 pi)^{-1/2} * integral e^{-i xi t} e^{-i zeta z(t)} F(z(t)) dt
         on the real frequency parameters of the destination grid.
         """
-        self._require_ray(f, self.time_ray)
-        t = self.src_grid.nodes
-        dir_t = self.time_ray.direction
-        b = (self.zeta * dir_t).imag
-        log_data = self._data_log(f.values)
-        worst = np.max(b * t + log_data) + (self.zeta * self.w).imag
+        plan = self._plan
+        self._require_ray(f, plan.time_ray)
+        part = plan.forward_check[2] + self._data_log(f.values)
+        k = int(np.argmax(part))
+        worst = part[k] + plan.slopes[2]
         if worst > LOG_OVERFLOW_BOUND:
-            k = int(np.argmax(b * t + log_data))
-            raise WeightOverflowError(k, self.time_ray.points(t[k]), float(worst))
-        spectrum = _apply_kernel(self.src_grid, self.dst_grid, f.values,
-                                 pre=-1j * self.zeta * (dir_t * t + self.w),
-                                 post=math.log(self.src_grid.spacing / _SQRT2PI))
+            raise WeightOverflowError(k, plan.time_ray.points(plan.t[k]),
+                                      float(worst))
+        spectrum = _apply_kernel(f.values, *plan.pullback)
         return self.dst_grid.nodes, spectrum, self.dst_grid.spacing
 
     def evaluate_continuation(self, fhat, z_points):

@@ -6,11 +6,13 @@ formulas, dense finite-difference collocation, the dense transform kernel
 that the FFT factorization replaced, the uncached spectrum that the
 per-pencil factorization replaced, the per-element log-space scaling (and
 the forward/inverse transforms and per-component exponential sum built on
-it) that per-row factors and transform.exp_sum replaced, per-point
-sampling of perturbing coefficients, and finite differences checked
-against the transform's derivative rule.
+it) that per-row factors and transform.exp_sum replaced, the transforms
+with their node exponents built on every call that per-context plans
+replaced, per-point sampling of perturbing coefficients, and finite
+differences checked against the transform's derivative rule.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -19,8 +21,8 @@ import scipy.linalg
 
 from conescale.pencil import SpectrumReport, _cluster, _companion, evaluate
 from conescale.stencils import _window, derivative_uniform, fornberg_weights
-from conescale.transform import (_SQRT2PI, _require_finite,
-                                 apply_derivative_rule)
+from conescale.transform import (_SQRT2PI, _dft_phases, _require_finite,
+                                 apply_derivative_rule, scaled_values)
 
 GAUSS_L2 = math.pi ** 0.25                      # (int e^{-t^2} dt)^(1/2)
 GAUSS_SOBOLEV1 = (1.5 * math.sqrt(math.pi)) ** 0.5   # (int (1+t^2) e^{-t^2})^(1/2)
@@ -97,6 +99,63 @@ def inverse_per_element(ctx, fhat):
         dense_kernel(ctx.src_grid, ctx.dst_grid).conj().T, fhat.values,
         1j * ctx.w * dir_f * ctx.dst_grid.nodes, prefactor,
         1j * ctx.zeta * ctx.time_ray.direction * ctx.src_grid.nodes)
+
+
+def _kernel_per_call(src_grid, dst_grid, x, pre=0.0, post=0.0):
+    """exp(post_j) * sum_k exp(-i xi_j t_k) exp(pre_k) x_k via one FFT, the
+    node exponents folded with the DFT phases on this call."""
+    n, m = src_grid.count, dst_grid.count
+    const, row, col = _dft_phases(n, m)
+    y = scaled_values(x, col + pre)
+    if n > m:
+        y = np.concatenate([y, np.zeros(((-n) % m,) + y.shape[1:], dtype=complex)])
+        y = y.reshape((-1, m) + y.shape[1:]).sum(axis=0)
+    return scaled_values(np.fft.fft(y, n=m, axis=0), const + row + post)
+
+
+def _kernel_adjoint_per_call(src_grid, dst_grid, y, pre=0.0, post=0.0):
+    """exp(post_k) * sum_j exp(+i t_k xi_j) exp(pre_j) y_j via one FFT,
+    the node exponents folded with the DFT phases on this call."""
+    n, m = src_grid.count, dst_grid.count
+    const, row, col = _dft_phases(n, m)
+    sums = np.fft.ifft(scaled_values(y, pre - row), axis=0, norm="forward")
+    return scaled_values(sums[np.arange(n) % m], post - const - col)
+
+
+def forward_per_call(ctx, f):
+    """The values of TransformContext.forward, every node exponent built on
+    this call, as before contexts kept plans; the overflow checks are left
+    out.  The arithmetic is the plan's, so the two agree bit for bit."""
+    t, xi = ctx.src_grid.nodes, ctx.dst_grid.nodes
+    dir_t = ctx.time_ray.direction
+    dir_f = ctx.frequency_ray.direction
+    log_prefactor = (cmath.log(ctx.src_grid.spacing / _SQRT2PI * dir_t)
+                     - 2j * ctx.zeta * ctx.w)
+    return _kernel_per_call(ctx.src_grid, ctx.dst_grid, f.values,
+                            pre=-1j * ctx.zeta * dir_t * t,
+                            post=-1j * ctx.w * dir_f * xi + log_prefactor)
+
+
+def inverse_per_call(ctx, fhat):
+    """The values of TransformContext.inverse (see forward_per_call)."""
+    t, xi = ctx.src_grid.nodes, ctx.dst_grid.nodes
+    dir_t = ctx.time_ray.direction
+    dir_f = ctx.frequency_ray.direction
+    log_prefactor = (cmath.log(ctx.dst_grid.spacing / _SQRT2PI * dir_f)
+                     + 2j * ctx.zeta * ctx.w)
+    return _kernel_adjoint_per_call(ctx.src_grid, ctx.dst_grid, fhat.values,
+                                    pre=1j * ctx.w * dir_f * xi,
+                                    post=1j * ctx.zeta * dir_t * t + log_prefactor)
+
+
+def pullback_per_call(ctx, f):
+    """The spectrum of TransformContext.pullback_spectrum (see
+    forward_per_call)."""
+    t = ctx.src_grid.nodes
+    dir_t = ctx.time_ray.direction
+    return _kernel_per_call(ctx.src_grid, ctx.dst_grid, f.values,
+                            pre=-1j * ctx.zeta * (dir_t * t + ctx.w),
+                            post=math.log(ctx.src_grid.spacing / _SQRT2PI))
 
 
 def derivative_rule_deviation(ctx, fhat, j, acc=2):

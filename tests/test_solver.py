@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.interpolate
+from hypothesis import given, settings, strategies as st
 
 import conescale.solver
 from conescale import (ContractionFailureError, Grid, GaussianRhs,
@@ -136,6 +137,44 @@ class TestSolveScaled:
         energies = [e for _, e in rep.ray_norms]
         assert all(np.isfinite(e) for e in energies)
         assert max(energies) <= 10.0 * min(energies)
+
+
+@st.composite
+def clear_cone_pencils(draw):
+    """Pencils of degree 1 or 2 and size n <= 3 with every eigenvalue at
+    modulus 1 to 3 and |Im lam| >= |lam| / sqrt(2), so that every cone of
+    aperture below pi/4 at the origin is clear; plus a unit cross-section.
+
+    A degree-2 pencil is (lam - M_1)(lam - M_2), whose eigenvalues are
+    those of M_1 and M_2; each M is V diag(mu) V^{-1} with V near I.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, degree = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+
+    def factor():
+        mu = (rng.uniform(1.0, 3.0, n) * rng.choice([-1.0, 1.0], n)
+              * np.exp(1j * rng.uniform(math.pi / 4, 3 * math.pi / 4, n)))
+        V = np.eye(n) + 0.3 * (rng.standard_normal((n, n))
+                               + 1j * rng.standard_normal((n, n)))
+        return V @ np.diag(mu) @ np.linalg.inv(V)
+
+    ms = [factor() for _ in range(degree)]
+    coeffs = ((np.eye(n), -ms[0]) if degree == 1
+              else (np.eye(n), -(ms[0] + ms[1]), ms[0] @ ms[1]))
+    cross = rng.standard_normal(n)
+    return MatrixPencil(coeffs), cross / np.linalg.norm(cross)
+
+
+@settings(max_examples=30, deadline=None)
+@given(clear_cone_pencils(),
+       st.sampled_from([math.pi / 32, math.pi / 16, math.pi / 12]))
+def test_scaling_equivalence_property(grid, case, phi):
+    pencil, cross = case
+    p = constant_problem(pencil, GaussianRhs(cross_section=cross), grid)
+    # solve_scaled itself enforces the scaled-versus-rotated deviation
+    _, _, rep = solve_scaled(p, phi, ray_table_angles=2)
+    dev = rep.deviation_continuation
+    assert math.isnan(dev) or dev <= 1e-6
 
 
 def rational_coefficients(eps, pole_scale):

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import conescale.transform
 from conescale import (ConfigurationError, Grid, NonFiniteSampleError,
                        NumericalError, Ray, RayFunction, TIME,
                        TransformContext, WeightOverflowError,
                        apply_derivative_rule, dual_grid, parseval_check)
 from conescale.geometry import LOG_OVERFLOW_BOUND
-from conescale.transform import (_apply_kernel, _apply_kernel_adjoint,
-                                 _dft_phases, exp_sum, scaled_values)
+from conescale.transform import (_adjoint_factors, _apply_kernel,
+                                 _apply_kernel_adjoint, _dft_phases,
+                                 _kernel_factors, exp_sum, scaled_values)
 from conftest import gaussian_on
 from _oracles import (dense_kernel, derivative_rule_deviation,
-                      exp_sum_per_component, forward_per_element,
-                      inverse_per_element, scaled_values_per_element)
+                      exp_sum_per_component, forward_per_call,
+                      forward_per_element, inverse_per_call,
+                      inverse_per_element, pullback_per_call,
+                      scaled_values_per_element)
 
 # a few units in the last place of the subnormal range
 SUBNORMAL_SLACK = 8 * 2.0 ** -1074
@@ -48,9 +52,9 @@ class TestFFTAgainstDenseKernel:
         E = dense_kernel(src, dst)
         x = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
         y = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
-        fwd, ref = _apply_kernel(src, dst, x), E @ x
+        fwd, ref = _apply_kernel(x, *_kernel_factors(n, m)), E @ x
         assert np.max(np.abs(fwd - ref)) <= 1e-12 * np.max(np.abs(ref))
-        adj, ref = _apply_kernel_adjoint(src, dst, y), E.conj().T @ y
+        adj, ref = _apply_kernel_adjoint(y, *_adjoint_factors(n, m)), E.conj().T @ y
         assert np.max(np.abs(adj - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -136,6 +140,18 @@ class TestForwardInverse:
         flat = f.with_values(np.ones_like(f.values))
         with pytest.raises(WeightOverflowError):
             ctx.forward(flat)
+
+    def test_overflow_check_bounds_rounding(self):
+        # every product of this inverse is representable, but its FFT sum
+        # cancels down from about e^800: without the check, the rounding
+        # error times the destination factor overflows at node 0
+        grid = Grid(20.0, 256)
+        ctx = TransformContext(0.0, 40j, 0j, grid)
+        t = grid.nodes
+        f = RayFunction(ctx.time_ray, grid, np.exp(-40.0 * t - t ** 2), 0.0, 40j)
+        with pytest.raises(WeightOverflowError) as err:
+            ctx.inverse(ctx.forward(f))
+        assert err.value.log_magnitude == pytest.approx(800.0, abs=1.0)
 
     def test_ray_mismatch_rejected(self, ctx4096, grid4096):
         wrong = RayFunction(Ray(0.3, 0j, TIME), grid4096,
@@ -415,7 +431,7 @@ def weighted_transform_cases(draw):
     grid = Grid(draw(st.floats(t_lo, t_hi)), count)
     ctx = TransformContext(draw(st.floats(-math.pi / 4, math.pi / 4)), zeta,
                            w, grid, dual_grid(grid, count + draw(st.integers(-1, 8))))
-    a, b, c = ctx._phase_slopes()
+    a, b, c = ctx._plan.slopes
     t, xi = grid.nodes, ctx.dst_grid.nodes
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     dim = draw(st.integers(1, 2))
@@ -439,6 +455,61 @@ def test_forward_inverse_match_per_element_oracle_property(case):
     got = ctx.inverse(fhat).values
     want, sizes = inverse_per_element(ctx, fhat)
     assert np.all(np.abs(got - want) <= 1e-12 * sizes + SUBNORMAL_SLACK)
+
+
+def _wide_rows_case():
+    """The zeta = 40j context of test_log_space_rows_match_oracle, whose
+    time-side rows past |t| = 17.5 take the power-of-two route."""
+    grid = Grid(20.0, 256)
+    ctx = TransformContext(0.0, 40j, 0j, grid)
+    t = grid.nodes
+    f = RayFunction(ctx.time_ray, grid, np.exp(-40.0 * t - t ** 2), 0.0, 40j)
+    fhat = RayFunction(ctx.frequency_ray, ctx.dst_grid,
+                       forward_per_call(ctx, f) * math.exp(-120.0))
+    return ctx, f, fhat
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_transform_cases())
+@example(_wide_rows_case())
+def test_plan_matches_per_call_route_property(case):
+    ctx, f, fhat = case
+    # the second round reads the factors the first one built
+    for _ in range(2):
+        assert (ctx.forward(f).values.tobytes()
+                == forward_per_call(ctx, f).tobytes())
+        assert (ctx.inverse(fhat).values.tobytes()
+                == inverse_per_call(ctx, fhat).tobytes())
+        assert (ctx.pullback_spectrum(f)[1].tobytes()
+                == pullback_per_call(ctx, f).tobytes())
+
+
+class TestPlan:
+    def test_second_call_builds_no_factors(self, monkeypatch):
+        built = []
+        build = conescale.transform._row_factors
+        monkeypatch.setattr(conescale.transform, "_row_factors",
+                            lambda exponents: built.append(1) or build(exponents))
+        ctx = TransformContext(math.pi / 16, 0.3j, 0.5, Grid(20.0, 256))
+        f = gaussian_on(ctx.src_grid, ctx.time_ray, number=ctx.zeta)
+        for _ in range(2):
+            ctx.inverse(ctx.forward(f))
+            ctx.pullback_spectrum(f)
+            # one factor array on each side of each pass's FFT
+            assert len(built) == 6
+
+    def test_cached_arrays_read_only(self):
+        ctx, _, _ = _wide_rows_case()
+        plan = ctx._plan
+        assert ctx.time_ray is plan.time_ray
+        assert ctx.frequency_ray is plan.frequency_ray
+        arrays = [plan.t, plan.xi, plan.forward_check[2], plan.inverse_check[2]]
+        for factors in (*plan.forward, *plan.inverse, *plan.pullback):
+            arrays.extend(factors)
+        assert plan.forward[0].unit.size > 0  # wide rows were split
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
 
 
 @st.composite
