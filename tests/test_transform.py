@@ -495,7 +495,7 @@ class TestPlan:
         for _ in range(2):
             ctx.inverse(ctx.forward(f))
             ctx.pullback_spectrum(f)
-            # one factor array on each side of each pass's FFT
+            # two row-factor sets per pass, one on each side of its FFT
             assert len(built) == 6
 
     def test_cached_arrays_read_only(self):
