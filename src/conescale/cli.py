@@ -56,18 +56,30 @@ def _require_keys(obj, path, required, optional=()):
 
 
 def _complex_pair(value, path):
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) for v in value)):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValidationError("expected a [re, im] pair", path)
-    if not (math.isfinite(value[0]) and math.isfinite(value[1])):
+    re, im = value
+    # JSON true/false arrive as bool, which is an int subclass
+    if (not isinstance(re, (int, float)) or isinstance(re, bool)
+            or not isinstance(im, (int, float)) or isinstance(im, bool)):
+        raise ValidationError("expected a [re, im] pair", path)
+    if not (_is_finite(re) and _is_finite(im)):
         raise ValidationError("expected finite numbers", path)
-    return complex(value[0], value[1])
+    return complex(re, im)
+
+
+def _is_finite(value):
+    # an int past the float range makes math.isfinite raise OverflowError
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _number(value, path, kind=float, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"expected a {kind.__name__}", path)
-    if not math.isfinite(value):
+    if not _is_finite(value):
         raise ValidationError("expected a finite number", path)
     if kind is int and not float(value).is_integer():
         raise ValidationError("expected an integer", path)
@@ -420,11 +432,11 @@ def _verify_parseval(problem, report):
                   "lhs", "rhs", "rel_err"), rows)
 
 
-def _verify_hardy(problem, report, n_angles=7):
+def _verify_hardy(problem, report):
     if not getattr(problem.rhs, "analytic", False):
         raise ValidationError("hardy scan needs an analytic rhs kind", "rhs")
     cone = problem.cone
-    angles = np.linspace(0.0, cone.angle, n_angles)
+    angles = np.linspace(0.0, cone.angle, 7)
     rays = []
     for psi in angles:
         ctx = TransformContext(cone.orientation * psi, problem.zeta, 0j,
@@ -496,7 +508,7 @@ def dirichlet_laplacian(n):
     return L, h
 
 
-def cylinder_problem_dict(n, phi, half_width=20.0, count=4096):
+def cylinder_problem_dict(n, phi, count=4096):
     """Problem file contents for the waveguide cross-section demo.
 
     phi = 0 is the degenerate identity scaling; the recorded dual cone then
@@ -525,7 +537,7 @@ def cylinder_problem_dict(n, phi, half_width=20.0, count=4096):
                      "orientation": 1},
             "weight": [0.0, 0.0],
         },
-        "grid": {"half_width": half_width, "count": count},
+        "grid": {"half_width": 20.0, "count": count},
         "rhs": {
             "kind": "gaussian",
             "cross_section": [[float(c), 0.0] for c in cross],

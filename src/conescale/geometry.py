@@ -83,17 +83,17 @@ class Ray:
         """Complex points at ray parameters ``t``."""
         return self.offset + self.direction * np.asarray(t)
 
-    def parameter(self, z, tol=1e-9):
-        """Ray parameter of a point on the ray; rejects off-ray points."""
+    def parameter(self, z):
+        """Ray parameter of a point on the ray; rejects off-ray points
+        (offset above 1e-9 relative to max(1, |parameter|))."""
         u = (complex(z) - self.offset) / self.direction
-        scale = max(1.0, abs(u))
-        if abs(u.imag) > tol * scale:
+        if abs(u.imag) > 1e-9 * max(1.0, abs(u)):
             raise ValueError(f"point {z} is not on the ray (offset {u.imag:.3g})")
         return u.real
 
-    def contains(self, z, tol=1e-9):
+    def contains(self, z):
         u = (complex(z) - self.offset) / self.direction
-        return abs(u.imag) <= tol * max(1.0, abs(u))
+        return abs(u.imag) <= 1e-9 * max(1.0, abs(u))
 
 
 @dataclass(frozen=True)
@@ -254,12 +254,13 @@ def _quadratic_form(values, form):
 
 
 def exp_weighted(log_weight, q, points):
-    """exp(log_weight) * q for q >= 0, without forming an overflowing weight.
+    """exp(log_weight) * q for q >= 0, without forming an out-of-range weight.
 
-    Where the weight alone would overflow the product is formed in log
-    space, so a zero (or underflowed) q contributes zero whatever its
-    weight.  Raises WeightOverflowError naming the first node whose product
-    itself exceeds LOG_OVERFLOW_BOUND.
+    Where the weight alone would over- or underflow (|log_weight| past
+    LOG_OVERFLOW_BOUND) the product is formed in log space, so a zero (or
+    underflowed) q contributes zero whatever its weight, and a huge q keeps
+    its product with a tiny weight.  Raises WeightOverflowError naming the
+    first node whose product itself exceeds LOG_OVERFLOW_BOUND.
     """
     with np.errstate(divide="ignore"):
         log_total = log_weight + np.log(q)
@@ -267,9 +268,9 @@ def exp_weighted(log_weight, q, points):
         k = int(np.argmax(log_total))
         raise WeightOverflowError(k, points[k], float(log_total[k]))
     out = np.exp(np.minimum(log_weight, LOG_OVERFLOW_BOUND)) * q
-    big = log_weight > LOG_OVERFLOW_BOUND
-    if np.any(big):
-        out[big] = np.exp(log_total[big])
+    wide = np.abs(log_weight) > LOG_OVERFLOW_BOUND
+    if np.any(wide):
+        out[wide] = np.exp(log_total[wide])
     return out
 
 
@@ -347,7 +348,7 @@ def sobolev_norm_spectral(f, ell, ctx, form=None):
     return math.sqrt(max(total, 0.0))
 
 
-def derivative_energy(f, forms, coeffs=None, keep=None, acc=8):
+def derivative_energy(f, forms, coeffs=None, keep=None):
     """Weighted derivative energy of a RayFunction along its ray.
 
     Evaluates
@@ -355,7 +356,7 @@ def derivative_energy(f, forms, coeffs=None, keep=None, acc=8):
         sum_j coeffs[j] * integral |e^{-i w z} D^j f(z)|^2_{forms[j]} |dz|
 
     with w the function's weight number, D the complex derivative along the
-    ray (centered differences of accuracy ``acc``), one order j per entry of
+    ray (centered differences of accuracy order 8), one order j per entry of
     ``forms`` (None is the identity form) and ``coeffs`` defaulting to 1.
     Order j is summed by the rectangle rule over its own stencil-valid core,
     restricted to the boolean node mask ``keep`` if given.  The weight
@@ -367,7 +368,7 @@ def derivative_energy(f, forms, coeffs=None, keep=None, acc=8):
     dir_inv = 1.0 / f.ray.direction
     total = 0.0
     for j, form in enumerate(forms):
-        deriv, core = derivative_uniform(f.values, f.grid.spacing, j, acc=acc)
+        deriv, core = derivative_uniform(f.values, f.grid.spacing, j, acc=8)
         deriv = deriv * (-1j * dir_inv) ** j
         mask = np.zeros(f.grid.count, dtype=bool)
         mask[core] = True
@@ -380,7 +381,7 @@ def derivative_energy(f, forms, coeffs=None, keep=None, acc=8):
     return total
 
 
-def sobolev_norm_derivative(f, ell, form=None, acc=8):
+def sobolev_norm_derivative(f, ell, form=None):
     """Sobolev norm from weighted derivatives along the ray.
 
     For integer ell >= 0 this is the square root of derivative_energy with
@@ -396,7 +397,7 @@ def sobolev_norm_derivative(f, ell, form=None, acc=8):
     if f.grid.count < 2 * ell + 2:
         raise ValueError("grid too short for the requested derivative order")
     coeffs = [math.comb(ell, j) for j in range(ell + 1)]
-    return math.sqrt(derivative_energy(f, [form] * (ell + 1), coeffs, acc=acc))
+    return math.sqrt(derivative_energy(f, [form] * (ell + 1), coeffs))
 
 
 def _check_integer_order(ell):

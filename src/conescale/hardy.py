@@ -86,13 +86,13 @@ class MembershipReport:
     diagnostics: tuple = ()
 
 
-def membership_scan(f, ratio_bound=RATIO_BOUND, divergence_tail=DIVERGENCE_TAIL):
+def membership_scan(f):
     """Scan per-angle weighted norms and compare to the boundary norm sum.
 
     The verdict is only ever "member-consistent on this grid": rays whose
     integrand overflows or has not decayed inside the window count as
     divergent and force "violated"; otherwise the sup over the sampled
-    angles must stay within ratio_bound times the boundary norm sum.
+    angles must stay within RATIO_BOUND times the boundary norm sum.
     """
     if len(f.angles) < 5:
         raise ValueError("membership scan needs at least 5 angles")
@@ -108,7 +108,7 @@ def membership_scan(f, ratio_bound=RATIO_BOUND, divergence_tail=DIVERGENCE_TAIL)
             divergent = True
             continue
         norms.append(rep.value)
-        if rep.tail_mass > divergence_tail:
+        if rep.tail_mass > DIVERGENCE_TAIL:
             diagnostics.append(
                 f"psi={psi:.6g}: integrand tail mass {rep.tail_mass:.2e}, "
                 f"ray norm divergent on this window"
@@ -120,7 +120,7 @@ def membership_scan(f, ratio_bound=RATIO_BOUND, divergence_tail=DIVERGENCE_TAIL)
         ratio = sup_norm / boundary_sum
     else:
         ratio = 0.0 if sup_norm == 0.0 else math.inf
-    ok = (not divergent) and np.isfinite(sup_norm) and ratio <= ratio_bound
+    ok = (not divergent) and np.isfinite(sup_norm) and ratio <= RATIO_BOUND
     return MembershipReport(
         per_angle_norms=tuple(norms),
         sup_norm=sup_norm,
@@ -147,15 +147,16 @@ def _nappe_of(cone, lam):
     return None
 
 
-def cauchy_reconstruct(f, lam, s=0, eta=None, dist_min_factor=DIST_MIN_FACTOR):
+def cauchy_reconstruct(f, lam, s=0, eta=None):
     """Recover f(lam) from its boundary-ray samples by a contour integral.
 
     Integrates the kernel e^{i w (mu - lam)} (mu - eta)^s / (2 pi i
     (lam - eta)^s (mu - lam)) against the boundary data of the half-cone
     containing lam, oriented counterclockwise around it.  ``s`` must be an
     integer <= the weight order (the kernel gains |mu|^s decay); for s != 0
-    ``eta`` must lie strictly inside the opposite half-cone.  Truncation at
-    the grid extent is summarized in the returned tail estimate.
+    ``eta`` must lie strictly inside the opposite half-cone.  A point within
+    DIST_MIN_FACTOR node spacings of a boundary ray is refused.  Truncation
+    at the grid extent is summarized in the returned tail estimate.
     """
     lam = complex(lam)
     cone = f.cone
@@ -179,9 +180,9 @@ def cauchy_reconstruct(f, lam, s=0, eta=None, dist_min_factor=DIST_MIN_FACTOR):
     # the kernel's near-singularity 1/(mu - lam) must stay resolved
     for rf in (rf0, rf1):
         u = (lam - rf.ray.offset) / rf.ray.direction
-        if abs(u.imag) < dist_min_factor * spacing:
+        if abs(u.imag) < DIST_MIN_FACTOR * spacing:
             raise IllConditionedKernelError(
-                f"point {lam} is within {dist_min_factor} node spacings of a "
+                f"point {lam} is within {DIST_MIN_FACTOR} node spacings of a "
                 f"boundary ray"
             )
     sigma0 = (1 if nappe == "+" else -1) * cone.orientation
@@ -297,11 +298,11 @@ class IdempotenceReport:
     first_norm: float
 
 
-def projection_idempotence_check(F, s, r, eta, v=0j, ctx=None):
+def projection_idempotence_check(F, s, r, eta, v=0j):
     """Check P^r P^s = P^s (r <= s) on concrete data; reports the gap."""
     if r > s:
         raise ValueError("idempotence requires r <= s")
-    ctx = _context_for(F, ctx)
+    ctx = _context_for(F)
     first = project_halfline(F, s, eta=eta, v=v, ctx=ctx)
     second = project_halfline(first, r, eta=eta, v=v, ctx=ctx)
     dev = float(np.max(np.abs(second.values - first.values)))
@@ -316,22 +317,21 @@ class PaleyWienerReport:
     opposite_verdict: str
 
 
-def paley_wiener_check(F, side, cut=0.0, offsets=(0.0, 0.25, 0.5, 0.75, 1.5, 2.0),
-                       pw_bound=PW_BOUND, ctx=None):
+def paley_wiener_check(F, side, cut=0.0):
     """Support on a half-line versus analyticity in a half-plane.
 
     For ``side="backward-support"`` the samples should vanish for t > cut
     and the transform should have uniformly bounded norms on lines shifted
-    into the upper half-plane (the forward case mirrors this).  The report
-    carries both sweeps: the predicted side must stay within ``pw_bound``
-    of the boundary norm, the opposite side is expected to blow past it;
-    overflow on the opposite side counts as blow-up data.
+    by up to 2 into the upper half-plane (the forward case mirrors this).
+    The report carries both sweeps: the predicted side must stay within
+    PW_BOUND of the boundary norm, the opposite side is expected to blow
+    past it; overflow on the opposite side counts as blow-up data.
     """
     if side not in ("backward-support", "forward-support"):
         raise ValueError(f"unknown side {side!r}")
     if F.ray.side != TIME:
         raise ValueError("support checks act on time-side ray functions")
-    ctx = _context_for(F, ctx)
+    ctx = _context_for(F)
     t = F.grid.nodes
     t_cut = _cut_parameter(F, cut) if isinstance(cut, complex) else float(cut)
     mass = np.sum(np.abs(F.values) ** 2, axis=1)
@@ -342,7 +342,7 @@ def paley_wiener_check(F, side, cut=0.0, offsets=(0.0, 0.25, 0.5, 0.75, 1.5, 2.0
     table = []
     norms = {+1: [], -1: []}
     for direction in (+1.0, -1.0):
-        for d in offsets:
+        for d in (0.0, 0.25, 0.5, 0.75, 1.5, 2.0):
             eta = ctx.zeta + 1j * sign * direction * d * ctx.frequency_ray.direction
             shifted = TransformContext(ctx.psi, eta, ctx.w,
                                        ctx.src_grid, ctx.dst_grid)
@@ -356,8 +356,8 @@ def paley_wiener_check(F, side, cut=0.0, offsets=(0.0, 0.25, 0.5, 0.75, 1.5, 2.0
             norms[int(direction)].append(norm)
     boundary = norms[+1][0] if norms[+1] else 0.0
     scale = max(boundary, 1e-300)
-    bounded = all(n <= pw_bound * scale for n in norms[+1])
-    rejected = any(not np.isfinite(n) or n > pw_bound * scale for n in norms[-1])
+    bounded = all(n <= PW_BOUND * scale for n in norms[+1])
+    rejected = any(not np.isfinite(n) or n > PW_BOUND * scale for n in norms[-1])
     consistent = bounded and leakage < 1e-8
     return PaleyWienerReport(
         support_leakage=leakage,
@@ -387,16 +387,17 @@ class WindowReport:
     verdict: str
 
 
-def entire_window_check(F, n_angles=7, bound=WINDOW_BOUND,
-                        threshold=1e-12, freq_grid=None):
+def entire_window_check(F):
     """Compact support versus entire transform with two-sided growth bounds.
 
-    The numerical support hull [a, b] is read off the samples; the
-    transform is then evaluated on rays sweeping both half-planes and its
-    half-ray norms are weighted with the endpoint weight numbers (b on the
-    positive halves, a on the negative halves).  Bounded sweeps are
-    consistent with compact support in [a, b]; unweighted-growth blow-up
-    (including overflow and other numerical failures) is flagged.
+    The numerical support hull [a, b] (nodes above 1e-12 of the peak) is
+    read off the samples; the transform is then evaluated on 7 rays
+    sweeping both half-planes, on Grid(40, 513), and its half-ray norms
+    are weighted with the endpoint weight numbers (b on the positive
+    halves, a on the negative halves).  Sweeps that stay within
+    WINDOW_BOUND of the first ray's norms are consistent with compact
+    support in [a, b]; unweighted-growth blow-up (including overflow and
+    other numerical failures) is flagged.
     """
     if F.ray.side != TIME:
         raise ValueError("window checks act on time-side ray functions")
@@ -404,15 +405,13 @@ def entire_window_check(F, n_angles=7, bound=WINDOW_BOUND,
     peak = float(np.max(mass))
     if peak == 0.0:
         return WindowReport((0.0, 0.0), (), "bounded")
-    nz = np.nonzero(mass > threshold * peak)[0]
+    nz = np.nonzero(mass > 1e-12 * peak)[0]
     t = F.grid.nodes
     a, b = float(t[nz[0]]), float(t[nz[-1]])
-    if freq_grid is None:
-        freq_grid = Grid(half_width=40.0, count=513)
+    freq_grid = Grid(half_width=40.0, count=513)
     r = freq_grid.nodes
     pos, neg = r > 0, r < 0
-    angles = np.linspace(math.pi / (n_angles + 1), math.pi, n_angles,
-                         endpoint=False)
+    angles = np.linspace(math.pi / 8, math.pi, 7, endpoint=False)
     table = []
     ref_pos = ref_neg = None
     flagged = False
@@ -430,8 +429,8 @@ def entire_window_check(F, n_angles=7, bound=WINDOW_BOUND,
         table.append((float(psi), n_neg, n_pos))
         ref_pos = n_pos if ref_pos is None else ref_pos
         ref_neg = n_neg if ref_neg is None else ref_neg
-        if n_pos > bound * max(ref_pos, 1e-300) or \
-                n_neg > bound * max(ref_neg, 1e-300):
+        if n_pos > WINDOW_BOUND * max(ref_pos, 1e-300) or \
+                n_neg > WINDOW_BOUND * max(ref_neg, 1e-300):
             flagged = True
     return WindowReport((a, b), tuple(table),
                         "flagged" if flagged else "bounded")
@@ -443,13 +442,13 @@ class DecayProfile:
     monotone: bool
 
 
-def decay_profile(f, ell, n_levels=8):
+def decay_profile(f, ell):
     """Tabulate |e^{i w lam}| (1+|lam|)^ell |lam - zeta|^(1/2) |F(lam)|.
 
     Only rays at angular distance >= angle/10 from the boundary are used.
     The running maximum of the profile over |lam - zeta| >= L must strictly
-    decrease along the sampled upper range of L for the decay claim to be
-    consistent.  The weight joins the rest in log space (exp_weighted), so
+    decrease over 8 levels of L in the upper range for the decay claim to
+    be consistent.  The weight joins the rest in log space (exp_weighted), so
     WeightOverflowError is raised only where the profile itself overflows.
     """
     margin = f.cone.angle / 10.0
@@ -468,7 +467,7 @@ def decay_profile(f, ell, n_levels=8):
         if np.max(profile) == 0.0:
             continue
         levels = np.linspace(0.5 * np.max(np.abs(t)), np.max(np.abs(t)) * 0.95,
-                             n_levels)
+                             8)
         running = [float(np.max(profile[np.abs(t) >= L])) for L in levels]
         if any(running[i + 1] >= running[i] * (1.0 - 1e-12)
                for i in range(len(running) - 1)):

@@ -130,8 +130,7 @@ class PencilFactorization:
     eigenvalue-only solve unless the triple was built first.  ``triple`` is
     (w, X, Y) with A(lam)^{-1} = X diag(1 / (lam - w)) Y, or None when the
     pencil has none; only it pays for eigenvectors and (B V)^{-1}.
-    ``spectra`` caches clustered, certified spectra per
-    (tol_cluster, tol_inf).
+    ``spectra`` caches clustered, certified spectra per tol_cluster.
     """
 
     def __init__(self, p):
@@ -230,8 +229,9 @@ def evaluate_batch(p, lams, us):
     return out
 
 
-def resolvent_apply(p, lam, f, tol=RESOLVENT_TOL):
-    """Solve A(lam) u = f densely, certifying the residual."""
+def resolvent_apply(p, lam, f):
+    """Solve A(lam) u = f densely, certifying the residual against
+    RESOLVENT_TOL |f|."""
     f = np.asarray(f, dtype=complex)
     a = evaluate(p, lam)
     try:
@@ -241,7 +241,7 @@ def resolvent_apply(p, lam, f, tol=RESOLVENT_TOL):
     with np.errstate(invalid="ignore", over="ignore"):
         scale = float(np.linalg.norm(f))
         residual = float(np.linalg.norm(a @ u - f))
-    if not np.all(np.isfinite(u)) or residual > tol * max(scale, 1e-300):
+    if not np.all(np.isfinite(u)) or residual > RESOLVENT_TOL * max(scale, 1e-300):
         raise NearEigenvalueError(lam, residual / max(scale, 1e-300))
     return u
 
@@ -341,19 +341,18 @@ def _cluster(values, tol):
     return clusters
 
 
-def _certified_clusters(p, tol_cluster, tol_inf):
+def _certified_clusters(p, tol_cluster):
     """Leading notes and (lam, multiplicity, residual, notes) per cluster.
 
-    Computed once per pencil and tolerance pair from the cached
-    factorization; clusters keep their chaining order.
+    Computed once per pencil and tol_cluster from the cached factorization;
+    clusters keep their chaining order.
     """
-    key = (tol_cluster, tol_inf)
     cache = p.factorization.spectra
-    if key in cache:
-        return cache[key]
+    if tol_cluster in cache:
+        return cache[tol_cluster]
     raw = p.factorization.eigenvalues
     finite = raw[np.isfinite(raw)]
-    kept = finite[np.abs(finite) <= 1.0 / tol_inf]
+    kept = finite[np.abs(finite) <= 1.0 / TOL_INF]
     head = []
     dropped = raw.size - kept.size
     if dropped:
@@ -375,21 +374,21 @@ def _certified_clusters(p, tol_cluster, tol_inf):
                 f"Jordan chains unresolved, may be defective"
             )
         clusters.append((lam, len(cluster), float(sing[-1]), tuple(notes)))
-    cache[key] = (tuple(head), tuple(clusters))
-    return cache[key]
+    cache[tol_cluster] = (tuple(head), tuple(clusters))
+    return cache[tol_cluster]
 
 
-def spectrum(p, region=None, tol_cluster=TOL_CLUSTER, tol_inf=TOL_INF):
+def spectrum(p, region=None, tol_cluster=TOL_CLUSTER):
     """Finite spectrum of the pencil, clustered and residual-certified.
 
-    Eigenvalues beyond 1/tol_inf in magnitude are treated as infinite and
+    Eigenvalues beyond 1/TOL_INF in magnitude are treated as infinite and
     dropped with a note (they appear when A_0 is singular).  Multiplicity is
     the cluster size under absolute distance tol_cluster; Jordan structure
     is not resolved, clusters of size > 1 are flagged instead.  The
     clustered report is cached on the pencil; only the ``region`` filter
     runs per call.
     """
-    head, clusters = _certified_clusters(p, tol_cluster, tol_inf)
+    head, clusters = _certified_clusters(p, tol_cluster)
     notes = list(head)
     eigenvalues, multiplicities, residuals = [], [], []
     for lam, mult, res, cluster_notes in clusters:
@@ -431,19 +430,19 @@ class ClearanceReport:
         return "clear" if self.clear else "violated"
 
 
-def cone_clearance(p, cone, search_radius, tol_margin=TOL_MARGIN):
+def cone_clearance(p, cone, search_radius):
     """Is the closed cone free of pencil eigenvalues?
 
     Membership is tested against the closed cone (boundary rays and vertex
-    included) widened by an angular margin, so grazing eigenvalues count as
-    violations.  Only eigenvalues within ``search_radius`` of the vertex are
-    examined; the caller is responsible for a radius that covers every
-    eigenvalue that could matter (>= 2x the largest magnitude is a safe
-    habit).
+    included) widened by the angular margin TOL_MARGIN, so grazing
+    eigenvalues count as violations.  Only eigenvalues within
+    ``search_radius`` of the vertex are examined; the caller is responsible
+    for a radius that covers every eigenvalue that could matter (>= 2x the
+    largest magnitude is a safe habit).
     """
     spec = spectrum(p, region=Disk(cone.vertex, search_radius))
     violations = tuple(lam for lam in spec.eigenvalues
-                       if cone.contains_closed(lam, margin=tol_margin))
+                       if cone.contains_closed(lam, margin=TOL_MARGIN))
     return ClearanceReport(not violations, violations, spec)
 
 
@@ -462,14 +461,13 @@ class GrowthReport:
     verdict: str
 
 
-def verify_growth_condition(p, cone_pair, R, sample_count=8,
-                            angle_count=5, slack=0.05):
+def verify_growth_condition(p, cone_pair, R, sample_count=8, angle_count=5):
     """Empirically bound sum_j |lam|^j |A^{-1}(lam) f|_{m-j} / |f|_0.
 
     Samples lam over the two closed cones in three dyadic radius bands
     [R, 2R], [2R, 4R], [4R, 8R] and f over an H_0-orthonormal basis.  The
     verdict is "plausible" when the per-band maxima have stabilized
-    (non-increasing up to ``slack``), "growing" otherwise.  This is an
+    (non-increasing up to 5%), "growing" otherwise.  This is an
     empirical probe, never a proof.
     """
     m = p.degree
@@ -509,7 +507,7 @@ def verify_growth_condition(p, cone_pair, R, sample_count=8,
                             worst = max(worst, ratio)
                             samples.append((lam, ratio))
         band_maxima.append(worst)
-    stable = all(band_maxima[i + 1] <= band_maxima[i] * (1.0 + slack)
+    stable = all(band_maxima[i + 1] <= band_maxima[i] * 1.05
                  for i in range(len(band_maxima) - 1))
     return GrowthReport(
         max_ratio=max(band_maxima),

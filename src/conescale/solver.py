@@ -59,9 +59,9 @@ class ConstantProblem:
         if self.rhs.dim != self.pencil.dim:
             raise ValueError("right-hand side dimension does not match the pencil")
 
-    def context(self, dst_grid=None):
+    def context(self):
         return TransformContext(self.ray.angle, self.zeta, self.ray.offset,
-                                self.rhs.grid, dst_grid)
+                                self.rhs.grid)
 
 
 def constant_problem(pencil, evaluator, grid, psi=0.0, w=0j, zeta=0j):
@@ -79,12 +79,13 @@ class SolveResult:
     frequency_data: RayFunction
 
 
-def apply_pencil_fd(pencil, u, acc=8, cuts=()):
+def apply_pencil_fd(pencil, u, cuts=()):
     """A(D) applied to samples by finite differences along the ray.
 
-    Returns (values, interior slice); the interior excludes nodes whose
-    stencil would run off the grid.  ``cuts`` lets the stencils respect
-    known kinks (one-sided differences on each side).
+    The stencils have accuracy order 8.  Returns (values, interior slice);
+    the interior excludes nodes whose stencil would run off the grid.
+    ``cuts`` lets the stencils respect known kinks (one-sided differences
+    on each side).
     """
     m = pencil.degree
     dir_inv = 1.0 / u.ray.direction
@@ -94,20 +95,20 @@ def apply_pencil_fd(pencil, u, acc=8, cuts=()):
         order = m - j
         if cuts:
             deriv, core = derivative_with_cuts(u.values, u.grid.spacing, order,
-                                               acc=acc, cuts=cuts)
+                                               acc=8, cuts=cuts)
         else:
             deriv, core = derivative_uniform(u.values, u.grid.spacing, order,
-                                             acc=acc)
+                                             acc=8)
         out += (deriv * (-1j * dir_inv) ** order) @ coeff.T
         lo, hi = max(lo, core.start), min(hi, core.stop)
     return out, slice(lo, hi)
 
 
-def _check_line_clear(pencil, ctx, margin=LINE_MARGIN):
+def _check_line_clear(pencil, ctx):
     spec = spectrum(pencil)
     ray = ctx.frequency_ray
     offenders = [lam for lam in spec.eigenvalues
-                 if line_distance(ray, lam) <= margin]
+                 if line_distance(ray, lam) <= LINE_MARGIN]
     if offenders:
         raise SpectralObstructionError(
             f"the solve line {ray} passes through pencil eigenvalues "
@@ -117,30 +118,24 @@ def _check_line_clear(pencil, ctx, margin=LINE_MARGIN):
     return spec
 
 
-def _residual(pencil, u, rhs_values, scale, acc=8, cuts=()):
-    applied, core = apply_pencil_fd(pencil, u, acc=acc, cuts=cuts)
-    gap = np.linalg.norm(applied[core] - rhs_values[core], axis=1)
-    return float(np.max(gap)) / scale if gap.size else 0.0
-
-
-def solve_const(problem, ctx=None, res_tol=RES_TOL, acc=8,
-                line_margin=LINE_MARGIN, residual_cuts=()):
+def solve_const(problem, res_tol=RES_TOL):
     """Transform, invert the pencil nodewise, transform back, re-check.
 
     The residual is measured as max |A(D) u - F| over the stencil-valid
     interior, relative to max(1, |F|_inf), with A(D) applied by finite
     differences so the check never reuses the solve path.
     """
-    ctx = problem.context() if ctx is None else ctx
-    _check_line_clear(problem.pencil, ctx, line_margin)
+    ctx = problem.context()
+    _check_line_clear(problem.pencil, ctx)
     fhat = ctx.forward(problem.rhs)
     lam = fhat.points
     uhat_vals = resolvent_apply_batch(problem.pencil, lam, fhat.values)
     uhat = fhat.with_values(uhat_vals)
     u = ctx.inverse(uhat)
     scale = max(1.0, float(np.max(np.abs(problem.rhs.values))))
-    residual = _residual(problem.pencil, u, problem.rhs.values, scale,
-                         acc=acc, cuts=residual_cuts)
+    applied, core = apply_pencil_fd(problem.pencil, u)
+    gap = np.linalg.norm(applied[core] - problem.rhs.values[core], axis=1)
+    residual = float(np.max(gap)) / scale if gap.size else 0.0
     if residual > res_tol:
         raise NumericalError(
             f"solve residual {residual:.3e} exceeds tolerance {res_tol:.1e}"
@@ -158,8 +153,8 @@ class ScalingReport:
     ray_norms: tuple
 
 
-def solve_scaled(problem, phi, cone=None, scale_tol=SCALE_TOL,
-                 res_tol=RES_TOL, ray_table_angles=5):
+def solve_scaled(problem, phi, scale_tol=SCALE_TOL, res_tol=RES_TOL,
+                 ray_table_angles=5):
     """Solve, scale, and verify the two are the same analytic function.
 
     Checks the scaled solve v (coefficients A_j e^{i phi (m-j)}, rhs
@@ -167,7 +162,8 @@ def solve_scaled(problem, phi, cone=None, scale_tol=SCALE_TOL,
     ray: the direct solve with transform context psi = phi, and the
     analytic continuation of the unrotated solution evaluated off its ray
     from the frequency-side data (a genuinely different contour).  Signed
-    phi selects the rotation side; the dual cone must be clear.
+    phi selects the rotation side; the dual cone of aperture |phi| at
+    vertex zeta must be clear (phi = 0 checks no cone).
 
     The first comparison is enforced: a deviation above ``scale_tol`` times
     max(1, |u|_inf) (or a non-finite one) raises NumericalError.
@@ -178,9 +174,8 @@ def solve_scaled(problem, phi, cone=None, scale_tol=SCALE_TOL,
         raise ValueError("scaled solves need an analytic right-hand-side evaluator")
     orientation = 1 if phi >= 0 else -1
     aperture = abs(float(phi))
-    if cone is None:
-        cone = Cone(aperture, problem.zeta, orientation) if aperture > 0 else None
-    if cone is not None:
+    if aperture > 0:
+        cone = Cone(aperture, problem.zeta, orientation)
         clearance = cone_clearance(problem.pencil, cone,
                                    search_radius(problem.pencil, cone.vertex))
         if not clearance.clear:
@@ -265,8 +260,8 @@ class VariableProblem:
     broadcast.
     The Q_j must extend holomorphically to the sector
     |arg(z - sector_start)| <= sector_angle and decay there.  The
-    perturbation acts through half-line projections of order ell - j past
-    the cut point; eta defaults to zeta + 2i * aperture_scale.
+    perturbation acts through half-line projections of order m - j past
+    the cut point, with the auxiliary point eta = zeta + 4i.
     """
 
     base: ConstantProblem
@@ -274,9 +269,6 @@ class VariableProblem:
     sector_start: float
     sector_angle: float
     cut: complex = None
-    eta: complex = None
-    aperture_scale: float = 2.0
-    orders: tuple = None
 
     def __post_init__(self):
         if not 0.0 < self.sector_angle < math.pi / 2:
@@ -285,15 +277,6 @@ class VariableProblem:
             object.__setattr__(
                 self, "cut",
                 self.base.ray.points(np.array([self.sector_start]))[0])
-        if self.eta is None:
-            object.__setattr__(
-                self, "eta", self.base.zeta + 2j * self.aperture_scale)
-        m = self.base.pencil.degree
-        if self.orders is None:
-            object.__setattr__(self, "orders",
-                               tuple(m - j for j in range(m + 1)))
-        elif len(self.orders) != m + 1:
-            raise ValueError("need one projection order per coefficient")
 
 
 @dataclass(frozen=True)
@@ -333,17 +316,18 @@ def _prepare_perturbation(vp, grid):
 
 def _apply_perturbation(vp, per_j, u, ctx):
     m = vp.base.pencil.degree
+    eta = vp.base.zeta + 4j
     out = np.zeros_like(u.values)
     for j, q in enumerate(per_j):
         if q is None:
             continue
-        proj = halfline_projection(u, vp.orders[j], eta=vp.eta, v=vp.cut,
-                                   ctx=ctx, extra_power=m - j)
+        proj = halfline_projection(u, m - j, eta=eta, v=vp.cut, ctx=ctx,
+                                   extra_power=m - j)
         out += np.einsum("kij,kj->ki", q, proj.values)
     return out
 
 
-def solve_variable(vp, ctx=None, res_tol=RES_TOL, max_iter=MAX_ITER, acc=8):
+def solve_variable(vp, res_tol=RES_TOL, max_iter=MAX_ITER):
     """Neumann iteration u_(k+1) = R (F + Q+ u_k) with residual logging.
 
     R is the constant-coefficient inverse (the transform route); the
@@ -354,7 +338,7 @@ def solve_variable(vp, ctx=None, res_tol=RES_TOL, max_iter=MAX_ITER, acc=8):
     of iterations, raise ContractionFailureError with the residual trace.
     """
     base = vp.base
-    ctx = base.context() if ctx is None else ctx
+    ctx = base.context()
     _check_line_clear(base.pencil, ctx)
     grid = base.rhs.grid
     per_j = _prepare_perturbation(vp, grid)
@@ -368,8 +352,7 @@ def solve_variable(vp, ctx=None, res_tol=RES_TOL, max_iter=MAX_ITER, acc=8):
         return ctx.inverse(fhat.with_values(uhat))
 
     def residual_of(u, pert_vals):
-        applied, core = apply_pencil_fd(base.pencil, u, acc=acc,
-                                        cuts=(cut_node,))
+        applied, core = apply_pencil_fd(base.pencil, u, cuts=(cut_node,))
         gap = np.linalg.norm(
             applied[core] - pert_vals[core] - base.rhs.values[core], axis=1)
         return float(np.max(gap)) / scale
@@ -422,9 +405,9 @@ class Localization:
         return (-1j) ** j * total
 
 
-def _gamma_admissible(gamma, zeta, cone_angle, orientation, n_check=9):
+def _gamma_admissible(gamma, zeta, cone_angle, orientation):
     rates = []
-    for psi in np.linspace(0.0, cone_angle, n_check):
+    for psi in np.linspace(0.0, cone_angle, 9):
         direction = cmath.exp(-1j * orientation * psi)
         rates.append(((gamma - 1j * zeta) * direction).real)
     worst = max(rates)
@@ -501,8 +484,7 @@ class CertificateReport:
 
 
 def continuation_certificate(problem, phi, offset=None, n_angles=9,
-                             cert_bound=CERT_BOUND, res_tol=RES_TOL,
-                             variable=None):
+                             res_tol=RES_TOL, variable=None):
     """Solve along rotated rays past an offset and watch the energies.
 
     For each psi in [0, |phi|] the problem is re-solved along the ray
@@ -511,7 +493,7 @@ def continuation_certificate(problem, phi, offset=None, n_angles=9,
         sum_j integral_{t >= 0} |e^{-i zeta z} D^j u|_{m-j}^2 dt
 
     is recorded.  The certificate "holds" when every ray succeeds and the
-    sweep maximum stays within cert_bound of the psi = 0 value; per-ray
+    sweep maximum stays within CERT_BOUND of the psi = 0 value; per-ray
     numerical blow-ups (overflow, residual failures, non-finite samples or
     energies) are recorded as blow-up data, with their reasons in
     ``blown``, rather than raised.  Other errors propagate.
@@ -557,7 +539,7 @@ def continuation_certificate(problem, phi, offset=None, n_angles=9,
     max_value = max(finite) if finite else math.inf
     base = base_value if base_value else math.inf
     ratio = max_value / base if np.isfinite(base) and base > 0 else math.inf
-    holds = (not blown) and np.isfinite(max_value) and ratio <= cert_bound
+    holds = (not blown) and np.isfinite(max_value) and ratio <= CERT_BOUND
     return CertificateReport(
         rows=tuple(rows),
         base_value=base_value if base_value is not None else math.inf,

@@ -110,7 +110,8 @@ def _apply_kernel(x, pre, post):
     """The sums of _kernel_factors for commensurate grids, via one FFT.
 
     Rows of x beyond M fold onto k mod M; fewer than M rows are
-    zero-padded.
+    zero-padded.  x must be finite (RayFunction values are); a non-finite
+    FFT sum raises NonFiniteSampleError.
     """
     m = post.normal.shape[0]
     y = _apply_factors(x, pre)
@@ -118,14 +119,14 @@ def _apply_kernel(x, pre, post):
     if n > m:
         y = np.concatenate([y, np.zeros(((-n) % m,) + y.shape[1:], dtype=complex)])
         y = y.reshape((-1, m) + y.shape[1:]).sum(axis=0)
-    return _apply_factors(np.fft.fft(y, n=m, axis=0), post)
+    return _apply_factors(_require_finite(np.fft.fft(y, n=m, axis=0)), post)
 
 
 def _apply_kernel_adjoint(y, pre, post):
     """The sums of _adjoint_factors for commensurate grids, via one FFT."""
     n, m = post.normal.shape[0], y.shape[0]
     sums = np.fft.ifft(_apply_factors(y, pre), axis=0, norm="forward")
-    return _apply_factors(sums[np.arange(n) % m], post)
+    return _apply_factors(_require_finite(sums[np.arange(n) % m]), post)
 
 
 def _require_finite(values):
@@ -134,6 +135,7 @@ def _require_finite(values):
         index = tuple(int(i) for i in np.argwhere(bad)[0])
         raise NonFiniteSampleError(
             f"non-finite sample {values[index]} at index {index}")
+    return values
 
 
 def _read_only(array):
@@ -167,8 +169,6 @@ def _row_factors(exponents):
 
 def _apply_factors(values, factors):
     """values times the row factors of _row_factors (see scaled_values)."""
-    values = np.asarray(values, dtype=complex)
-    _require_finite(values)
     pad = (1,) * (values.ndim - factors.normal.ndim)
     out = values * factors.normal.reshape(factors.normal.shape + pad)
     if factors.unit.size:
@@ -191,6 +191,7 @@ def scaled_values(values, exponents):
     factors are.  Zeros stay zeros whatever their exponent, a product that
     overflows is inf, and non-finite values raise NonFiniteSampleError.
     """
+    values = _require_finite(np.asarray(values, dtype=complex))
     return _apply_factors(values, _row_factors(exponents))
 
 
@@ -463,11 +464,12 @@ def parseval_check(ctx, f):
     return ParsevalReport(lhs, rhs, rel)
 
 
-def apply_derivative_rule(ctx, fhat, j, tail_tol=1e-8):
+def apply_derivative_rule(ctx, fhat, j):
     """Inverse transform of lam^j * Fhat, realizing D^j on the time side.
 
-    Refuses to proceed when lam^j * Fhat has not decayed at the frequency
-    window ends, since the quadrature would silently truncate it.
+    Refuses to proceed when lam^j * Fhat has not decayed to 1e-8 of its
+    peak at the frequency window ends, since the quadrature would silently
+    truncate it.
     """
     j = int(j)
     if j < 0:
@@ -477,7 +479,7 @@ def apply_derivative_rule(ctx, fhat, j, tail_tol=1e-8):
     peak = float(np.max(np.abs(scaled)))
     if peak > 0.0:
         edge = float(max(np.max(np.abs(scaled[0])), np.max(np.abs(scaled[-1]))))
-        if edge > tail_tol * peak:
+        if edge > 1e-8 * peak:
             raise ConfigurationError(
                 f"lam^{j} * Fhat has tail mass {edge / peak:.2e} at the "
                 f"frequency window ends; enlarge the grid"

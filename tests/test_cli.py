@@ -104,6 +104,24 @@ class TestValidation:
         assert run(["spectrum", path]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mutate, field, message", [
+        (lambda d: d["geometry"].update(weight=[True, False]),
+         "geometry.weight", "pair"),
+        (lambda d: d["pencil"]["coefficients"][0][0].__setitem__(0, [1, False]),
+         "pencil.coefficients[0][0][0]", "pair"),
+        (lambda d: d["grid"].update(half_width=10 ** 400),
+         "grid.half_width", "finite number"),
+        (lambda d: d["geometry"].update(weight=[0, -10 ** 400]),
+         "geometry.weight", "finite number"),
+    ], ids=["bool_weight", "bool_coefficient", "huge_int", "huge_int_pair"])
+    def test_unrepresentable_numbers_rejected(self, tmp_path, capsys, mutate,
+                                              field, message):
+        data = quad_problem()
+        mutate(data)
+        assert run(["spectrum", write(tmp_path, data)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field}:" in err and message in err
+
     def test_diagnostic_names_field(self):
         data = quad_problem()
         del data["pencil"]["degree"]

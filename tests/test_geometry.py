@@ -170,6 +170,21 @@ class TestWeightedL2:
             weighted_l2_norm(f)
         assert err.value.node_index == 0
 
+    def test_weight_past_exp_underflow(self):
+        # z = 10.5 + t on [9.5, 11.5]: the weight e^{-80 z} lies below
+        # e^{-745}, where exp underflows to 0, but each product with
+        # |f|^2 = 1e300 is representable
+        grid = Grid(1.0, 257)
+        f = RayFunction(Ray(0.0, 10.5, TIME), grid, np.full(257, 1e150),
+                        0.0, 40j)
+        weights = [0.5 if k in (0, 256) else 1.0 for k in range(257)]
+        terms = [w * math.exp(-80.0 * (10.5 + t) + 2.0 * math.log(1e150))
+                 for w, t in zip(weights, grid.nodes)]
+        want = math.sqrt(math.fsum(terms) * grid.spacing)
+        got = weighted_l2_report(f).value
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+        assert want == pytest.approx(1.0555e-16, rel=1e-4, abs=0.0)
+
     def test_tail_report(self, grid4096, real_ray):
         flat = RayFunction(real_ray, grid4096, np.ones(grid4096.count))
         rep = weighted_l2_report(flat)

@@ -498,6 +498,31 @@ class TestPlan:
             # two row-factor sets per pass, one on each side of its FFT
             assert len(built) == 6
 
+    def test_each_pass_checks_only_its_fft_sums(self, monkeypatch):
+        # the input is a RayFunction, checked when it was built
+        checked = []
+        check = conescale.transform._require_finite
+        monkeypatch.setattr(conescale.transform, "_require_finite",
+                            lambda values: checked.append(values.shape)
+                            or check(values))
+        ctx = TransformContext(math.pi / 16, 0.3j, 0.5, Grid(20.0, 256))
+        f = gaussian_on(ctx.src_grid, ctx.time_ray, number=ctx.zeta)
+        fhat = ctx.forward(f)
+        ctx.inverse(fhat)
+        ctx.pullback_spectrum(f)
+        assert checked == [(256, 1)] * 3
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_fft_sums_rejected(self, bad):
+        n = m = 8
+        x = np.ones((n, 1), dtype=complex)
+        x[3] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonFiniteSampleError, match="non-finite"):
+                _apply_kernel(x, *_kernel_factors(n, m))
+            with pytest.raises(NonFiniteSampleError, match="non-finite"):
+                _apply_kernel_adjoint(x, *_adjoint_factors(n, m))
+
     def test_cached_arrays_read_only(self):
         ctx, _, _ = _wide_rows_case()
         plan = ctx._plan
