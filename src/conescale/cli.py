@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -90,6 +91,26 @@ def _number(value, path, kind=float, positive=False):
 
 
 def _complex_matrix(value, n, path):
+    """An n x n matrix of [re, im] pairs as a complex array.
+
+    Read as one float array when every row is a list and every number a
+    plain int or float (numpy would also take bools and numeric strings);
+    any other input goes to _complex_matrix_walk, which names the bad field.
+    """
+    try:
+        if (type(value) is list and all(type(row) is list for row in value)
+                and set(map(type, chain.from_iterable(
+                    chain.from_iterable(value)))) <= {int, float}):
+            arr = np.asarray(value, dtype=float)
+            if arr.shape == (n, n, 2) and np.all(np.isfinite(arr)):
+                # the pairs' (re, im) floats are exactly a complex array
+                return arr.view(complex).reshape(n, n)
+    except (TypeError, ValueError, OverflowError):
+        pass  # a scalar entry, a ragged row or an int past the float range
+    return _complex_matrix_walk(value, n, path)
+
+
+def _complex_matrix_walk(value, n, path):
     arr = np.zeros((n, n), dtype=complex)
     if not isinstance(value, list) or len(value) != n:
         raise ValidationError(f"expected {n} rows", path)

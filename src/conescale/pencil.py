@@ -13,7 +13,11 @@ over sampled lam in a closed cone pair.
 
 Each pencil caches its factorization (``factorization``), each part
 computed on first need.  The eigenvalues J of its block companion pencil
-lam B - A serve every spectrum report.  The eigendecomposition
+lam B - A serve every spectrum report: they are grouped once per
+tol_cluster into single-linkage clusters (the connected components of
+|a - b| <= tol_cluster), and each cluster is certified on first read of a
+report's ``residuals``/``notes``, so eigenvalue-only consumers (clearance,
+search radii, the solvers' line checks) run no SVD.  The eigendecomposition
 A V = B V J, computed only when a batched resolvent first needs it, gives
 the standard triple X = V[:n], Y = (B V)^{-1}[:, (m-1)n:] and
 
@@ -130,7 +134,8 @@ class PencilFactorization:
     eigenvalue-only solve unless the triple was built first.  ``triple`` is
     (w, X, Y) with A(lam)^{-1} = X diag(1 / (lam - w)) Y, or None when the
     pencil has none; only it pays for eigenvectors and (B V)^{-1}.
-    ``spectra`` caches clustered, certified spectra per tol_cluster.
+    ``spectra`` caches, per tol_cluster, the clusters and the certificates
+    read so far.
     """
 
     def __init__(self, p):
@@ -315,67 +320,122 @@ def _lu_fallback(p, lams, rhs, nodes, sols):
                                           partial=sols[:k]) from None
 
 
-@dataclass(frozen=True)
 class SpectrumReport:
-    """Clustered finite eigenvalues with residual certificates."""
+    """Clustered finite eigenvalues with residual certificates.
 
-    eigenvalues: tuple
-    multiplicities: tuple
-    residuals: tuple
-    notes: tuple = ()
+    ``eigenvalues`` and ``multiplicities`` are set on construction.
+    ``residuals`` and ``notes`` are either given too, or (in the reports
+    ``spectrum`` returns) computed together by a ``certify`` callable the
+    first time either is read, so a reader of the eigenvalues alone runs no
+    SVD.  Equality compares all four fields.
+    """
+
+    def __init__(self, eigenvalues, multiplicities, residuals, notes=()):
+        self.eigenvalues = eigenvalues
+        self.multiplicities = multiplicities
+        self._certify = lambda: (residuals, notes)
+
+    @classmethod
+    def _deferred(cls, eigenvalues, multiplicities, certify):
+        report = cls(eigenvalues, multiplicities, None)
+        report._certify = certify
+        return report
+
+    @cached_property
+    def _certificate(self):
+        return self._certify()
+
+    @property
+    def residuals(self):
+        return self._certificate[0]
+
+    @property
+    def notes(self):
+        return self._certificate[1]
+
+    def _fields(self):
+        return self.eigenvalues, self.multiplicities, self.residuals, self.notes
+
+    def __eq__(self, other):
+        if not isinstance(other, SpectrumReport):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "SpectrumReport(eigenvalues={!r}, multiplicities={!r}, " \
+            "residuals={!r}, notes={!r})".format(*self._fields())
 
     def __iter__(self):
         return iter(zip(self.eigenvalues, self.multiplicities, self.residuals))
 
 
 def _cluster(values, tol):
-    """Greedy chaining of sorted values into clusters of diameter ~tol."""
-    order = np.lexsort((values.imag, values.real))
-    vals = values[order]
-    clusters = []
-    for v in vals:
-        if clusters and abs(v - clusters[-1][-1]) <= tol:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return clusters
+    """Single-linkage clusters: the connected components of |a - b| <= tol.
+
+    Values are swept in lexsort order (real part first); each is linked to
+    the earlier values within tol of it, found among those within tol in
+    real part, so no N x N matrix is formed.  Clusters come in the order of
+    their first member, and keep their members in lexsort order.
+    """
+    if not values.size:
+        return []
+    vals = values[np.lexsort((values.imag, values.real))]
+    # labels[k]: the first position of k's cluster among those swept so far
+    labels = np.arange(vals.size)
+    starts = np.searchsorted(vals.real, vals.real - tol)
+    for k in range(1, vals.size):
+        window = slice(starts[k], k)
+        linked = labels[window][np.abs(vals[window] - vals[k]) <= tol]
+        if linked.size:
+            first = linked.min()
+            labels[:k][np.isin(labels[:k], linked)] = first
+            labels[k] = first
+    order = np.argsort(labels, kind="stable")
+    return np.split(vals[order], np.flatnonzero(np.diff(labels[order])) + 1)
 
 
-def _certified_clusters(p, tol_cluster):
-    """Leading notes and (lam, multiplicity, residual, notes) per cluster.
+def _clusters(p, tol_cluster):
+    """Leading notes, cluster means, cluster sizes and certificates.
 
     Computed once per pencil and tol_cluster from the cached factorization;
-    clusters keep their chaining order.
+    clusters keep their chaining order.  The certificates start empty: a
+    dict from cluster index to the (residual, notes) of _certificate, which
+    spectrum reports fill in as they are read.
     """
     cache = p.factorization.spectra
-    if tol_cluster in cache:
-        return cache[tol_cluster]
-    raw = p.factorization.eigenvalues
-    finite = raw[np.isfinite(raw)]
-    kept = finite[np.abs(finite) <= 1.0 / TOL_INF]
-    head = []
-    dropped = raw.size - kept.size
-    if dropped:
-        head.append(f"dropped {dropped} eigenvalue(s) at or near infinity")
-    scale = p.coefficient_scale()
-    clusters = []
-    for cluster in _cluster(kept, tol_cluster):
-        lam = complex(np.mean(cluster))
-        sing = np.linalg.svd(evaluate(p, lam), compute_uv=False)
-        notes = []
-        if sing[-1] > 1e-8 * scale:
-            notes.append(
-                f"eigenvalue {lam} fails its residual certificate: smallest "
-                f"singular value {sing[-1]:.3e} vs scale {scale:.3e}"
-            )
-        if len(cluster) > 1:
-            notes.append(
-                f"cluster at {lam}: multiplicity {len(cluster)} by distance; "
-                f"Jordan chains unresolved, may be defective"
-            )
-        clusters.append((lam, len(cluster), float(sing[-1]), tuple(notes)))
-    cache[tol_cluster] = (tuple(head), tuple(clusters))
+    if tol_cluster not in cache:
+        raw = p.factorization.eigenvalues
+        finite = raw[np.isfinite(raw)]
+        kept = finite[np.abs(finite) <= 1.0 / TOL_INF]
+        head = ()
+        dropped = raw.size - kept.size
+        if dropped:
+            head = (f"dropped {dropped} eigenvalue(s) at or near infinity",)
+        clusters = _cluster(kept, tol_cluster)
+        cache[tol_cluster] = (head,
+                              tuple(complex(np.mean(c)) for c in clusters),
+                              tuple(len(c) for c in clusters), {})
     return cache[tol_cluster]
+
+
+def _certificate(p, lam, size, scale):
+    """(sigma_min(A(lam)), notes) for a cluster of ``size`` values at lam."""
+    sing = np.linalg.svd(evaluate(p, lam), compute_uv=False)
+    notes = []
+    if sing[-1] > 1e-8 * scale:
+        notes.append(
+            f"eigenvalue {lam} fails its residual certificate: smallest "
+            f"singular value {sing[-1]:.3e} vs scale {scale:.3e}"
+        )
+    if size > 1:
+        notes.append(
+            f"cluster at {lam}: multiplicity {size} by distance; "
+            f"Jordan chains unresolved, may be defective"
+        )
+    return float(sing[-1]), tuple(notes)
 
 
 def spectrum(p, region=None, tol_cluster=TOL_CLUSTER):
@@ -383,30 +443,30 @@ def spectrum(p, region=None, tol_cluster=TOL_CLUSTER):
 
     Eigenvalues beyond 1/TOL_INF in magnitude are treated as infinite and
     dropped with a note (they appear when A_0 is singular).  Multiplicity is
-    the cluster size under absolute distance tol_cluster; Jordan structure
-    is not resolved, clusters of size > 1 are flagged instead.  The
-    clustered report is cached on the pencil; only the ``region`` filter
-    runs per call.
+    the size of a single-linkage cluster under absolute distance
+    tol_cluster; Jordan structure is not resolved, clusters of size > 1 are
+    flagged instead.  The clusters are cached on the pencil, and only the
+    ``region`` filter runs per call.  The report's ``residuals`` and
+    ``notes`` are certified on their first read, by one SVD for each
+    cluster in the region that no earlier read on this pencil certified.
     """
-    head, clusters = _certified_clusters(p, tol_cluster)
-    notes = list(head)
-    eigenvalues, multiplicities, residuals = [], [], []
-    for lam, mult, res, cluster_notes in clusters:
-        if region is not None and not region.contains_closed(lam):
-            continue
-        eigenvalues.append(lam)
-        multiplicities.append(mult)
-        residuals.append(res)
-        notes.extend(cluster_notes)
-    order = np.lexsort((np.array([v.imag for v in eigenvalues]),
-                        np.array([v.real for v in eigenvalues]))) \
-        if eigenvalues else []
-    return SpectrumReport(
-        tuple(eigenvalues[i] for i in order),
-        tuple(multiplicities[i] for i in order),
-        tuple(residuals[i] for i in order),
-        tuple(notes),
-    )
+    head, lams, sizes, certified = _clusters(p, tol_cluster)
+    inside = [k for k, lam in enumerate(lams)
+              if region is None or region.contains_closed(lam)]
+    order = sorted(inside, key=lambda k: (lams[k].real, lams[k].imag))
+
+    def certify():
+        missing = [k for k in inside if k not in certified]
+        if missing:
+            scale = p.coefficient_scale()
+            for k in missing:
+                certified[k] = _certificate(p, lams[k], sizes[k], scale)
+        # residuals in report order, notes in chaining order
+        return (tuple(certified[k][0] for k in order),
+                head + tuple(note for k in inside for note in certified[k][1]))
+
+    return SpectrumReport._deferred(tuple(lams[k] for k in order),
+                                    tuple(sizes[k] for k in order), certify)
 
 
 def search_radius(p, vertex):

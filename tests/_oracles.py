@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's transform-based solve
 path: closed-form integrals, adaptive quadrature of explicit solution
 formulas, dense finite-difference collocation, the dense transform kernel
 that the FFT factorization replaced, the uncached spectrum that the
-per-pencil factorization replaced, the per-element log-space scaling (and
+per-pencil factorization replaced (eagerly certified, and clustered from
+the full matrix of pairwise distances instead of a sweep), the per-element log-space scaling (and
 the forward/inverse transforms and per-component exponential sum built on
 it) that per-row factors and transform.exp_sum replaced, the transforms
 with their node exponents built on every call that per-context plans
@@ -18,8 +19,9 @@ import math
 import numpy as np
 import scipy.integrate
 import scipy.linalg
+import scipy.sparse.csgraph
 
-from conescale.pencil import SpectrumReport, _cluster, _companion, evaluate
+from conescale.pencil import SpectrumReport, _companion, evaluate
 from conescale.stencils import _window, derivative_uniform, fornberg_weights
 from conescale.transform import (_SQRT2PI, _dft_phases, _require_finite,
                                  apply_derivative_rule, scaled_values)
@@ -200,11 +202,26 @@ def exp_sum_per_component(values, exponents):
     return sums, sizes
 
 
+def cluster_pairwise(values, tol):
+    """Single-linkage clusters from the full N x N matrix of distances.
+
+    The connected components of |a - b| <= tol, ordered by their first
+    member in lexsort (real part first) order, members in that order.
+    """
+    vals = values[np.lexsort((values.imag, values.real))]
+    near = np.abs(vals[:, None] - vals[None, :]) <= tol
+    _, labels = scipy.sparse.csgraph.connected_components(near,
+                                                          directed=False)
+    firsts = sorted(set(labels), key=lambda c: np.flatnonzero(labels == c)[0])
+    return [vals[labels == c] for c in firsts]
+
+
 def spectrum_uncached(p, region=None, tol_cluster=1e-7, tol_inf=1e-8):
     """The spectrum as computed before factorizations were cached.
 
-    A fresh eigenvalue-only companion solve per call, with the region
-    filter applied before each cluster's SVD certificate.
+    A fresh eigenvalue-only companion solve per call, clustered by
+    cluster_pairwise, with the region filter applied before each cluster's
+    SVD certificate.
     """
     raw = scipy.linalg.eigvals(*_companion(p.coefficients))
     finite = raw[np.isfinite(raw)]
@@ -215,7 +232,7 @@ def spectrum_uncached(p, region=None, tol_cluster=1e-7, tol_inf=1e-8):
                      f"near infinity")
     scale = p.coefficient_scale()
     eigenvalues, multiplicities, residuals = [], [], []
-    for cluster in _cluster(kept, tol_cluster):
+    for cluster in cluster_pairwise(kept, tol_cluster):
         lam = complex(np.mean(cluster))
         if region is not None and not region.contains_closed(lam):
             continue

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conescale.cli
 from conescale import TIME, Grid, Ray, RayFunction
-from conescale.cli import main, parse_problem, cylinder_problem_dict
+from conescale.cli import (_complex_matrix, _complex_matrix_walk, main,
+                           parse_problem, cylinder_problem_dict)
 from conescale.errors import ValidationError
 from conescale.solver import _prepare_perturbation
 
@@ -146,6 +148,82 @@ class TestValidation:
                        "values": [[v, 0.0] for v in vals]}
         path = write(tmp_path, data)
         assert run(["solve", path]) == 0
+
+
+# every finite float, and ints up to the largest one (2^1024 - 2^971)
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from([-0.0, 2 ** 53 + 1, 2 ** 63, 2 ** 64 + 1,
+                     2 ** 1024 - 2 ** 971, -(2 ** 1024 - 2 ** 971)]))
+# each is refused by the walk, with the path of the entry it sits in
+_BAD_NUMBERS = st.sampled_from([True, False, "1.5", None, math.nan, math.inf,
+                                -math.inf, 10 ** 400, -10 ** 400,
+                                2 ** 1024 - 2 ** 970])
+
+
+@st.composite
+def _matrices(draw, valid):
+    """(n x n matrix of [re, im] pairs, n the parser is asked for); an
+    invalid draw carries one defect the walk refuses."""
+    n = draw(st.integers(1, 3))
+    m = [[[draw(_NUMBERS), draw(_NUMBERS)] for _ in range(n)]
+         for _ in range(n)]
+    if valid:
+        return m, n
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    defect = draw(st.sampled_from(["number", "ragged_row", "tuple_row",
+                                   "three_entries", "scalar_entry",
+                                   "missing_row", "wrong_n"]))
+    if defect == "number":
+        m[i][j][draw(st.integers(0, 1))] = draw(_BAD_NUMBERS)
+    elif defect == "ragged_row":
+        del m[i][j]
+    elif defect == "tuple_row":
+        m[i] = tuple(m[i])
+    elif defect == "three_entries":
+        m[i][j].append(0.0)
+    elif defect == "scalar_entry":
+        m[i][j] = 1.0
+    elif defect == "missing_row":
+        m.pop()
+    return m, n + (defect == "wrong_n")
+
+
+def _parse_outcome(parse, value, n):
+    try:
+        arr = parse(copy.deepcopy(value), n, "pencil.coefficients[1]")
+    except ValidationError as exc:
+        return str(exc), exc.field
+    return arr.shape, arr.dtype, arr.tobytes()
+
+
+class TestMatrixParse:
+    @settings(max_examples=200, deadline=None)
+    @given(_matrices(valid=True))
+    def test_valid_matches_walk_bitwise(self, case):
+        value, n = case
+        fast = _parse_outcome(_complex_matrix, value, n)
+        assert fast == _parse_outcome(_complex_matrix_walk, value, n)
+        assert fast[:2] == ((n, n), np.dtype(complex))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_matrices(valid=False))
+    def test_invalid_matches_walk_message_and_path(self, case):
+        value, n = case
+        walk = _parse_outcome(_complex_matrix_walk, value, n)
+        assert isinstance(walk[0], str)
+        assert _parse_outcome(_complex_matrix, value, n) == walk
+
+    def test_valid_input_takes_one_array(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("walked a valid matrix")
+
+        monkeypatch.setattr(conescale.cli, "_complex_matrix_walk", refuse)
+        arr = _complex_matrix([[[-0.0, 2 ** 53 + 1], [1, 2.5]],
+                               [[0, 0], [3, -4]]], 2, "m")
+        assert arr.tobytes() == np.array(
+            [[complex(-0.0, 2 ** 53 + 1), 1 + 2.5j], [0j, 3 - 4j]]).tobytes()
 
 
 class TestClearanceCommand:

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -7,11 +8,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 import conescale.pencil
 from conescale import (Cone, Disk, MatrixPencil, NearEigenvalueError,
-                       cone_clearance, evaluate, resolvent_apply, spectrum,
-                       verify_growth_condition)
-from conescale.pencil import (evaluate_batch, resolvent_apply_batch,
+                       SpectrumReport, cone_clearance, evaluate,
+                       resolvent_apply, spectrum, verify_growth_condition)
+from conescale.pencil import (_cluster, evaluate_batch, resolvent_apply_batch,
                               search_radius)
-from _oracles import fd_laplacian_eigenvalues, spectrum_uncached
+from conescale.solver import constant_problem, solve_const
+from conescale.cli import main as cli_main
+from conescale.geometry import Grid
+from conescale.rhs import GaussianRhs
+from _oracles import (cluster_pairwise, fd_laplacian_eigenvalues,
+                      spectrum_uncached)
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +177,120 @@ class TestSpectrum:
         spec = spectrum(p, tol_cluster=1e-5)
         assert spec.multiplicities == (2,)
         assert any("defective" in n for n in spec.notes)
+
+
+class TestClustering:
+    def test_double_eigenvalue_near_imaginary_axis_is_one_cluster(self):
+        # the two copies of 1j differ in their real parts by rounding noise
+        # only, so lexsort puts 3j between them; chaining split them
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4))
+                            + 1j * rng.standard_normal((4, 4)))
+        d = q @ np.diag([1j, 1j, 5j, 3j]) @ q.conj().T
+        spec = spectrum(MatrixPencil((np.eye(4), -d)))
+        lams = spec.eigenvalues
+        assert all(abs(a - b) > conescale.pencil.TOL_CLUSTER
+                   for i, a in enumerate(lams) for b in lams[i + 1:])
+        assert sorted(zip((round(l.imag) for l in lams),
+                          spec.multiplicities)) == [(1, 2), (3, 1), (5, 1)]
+        assert any("cluster at" in n and "defective" in n for n in spec.notes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                              st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)),
+                    max_size=24))
+    def test_sweep_matches_pairwise_components(self, points):
+        # lattice points 0.9 tol apart, moved by up to 0.6 tol: chains,
+        # merges and gaps at every scale around tol
+        tol = 1e-7
+        values = np.array([complex(0.9 * a + x, 0.9 * b + y) * tol
+                           for a, b, x, y in points], dtype=complex)
+        got = _cluster(values, tol)
+        want = cluster_pairwise(values, tol)
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+
+
+def _count_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def notes_pencil():
+    """Singular A_0 (one dropped eigenvalue), a double root at 1 and -1."""
+    return MatrixPencil((np.diag([1.0, 0.0]), np.diag([-2.0, 1.0]),
+                         np.eye(2)))
+
+
+class TestLazyCertificate:
+    def test_eigenvalue_readers_run_no_svd(self, monkeypatch, tmp_path):
+        calls = _count_svd(monkeypatch)
+        p = dirichlet_pencil(8)
+        rep = cone_clearance(p, Cone(math.pi / 8, 0j, 1),
+                             search_radius(p, 0j))
+        assert rep.clear
+        solve_const(constant_problem(MatrixPencil((np.eye(1), 1j * np.eye(1))),
+                                     GaussianRhs(), Grid(20.0, 512)))
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({
+            "schema_version": 1,
+            "pencil": {"degree": 2, "dim": 1,
+                       "coefficients": [[[[1.0, 0.0]]], [[[0.0, 0.0]]],
+                                        [[[1.0, 0.0]]]]},
+            "geometry": {"cone": {"angle": math.pi / 6, "vertex": [0.0, 2.0],
+                                  "orientation": 1},
+                         "weight": [0.0, 0.0]},
+            "grid": {"half_width": 20.0, "count": 256},
+            "rhs": {"kind": "gaussian"}}), encoding="utf-8")
+        assert cli_main(["clearance", str(path), "--out",
+                         str(tmp_path / "report.csv")]) == 0
+        assert calls == []
+
+    def test_region_certifies_only_its_clusters(self, monkeypatch):
+        calls = _count_svd(monkeypatch)
+        p = dirichlet_pencil(8)
+        spec = spectrum(p, region=Disk(10j, 5.0))
+        assert calls == []
+        inside = len(spec.eigenvalues)
+        assert inside == 4
+        spec.residuals
+        assert len(calls) == inside
+        spec.notes
+        spectrum(p, region=Disk(10j, 5.0)).residuals
+        assert len(calls) == inside
+        spectrum(p).residuals
+        assert len(calls) == 16
+
+    @pytest.mark.parametrize("make", [lambda: dirichlet_pencil(8),
+                                      notes_pencil])
+    @pytest.mark.parametrize("first", ["clearance", "region", "full", "none"])
+    def test_any_read_order_matches_uncached(self, make, first):
+        p = make()
+        region = Disk(10j, 5.0) if p.dim == 8 else Disk(1.0, 0.5)
+        if first == "clearance":
+            cone_clearance(p, Cone(math.pi / 8, 0j, 1), search_radius(p, 0j))
+        elif first == "region":
+            spectrum(p, region=region).notes
+        elif first == "full":
+            spectrum(p).residuals
+        for kwargs in ({"region": region}, {}):
+            spec = spectrum(p, **kwargs)
+            want = spectrum_uncached(make(), **kwargs)
+            assert (spec.notes, spec.residuals) == (want.notes, want.residuals)
+            assert spec == want
+
+    def test_constructor_takes_the_certificate(self):
+        spec = SpectrumReport((1j,), (2,), (0.5,), ("note",))
+        assert list(spec) == [(1j, 2, 0.5)] and spec.notes == ("note",)
+        assert spec == SpectrumReport((1j,), (2,), (0.5,), ("note",))
+        assert spec != SpectrumReport((1j,), (2,), (0.5,))
+        assert spec != SpectrumReport((1j,), (2,), (0.25,), ("note",))
 
 
 class TestClearance:
