@@ -7,15 +7,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import conescale.pencil
-from conescale import (Cone, Disk, MatrixPencil, NearEigenvalueError,
-                       SpectrumReport, cone_clearance, evaluate,
-                       resolvent_apply, spectrum, verify_growth_condition)
+from conescale import (Cone, Disk, GaussianRhs, Grid, MatrixPencil,
+                       NearEigenvalueError, SpectrumReport, cone_clearance,
+                       constant_problem, evaluate, resolvent_apply,
+                       solve_const, spectrum, verify_growth_condition)
+from conescale.cli import main as cli_main
 from conescale.pencil import (_cluster, evaluate_batch, resolvent_apply_batch,
                               search_radius)
-from conescale.solver import constant_problem, solve_const
-from conescale.cli import main as cli_main
-from conescale.geometry import Grid
-from conescale.rhs import GaussianRhs
 from _oracles import (cluster_pairwise, fd_laplacian_eigenvalues,
                       spectrum_uncached)
 
@@ -223,7 +221,8 @@ def _count_svd(monkeypatch):
 
 
 def notes_pencil():
-    """Singular A_0 (one dropped eigenvalue), a double root at 1 and -1."""
+    """Singular A_0 (one dropped eigenvalue), a double root at 1 and a
+    simple one at -1."""
     return MatrixPencil((np.diag([1.0, 0.0]), np.diag([-2.0, 1.0]),
                          np.eye(2)))
 
