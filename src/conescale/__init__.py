@@ -22,8 +22,9 @@ from .geometry import (FREQUENCY, TIME, Cone, Disk, Grid, Ray, RayFunction,
 from .hardy import (ConeFunction, cauchy_reconstruct, decay_profile,
                     entire_window_check, membership_scan, paley_wiener_check,
                     project_halfline, projection_idempotence_check)
-from .pencil import (MatrixPencil, SpectrumReport, cone_clearance, evaluate,
-                     resolvent_apply, spectrum, verify_growth_condition)
+from .pencil import (MatrixPencil, SpectrumReport, certify_spectrum,
+                     cone_clearance, evaluate, resolvent_apply, spectrum,
+                     verify_growth_condition)
 from .rhs import BumpRhs, GaussianRhs, OneSidedExpRhs, PoleRhs, SampledRhs
 from .solver import (ConstantProblem, VariableProblem, constant_problem,
                      continuation_certificate, localize_traces, solve_const,

@@ -24,7 +24,8 @@ from .errors import (ConescaleError, HypothesisViolationError, NumericalError,
                      ValidationError)
 from .geometry import TIME, Cone, Disk, Grid, Ray
 from .hardy import ConeFunction, membership_scan, paley_wiener_check
-from .pencil import MatrixPencil, cone_clearance, search_radius, spectrum
+from .pencil import (MatrixPencil, certify_spectrum, cone_clearance,
+                     search_radius, spectrum)
 from .rhs import BumpRhs, GaussianRhs, OneSidedExpRhs, SampledRhs
 from .solver import (ConstantProblem, VariableProblem,
                      continuation_certificate, solve_const, solve_scaled,
@@ -360,12 +361,14 @@ def _echo_config(report, problem):
 def cmd_spectrum(problem, args):
     region = Disk(0j, args.radius) if args.radius is not None else None
     spec = spectrum(problem.pencil, region=region)
+    residuals, notes = certify_spectrum(problem.pencil, region=region)
     report = Report("spectrum")
     _echo_config(report, problem)
-    for note in spec.notes:
+    for note in notes:
         report.meta("note", note)
     report.table("spectrum", ("re", "im", "multiplicity", "residual"),
-                 [(lam.real, lam.imag, mult, res) for lam, mult, res in spec])
+                 [(lam.real, lam.imag, mult, res) for lam, mult, res
+                  in zip(spec.eigenvalues, spec.multiplicities, residuals)])
     return report
 
 
@@ -586,9 +589,11 @@ def cmd_demo_cylinder(args):
     closed = np.array([2.0 / h * math.sin(k * math.pi * h / 2.0)
                        for k in range(1, n + 1)])
     spec = spectrum(problem.pencil)
+    residuals, _ = certify_spectrum(problem.pencil)
     rows = []
     worst = 0.0
-    for lam, mult, res in spec:
+    for lam, mult, res in zip(spec.eigenvalues, spec.multiplicities,
+                              residuals):
         target = closed[int(np.argmin(np.abs(closed - abs(lam.imag))))]
         err = abs(abs(lam.imag) - target) / target
         worst = max(worst, err)

@@ -13,13 +13,14 @@ over sampled lam in a closed cone pair.
 
 Each pencil caches its factorization (``factorization``), each part
 computed on first need.  The eigenvalues J of its block companion pencil
-lam B - A serve every spectrum report: they are grouped once per
-tol_cluster into single-linkage clusters (the connected components of
-|a - b| <= tol_cluster), and each cluster is certified on first read of a
-report's ``residuals``/``notes``, so eigenvalue-only consumers (clearance,
-search radii, the solvers' line checks) run no SVD.  The eigendecomposition
-A V = B V J, computed only when a batched resolvent first needs it, gives
-the standard triple X = V[:n], Y = (B V)^{-1}[:, (m-1)n:] and
+lam B - A serve every spectrum report: they are grouped once into
+single-linkage clusters (the connected components of |a - b| <=
+TOL_CLUSTER) and put in report order.  ``spectrum`` returns the cluster
+means and sizes and runs no SVD; ``certify_spectrum`` certifies the same
+clusters by one SVD each, and only the reports that print certificates
+call it.  The eigendecomposition A V = B V J, computed only when a batched
+resolvent first needs it, gives the standard triple X = V[:n],
+Y = (B V)^{-1}[:, (m-1)n:] and
 
     A(lam)^{-1} = X (lam - J)^{-1} Y,
 
@@ -134,19 +135,33 @@ class PencilFactorization:
     eigenvalue-only solve unless the triple was built first.  ``triple`` is
     (w, X, Y) with A(lam)^{-1} = X diag(1 / (lam - w)) Y, or None when the
     pencil has none; only it pays for eigenvectors and (B V)^{-1}.
-    ``spectra`` caches, per tol_cluster, the clusters and the certificates
-    read so far.
+    ``clusters`` is (head notes, cluster means, cluster sizes), in report
+    order.
     """
 
     def __init__(self, p):
         self._coefficients = p.coefficients
-        self.spectra = {}
 
     @cached_property
     def eigenvalues(self):
         vals = _companion_eig(*_companion(self._coefficients), vectors=False)
         vals.flags.writeable = False
         return vals
+
+    @cached_property
+    def clusters(self):
+        raw = self.eigenvalues
+        finite = raw[np.isfinite(raw)]
+        kept = finite[np.abs(finite) <= 1.0 / TOL_INF]
+        head = ()
+        if raw.size - kept.size:
+            head = (f"dropped {raw.size - kept.size} eigenvalue(s) at or near "
+                    f"infinity",)
+        clusters = _cluster(kept, TOL_CLUSTER)
+        means = np.array([np.mean(c) for c in clusters], dtype=complex)
+        order = _report_order(means)
+        return (head, tuple(complex(means[k]) for k in order),
+                tuple(len(clusters[k]) for k in order))
 
     @cached_property
     def triple(self):
@@ -320,56 +335,12 @@ def _lu_fallback(p, lams, rhs, nodes, sols):
                                           partial=sols[:k]) from None
 
 
+@dataclass(frozen=True)
 class SpectrumReport:
-    """Clustered finite eigenvalues with residual certificates.
+    """Clustered finite eigenvalues and their multiplicities, in report order."""
 
-    ``eigenvalues`` and ``multiplicities`` are set on construction.
-    ``residuals`` and ``notes`` are either given too, or (in the reports
-    ``spectrum`` returns) computed together by a ``certify`` callable the
-    first time either is read, so a reader of the eigenvalues alone runs no
-    SVD.  Equality compares all four fields.
-    """
-
-    def __init__(self, eigenvalues, multiplicities, residuals, notes=()):
-        self.eigenvalues = eigenvalues
-        self.multiplicities = multiplicities
-        self._certify = lambda: (residuals, notes)
-
-    @classmethod
-    def _deferred(cls, eigenvalues, multiplicities, certify):
-        report = cls(eigenvalues, multiplicities, None)
-        report._certify = certify
-        return report
-
-    @cached_property
-    def _certificate(self):
-        return self._certify()
-
-    @property
-    def residuals(self):
-        return self._certificate[0]
-
-    @property
-    def notes(self):
-        return self._certificate[1]
-
-    def _fields(self):
-        return self.eigenvalues, self.multiplicities, self.residuals, self.notes
-
-    def __eq__(self, other):
-        if not isinstance(other, SpectrumReport):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return "SpectrumReport(eigenvalues={!r}, multiplicities={!r}, " \
-            "residuals={!r}, notes={!r})".format(*self._fields())
-
-    def __iter__(self):
-        return iter(zip(self.eigenvalues, self.multiplicities, self.residuals))
+    eigenvalues: tuple
+    multiplicities: tuple
 
 
 def _cluster(values, tol):
@@ -397,76 +368,68 @@ def _cluster(values, tol):
     return np.split(vals[order], np.flatnonzero(np.diff(labels[order])) + 1)
 
 
-def _clusters(p, tol_cluster):
-    """Leading notes, cluster means, cluster sizes and certificates.
+def _report_order(lams):
+    """Indices of lams by real part up to TOL_CLUSTER, then imaginary part.
 
-    Computed once per pencil and tol_cluster from the cached factorization;
-    clusters keep their chaining order.  The certificates start empty: a
-    dict from cluster index to the (residual, notes) of _certificate, which
-    spectrum reports fill in as they are read.
+    Sorted real parts start a new group wherever consecutive ones differ by
+    more than TOL_CLUSTER, so rounding noise in the real parts of values on
+    one vertical line does not decide their order.
     """
-    cache = p.factorization.spectra
-    if tol_cluster not in cache:
-        raw = p.factorization.eigenvalues
-        finite = raw[np.isfinite(raw)]
-        kept = finite[np.abs(finite) <= 1.0 / TOL_INF]
-        head = ()
-        dropped = raw.size - kept.size
-        if dropped:
-            head = (f"dropped {dropped} eigenvalue(s) at or near infinity",)
-        clusters = _cluster(kept, tol_cluster)
-        cache[tol_cluster] = (head,
-                              tuple(complex(np.mean(c)) for c in clusters),
-                              tuple(len(c) for c in clusters), {})
-    return cache[tol_cluster]
+    by_real = np.argsort(lams.real, kind="stable")
+    groups = np.cumsum(np.diff(lams.real[by_real], prepend=-np.inf)
+                       > TOL_CLUSTER)
+    return by_real[np.lexsort((lams.imag[by_real], groups))]
 
 
-def _certificate(p, lam, size, scale):
-    """(sigma_min(A(lam)), notes) for a cluster of ``size`` values at lam."""
-    sing = np.linalg.svd(evaluate(p, lam), compute_uv=False)
-    notes = []
-    if sing[-1] > 1e-8 * scale:
-        notes.append(
-            f"eigenvalue {lam} fails its residual certificate: smallest "
-            f"singular value {sing[-1]:.3e} vs scale {scale:.3e}"
-        )
-    if size > 1:
-        notes.append(
-            f"cluster at {lam}: multiplicity {size} by distance; "
-            f"Jordan chains unresolved, may be defective"
-        )
-    return float(sing[-1]), tuple(notes)
-
-
-def spectrum(p, region=None, tol_cluster=TOL_CLUSTER):
-    """Finite spectrum of the pencil, clustered and residual-certified.
-
-    Eigenvalues beyond 1/TOL_INF in magnitude are treated as infinite and
-    dropped with a note (they appear when A_0 is singular).  Multiplicity is
-    the size of a single-linkage cluster under absolute distance
-    tol_cluster; Jordan structure is not resolved, clusters of size > 1 are
-    flagged instead.  The clusters are cached on the pencil, and only the
-    ``region`` filter runs per call.  The report's ``residuals`` and
-    ``notes`` are certified on their first read, by one SVD for each
-    cluster in the region that no earlier read on this pencil certified.
-    """
-    head, lams, sizes, certified = _clusters(p, tol_cluster)
+def _clusters_in(p, region):
+    """(head notes, means, sizes) of the pencil's clusters in the region."""
+    head, lams, sizes = p.factorization.clusters
     inside = [k for k, lam in enumerate(lams)
               if region is None or region.contains_closed(lam)]
-    order = sorted(inside, key=lambda k: (lams[k].real, lams[k].imag))
+    return head, [lams[k] for k in inside], [sizes[k] for k in inside]
 
-    def certify():
-        missing = [k for k in inside if k not in certified]
-        if missing:
-            scale = p.coefficient_scale()
-            for k in missing:
-                certified[k] = _certificate(p, lams[k], sizes[k], scale)
-        # residuals in report order, notes in chaining order
-        return (tuple(certified[k][0] for k in order),
-                head + tuple(note for k in inside for note in certified[k][1]))
 
-    return SpectrumReport._deferred(tuple(lams[k] for k in order),
-                                    tuple(sizes[k] for k in order), certify)
+def spectrum(p, region=None):
+    """Finite spectrum of the pencil, clustered, in report order.
+
+    Eigenvalues beyond 1/TOL_INF in magnitude are treated as infinite and
+    dropped (they appear when A_0 is singular).  Multiplicity is the size
+    of a single-linkage cluster under absolute distance TOL_CLUSTER; Jordan
+    structure is not resolved (``certify_spectrum`` flags clusters of size
+    > 1).  Report order sorts by real part up to TOL_CLUSTER, then by
+    imaginary part.  The clusters are cached on the pencil, and only the
+    ``region`` filter runs per call; no SVD runs.
+    """
+    _, lams, sizes = _clusters_in(p, region)
+    return SpectrumReport(tuple(lams), tuple(sizes))
+
+
+def certify_spectrum(p, region=None):
+    """(residuals, notes) certifying the clusters of spectrum(p, region).
+
+    One SVD per cluster: residuals[k] is sigma_min(A(lam_k)) for the k-th
+    eigenvalue of the report, and a residual above 1e-8 coefficient_scale
+    fails its certificate.  The notes, in report order after the one on
+    dropped infinite eigenvalues, name each failed certificate and each
+    cluster of size > 1 (possibly defective).
+    """
+    head, lams, sizes = _clusters_in(p, region)
+    scale = p.coefficient_scale()
+    residuals, notes = [], list(head)
+    for lam, size in zip(lams, sizes):
+        sigma = float(np.linalg.svd(evaluate(p, lam), compute_uv=False)[-1])
+        residuals.append(sigma)
+        if sigma > 1e-8 * scale:
+            notes.append(
+                f"eigenvalue {lam} fails its residual certificate: smallest "
+                f"singular value {sigma:.3e} vs scale {scale:.3e}"
+            )
+        if size > 1:
+            notes.append(
+                f"cluster at {lam}: multiplicity {size} by distance; "
+                f"Jordan chains unresolved, may be defective"
+            )
+    return tuple(residuals), tuple(notes)
 
 
 def search_radius(p, vertex):

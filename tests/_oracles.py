@@ -4,8 +4,9 @@ Everything here deliberately avoids the package's transform-based solve
 path: closed-form integrals, adaptive quadrature of explicit solution
 formulas, dense finite-difference collocation, the dense transform kernel
 that the FFT factorization replaced, the uncached spectrum that the
-per-pencil factorization replaced (eagerly certified, and clustered from
-the full matrix of pairwise distances instead of a sweep), the per-element log-space scaling (and
+per-pencil factorization replaced (certified in the same pass, and
+clustered from the full matrix of pairwise distances instead of a sweep),
+the per-element log-space scaling (and
 the forward/inverse transforms and per-component exponential sum built on
 it) that per-row factors and transform.exp_sum replaced, the transforms
 with their node exponents built on every call that per-context plans
@@ -217,29 +218,30 @@ def cluster_pairwise(values, tol):
 
 
 def spectrum_uncached(p, region=None, tol_cluster=1e-7, tol_inf=1e-8):
-    """The spectrum as computed before factorizations were cached.
+    """The spectrum and its certificate as computed before factorizations
+    were cached, as (SpectrumReport, (residuals, notes)).
 
     A fresh eigenvalue-only companion solve per call, clustered by
     cluster_pairwise, with the region filter applied before each cluster's
-    SVD certificate.
+    SVD certificate.  Clusters are ordered by a walk over their real parts
+    that starts a new group at each gap above tol_cluster, then by
+    imaginary part within a group; notes follow the same order.
     """
     raw = scipy.linalg.eigvals(*_companion(p.coefficients))
     finite = raw[np.isfinite(raw)]
     kept = finite[np.abs(finite) <= 1.0 / tol_inf]
-    notes = []
+    head = []
     if raw.size - kept.size:
-        notes.append(f"dropped {raw.size - kept.size} eigenvalue(s) at or "
-                     f"near infinity")
+        head.append(f"dropped {raw.size - kept.size} eigenvalue(s) at or "
+                    f"near infinity")
     scale = p.coefficient_scale()
-    eigenvalues, multiplicities, residuals = [], [], []
+    rows = []                # (lam, multiplicity, residual, notes)
     for cluster in cluster_pairwise(kept, tol_cluster):
         lam = complex(np.mean(cluster))
         if region is not None and not region.contains_closed(lam):
             continue
         sing = np.linalg.svd(evaluate(p, lam), compute_uv=False)
-        eigenvalues.append(lam)
-        multiplicities.append(len(cluster))
-        residuals.append(float(sing[-1]))
+        notes = []
         if sing[-1] > 1e-8 * scale:
             notes.append(
                 f"eigenvalue {lam} fails its residual certificate: smallest "
@@ -250,15 +252,18 @@ def spectrum_uncached(p, region=None, tol_cluster=1e-7, tol_inf=1e-8):
                 f"cluster at {lam}: multiplicity {len(cluster)} by distance; "
                 f"Jordan chains unresolved, may be defective"
             )
-    order = np.lexsort((np.array([v.imag for v in eigenvalues]),
-                        np.array([v.real for v in eigenvalues]))) \
-        if eigenvalues else []
-    return SpectrumReport(
-        tuple(eigenvalues[i] for i in order),
-        tuple(multiplicities[i] for i in order),
-        tuple(residuals[i] for i in order),
-        tuple(notes),
-    )
+        rows.append((lam, len(cluster), float(sing[-1]), notes))
+    rows.sort(key=lambda row: row[0].real)
+    group, keyed = 0, []
+    for k, row in enumerate(rows):
+        if k and row[0].real - rows[k - 1][0].real > tol_cluster:
+            group += 1
+        keyed.append(((group, row[0].imag), row))
+    rows = [row for _, row in sorted(keyed, key=lambda item: item[0])]
+    report = SpectrumReport(tuple(row[0] for row in rows),
+                            tuple(row[1] for row in rows))
+    return report, (tuple(row[2] for row in rows),
+                    tuple(head + [n for row in rows for n in row[3]]))
 
 
 def variation_of_constants(rhs, t_values):
