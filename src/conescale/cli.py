@@ -20,8 +20,8 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from .errors import (ConescaleError, HypothesisViolationError, NumericalError,
-                     ValidationError)
+from .errors import (ConescaleError, ConfigurationError,
+                     HypothesisViolationError, NumericalError, ValidationError)
 from .geometry import TIME, Cone, Disk, Grid, Ray
 from .hardy import ConeFunction, membership_scan, paley_wiener_check
 from .pencil import (MatrixPencil, certify_spectrum, cone_clearance,
@@ -196,6 +196,10 @@ def parse_problem(data):
         "phi_list": [_number(x, "solver.phi_list", float)
                      for x in sd.get("phi_list", [])],
     }
+    if len(solver_cfg["phi_list"]) > 1:
+        raise ConfigurationError("only one angle is read, got "
+                                 f"{len(solver_cfg['phi_list'])}",
+                                 "solver.phi_list")
     return Problem(pencil, cone, zeta, grid, rhs, pert, solver_cfg, data)
 
 
@@ -404,6 +408,9 @@ def cmd_solve(problem, args):
     report = Report("solve")
     _echo_config(report, problem)
     if problem.perturbation is not None:
+        if args.scaled is not None:
+            raise ConfigurationError("--scaled is not supported with a "
+                                     "perturbation", "perturbation")
         vp = problem.variable()
         result = solve_variable(vp, res_tol=cfg["res_tol"],
                                 max_iter=cfg["max_iter"])
@@ -498,7 +505,8 @@ def _verify_continuation(problem, report, args):
     base = problem.constant()
     variable = problem.variable() if problem.perturbation is not None else None
     cert = continuation_certificate(base, phi, offset=args.offset,
-                                    res_tol=cfg["res_tol"], variable=variable)
+                                    res_tol=cfg["res_tol"], variable=variable,
+                                    max_iter=cfg["max_iter"])
     report.meta("phi", _fmt(phi))
     report.meta("offset", _fmt(args.offset))
     report.meta("verdict", cert.verdict)
@@ -679,7 +687,8 @@ def build_parser():
     p = sub.add_parser("solve", help="solve the problem on the real line")
     common(p)
     p.add_argument("--scaled", type=float, default=None, metavar="PHI",
-                   help="also run the scaled solve at angle PHI")
+                   help="also run the scaled solve at angle PHI "
+                   "(problems without a perturbation)")
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)

@@ -13,7 +13,11 @@ over sampled lam in a closed cone pair.
 
 Each pencil caches its factorization (``factorization``), each part
 computed on first need.  The eigenvalues J of its block companion pencil
-lam B - A serve every spectrum report: they are grouped once into
+lam B - A serve every spectrum report.  When A_0 is exactly I, B is the
+identity and the standard problem A V = V J is solved by Hessenberg QR,
+in real arithmetic when every coefficient is real (so complex eigenvalues
+come in exact conjugate pairs); every other pencil, a singular or scaled
+A_0 included, goes through QZ.  The eigenvalues are grouped once into
 single-linkage clusters (the connected components of |a - b| <=
 TOL_CLUSTER) and put in report order.  ``spectrum`` returns the cluster
 means and sizes and runs no SVD; ``certify_spectrum`` certifies the same
@@ -132,7 +136,10 @@ class PencilFactorization:
 
     Each part is computed on first use.  ``eigenvalues`` holds all m n
     companion eigenvalues (inf where A_0 is singular); it comes from an
-    eigenvalue-only solve unless the triple was built first.  ``triple`` is
+    eigenvalue-only solve unless the triple was built first.  The companion
+    is the standard problem A V = V J when A_0 is exactly I (Hessenberg QR,
+    real when the coefficients are) and the pencil lam B - A otherwise
+    (QZ); both give complex values and vectors.  ``triple`` is
     (w, X, Y) with A(lam)^{-1} = X diag(1 / (lam - w)) Y, or None when the
     pencil has none; only it pays for eigenvectors and (B V)^{-1}.
     ``clusters`` is (head notes, cluster means, cluster sizes), in report
@@ -185,44 +192,64 @@ class PencilFactorization:
 
 
 def _companion(coefficients):
-    """The block companion pencil lam * B - A of A_0..A_m, as (A, B)."""
+    """The block companion pencil lam * B - A of A_0..A_m, as (A, B).
+
+    When A_0 is exactly I, B is the identity and comes back as None, and A
+    is real whenever every coefficient is.
+    """
     m, n = len(coefficients) - 1, coefficients[0].shape[0]
+    standard = np.array_equal(coefficients[0], np.eye(n))
+    real = standard and not any(np.any(c.imag) for c in coefficients)
     # A holds the companion blocks and B carries the leading coefficient,
     # so a singular A_0 shows up as infinite lams
-    A = np.zeros((m * n, m * n), dtype=complex)
-    B = np.eye(m * n, dtype=complex)
+    A = np.zeros((m * n, m * n), dtype=float if real else complex)
     for k in range(m - 1):
         A[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = np.eye(n)
     for k in range(m):
         # row of powers: -A_m, -A_{m-1}, ..., -A_1
-        A[(m - 1) * n:, k * n:(k + 1) * n] = -coefficients[m - k]
+        c = coefficients[m - k]
+        A[(m - 1) * n:, k * n:(k + 1) * n] = -(c.real if real else c)
+    if standard:
+        return A, None
+    B = np.eye(m * n, dtype=complex)
     B[(m - 1) * n:, (m - 1) * n:] = coefficients[0]
     return A, B
 
 
 def _companion_eig(A, B, vectors):
-    """scipy.linalg.eig(A, B), or eigvals without vectors.
+    """Eigenvalues of lam B - A, with eigenvectors V when ``vectors``.
 
-    LAPACK failures are raised as EigenSolverError.
+    With B None this is the standard problem, solved by Hessenberg QR
+    (numpy.linalg.eig or eigvals); otherwise QZ (scipy.linalg.eig or
+    eigvals).  Values and vectors are always complex.  LAPACK failures
+    are raised as EigenSolverError.
     """
     try:
-        if vectors:
-            return scipy.linalg.eig(A, B)
-        return scipy.linalg.eigvals(A, B)
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise EigenSolverError(f"companion eigenvalue solve failed: {exc}")
+        if B is None:
+            out = np.linalg.eig(A) if vectors else np.linalg.eigvals(A)
+        elif vectors:
+            out = scipy.linalg.eig(A, B)
+        else:
+            out = scipy.linalg.eigvals(A, B)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise EigenSolverError(
+            f"companion eigenvalue solve failed: {exc}") from exc
+    if vectors:
+        return tuple(a.astype(complex, copy=False) for a in out)
+    return out.astype(complex, copy=False)
 
 
 def _standard_triple(vals, vecs, B, n):
     """X = V[:n] and Y = (B V)^{-1}[:, (m-1)n:] from A V = B V diag(vals).
 
     Then lam B - A = B V (lam - J) V^{-1}, and the first block row of its
-    inverse applied to the last block column is A(lam)^{-1}.  Raises
-    LinAlgError when the triple does not exist numerically.
+    inverse applied to the last block column is A(lam)^{-1}.  B None stands
+    for the identity.  Raises LinAlgError when the triple does not exist
+    numerically.
     """
     if not np.all(np.isfinite(vals)):
         raise np.linalg.LinAlgError("infinite eigenvalues: A_0 is singular")
-    Y = np.linalg.inv(B @ vecs)[:, -n:]
+    Y = np.linalg.inv(vecs if B is None else B @ vecs)[:, -n:]
     if not np.all(np.isfinite(Y)):
         raise np.linalg.LinAlgError("(B V)^{-1} is not finite")
     return vecs[:n], Y

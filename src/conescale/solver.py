@@ -484,7 +484,7 @@ class CertificateReport:
 
 
 def continuation_certificate(problem, phi, offset=None, n_angles=9,
-                             res_tol=RES_TOL, variable=None):
+                             res_tol=RES_TOL, variable=None, max_iter=MAX_ITER):
     """Solve along rotated rays past an offset and watch the energies.
 
     For each psi in [0, |phi|] the problem is re-solved along the ray
@@ -496,7 +496,9 @@ def continuation_certificate(problem, phi, offset=None, n_angles=9,
     sweep maximum stays within CERT_BOUND of the psi = 0 value; per-ray
     numerical blow-ups (overflow, residual failures, non-finite samples or
     energies) are recorded as blow-up data, with their reasons in
-    ``blown``, rather than raised.  Other errors propagate.
+    ``blown``, rather than raised.  Other errors propagate.  With a
+    ``variable`` problem each ray is a Neumann solve (solve_variable) with
+    ``res_tol`` and ``max_iter``.
     """
     if problem.evaluator is None:
         raise ValueError("certificates need an analytic right-hand-side evaluator")
@@ -521,7 +523,8 @@ def continuation_certificate(problem, phi, offset=None, n_angles=9,
                 # the projection cut rides along with the rotated ray
                 cut = ray.points(np.array([cut_param]))[0]
                 vsub = replace(variable, base=sub, cut=cut)
-                u = solve_variable(vsub, res_tol=res_tol).u
+                u = solve_variable(vsub, res_tol=res_tol,
+                                   max_iter=max_iter).u
             else:
                 u = solve_const(sub, res_tol=res_tol).u
             value = derivative_energy(u, problem.pencil.norm_forms[::-1],
