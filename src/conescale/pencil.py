@@ -22,9 +22,9 @@ single-linkage clusters (the connected components of |a - b| <=
 TOL_CLUSTER) and put in report order.  ``spectrum`` returns the cluster
 means and sizes and runs no SVD; ``certify_spectrum`` certifies the same
 clusters by one SVD each, and only the reports that print certificates
-call it.  The eigendecomposition A V = B V J, computed only when a batched
-resolvent first needs it, gives the standard triple X = V[:n],
-Y = (B V)^{-1}[:, (m-1)n:] and
+call it.  The eigendecomposition A V = B V J (B = I for the standard
+problem), computed only when a batched resolvent first needs it, gives
+the standard triple X = V[:n], Y = (B V)^{-1}[:, (m-1)n:] and
 
     A(lam)^{-1} = X (lam - J)^{-1} Y,
 

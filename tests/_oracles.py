@@ -6,6 +6,8 @@ formulas, dense finite-difference collocation, the dense transform kernel
 that the FFT factorization replaced, the uncached spectrum that the
 per-pencil factorization replaced (certified in the same pass, and
 clustered from the full matrix of pairwise distances instead of a sweep),
+the QZ solve of the full companion pencil that the standard QR solve
+replaced for pencils led by the identity,
 the per-element log-space scaling (and
 the forward/inverse transforms and per-component exponential sum built on
 it) that per-row factors and transform.exp_sum replaced, the transforms
@@ -217,17 +219,38 @@ def cluster_pairwise(values, tol):
     return [vals[labels == c] for c in firsts]
 
 
+def companion_qz_eigvals(p):
+    """All m n eigenvalues of the block companion pencil lam B - A of p by
+    QZ (scipy.linalg.eigvals(A, B)), with B formed in full even when A_0
+    is the identity, as every pencil was solved before the standard QR
+    route; inf where A_0 is singular."""
+    coeffs = p.coefficients
+    m, n = p.degree, p.dim
+    A = np.zeros((m * n, m * n), dtype=complex)
+    B = np.eye(m * n, dtype=complex)
+    for k in range(m - 1):
+        A[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = np.eye(n)
+    for k in range(m):
+        A[(m - 1) * n:, k * n:(k + 1) * n] = -coeffs[m - k]
+    B[(m - 1) * n:, (m - 1) * n:] = coeffs[0]
+    return scipy.linalg.eigvals(A, B)
+
+
 def spectrum_uncached(p, region=None, tol_cluster=1e-7, tol_inf=1e-8):
     """The spectrum and its certificate as computed before factorizations
     were cached, as (SpectrumReport, (residuals, notes)).
 
-    A fresh eigenvalue-only companion solve per call, clustered by
-    cluster_pairwise, with the region filter applied before each cluster's
-    SVD certificate.  Clusters are ordered by a walk over their real parts
-    that starts a new group at each gap above tol_cluster, then by
-    imaginary part within a group; notes follow the same order.
+    A fresh eigenvalue-only companion solve per call (standard QR when
+    A_0 is the identity, QZ otherwise, as the factorization solves),
+    clustered by cluster_pairwise, with the region filter applied before
+    each cluster's SVD certificate.  Clusters are ordered by a walk over
+    their real parts that starts a new group at each gap above
+    tol_cluster, then by imaginary part within a group; notes follow the
+    same order.
     """
-    raw = scipy.linalg.eigvals(*_companion(p.coefficients))
+    a, b = _companion(p.coefficients)
+    raw = (np.linalg.eigvals(a) if b is None
+           else scipy.linalg.eigvals(a, b)).astype(complex)
     finite = raw[np.isfinite(raw)]
     kept = finite[np.abs(finite) <= 1.0 / tol_inf]
     head = []

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import conescale.cli
@@ -282,6 +283,17 @@ class TestSolveCommand:
         assert run(["solve", path]) == 4
         assert "not contracting" in capsys.readouterr().err
 
+    def test_scaled_with_perturbation_exit_2(self, tmp_path, capsys):
+        # the variable solve has no scaled variant; --scaled is refused
+        # instead of being ignored
+        data = linear_problem()
+        data["rhs"] = {"kind": "shifted_gaussian", "center": [5.0, 0.0]}
+        data["perturbation"] = {"kind": "rational_decay", "epsilon": 0.05,
+                                "pole_scale": 3.0}
+        path = write(tmp_path, data)
+        assert run(["solve", path, "--scaled", str(math.pi / 16)]) == 2
+        assert "--scaled is not supported" in capsys.readouterr().err
+
     def test_variable_solve_converges(self, tmp_path, capsys):
         data = linear_problem()
         data["rhs"] = {"kind": "shifted_gaussian", "center": [5.0, 0.0]}
@@ -360,6 +372,32 @@ class TestVerifyCommand:
         path = write(tmp_path, data)
         assert run(["verify", "--suite", "continuation", path]) == 0
         assert "# diagnostic=" not in capsys.readouterr().out
+
+    def test_several_angles_exit_2(self, tmp_path, capsys):
+        data = linear_problem()
+        data["solver"] = {"phi_list": [0.3, 0.1, 0.2]}
+        path = write(tmp_path, data)
+        assert run(["verify", "--suite", "continuation", path]) == 2
+        assert "solver.phi_list" in capsys.readouterr().err
+
+    def test_max_iter_reaches_neumann_solves(self, tmp_path):
+        data = linear_problem()
+        data["rhs"] = {"kind": "shifted_gaussian", "center": [5.0, 0.0]}
+        data["perturbation"] = {"kind": "rational_decay", "epsilon": 0.05,
+                                "pole_scale": 3.0}
+        outcomes = []
+        for max_iter in ({}, {"max_iter": 50}, {"max_iter": 1}):
+            data["solver"] = {"phi_list": [math.pi / 16], "res_tol": 1e-8,
+                              **max_iter}
+            out = tmp_path / "report.csv"
+            code = run(["verify", "--suite", "continuation",
+                        write(tmp_path, data), "--out", str(out)])
+            outcomes.append((code, out.read_bytes() if code == 0 else None))
+            out.unlink(missing_ok=True)
+        # the default is 50; one sweep cannot reach res_tol 1e-8, and
+        # running out of sweeps is a contraction failure (exit 4)
+        assert outcomes[0] == outcomes[1] and outcomes[0][0] == 0
+        assert outcomes[2] == (4, None)
 
 
 def _per_cell_row(row):
@@ -496,6 +534,25 @@ class TestExitCodes:
         path = write(tmp_path, quad_problem())
         assert run(["spectrum", path]) == 3
         assert "Singular matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("route, leading", [("numpy", 1.0),
+                                                 ("scipy", 2.0)])
+    @pytest.mark.parametrize("exc", [np.linalg.LinAlgError, ValueError])
+    def test_eigensolver_failure_exit_3(self, tmp_path, capsys, monkeypatch,
+                                        route, leading, exc):
+        # A_0 = I goes to numpy's standard solve, any other A_0 to QZ; a
+        # ValueError from LAPACK is a numerical failure too, not bad input
+        def fail(*args, **kwargs):
+            raise exc("Eigenvalues did not converge")
+
+        module = np.linalg if route == "numpy" else scipy.linalg
+        monkeypatch.setattr(module, "eigvals", fail)
+        data = quad_problem()
+        data["pencil"]["coefficients"][0] = [[[leading, 0.0]]]
+        path = write(tmp_path, data)
+        assert run(["spectrum", path]) == 3
+        assert ("companion eigenvalue solve failed: Eigenvalues did not "
+                "converge") in capsys.readouterr().err
 
     def test_continuation_suite_with_perturbation(self, tmp_path, capsys):
         data = linear_problem()

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 from hypothesis import assume, given, settings, strategies as st
 
 import conescale.pencil
@@ -15,8 +17,8 @@ from conescale import (Cone, Disk, GaussianRhs, Grid, MatrixPencil,
 from conescale.cli import main as cli_main
 from conescale.pencil import (_cluster, evaluate_batch, resolvent_apply_batch,
                               search_radius)
-from _oracles import (cluster_pairwise, fd_laplacian_eigenvalues,
-                      spectrum_uncached)
+from _oracles import (cluster_pairwise, companion_qz_eigvals,
+                      fd_laplacian_eigenvalues, spectrum_uncached)
 
 
 @pytest.fixture(scope="module")
@@ -632,3 +634,97 @@ def test_growth_probe_keeps_columns_before_a_failure(monkeypatch):
     assert [lam for lam, _ in rep.samples[:3]] == [calls[0], calls[1],
                                                   calls[1]]
     assert len(rep.samples) == 2 * len(calls) - 1
+
+
+def monic_pencil(seed, degree, n, real, magnitude):
+    """A(lam) = lam^m I + sum_j A_j lam^(m-j), the A_j Gaussian times
+    ``magnitude``, complex unless ``real``."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        c = rng.standard_normal((n, n))
+        if not real:
+            c = c + 1j * rng.standard_normal((n, n))
+        return magnitude * c
+
+    return MatrixPencil((np.eye(n),) + tuple(draw() for _ in range(degree)))
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return refuse
+
+
+class TestStandardCompanion:
+    """Pencils led by exactly I are solved by standard QR, in real
+    arithmetic for real coefficients; every other pencil by QZ, which
+    companion_qz_eigvals keeps as the oracle."""
+
+    # fast and QZ eigenvalues agree to this, relative to max(1, |lam|)
+    # (the largest gap seen over 3000 such pencils was 3e-14)
+    TOL_QZ = 1e-9
+
+    # magnitudes up to 10 keep the certificate, whose bound is not weighted
+    # by |lam|^j, at least 1000 times below its bound over 1500 pencils each;
+    # at magnitude 1e3 a cubic can fail it with QZ eigenvalues too
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 6),
+           st.booleans(), st.sampled_from([1e-3, 1.0, 10.0]))
+    def test_matches_qz_and_certifies(self, seed, degree, n, real, magnitude):
+        p = monic_pencil(seed, degree, n, real, magnitude)
+        fast = p.factorization.eigenvalues
+        qz = companion_qz_eigvals(p)
+        assert fast.dtype == complex and fast.shape == qz.shape
+        # the multisets agree: match them by least total distance
+        gaps = np.abs(fast[:, None] - qz[None, :])
+        rows, cols = scipy.optimize.linear_sum_assignment(gaps)
+        assert np.all(gaps[rows, cols]
+                      <= self.TOL_QZ * np.maximum(1.0, np.abs(qz[cols])))
+        residuals, _ = certify_spectrum(p)
+        assert max(residuals) <= 1e-8 * p.coefficient_scale()
+        if real:
+            # dgeev returns complex eigenvalues as exact conjugate pairs
+            assert np.array_equal(np.sort_complex(fast),
+                                  np.sort_complex(fast.conj()))
+            lams = spectrum(p).eigenvalues
+            assert set(lams) == {lam.conjugate() for lam in lams}
+
+    def test_identity_leading_runs_no_qz(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg, "eig", _refuse("scipy.linalg.eig"))
+        monkeypatch.setattr(scipy.linalg, "eigvals",
+                            _refuse("scipy.linalg.eigvals"))
+        for p in (dirichlet_pencil(6), monic_pencil(1, 2, 3, False, 1.0)):
+            assert len(spectrum(p).eigenvalues) == 2 * p.dim
+            lams = np.array([0.5, 2.0 + 1.0j, -3.0j])
+            f = np.ones((3, p.dim), dtype=complex)
+            assert np.allclose(resolvent_apply_batch(p, lams, f),
+                               nodewise(p, lams, f), rtol=1e-10, atol=0.0)
+            assert p.factorization.triple is not None
+
+    @pytest.mark.parametrize("make, dropped", [
+        (notes_pencil, 1),
+        (lambda: MatrixPencil((2.0 * np.eye(2), np.diag([1.0, 3j]))), 0),
+        (lambda: dirichlet_pencil(4).scaled(math.pi / 8), 0),
+    ], ids=["singular_leading", "twice_identity", "scaled"])
+    def test_other_leading_goes_through_qz(self, monkeypatch, make, dropped):
+        calls = []
+        for name in ("eig", "eigvals"):
+            def recording(*args, _solve=getattr(scipy.linalg, name),
+                          _name=name, **kwargs):
+                calls.append(_name)
+                return _solve(*args, **kwargs)
+            monkeypatch.setattr(scipy.linalg, name, recording)
+        monkeypatch.setattr(np.linalg, "eig", _refuse("numpy.linalg.eig"))
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            _refuse("numpy.linalg.eigvals"))
+        p = make()
+        spectrum(p)
+        assert calls == ["eigvals"]
+        assert np.array_equal(p.factorization.eigenvalues,
+                              companion_qz_eigvals(make()), equal_nan=True)
+        dropped_notes = [note for note in certify_spectrum(p)[1]
+                         if note.startswith("dropped")]
+        assert dropped_notes == (
+            [f"dropped {dropped} eigenvalue(s) at or near infinity"]
+            if dropped else [])
