@@ -7,8 +7,10 @@ echo, scalar results), then one or more tables introduced by "# table="
 markers.  Every float is printed with 17 significant digits and rows are
 deterministically ordered, so identical inputs give identical bytes.
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure,
-4 hypothesis violation (spectrum in the way, non-contractive perturbation).
+Exit codes: 0 success, 2 ValidationError (ConfigurationError included),
+3 NumericalError or numpy's LinAlgError, 4 HypothesisViolationError
+(spectrum in the way, non-contractive perturbation).  Any other exception
+is a bug and propagates with its traceback.
 """
 
 import argparse
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (ConescaleError, ConfigurationError,
-                     HypothesisViolationError, NumericalError, ValidationError)
+                     HypothesisViolationError, ValidationError)
 from .geometry import TIME, Cone, Disk, Grid, Ray
 from .hardy import ConeFunction, membership_scan, paley_wiener_check
 from .pencil import (MatrixPencil, certify_spectrum, cone_clearance,
@@ -34,7 +36,16 @@ from .transform import TransformContext, parseval_check
 
 SCHEMA_VERSION = 1
 
-_RHS_KINDS = ("gaussian", "shifted_gaussian", "one_sided_exp", "bump", "sampled")
+# each kind's (required, optional) fields besides "kind"; any other is refused
+_RHS_FIELDS = {
+    "gaussian": ((), ("center", "width", "amplitude", "cross_section")),
+    "shifted_gaussian": (("center",), ("width", "amplitude", "cross_section")),
+    "one_sided_exp": ((), ("rate", "cross_section")),
+    "bump": ((), ("half_width", "cross_section")),
+    "sampled": (("values",), ()),
+}
+_PERTURBATION_FIELDS = {"none": ((), ()),
+                        "rational_decay": ((), ("epsilon", "pole_scale"))}
 
 
 def _fmt(x):
@@ -55,6 +66,19 @@ def _require_keys(obj, path, required, optional=()):
     for key in obj:
         if key not in allowed:
             raise ValidationError("unknown field (strict mode)", f"{path}.{key}")
+
+
+def _require_kind(obj, path, fields):
+    """obj["kind"], once obj's fields match fields[kind]."""
+    if not isinstance(obj, dict) or "kind" not in obj:
+        _require_keys(obj, path, ("kind",))  # raises, naming the defect
+    kind = obj["kind"]
+    if kind not in tuple(fields):
+        raise ValidationError(f"unknown kind {kind!r} (expected one of "
+                              f"{', '.join(fields)})", f"{path}.kind")
+    required, optional = fields[kind]
+    _require_keys(obj, path, ("kind",) + required, optional)
+    return kind
 
 
 def _complex_pair(value, path):
@@ -155,7 +179,7 @@ def parse_problem(data):
     try:
         pencil = MatrixPencil(tuple(matrices),
                               tuple(forms) if forms is not None else None)
-    except ValueError as exc:
+    except ValidationError as exc:
         raise ValidationError(str(exc), "pencil")
 
     gd = data["geometry"]
@@ -167,16 +191,17 @@ def parse_problem(data):
     orientation = _number(cd["orientation"], "geometry.cone.orientation", int)
     try:
         cone = Cone(angle, vertex, orientation)
-    except ValueError as exc:
+    except ValidationError as exc:
         raise ValidationError(str(exc), "geometry.cone")
     zeta = _complex_pair(gd["weight"], "geometry.weight")
 
     grd = data["grid"]
     _require_keys(grd, "grid", ("half_width", "count"))
+    half_width = _number(grd["half_width"], "grid.half_width", float, True)
+    count = _number(grd["count"], "grid.count", int)
     try:
-        grid = Grid(_number(grd["half_width"], "grid.half_width", float, True),
-                    _number(grd["count"], "grid.count", int))
-    except ValueError as exc:
+        grid = Grid(half_width, count)
+    except ValidationError as exc:
         raise ValidationError(str(exc), "grid")
 
     rhs = _parse_rhs(data["rhs"], dim, grid)
@@ -204,13 +229,7 @@ def parse_problem(data):
 
 
 def _parse_rhs(rd, dim, grid):
-    _require_keys(rd, "rhs", ("kind",),
-                  ("center", "width", "amplitude", "rate", "half_width",
-                   "values", "cross_section"))
-    kind = rd["kind"]
-    if kind not in _RHS_KINDS:
-        raise ValidationError(f"unknown kind {kind!r} (expected one of "
-                              f"{', '.join(_RHS_KINDS)})", "rhs.kind")
+    kind = _require_kind(rd, "rhs", _RHS_FIELDS)
     cross = None
     if "cross_section" in rd:
         cs = rd["cross_section"]
@@ -222,11 +241,8 @@ def _parse_rhs(rd, dim, grid):
         raise ValidationError("vector problems need rhs.cross_section", "rhs")
     if kind in ("gaussian", "shifted_gaussian"):
         center = _complex_pair(rd["center"], "rhs.center") if "center" in rd else 0j
-        if kind == "shifted_gaussian" and "center" not in rd:
-            raise ValidationError("missing required field", "rhs.center")
         width = _number(rd.get("width", 1.0), "rhs.width", float, True)
-        amp = _complex_pair(rd["amplitude"], "rhs.amplitude") \
-            if "amplitude" in rd else 1.0 + 0j
+        amp = _complex_pair(rd.get("amplitude", (1.0, 0.0)), "rhs.amplitude")
         return GaussianRhs(center, width, amp, cross)
     if kind == "one_sided_exp":
         return OneSidedExpRhs(_number(rd.get("rate", 1.0), "rhs.rate", float),
@@ -234,9 +250,7 @@ def _parse_rhs(rd, dim, grid):
     if kind == "bump":
         return BumpRhs(_number(rd.get("half_width", 1.0), "rhs.half_width",
                                float, True), cross)
-    values = rd.get("values")
-    if values is None:
-        raise ValidationError("missing required field", "rhs.values")
+    values = rd["values"]
     if not isinstance(values, list) or len(values) != grid.count:
         raise ValidationError(f"expected {grid.count} sample rows", "rhs.values")
     rows = []
@@ -256,12 +270,8 @@ def _parse_rhs(rd, dim, grid):
 
 
 def _parse_perturbation(pd):
-    _require_keys(pd, "perturbation", ("kind",), ("epsilon", "pole_scale"))
-    kind = pd["kind"]
-    if kind == "none":
+    if _require_kind(pd, "perturbation", _PERTURBATION_FIELDS) == "none":
         return None
-    if kind != "rational_decay":
-        raise ValidationError(f"unknown kind {kind!r}", "perturbation.kind")
     eps = _number(pd.get("epsilon", 0.05), "perturbation.epsilon", float)
     scale = _number(pd.get("pole_scale", 3.0), "perturbation.pole_scale",
                     float, True)
@@ -291,8 +301,7 @@ class Problem:
 
         The perturbing matrix fills the leading slot Q_0; the projection cut
         sits in the far left tail of the window (where every function has
-        decayed), the sector half-angle keeps the poles +- i*pole_scale
-        outside the analyticity sector.
+        decayed); Q_0 is holomorphic off its poles +- i*pole_scale.
         """
         cfg = self.perturbation
         eps, scale = cfg["epsilon"], cfg["pole_scale"]
@@ -306,11 +315,8 @@ class Problem:
             out[0] = (eps / (z ** 2 + scale ** 2))[:, None, None] * eye
             return out
 
-        sector_start = -0.6 * self.grid.half_width
-        alpha = 0.5 * math.atan2(scale, -sector_start)
         return VariableProblem(self.constant(), coefficients,
-                               sector_start=sector_start,
-                               sector_angle=alpha)
+                               sector_start=-0.6 * self.grid.half_width)
 
 
 def load_problem(path):
@@ -671,9 +677,6 @@ def build_parser():
         if with_problem:
             p.add_argument("problem", help="problem JSON file")
         p.add_argument("--out", default=None, help="report path (default stdout)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for interface stability; execution is "
-                            "deterministic and ignores it")
 
     p = sub.add_parser("spectrum", help="finite pencil spectrum")
     common(p)
@@ -736,15 +739,11 @@ def main(argv=None):
     except HypothesisViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (NumericalError, ConescaleError, np.linalg.LinAlgError) as exc:
-        # LinAlgError subclasses ValueError but is a numerical failure
+    except (ConescaleError, np.linalg.LinAlgError) as exc:
+        # NumericalError, and any other package error; LinAlgError is a
+        # numerical failure.  An untyped exception is a bug: it propagates.
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # library-level contract violations (non-analytic rhs for rotated-ray
-        # work, bad parameter combinations) are input problems
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     _emit(report, args.out)
     return 0
 

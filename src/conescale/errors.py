@@ -1,9 +1,11 @@
-"""Exception taxonomy.
+"""Exception taxonomy and the CLI's exit codes.
 
-Three families matter to callers: validation problems (bad input data or
-grids), numerical failures (overflow, near-singular solves), and violated
-mathematical hypotheses (spectrum in the way, non-contractive perturbation).
-The CLI maps these onto its exit codes 2 / 3 / 4.
+ValidationError (exit 2) is a bad argument or a broken data contract, and
+its subclass ConfigurationError a violated precondition on a grid or a
+parameter; both are ValueErrors too.  NumericalError (exit 3, as is numpy's
+LinAlgError) is a failed computation, HypothesisViolationError (exit 4) a
+hypothesis of the method that fails for the data.  Any other exception is a
+bug and surfaces as a traceback.
 """
 
 import math
@@ -13,7 +15,7 @@ class ConescaleError(Exception):
     """Base class for all package errors."""
 
 
-class ValidationError(ConescaleError):
+class ValidationError(ConescaleError, ValueError):
     """Malformed problem data; carries the offending field path."""
 
     def __init__(self, message, field=None):
@@ -102,14 +104,16 @@ class ContractionFailureError(HypothesisViolationError):
     small relative to the base resolvent past the cut point; with a cut of
     insufficient magnitude (or too large a perturbation) the iteration may
     legitimately diverge, and that outcome is reported here with the
-    residual trace attached.
+    residual trace attached.  ``cap`` = (max_iter, res_tol) says instead
+    that the sweeps ran out before the residual reached res_tol.
     """
 
-    def __init__(self, residuals):
+    def __init__(self, residuals, cap=None):
+        trace = ", ".join(f"{r:.3e}" for r in residuals)
         super().__init__(
-            "Neumann iteration is not contracting (residual trace: "
-            + ", ".join(f"{r:.3e}" for r in residuals)
-            + "); the cut-point magnitude may be too small for this "
-            "perturbation, or the perturbation is too large"
-        )
+            f"Neumann iteration is not contracting (residual trace: {trace}); "
+            "the cut-point magnitude may be too small for this perturbation, "
+            "or the perturbation is too large" if cap is None else
+            f"Neumann iteration reached its cap of {cap[0]} sweeps before "
+            f"res_tol {cap[1]:.3e} (residual trace: {trace})")
         self.residuals = tuple(residuals)

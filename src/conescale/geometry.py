@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteSampleError, WeightOverflowError
+from .errors import (ConfigurationError, NonFiniteSampleError,
+                     ValidationError, WeightOverflowError)
 from .stencils import derivative_uniform
 
 # exp() overflows near 709.78 for float64; stay clear of it
@@ -70,7 +71,7 @@ class Ray:
 
     def __post_init__(self):
         if self.side not in (TIME, FREQUENCY):
-            raise ValueError(f"unknown ray side {self.side!r}")
+            raise ValidationError(f"unknown ray side {self.side!r}")
         object.__setattr__(self, "angle", normalize_angle(self.angle))
         object.__setattr__(self, "offset", complex(self.offset))
 
@@ -88,7 +89,7 @@ class Ray:
         (offset above 1e-9 relative to max(1, |parameter|))."""
         u = (complex(z) - self.offset) / self.direction
         if abs(u.imag) > 1e-9 * max(1.0, abs(u)):
-            raise ValueError(f"point {z} is not on the ray (offset {u.imag:.3g})")
+            raise ValidationError(f"point {z} is not on the ray (offset {u.imag:.3g})")
         return u.real
 
     def contains(self, z):
@@ -111,9 +112,9 @@ class Cone:
 
     def __post_init__(self):
         if not 0.0 < self.angle <= math.pi:
-            raise ValueError("cone angle must lie in (0, pi]")
+            raise ValidationError("cone angle must lie in (0, pi]")
         if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
+            raise ValidationError("orientation must be +1 or -1")
         object.__setattr__(self, "vertex", complex(self.vertex))
 
     def _local_angle(self, lam):
@@ -143,7 +144,7 @@ class Cone:
         dual.
         """
         if not 0.0 <= psi_local <= self.angle + 1e-15:
-            raise ValueError("local angle outside [0, cone angle]")
+            raise ValidationError("local angle outside [0, cone angle]")
         return Ray(self.orientation * psi_local, self.vertex, side)
 
 
@@ -167,9 +168,9 @@ class Grid:
 
     def __post_init__(self):
         if self.count < 2:
-            raise ValueError("grid needs at least 2 nodes")
+            raise ValidationError("grid needs at least 2 nodes")
         if not self.half_width > 0.0:
-            raise ValueError("grid half-width must be positive")
+            raise ValidationError("grid half-width must be positive")
 
     @property
     def spacing(self):
@@ -206,7 +207,7 @@ class RayFunction:
         if vals.ndim == 1:
             vals = vals[:, None]
         if vals.ndim != 2 or vals.shape[0] != self.grid.count:
-            raise ValueError(
+            raise ValidationError(
                 f"values must have shape ({self.grid.count}, n), got {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
@@ -338,7 +339,7 @@ def sobolev_norm_spectral(f, ell, ctx, form=None):
     norm to quadrature accuracy.
     """
     if f.ray.side != TIME:
-        raise ValueError("spectral Sobolev norm expects a time-side ray function")
+        raise ValidationError("spectral Sobolev norm expects a time-side ray function")
     xi, spectrum, dxi = ctx.pullback_spectrum(f)
     q = _quadratic_form(spectrum, form)
     weight = (1.0 + xi ** 2) ** float(ell)
@@ -393,17 +394,10 @@ def sobolev_norm_derivative(f, ell, form=None):
     (1+xi^2)^ell) when the weight number is zero, so the two routes can
     cross-check each other.
     """
-    ell = _check_integer_order(ell)
+    if (isinstance(ell, float) and not ell.is_integer()) or ell < 0:
+        raise ValidationError("derivative-form norm needs a nonnegative integer order")
+    ell = int(ell)
     if f.grid.count < 2 * ell + 2:
-        raise ValueError("grid too short for the requested derivative order")
+        raise ConfigurationError("grid too short for the requested derivative order")
     coeffs = [math.comb(ell, j) for j in range(ell + 1)]
     return math.sqrt(derivative_energy(f, [form] * (ell + 1), coeffs))
-
-
-def _check_integer_order(ell):
-    if isinstance(ell, float) and not ell.is_integer():
-        raise ValueError("derivative-form norm needs a nonnegative integer order")
-    ell = int(ell)
-    if ell < 0:
-        raise ValueError("derivative-form norm needs a nonnegative integer order")
-    return ell

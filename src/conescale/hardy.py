@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IllConditionedKernelError, NumericalError,
-                     WeightOverflowError)
+from .errors import (ConfigurationError, IllConditionedKernelError,
+                     NumericalError, ValidationError, WeightOverflowError)
 from .geometry import (FREQUENCY, TIME, Cone, Grid, Ray, RayFunction,
                        exp_weighted, weighted_l2_report)
 from .transform import TransformContext, exp_sum, scaled_values
@@ -47,14 +47,14 @@ class ConeFunction:
     def __post_init__(self):
         angles = tuple(float(a) for a in self.angles)
         if len(angles) != len(self.rays):
-            raise ValueError("need one ray function per angle")
+            raise ValidationError("need one ray function per angle")
         if sorted(angles) != list(angles):
-            raise ValueError("angle grid must be sorted")
+            raise ValidationError("angle grid must be sorted")
         if abs(angles[0]) > 1e-12 or abs(angles[-1] - self.cone.angle) > 1e-9:
-            raise ValueError("angle grid must include both boundary angles")
+            raise ValidationError("angle grid must include both boundary angles")
         dims = {rf.dim for rf in self.rays}
         if len(dims) != 1:
-            raise ValueError("all rays must share the value dimension")
+            raise ValidationError("all rays must share the value dimension")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "rays", tuple(self.rays))
         object.__setattr__(self, "weight_number", complex(self.weight_number))
@@ -95,7 +95,7 @@ def membership_scan(f):
     angles must stay within RATIO_BOUND times the boundary norm sum.
     """
     if len(f.angles) < 5:
-        raise ValueError("membership scan needs at least 5 angles")
+        raise ConfigurationError("membership scan needs at least 5 angles")
     norms = []
     diagnostics = []
     divergent = False
@@ -162,18 +162,18 @@ def cauchy_reconstruct(f, lam, s=0, eta=None):
     cone = f.cone
     w = f.weight_number
     if not float(s).is_integer():
-        raise ValueError("only integer kernel orders are supported")
+        raise ValidationError("only integer kernel orders are supported")
     s = int(s)
     if s > f.weight_order + 1e-12:
-        raise ValueError("kernel order s must not exceed the weight order")
+        raise ValidationError("kernel order s must not exceed the weight order")
     nappe = _nappe_of(cone, lam)
     if nappe is None:
-        raise ValueError("reconstruction point is not strictly inside the cone")
+        raise ValidationError("reconstruction point is not strictly inside the cone")
     if s != 0:
         if eta is None:
-            raise ValueError("s != 0 needs the auxiliary point eta")
+            raise ValidationError("s != 0 needs the auxiliary point eta")
         if _nappe_of(cone, eta) != ("-" if nappe == "+" else "+"):
-            raise ValueError("eta must lie strictly inside the opposite half-cone")
+            raise ValidationError("eta must lie strictly inside the opposite half-cone")
     rf0, rf1 = f.boundary
     grid = rf0.grid
     spacing = grid.spacing
@@ -235,10 +235,6 @@ def _context_for(F, ctx=None):
     return ctx
 
 
-def _cut_parameter(F, v):
-    return F.ray.parameter(v)
-
-
 def halfline_projection(F, s, eta=None, v=0j, ctx=None, extra_power=0):
     """P^s cutting a time-side ray function to the forward half-line past v.
 
@@ -249,11 +245,11 @@ def halfline_projection(F, s, eta=None, v=0j, ctx=None, extra_power=0):
     a derivative into the same pass).
     """
     if F.ray.side != TIME:
-        raise ValueError("half-line projections act on time-side ray functions")
+        raise ValidationError("half-line projections act on time-side ray functions")
     if not float(s).is_integer():
-        raise ValueError(f"unsupported projection order {s}: must be an integer")
+        raise ValidationError(f"unsupported projection order {s}: must be an integer")
     s = int(s)
-    t_v = _cut_parameter(F, v)
+    t_v = F.ray.parameter(v)
     mask = F.grid.nodes >= t_v - 1e-12 * max(1.0, abs(t_v))
     if s == 0 and extra_power == 0:
         return F.with_values(np.where(mask[:, None], F.values, 0.0))
@@ -262,11 +258,11 @@ def halfline_projection(F, s, eta=None, v=0j, ctx=None, extra_power=0):
     lam = fhat.points
     if s != 0:
         if eta is None:
-            raise ValueError("s != 0 needs the auxiliary point eta")
+            raise ValidationError("s != 0 needs the auxiliary point eta")
         offside = np.min(np.abs(np.imag((eta - ctx.zeta)
                                         / ctx.frequency_ray.direction)))
         if offside < 1e-9:
-            raise ValueError("eta must lie off the frequency-side ray")
+            raise ValidationError("eta must lie off the frequency-side ray")
         ghat = fhat.with_values(fhat.values * ((lam - eta) ** s)[:, None])
     else:
         ghat = fhat
@@ -288,7 +284,7 @@ def project_halfline(F, s, eta=None, v=0j, ctx=None):
     only the integer, nonpositive range is part of the supported surface.
     """
     if not float(s).is_integer() or s > 0:
-        raise ValueError(f"unsupported projection order {s}: need integer s <= 0")
+        raise ValidationError(f"unsupported projection order {s}: need integer s <= 0")
     return halfline_projection(F, int(s), eta=eta, v=v, ctx=ctx)
 
 
@@ -301,7 +297,7 @@ class IdempotenceReport:
 def projection_idempotence_check(F, s, r, eta, v=0j):
     """Check P^r P^s = P^s (r <= s) on concrete data; reports the gap."""
     if r > s:
-        raise ValueError("idempotence requires r <= s")
+        raise ValidationError("idempotence requires r <= s")
     ctx = _context_for(F)
     first = project_halfline(F, s, eta=eta, v=v, ctx=ctx)
     second = project_halfline(first, r, eta=eta, v=v, ctx=ctx)
@@ -317,10 +313,10 @@ class PaleyWienerReport:
     opposite_verdict: str
 
 
-def paley_wiener_check(F, side, cut=0.0):
+def paley_wiener_check(F, side):
     """Support on a half-line versus analyticity in a half-plane.
 
-    For ``side="backward-support"`` the samples should vanish for t > cut
+    For ``side="backward-support"`` the samples should vanish for t > 0
     and the transform should have uniformly bounded norms on lines shifted
     by up to 2 into the upper half-plane (the forward case mirrors this).
     The report carries both sweeps: the predicted side must stay within
@@ -328,14 +324,13 @@ def paley_wiener_check(F, side, cut=0.0):
     past it; overflow on the opposite side counts as blow-up data.
     """
     if side not in ("backward-support", "forward-support"):
-        raise ValueError(f"unknown side {side!r}")
+        raise ValidationError(f"unknown side {side!r}")
     if F.ray.side != TIME:
-        raise ValueError("support checks act on time-side ray functions")
+        raise ValidationError("support checks act on time-side ray functions")
     ctx = _context_for(F)
     t = F.grid.nodes
-    t_cut = _cut_parameter(F, cut) if isinstance(cut, complex) else float(cut)
     mass = np.sum(np.abs(F.values) ** 2, axis=1)
-    wrong = t > t_cut if side == "backward-support" else t < t_cut
+    wrong = t > 0.0 if side == "backward-support" else t < 0.0
     total = float(np.sum(mass))
     leakage = math.sqrt(float(np.sum(mass[wrong])) / total) if total > 0 else 0.0
     sign = 1.0 if side == "backward-support" else -1.0
@@ -400,7 +395,7 @@ def entire_window_check(F):
     other numerical failures) is flagged.
     """
     if F.ray.side != TIME:
-        raise ValueError("window checks act on time-side ray functions")
+        raise ValidationError("window checks act on time-side ray functions")
     mass = np.max(np.abs(F.values), axis=1)
     peak = float(np.max(mass))
     if peak == 0.0:

@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import EigenSolverError, NearEigenvalueError
+from .errors import EigenSolverError, NearEigenvalueError, ValidationError
 from .geometry import Disk
 
 TOL_CLUSTER = 1e-7
@@ -65,11 +65,11 @@ class MatrixPencil:
     def __post_init__(self):
         coeffs = tuple(np.asarray(c, dtype=complex) for c in self.coefficients)
         if len(coeffs) < 2:
-            raise ValueError("a pencil needs degree >= 1 (at least two coefficients)")
+            raise ValidationError("a pencil needs degree >= 1 (at least two coefficients)")
         n = coeffs[0].shape[0]
         for c in coeffs:
             if c.shape != (n, n):
-                raise ValueError("all coefficients must be square with a common size")
+                raise ValidationError("all coefficients must be square with a common size")
             c.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
         if self.norm_forms is None:
@@ -77,22 +77,22 @@ class MatrixPencil:
         else:
             forms = tuple(np.asarray(h, dtype=complex) for h in self.norm_forms)
             if len(forms) != len(coeffs):
-                raise ValueError("need one norm form per coefficient")
+                raise ValidationError("need one norm form per coefficient")
             for j, h in enumerate(forms):
                 if h.shape != (n, n):
-                    raise ValueError("norm forms must match the pencil dimension")
+                    raise ValidationError("norm forms must match the pencil dimension")
                 if np.max(np.abs(h - h.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(h))):
-                    raise ValueError(f"norm form {j} is not Hermitian")
+                    raise ValidationError(f"norm form {j} is not Hermitian")
                 try:
                     np.linalg.cholesky(h)
                 except np.linalg.LinAlgError:
-                    raise ValueError(f"norm form {j} is not positive definite")
+                    raise ValidationError(f"norm form {j} is not positive definite")
                 h.flags.writeable = False
             # nested-norm axiom |u|_j <= |u|_{j+1}: H_{j+1} - H_j must be PSD
             for j in range(len(forms) - 1):
                 gap = np.linalg.eigvalsh(forms[j + 1] - forms[j])
                 if gap[0] < -1e-10 * max(1.0, float(np.max(np.abs(forms[j + 1])))):
-                    raise ValueError(
+                    raise ValidationError(
                         f"norm forms are not nested: H_{j + 1} - H_{j} has a "
                         f"negative eigenvalue {gap[0]:.3g}"
                     )
@@ -101,7 +101,7 @@ class MatrixPencil:
         # det itself under- or overflows at moderate sizes and scales
         if not any(np.linalg.slogdet(evaluate(self, lam))[0] != 0
                    for lam in _PROBES):
-            raise ValueError("pencil is singular at every probe point")
+            raise ValidationError("pencil is singular at every probe point")
 
     @property
     def degree(self):
@@ -435,21 +435,24 @@ def certify_spectrum(p, region=None):
     """(residuals, notes) certifying the clusters of spectrum(p, region).
 
     One SVD per cluster: residuals[k] is sigma_min(A(lam_k)) for the k-th
-    eigenvalue of the report, and a residual above 1e-8 coefficient_scale
-    fails its certificate.  The notes, in report order after the one on
-    dropped infinite eigenvalues, name each failed certificate and each
+    eigenvalue of the report.  A residual above 1e-8 sum_j |lam|^(m-j)
+    |A_j|_F, an eigenvalue backward error above 1e-8 (Tisseur, LAA 309,
+    2000), fails its certificate.  The notes, in report order after the one
+    on dropped infinite eigenvalues, name each failed certificate and each
     cluster of size > 1 (possibly defective).
     """
     head, lams, sizes = _clusters_in(p, region)
-    scale = p.coefficient_scale()
+    norms = [float(np.linalg.norm(c)) for c in p.coefficients]
     residuals, notes = [], list(head)
     for lam, size in zip(lams, sizes):
         sigma = float(np.linalg.svd(evaluate(p, lam), compute_uv=False)[-1])
         residuals.append(sigma)
-        if sigma > 1e-8 * scale:
+        bound = 1e-8 * float(np.polyval(norms, abs(lam)))
+        if sigma > bound:
             notes.append(
                 f"eigenvalue {lam} fails its residual certificate: smallest "
-                f"singular value {sigma:.3e} vs scale {scale:.3e}"
+                f"singular value {sigma:.3e} vs backward-error bound "
+                f"{bound:.3e}"
             )
         if size > 1:
             notes.append(

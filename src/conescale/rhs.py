@@ -9,6 +9,7 @@ only for solves on their own ray.
 
 import numpy as np
 
+from .errors import ValidationError
 from .geometry import RayFunction
 
 
@@ -85,7 +86,7 @@ class OneSidedExpRhs(AnalyticRhs):
 
     def scalar(self, z):
         if np.any(np.abs(np.imag(z)) > 1e-12 * np.maximum(1.0, np.abs(z))):
-            raise ValueError("one-sided exponential data only exists on the real line")
+            raise ValidationError("one-sided exponential data only exists on the real line")
         t = np.real(z)
         return np.where(t < 0.0, np.exp(self.rate * t), 0.0).astype(complex)
 
@@ -101,7 +102,7 @@ class BumpRhs(AnalyticRhs):
 
     def scalar(self, z):
         if np.any(np.abs(np.imag(z)) > 1e-12 * np.maximum(1.0, np.abs(z))):
-            raise ValueError("bump data only exists on the real line")
+            raise ValidationError("bump data only exists on the real line")
         t = np.real(z) / self.half_width
         inside = np.abs(t) < 1.0
         out = np.zeros(t.shape, dtype=complex)
@@ -127,4 +128,4 @@ class SampledRhs:
         return RayFunction(ray, grid, self.values, weight_order, weight_number)
 
     def __call__(self, z):
-        raise ValueError("sampled right-hand sides cannot be evaluated off-grid")
+        raise ValidationError("sampled right-hand sides cannot be evaluated off-grid")

@@ -22,9 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (ContractionFailureError, LocalizationFailureError,
-                     NonFiniteSampleError, NumericalError,
-                     SpectralObstructionError)
+from .errors import (ConfigurationError, ContractionFailureError,
+                     LocalizationFailureError, NonFiniteSampleError,
+                     NumericalError, SpectralObstructionError, ValidationError)
 from .geometry import TIME, Cone, Ray, RayFunction, derivative_energy
 from .hardy import halfline_projection
 from .pencil import (MatrixPencil, cone_clearance, line_distance,
@@ -54,10 +54,10 @@ class ConstantProblem:
 
     def __post_init__(self):
         if self.ray.side != TIME:
-            raise ValueError("solves run along time-side rays")
+            raise ValidationError("solves run along time-side rays")
         object.__setattr__(self, "zeta", complex(self.zeta))
         if self.rhs.dim != self.pencil.dim:
-            raise ValueError("right-hand side dimension does not match the pencil")
+            raise ValidationError("right-hand side dimension does not match the pencil")
 
     def context(self):
         return TransformContext(self.ray.angle, self.zeta, self.ray.offset,
@@ -171,7 +171,7 @@ def solve_scaled(problem, phi, scale_tol=SCALE_TOL, res_tol=RES_TOL,
     be empty (it is then nan).
     """
     if problem.evaluator is None:
-        raise ValueError("scaled solves need an analytic right-hand-side evaluator")
+        raise ConfigurationError("scaled solves need an analytic right-hand-side evaluator")
     orientation = 1 if phi >= 0 else -1
     aperture = abs(float(phi))
     if aperture > 0:
@@ -258,8 +258,9 @@ class VariableProblem:
     * np.eye(n)``; a plain n x n matrix (or shape (1, n, n)) is a constant
     coefficient.  Any other shape is rejected: the matrix axes are never
     broadcast.
-    The Q_j must extend holomorphically to the sector
-    |arg(z - sector_start)| <= sector_angle and decay there.  The
+    The caller must ensure that the Q_j extend holomorphically to a sector
+    |arg(z - sector_start)| <= alpha, with alpha in (0, pi/2) no smaller
+    than the scaling angles used, and decay there; nothing checks it.  The
     perturbation acts through half-line projections of order m - j past
     the cut point, with the auxiliary point eta = zeta + 4i.
     """
@@ -267,12 +268,9 @@ class VariableProblem:
     base: ConstantProblem
     coefficients: object
     sector_start: float
-    sector_angle: float
     cut: complex = None
 
     def __post_init__(self):
-        if not 0.0 < self.sector_angle < math.pi / 2:
-            raise ValueError("sector angle must lie in (0, pi/2)")
         if self.cut is None:
             object.__setattr__(
                 self, "cut",
@@ -294,7 +292,7 @@ def _prepare_perturbation(vp, grid):
     n = vp.base.pencil.dim
     qs = vp.coefficients(z)
     if len(qs) != m + 1:
-        raise ValueError("coefficient callable must return m + 1 matrices")
+        raise ValidationError("coefficient callable must return m + 1 matrices")
     shape = (z.size, n, n)
     per_j = []
     for j, q in enumerate(qs):
@@ -302,7 +300,7 @@ def _prepare_perturbation(vp, grid):
         # the matrix axes must be n x n exactly: broadcasting a size-1 axis
         # would silently turn a scalar into a matrix of ones
         if q.shape[-2:] != (n, n) or q.shape[:-2] not in ((), (1,), (z.size,)):
-            raise ValueError(
+            raise ValidationError(
                 f"perturbing coefficient Q_{j} has shape {q.shape}; expected "
                 f"{shape}, or ({n}, {n}) for a constant")
         arr = np.broadcast_to(q, shape)
@@ -335,7 +333,8 @@ def solve_variable(vp, res_tol=RES_TOL, max_iter=MAX_ITER):
     Q_j.  Residuals are re-checked each sweep by a finite-difference
     application of A(D) (cut-aware stencils at the projection cut).
     Geometric decay is required; two consecutive increases, or running out
-    of iterations, raise ContractionFailureError with the residual trace.
+    of the max_iter sweeps before res_tol, raise ContractionFailureError
+    with the residual trace.
     """
     base = vp.base
     ctx = base.context()
@@ -376,7 +375,7 @@ def solve_variable(vp, res_tol=RES_TOL, max_iter=MAX_ITER):
             raise ContractionFailureError(residuals)
         u = resolvent(base.rhs.values + pert)
     else:
-        raise ContractionFailureError(residuals)
+        raise ContractionFailureError(residuals, cap=(max_iter, res_tol))
     ratios = [residuals[k + 1] / residuals[k]
               for k in range(len(residuals) - 1) if residuals[k] > 0.0]
     q = max(ratios) if ratios else 0.0
@@ -430,10 +429,10 @@ def localize_traces(traces, cone, orientation=1, zeta=0j, gamma=None):
         cone_angle = float(cone)
     traces = [np.atleast_1d(np.asarray(d, dtype=complex)) for d in traces]
     if not traces:
-        raise ValueError("need at least one trace")
+        raise ValidationError("need at least one trace")
     dim = traces[0].size
     if any(d.size != dim for d in traces):
-        raise ValueError("traces must share one dimension")
+        raise ValidationError("traces must share one dimension")
     if gamma is None:
         found = None
         for mag in _GAMMA_MAGNITUDES:
@@ -501,7 +500,7 @@ def continuation_certificate(problem, phi, offset=None, n_angles=9,
     ``res_tol`` and ``max_iter``.
     """
     if problem.evaluator is None:
-        raise ValueError("certificates need an analytic right-hand-side evaluator")
+        raise ConfigurationError("certificates need an analytic right-hand-side evaluator")
     orientation = 1 if phi >= 0 else -1
     aperture = abs(float(phi))
     offset = problem.ray.offset if offset is None else complex(offset)

@@ -11,6 +11,8 @@ import functools
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 
 def fornberg_weights(x0, xs, m):
     """Weights w so that sum(w * f(xs)) ~ f^(m)(x0).
@@ -21,7 +23,7 @@ def fornberg_weights(x0, xs, m):
     xs = np.asarray(xs, dtype=float)
     n = xs.size
     if m >= n:
-        raise ValueError(f"need at least {m + 1} nodes for derivative order {m}")
+        raise ConfigurationError(f"need at least {m + 1} nodes for derivative order {m}")
     c = np.zeros((n, m + 1))
     c[0, 0] = 1.0
     c1 = 1.0
@@ -68,7 +70,7 @@ def derivative_uniform(values, spacing, m, acc=8):
     half = int(offsets[-1])
     n = values.shape[0]
     if n < 2 * half + 1:
-        raise ValueError(f"grid too short for stencil: {n} nodes < {2 * half + 1}")
+        raise ConfigurationError(f"grid too short for stencil: {n} nodes < {2 * half + 1}")
     out = np.zeros_like(values, dtype=complex)
     core = slice(half, n - half)
     for off, c in zip(offsets, w):
@@ -98,7 +100,7 @@ def _window(k, n_nodes, width, segments):
             break
     start = min(max(k - width // 2, lo), hi - width)
     if start < lo:
-        raise ValueError("segment too short for the requested stencil width")
+        raise ConfigurationError("segment too short for the requested stencil width")
     return start
 
 

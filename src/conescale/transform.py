@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ConfigurationError, NonFiniteSampleError,
-                     WeightOverflowError)
+                     ValidationError, WeightOverflowError)
 from .geometry import (FREQUENCY, LOG_OVERFLOW_BOUND, TIME, Grid, Ray,
                        RayFunction, weighted_l2_norm)
 
@@ -473,7 +473,7 @@ def apply_derivative_rule(ctx, fhat, j):
     """
     j = int(j)
     if j < 0:
-        raise ValueError("derivative order must be nonnegative")
+        raise ValidationError("derivative order must be nonnegative")
     lam = fhat.points
     scaled = fhat.values * (lam ** j)[:, None]
     peak = float(np.max(np.abs(scaled)))

@@ -257,7 +257,7 @@ def spectrum_uncached(p, region=None, tol_cluster=1e-7, tol_inf=1e-8):
     if raw.size - kept.size:
         head.append(f"dropped {raw.size - kept.size} eigenvalue(s) at or "
                     f"near infinity")
-    scale = p.coefficient_scale()
+    norms = [float(np.linalg.norm(c)) for c in p.coefficients]
     rows = []                # (lam, multiplicity, residual, notes)
     for cluster in cluster_pairwise(kept, tol_cluster):
         lam = complex(np.mean(cluster))
@@ -265,10 +265,14 @@ def spectrum_uncached(p, region=None, tol_cluster=1e-7, tol_inf=1e-8):
             continue
         sing = np.linalg.svd(evaluate(p, lam), compute_uv=False)
         notes = []
-        if sing[-1] > 1e-8 * scale:
+        # eigenvalue backward error 1e-8 (Tisseur): sum_j |lam|^(m-j) |A_j|
+        bound = 1e-8 * sum(abs(lam) ** (p.degree - j) * norm
+                           for j, norm in enumerate(norms))
+        if sing[-1] > bound:
             notes.append(
                 f"eigenvalue {lam} fails its residual certificate: smallest "
-                f"singular value {sing[-1]:.3e} vs scale {scale:.3e}"
+                f"singular value {sing[-1]:.3e} vs backward-error bound "
+                f"{bound:.3e}"
             )
         if len(cluster) > 1:
             notes.append(

@@ -206,8 +206,7 @@ def test_criterion_08_neumann(tmp_path):
     def coefficients(z):
         return [(0.05 / (z ** 2 + 9.0))[:, None, None], np.zeros((1, 1))]
 
-    vp = VariableProblem(base, coefficients, sector_start=-12.0,
-                         sector_angle=math.pi / 24)
+    vp = VariableProblem(base, coefficients, sector_start=-12.0)
     res = solve_variable(vp, res_tol=1e-8)
     assert res.contraction_ratio <= 0.5
     assert res.residuals[-1] <= 1e-8
@@ -220,8 +219,7 @@ def test_criterion_08_neumann(tmp_path):
         return [(50.0 / (z ** 2 + 9.0))[:, None, None], np.zeros((1, 1))]
 
     with pytest.raises(ContractionFailureError) as err:
-        solve_variable(VariableProblem(base, big, sector_start=-12.0,
-                                       sector_angle=math.pi / 24),
+        solve_variable(VariableProblem(base, big, sector_start=-12.0),
                        res_tol=1e-8)
     trace = err.value.residuals
     assert trace[1] > trace[0]

@@ -489,13 +489,6 @@ class TestDeterminism:
         assert run(["solve", path, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_flag_accepted_without_effect(self, tmp_path):
-        path = write(tmp_path, quad_problem())
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run(["solve", path, "--out", str(a), "--threads", "1"]) == 0
-        assert run(["solve", path, "--out", str(b), "--threads", "8"]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestExitCodes:
     @pytest.mark.parametrize("edit", [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import conescale.pencil
 from conescale import (Cone, Disk, GaussianRhs, Grid, MatrixPencil,
@@ -689,6 +689,18 @@ class TestStandardCompanion:
                                   np.sort_complex(fast.conj()))
             lams = spectrum(p).eigenvalues
             assert set(lams) == {lam.conjugate() for lam in lams}
+
+    # the certificate's bound is an eigenvalue backward error of 1e-8, which
+    # grows with |lam|^j as the rounding in A(lam) does; the example failed
+    # the unweighted bound 1e-8 max_j |A_j| (5.0e-5 against 4.2e-5)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 6),
+           st.booleans(), st.just(1e3))
+    @example(726143587, 3, 3, False, 1e3)
+    def test_large_magnitudes_certify(self, seed, degree, n, real, magnitude):
+        _, notes = certify_spectrum(monic_pencil(seed, degree, n, real,
+                                                 magnitude))
+        assert not [note for note in notes if "fails" in note]
 
     def test_identity_leading_runs_no_qz(self, monkeypatch):
         monkeypatch.setattr(scipy.linalg, "eig", _refuse("scipy.linalg.eig"))
