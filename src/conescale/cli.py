@@ -325,7 +325,8 @@ def load_problem(path):
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read problem file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError and the int-digit limit
         raise ValidationError(f"invalid JSON: {exc}")
     return parse_problem(data)
 

@@ -10,6 +10,7 @@ import ast
 import json
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -22,9 +23,12 @@ SRC = pathlib.Path(conescale.__file__).parent
 README = pathlib.Path(__file__).parents[1] / "README.md"
 
 # (module, function) of the only handlers allowed to catch ValueError or
-# Exception: the matrix parser's fallback to its walk, and the mapping of
-# LAPACK failures to EigenSolverError
+# Exception: the matrix parser's fallback to its walk, the mapping of
+# LAPACK failures to EigenSolverError, and the problem-file reader, where
+# the json module reports undecodable bytes and over-long integers as
+# ValueError
 ALLOWED_HANDLERS = {("cli.py", "_complex_matrix"),
+                    ("cli.py", "load_problem"),
                     ("pencil.py", "_companion_eig")}
 
 
@@ -126,6 +130,22 @@ def test_field_of_another_kind_exits_2(tmp_path, capsys, rhs, perturbation,
     assert run(tmp_path, data, ["solve"]) == 2
     assert (capsys.readouterr().err
             == f"error: {field}: unknown field (strict mode)\n")
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff", "'utf-8' codec can't decode byte 0xff"),
+    pytest.param(b'{"schema_version": ' + b"9" * 5000 + b"}",
+                 "Exceeds the limit (4300 digits)", id="int_5000_digits",
+                 marks=pytest.mark.skipif(
+                     not hasattr(sys, "get_int_max_str_digits"),
+                     reason="this Python has no int-digit limit")),
+], ids=["not_utf8", "int_5000_digits"])
+def test_unreadable_problem_file_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "problem.json"
+    path.write_bytes(content)
+    assert main(["spectrum", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON: ") and message in err
 
 
 def test_plain_value_error_propagates(tmp_path, monkeypatch):
