@@ -29,7 +29,7 @@ from .hardy import ConeFunction, membership_scan, paley_wiener_check
 from .pencil import (MatrixPencil, certify_spectrum, cone_clearance,
                      search_radius, spectrum)
 from .rhs import BumpRhs, GaussianRhs, OneSidedExpRhs, SampledRhs
-from .solver import (ConstantProblem, VariableProblem,
+from .solver import (VariableProblem, constant_problem,
                      continuation_certificate, solve_const, solve_scaled,
                      solve_variable)
 from .transform import TransformContext, parseval_check
@@ -225,7 +225,8 @@ def parse_problem(data):
         raise ConfigurationError("only one angle is read, got "
                                  f"{len(solver_cfg['phi_list'])}",
                                  "solver.phi_list")
-    return Problem(pencil, cone, zeta, grid, rhs, pert, solver_cfg, data)
+    return Problem(pencil, cone, zeta, grid, rhs, pert, solver_cfg,
+                   data["rhs"]["kind"])
 
 
 def _parse_rhs(rd, dim, grid):
@@ -280,7 +281,7 @@ def _parse_perturbation(pd):
 
 class Problem:
     def __init__(self, pencil, cone, zeta, grid, rhs, perturbation,
-                 solver_cfg, raw):
+                 solver_cfg, rhs_kind):
         self.pencil = pencil
         self.cone = cone
         self.zeta = zeta
@@ -288,13 +289,11 @@ class Problem:
         self.rhs = rhs
         self.perturbation = perturbation
         self.solver_cfg = solver_cfg
-        self.raw = raw
+        self.rhs_kind = rhs_kind
 
     def constant(self):
-        ray = Ray(0.0, 0j, TIME)
-        rhs = self.rhs.sample(ray, self.grid, weight_number=self.zeta)
-        evaluator = self.rhs if getattr(self.rhs, "analytic", False) else None
-        return ConstantProblem(self.pencil, ray, self.zeta, rhs, evaluator)
+        return constant_problem(self.pencil, self.rhs, self.grid,
+                                zeta=self.zeta)
 
     def variable(self):
         """Neumann setup for the rational perturbation.
@@ -366,7 +365,7 @@ def _echo_config(report, problem):
     report.meta("cone.angle", _fmt(problem.cone.angle))
     report.meta("cone.orientation", problem.cone.orientation)
     report.meta("weight", f"{_fmt(problem.zeta.real)}{problem.zeta.imag:+.17g}j")
-    report.meta("rhs.kind", problem.raw["rhs"]["kind"])
+    report.meta("rhs.kind", problem.rhs_kind)
 
 
 def cmd_spectrum(problem, args):
@@ -493,7 +492,8 @@ def _verify_hardy(problem, report):
                  list(zip(angles, scan.per_angle_norms)))
 
 
-def _verify_paley_wiener(problem, report, side):
+def _verify_paley_wiener(problem, report, args):
+    side = args.side or "backward-support"
     ray = Ray(0.0, 0j, TIME)
     f = problem.rhs.sample(ray, problem.grid, weight_number=problem.zeta)
     rep = paley_wiener_check(f, side)
@@ -509,13 +509,14 @@ def _verify_continuation(problem, report, args):
     cfg = problem.solver_cfg
     phi = args.phi if args.phi is not None else (
         cfg["phi_list"][0] if cfg["phi_list"] else math.pi / 8)
-    base = problem.constant()
-    variable = problem.variable() if problem.perturbation is not None else None
-    cert = continuation_certificate(base, phi, offset=args.offset,
-                                    res_tol=cfg["res_tol"], variable=variable,
+    offset = 1.0 if args.offset is None else args.offset
+    target = problem.constant() if problem.perturbation is None \
+        else problem.variable()
+    cert = continuation_certificate(target, phi, offset=offset,
+                                    res_tol=cfg["res_tol"],
                                     max_iter=cfg["max_iter"])
     report.meta("phi", _fmt(phi))
-    report.meta("offset", _fmt(args.offset))
+    report.meta("offset", _fmt(offset))
     report.meta("verdict", cert.verdict)
     report.meta("ratio", _fmt(cert.ratio) if np.isfinite(cert.ratio) else "inf")
     for psi, reason in cert.blown:
@@ -533,7 +534,7 @@ def cmd_verify(problem, args):
     elif args.suite == "hardy":
         _verify_hardy(problem, report)
     elif args.suite == "paley-wiener":
-        _verify_paley_wiener(problem, report, args.side)
+        _verify_paley_wiener(problem, report, args)
     elif args.suite == "continuation":
         _verify_continuation(problem, report, args)
     return report
@@ -698,10 +699,10 @@ def build_parser():
     common(p)
     p.add_argument("--suite", required=True,
                    choices=("parseval", "hardy", "paley-wiener", "continuation"))
-    p.add_argument("--side", default="backward-support",
-                   choices=("backward-support", "forward-support"))
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--offset", type=float, default=1.0)
+    p.add_argument("--side", choices=("backward-support", "forward-support"),
+                   help="paley-wiener only (default backward-support)")
+    p.add_argument("--phi", type=float, help="continuation only")
+    p.add_argument("--offset", type=float, help="continuation only (default 1)")
 
     p = sub.add_parser("demo-cylinder", help="generate and run the cylinder demo")
     common(p, with_problem=False)
@@ -714,10 +715,34 @@ def build_parser():
     return parser
 
 
+# the float options, and whether each must be positive
+_FLOAT_OPTIONS = (("radius", True), ("scaled", False), ("phi", False),
+                  ("offset", False))
+# the verify options each read by one suite only
+_SUITE_OPTIONS = {"side": "paley-wiener", "phi": "continuation",
+                  "offset": "continuation"}
+
+
+def _check_options(args):
+    """Refuse a float option that is not finite, a --radius that is not
+    positive, and a verify option that the chosen suite does not read."""
+    for name, positive in _FLOAT_OPTIONS:
+        value = getattr(args, name, None)
+        if value is not None:
+            _number(value, f"--{name}", float, positive)
+    if args.command == "verify":
+        for name, suite in _SUITE_OPTIONS.items():
+            if getattr(args, name) is not None and args.suite != suite:
+                raise ConfigurationError(
+                    f"--suite {args.suite} does not read it; only --suite "
+                    f"{suite} does", f"--{name}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         if args.command == "demo-cylinder":
             report = cmd_demo_cylinder(args)
         else:

@@ -44,31 +44,45 @@ _GAMMA_FAN = (0.0, math.pi / 16, -math.pi / 16, math.pi / 8, -math.pi / 8)
 
 @dataclass(frozen=True)
 class ConstantProblem:
-    """A(D) u = F along a time-side ray with weight number zeta."""
+    """A(D) u = F, with F sampled in ``rhs`` along a time-side ray.
+
+    The ray and the weight number zeta are those of ``rhs``.  ``evaluator``
+    samples F on other rays (None for data that cannot leave its ray).
+    """
 
     pencil: MatrixPencil
-    ray: Ray
-    zeta: complex
     rhs: RayFunction
     evaluator: object = None
 
     def __post_init__(self):
         if self.ray.side != TIME:
             raise ValidationError("solves run along time-side rays")
-        object.__setattr__(self, "zeta", complex(self.zeta))
         if self.rhs.dim != self.pencil.dim:
             raise ValidationError("right-hand side dimension does not match the pencil")
+
+    @property
+    def ray(self):
+        return self.rhs.ray
+
+    @property
+    def zeta(self):
+        return self.rhs.weight_number
 
     def context(self):
         return TransformContext(self.ray.angle, self.zeta, self.ray.offset,
                                 self.rhs.grid)
 
+    def on_ray(self, ray):
+        """The same problem with F sampled again on ``ray``."""
+        rhs = self.evaluator.sample(ray, self.rhs.grid, self.rhs.weight_order,
+                                    self.zeta)
+        return replace(self, rhs=rhs)
+
 
 def constant_problem(pencil, evaluator, grid, psi=0.0, w=0j, zeta=0j):
     """Assemble a ConstantProblem by sampling an evaluator on the ray."""
-    ray = Ray(psi, w, TIME)
-    rhs = evaluator.sample(ray, grid, weight_number=zeta)
-    return ConstantProblem(pencil, ray, zeta, rhs,
+    rhs = evaluator.sample(Ray(psi, w, TIME), grid, weight_number=zeta)
+    return ConstantProblem(pencil, rhs,
                            evaluator if getattr(evaluator, "analytic", False) else None)
 
 
@@ -115,7 +129,24 @@ def _check_line_clear(pencil, ctx):
             f"{offenders}; the operator has no bounded inverse there",
             offenders,
         )
-    return spec
+
+
+def _resolve(pencil, ctx, f):
+    """u = T [ A(lam)^{-1} (T^{-1} f) ]; returns u and its frequency data."""
+    fhat = ctx.forward(f)
+    uhat = fhat.with_values(resolvent_apply_batch(pencil, fhat.points,
+                                                  fhat.values))
+    return ctx.inverse(uhat), uhat
+
+
+def _fd_residual(pencil, u, rhs, pert=None, cuts=()):
+    """max |(A(D) u - pert) - F| over the stencil-valid interior, relative
+    to max(1, |F|_inf), with A(D) applied by finite differences."""
+    scale = max(1.0, float(np.max(np.abs(rhs.values))))
+    applied, core = apply_pencil_fd(pencil, u, cuts=cuts)
+    lhs = applied[core] if pert is None else applied[core] - pert[core]
+    gap = np.linalg.norm(lhs - rhs.values[core], axis=1)
+    return float(np.max(gap)) / scale if gap.size else 0.0
 
 
 def solve_const(problem, res_tol=RES_TOL):
@@ -127,15 +158,8 @@ def solve_const(problem, res_tol=RES_TOL):
     """
     ctx = problem.context()
     _check_line_clear(problem.pencil, ctx)
-    fhat = ctx.forward(problem.rhs)
-    lam = fhat.points
-    uhat_vals = resolvent_apply_batch(problem.pencil, lam, fhat.values)
-    uhat = fhat.with_values(uhat_vals)
-    u = ctx.inverse(uhat)
-    scale = max(1.0, float(np.max(np.abs(problem.rhs.values))))
-    applied, core = apply_pencil_fd(problem.pencil, u)
-    gap = np.linalg.norm(applied[core] - problem.rhs.values[core], axis=1)
-    residual = float(np.max(gap)) / scale if gap.size else 0.0
+    u, uhat = _resolve(problem.pencil, ctx, problem.rhs)
+    residual = _fd_residual(problem.pencil, u, problem.rhs)
     if residual > res_tol:
         raise NumericalError(
             f"solve residual {residual:.3e} exceeds tolerance {res_tol:.1e}"
@@ -188,22 +212,15 @@ def solve_scaled(problem, phi, scale_tol=SCALE_TOL, res_tol=RES_TOL,
     w = problem.ray.offset
     base = solve_const(problem, res_tol=res_tol)
 
-    scaled_pencil = problem.pencil.scaled(phi)
-    v_ray = Ray(0.0, w, TIME)
-    zeta_v = cmath.exp(-1j * phi) * problem.zeta
-    v_rhs = RayFunction(v_ray, grid,
+    v_rhs = RayFunction(Ray(0.0, w, TIME), grid,
                         problem.evaluator(w + cmath.exp(-1j * phi) * grid.nodes),
-                        problem.rhs.weight_order, zeta_v)
-    v_prob = ConstantProblem(scaled_pencil, v_ray, zeta_v, v_rhs,
-                             problem.evaluator)
-    v = solve_const(v_prob, res_tol=res_tol)
+                        problem.rhs.weight_order,
+                        cmath.exp(-1j * phi) * problem.zeta)
+    v = solve_const(ConstantProblem(problem.pencil.scaled(phi), v_rhs),
+                    res_tol=res_tol)
 
     rot_ray = Ray(phi, w, TIME)
-    rot_rhs = RayFunction(rot_ray, grid,
-                          problem.evaluator(rot_ray.points(grid.nodes)),
-                          problem.rhs.weight_order, problem.zeta)
-    rot_prob = replace(problem, ray=rot_ray, rhs=rot_rhs)
-    rot = solve_const(rot_prob, res_tol=res_tol)
+    rot = solve_const(problem.on_ray(rot_ray), res_tol=res_tol)
 
     deviation = float(np.max(np.abs(v.u.values - rot.u.values)))
     # relative to max(1, |u|_inf), as the solve residuals are
@@ -230,10 +247,7 @@ def solve_scaled(problem, phi, scale_tol=SCALE_TOL, res_tol=RES_TOL,
 
     rows = []
     for psi in np.linspace(0.0, phi, ray_table_angles):
-        ray = Ray(psi, w, TIME)
-        rhs = RayFunction(ray, grid, problem.evaluator(ray.points(grid.nodes)),
-                          problem.rhs.weight_order, problem.zeta)
-        res = solve_const(replace(problem, ray=ray, rhs=rhs), res_tol=res_tol)
+        res = solve_const(problem.on_ray(Ray(psi, w, TIME)), res_tol=res_tol)
         rows.append((float(psi),
                      derivative_energy(res.u, problem.pencil.norm_forms[::-1])))
     report = ScalingReport(
@@ -262,19 +276,13 @@ class VariableProblem:
     |arg(z - sector_start)| <= alpha, with alpha in (0, pi/2) no smaller
     than the scaling angles used, and decay there; nothing checks it.  The
     perturbation acts through half-line projections of order m - j past
-    the cut point, with the auxiliary point eta = zeta + 4i.
+    the cut point, the point of parameter sector_start on the base ray,
+    with the auxiliary point eta = zeta + 4i.
     """
 
     base: ConstantProblem
     coefficients: object
     sector_start: float
-    cut: complex = None
-
-    def __post_init__(self):
-        if self.cut is None:
-            object.__setattr__(
-                self, "cut",
-                self.base.ray.points(np.array([self.sector_start]))[0])
 
 
 @dataclass(frozen=True)
@@ -312,14 +320,14 @@ def _prepare_perturbation(vp, grid):
     return per_j
 
 
-def _apply_perturbation(vp, per_j, u, ctx):
+def _apply_perturbation(vp, per_j, u, ctx, cut):
     m = vp.base.pencil.degree
     eta = vp.base.zeta + 4j
     out = np.zeros_like(u.values)
     for j, q in enumerate(per_j):
         if q is None:
             continue
-        proj = halfline_projection(u, m - j, eta=eta, v=vp.cut, ctx=ctx,
+        proj = halfline_projection(u, m - j, eta=eta, v=cut, ctx=ctx,
                                    extra_power=m - j)
         out += np.einsum("kij,kj->ki", q, proj.values)
     return out
@@ -341,27 +349,16 @@ def solve_variable(vp, res_tol=RES_TOL, max_iter=MAX_ITER):
     _check_line_clear(base.pencil, ctx)
     grid = base.rhs.grid
     per_j = _prepare_perturbation(vp, grid)
-    cut_node = int(np.argmin(np.abs(grid.nodes - base.ray.parameter(vp.cut))))
-    scale = max(1.0, float(np.max(np.abs(base.rhs.values))))
+    cut = base.ray.points(np.array([vp.sector_start]))[0]
+    cut_node = int(np.argmin(np.abs(grid.nodes - base.ray.parameter(cut))))
 
-    def resolvent(values):
-        rhs = base.rhs.with_values(values)
-        fhat = ctx.forward(rhs)
-        uhat = resolvent_apply_batch(base.pencil, fhat.points, fhat.values)
-        return ctx.inverse(fhat.with_values(uhat))
-
-    def residual_of(u, pert_vals):
-        applied, core = apply_pencil_fd(base.pencil, u, cuts=(cut_node,))
-        gap = np.linalg.norm(
-            applied[core] - pert_vals[core] - base.rhs.values[core], axis=1)
-        return float(np.max(gap)) / scale
-
-    u = resolvent(base.rhs.values)
+    u, _ = _resolve(base.pencil, ctx, base.rhs)
     residuals = []
     increases = 0
     for _ in range(max_iter):
-        pert = _apply_perturbation(vp, per_j, u, ctx)
-        residuals.append(residual_of(u, pert))
+        pert = _apply_perturbation(vp, per_j, u, ctx, cut)
+        residuals.append(_fd_residual(base.pencil, u, base.rhs, pert,
+                                      cuts=(cut_node,)))
         if residuals[-1] <= res_tol:
             break
         if len(residuals) >= 2:
@@ -373,7 +370,8 @@ def solve_variable(vp, res_tol=RES_TOL, max_iter=MAX_ITER):
                 increases = 0
         if not np.isfinite(residuals[-1]) or residuals[-1] > 1e6:
             raise ContractionFailureError(residuals)
-        u = resolvent(base.rhs.values + pert)
+        u, _ = _resolve(base.pencil, ctx,
+                        base.rhs.with_values(base.rhs.values + pert))
     else:
         raise ContractionFailureError(residuals, cap=(max_iter, res_tol))
     ratios = [residuals[k + 1] / residuals[k]
@@ -483,7 +481,7 @@ class CertificateReport:
 
 
 def continuation_certificate(problem, phi, offset=None, n_angles=9,
-                             res_tol=RES_TOL, variable=None, max_iter=MAX_ITER):
+                             res_tol=RES_TOL, max_iter=MAX_ITER):
     """Solve along rotated rays past an offset and watch the energies.
 
     For each psi in [0, |phi|] the problem is re-solved along the ray
@@ -495,38 +493,30 @@ def continuation_certificate(problem, phi, offset=None, n_angles=9,
     sweep maximum stays within CERT_BOUND of the psi = 0 value; per-ray
     numerical blow-ups (overflow, residual failures, non-finite samples or
     energies) are recorded as blow-up data, with their reasons in
-    ``blown``, rather than raised.  Other errors propagate.  With a
-    ``variable`` problem each ray is a Neumann solve (solve_variable) with
-    ``res_tol`` and ``max_iter``.
+    ``blown``, rather than raised.  Other errors propagate.  ``problem`` is
+    a ConstantProblem, or a VariableProblem whose rays are Neumann solves
+    (solve_variable with ``res_tol`` and ``max_iter``; the projection cut
+    rides along at parameter sector_start of each ray).
     """
-    if problem.evaluator is None:
+    variable = isinstance(problem, VariableProblem)
+    const = problem.base if variable else problem
+    if const.evaluator is None:
         raise ConfigurationError("certificates need an analytic right-hand-side evaluator")
     orientation = 1 if phi >= 0 else -1
     aperture = abs(float(phi))
-    offset = problem.ray.offset if offset is None else complex(offset)
-    grid = problem.rhs.grid
-    cut_param = None
-    if variable is not None:
-        cut_param = variable.base.ray.parameter(variable.cut)
+    offset = const.ray.offset if offset is None else complex(offset)
     rows = []
     base_value = None
     blown = []
     for psi in np.linspace(0.0, aperture, n_angles):
-        ray = Ray(orientation * psi, offset, TIME)
         try:
-            rhs = RayFunction(ray, grid,
-                              problem.evaluator(ray.points(grid.nodes)),
-                              problem.rhs.weight_order, problem.zeta)
-            sub = replace(problem, ray=ray, rhs=rhs)
-            if variable is not None:
-                # the projection cut rides along with the rotated ray
-                cut = ray.points(np.array([cut_param]))[0]
-                vsub = replace(variable, base=sub, cut=cut)
-                u = solve_variable(vsub, res_tol=res_tol,
+            sub = const.on_ray(Ray(orientation * psi, offset, TIME))
+            if variable:
+                u = solve_variable(replace(problem, base=sub), res_tol=res_tol,
                                    max_iter=max_iter).u
             else:
                 u = solve_const(sub, res_tol=res_tol).u
-            value = derivative_energy(u, problem.pencil.norm_forms[::-1],
+            value = derivative_energy(u, const.pencil.norm_forms[::-1],
                                       keep=u.grid.nodes >= 0.0)
             if not math.isfinite(value):
                 raise NumericalError(f"ray energy is {value}")

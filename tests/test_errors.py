@@ -78,6 +78,60 @@ def test_lint_sees_an_offence(tmp_path):
                               "bad.py:5 raise ValueError"]
 
 
+def _dead_code(paths):
+    """Unused imports (outside __init__.py, whose imports are the package's
+    API), and module-private top-level functions or classes that no module
+    in ``paths`` names."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in paths}
+    used = {path: {node.id for node in ast.walk(tree)
+                   if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)}
+            for path, tree in trees.items()}
+    named = set().union(*used.values()) | {
+        alias.name for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names}
+    found = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and path.name != "__init__.py"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used[path]:
+                        found.append(f"{path.name}:{node.lineno} unused "
+                                     f"import {name}")
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")
+                    and node.name not in named):
+                found.append(f"{path.name}:{node.lineno} unreferenced "
+                             f"{node.name}")
+    return found
+
+
+def test_no_dead_code():
+    files = sorted(SRC.glob("*.py"))
+    assert "__init__.py" in {f.name for f in files}
+    assert _dead_code(files) == []
+
+
+def test_dead_code_check_sees_an_offence(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import os\nimport numpy as np\nfrom math import pi, tau\n\n"
+        "def _used():\n    return np.pi, pi\n\n"
+        "def _shared():\n    pass\n\n"
+        "def _dead():\n    pass\n\n"
+        "class _Gone:\n    pass\n\nprint(_used())\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text("from a import _shared\n_shared()\n",
+                                   encoding="utf-8")
+    assert _dead_code(sorted(tmp_path.glob("*.py"))) == [
+        "a.py:1 unused import os", "a.py:3 unused import tau",
+        "a.py:11 unreferenced _dead", "a.py:14 unreferenced _Gone"]
+
+
 def run(tmp_path, data, argv):
     return main(argv[:1] + [write(tmp_path, data)] + argv[1:])
 
@@ -106,6 +160,53 @@ def test_precondition_exits_2(tmp_path, capsys, overrides, grid_count, argv,
         data["grid"]["count"] = grid_count
     assert run(tmp_path, data, argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+NOT_FINITE = "expected a finite number"
+NOT_POSITIVE = "must be positive"
+CONTINUATION = ["verify", "--suite", "continuation"]
+
+
+# (argv, message) of each refused float option value
+BAD_FLOATS = [
+    *[([command, "--radius", value], f"--radius: {message}")
+      for command in ("spectrum", "clearance")
+      for value, message in (("-1", NOT_POSITIVE), ("0", NOT_POSITIVE),
+                             ("nan", NOT_FINITE), ("inf", NOT_FINITE))],
+    *[(argv + [value], f"{argv[-1]}: {NOT_FINITE}")
+      for argv in (["solve", "--scaled"], CONTINUATION + ["--phi"],
+                   CONTINUATION + ["--offset"],
+                   ["demo-cylinder", "--n", "1", "--phi"])
+      for value in ("nan", "inf")],
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_FLOATS,
+                         ids=[" ".join(argv) for argv, _ in BAD_FLOATS])
+def test_bad_float_option_exits_2(tmp_path, capsys, argv, message):
+    if argv[0] == "demo-cylinder":
+        demo = tmp_path / "demo.json"
+        assert main(argv + ["--out-problem", str(demo)]) == 2
+        assert not demo.exists()
+    else:
+        assert run(tmp_path, linear_problem(), argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("suite, option, value, reader", [
+    (suite, option, value, reader)
+    for option, value, reader in (
+        ("--side", "forward-support", "paley-wiener"),
+        ("--phi", "0.3", "continuation"),
+        ("--offset", "0.5", "continuation"))
+    for suite in ("parseval", "hardy", "paley-wiener", "continuation")
+    if suite != reader])
+def test_unread_verify_option_exits_2(tmp_path, capsys, suite, option, value,
+                                      reader):
+    argv = ["verify", "--suite", suite, option, value]
+    assert run(tmp_path, linear_problem(), argv) == 2
+    assert (capsys.readouterr().err == f"error: {option}: --suite {suite} "
+            f"does not read it; only --suite {reader} does\n")
 
 
 @pytest.mark.parametrize("rhs, perturbation, field", [

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ import scipy.interpolate
 from hypothesis import given, settings, strategies as st
 
 import conescale.solver
-from conescale import (ContractionFailureError, Grid, GaussianRhs,
-                       LocalizationFailureError, MatrixPencil,
-                       NumericalError, PoleRhs, Ray, RayFunction,
-                       SpectralObstructionError, TIME,
-                       VariableProblem, WeightOverflowError, constant_problem,
+from conescale import (FREQUENCY, ConstantProblem, ContractionFailureError,
+                       Grid, GaussianRhs, LocalizationFailureError,
+                       MatrixPencil, NumericalError, PoleRhs, Ray,
+                       RayFunction, SpectralObstructionError, TIME,
+                       ValidationError, VariableProblem, WeightOverflowError,
+                       constant_problem,
                        continuation_certificate, localize_traces, solve_const,
                        solve_scaled, solve_variable)
 from conescale.errors import NonFiniteSampleError
@@ -36,6 +38,24 @@ def grid():
 @pytest.fixture(scope="module")
 def linear_problem(grid):
     return constant_problem(LINEAR, GaussianRhs(), grid)
+
+
+class TestConstantProblem:
+    def test_frequency_side_rhs_rejected(self, grid):
+        rhs = RayFunction(Ray(0.0, 0j, FREQUENCY), grid, np.zeros(grid.count))
+        with pytest.raises(ValidationError, match="time-side"):
+            ConstantProblem(LINEAR, rhs)
+
+    def test_on_ray_keeps_pencil_evaluator_and_weight(self, grid):
+        evaluator = GaussianRhs(center=1.0)
+        p = constant_problem(LINEAR, evaluator, grid, zeta=0.3j)
+        p = replace(p, rhs=replace(p.rhs, weight_order=2.0))
+        ray = Ray(math.pi / 8, 0.5, TIME)
+        q = p.on_ray(ray)
+        assert q.pencil is p.pencil and q.evaluator is evaluator
+        assert q.ray == ray and q.rhs.grid == grid
+        assert (q.rhs.weight_order, q.zeta) == (2.0, 0.3j)
+        assert np.array_equal(q.rhs.values, evaluator(ray.points(grid.nodes)))
 
 
 class TestSolveConst:
@@ -128,7 +148,7 @@ class TestSolveScaled:
 
     def test_needs_evaluator(self, grid):
         p = constant_problem(QUAD, GaussianRhs(), grid)
-        sampled = type(p)(p.pencil, p.ray, p.zeta, p.rhs, None)
+        sampled = replace(p, evaluator=None)
         with pytest.raises(ValueError, match="analytic"):
             solve_scaled(sampled, math.pi / 8)
 
@@ -482,8 +502,8 @@ class TestPerturbedCertificate:
         vp = VariableProblem(neumann_base,
                              rational_coefficients(0.05, 3.0),
                              sector_start=-12.0)
-        cert = continuation_certificate(neumann_base, math.pi / 16,
+        cert = continuation_certificate(vp, math.pi / 16,
                                         offset=1.0, n_angles=5,
-                                        res_tol=1e-6, variable=vp)
+                                        res_tol=1e-6)
         assert cert.verdict == "holds"
         assert cert.ratio <= 10.0
