@@ -611,10 +611,11 @@ def cmd_demo_cylinder(args):
     for lam, mult, res in zip(spec.eigenvalues, spec.multiplicities,
                               residuals):
         target = closed[int(np.argmin(np.abs(closed - abs(lam.imag))))]
-        err = abs(abs(lam.imag) - target) / target
+        closed_im = math.copysign(target, lam.imag)
+        # the whole distance to +-i target, so a real part counts too
+        err = abs(lam - 1j * closed_im) / target
         worst = max(worst, err)
-        rows.append((lam.real, lam.imag, mult, res, 0.0,
-                     math.copysign(target, lam.imag), err))
+        rows.append((lam.real, lam.imag, mult, res, 0.0, closed_im, err))
 
     report = Report("demo-cylinder")
     _echo_config(report, problem)

@@ -4,35 +4,43 @@ A pencil is A(lam) = sum_j A_j lam^(m-j) with complex n x n coefficients
 A_0..A_m and positive-definite Hermitian forms H_0..H_m that define the
 nested norms |u|_j = <H_j u, u>^(1/2), |u|_j <= |u|_(j+1).  The module
 provides evaluation, resolvent solves with residual certification, the full
-finite spectrum by block companion linearization, cone-clearance tests, and
-an empirical probe of the resolvent growth bound
+finite spectrum, cone-clearance tests, and an empirical probe of the
+resolvent growth bound
 
     sum_j |lam|^j |A(lam)^{-1} f|_(m-j) <= c |f|_0
 
 over sampled lam in a closed cone pair.
 
 Each pencil caches its factorization (``factorization``), each part
-computed on first need.  The eigenvalues J of its block companion pencil
-lam B - A serve every spectrum report.  When A_0 is exactly I, B is the
-identity and the standard problem A V = V J is solved by Hessenberg QR,
-in real arithmetic when every coefficient is real (so complex eigenvalues
-come in exact conjugate pairs); every other pencil, a singular or scaled
-A_0 included, goes through QZ.  The eigenvalues are grouped once into
-single-linkage clusters (the connected components of |a - b| <=
-TOL_CLUSTER) and put in report order.  ``spectrum`` returns the cluster
-means and sizes and runs no SVD; ``certify_spectrum`` certifies the same
-clusters by one SVD each, and only the reports that print certificates
-call it.  The eigendecomposition A V = B V J (B = I for the standard
-problem), computed only when a batched resolvent first needs it, gives
-the standard triple X = V[:n], Y = (B V)^{-1}[:, (m-1)n:] and
+computed on first need, by one of three routes.  A binomial pencil
+lam^m I + A_m (A_0 exactly I, A_1..A_(m-1) exactly zero, as for the
+cylinder lam^2 I + L) is solved as the n x n standard problem
+-A_m W = W diag(nu): its eigenvalues are the m-th roots of each nu,
+exactly +-sqrt(nu) when m = 2.  Any other pencil goes through its block
+companion pencil lam B - A: when A_0 is exactly I, B is the identity and
+the standard problem A V = V J is solved; every other pencil, a singular
+or scaled A_0 included, goes through QZ.  Both standard problems run
+Hessenberg QR, in real arithmetic when every coefficient is real (so
+complex eigenvalues come in exact conjugate pairs).  The eigenvalues are
+grouped once into single-linkage clusters (the connected components of
+|a - b| <= TOL_CLUSTER) and put in report order.  ``spectrum`` returns
+the cluster means and sizes and runs no SVD; ``certify_spectrum``
+certifies the same clusters by one SVD each, and only the reports that
+print certificates call it.  The eigenvectors, computed only when a
+batched resolvent first needs them, give a standard triple with
 
-    A(lam)^{-1} = X (lam - J)^{-1} Y,
+    A(lam)^{-1} = X (lam - J)^{-1} Y:
 
-applied to N nodes at once with two matrix products.  Each node's residual
+X = V[:n] and Y = (B V)^{-1}[:, (m-1)n:] from A V = B V J (B = I for
+the standard problem), or for a binomial pencil X = [W ... W] and Y the
+blocks W^{-1} / (m omega^(m-1)) over the roots omega, the partial
+fractions of W diag(1 / (lam^m - nu)) W^{-1}.  It is applied to N nodes
+at once with two matrix products.  Each node's residual
 |A(lam_k) u_k - f_k| is still certified against RESOLVENT_TOL; nodes that
 fail it, and every node of a pencil without a usable triple (singular A_0,
-or a singular (B V)), are solved by stacked LU instead, and a node that
-fails there too by its own certified LU solve.
+a singular (B V), or a zero nu of a binomial pencil of degree m >= 2,
+where 0 is a defective eigenvalue), are solved by stacked LU instead, and
+a node that fails there too by its own certified LU solve.
 """
 
 import cmath
@@ -132,26 +140,36 @@ class MatrixPencil:
 
 
 class PencilFactorization:
-    """Eigendecomposition of the block companion pencil of one MatrixPencil.
+    """Eigendecomposition of one MatrixPencil, by one of three routes.
 
-    Each part is computed on first use.  ``eigenvalues`` holds all m n
-    companion eigenvalues (inf where A_0 is singular); it comes from an
-    eigenvalue-only solve unless the triple was built first.  The companion
-    is the standard problem A V = V J when A_0 is exactly I (Hessenberg QR,
-    real when the coefficients are) and the pencil lam B - A otherwise
-    (QZ); both give complex values and vectors.  ``triple`` is
-    (w, X, Y) with A(lam)^{-1} = X diag(1 / (lam - w)) Y, or None when the
-    pencil has none; only it pays for eigenvectors and (B V)^{-1}.
-    ``clusters`` is (head notes, cluster means, cluster sizes), in report
-    order.
+    Each part is computed on first use.  A binomial pencil lam^m I + A_m
+    (A_0 exactly I, A_1..A_(m-1) exactly zero) is solved as the n x n
+    problem -A_m W = W diag(nu), its eigenvalues the m-th roots of each nu
+    (exactly +-sqrt(nu) when m = 2).  Any other pencil is solved through
+    its block companion: the standard problem A V = V J when A_0 is exactly
+    I, the pencil lam B - A (QZ) otherwise.  Both standard problems run
+    Hessenberg QR, in real arithmetic when the coefficients are real.
+    ``eigenvalues`` holds all m n of them (inf where A_0 is singular); it
+    comes from an eigenvalue-only solve unless the triple was built first.
+    ``triple`` is (w, X, Y) with A(lam)^{-1} = X diag(1 / (lam - w)) Y, or
+    None when the pencil has none; only it pays for eigenvectors and an
+    inverse.  ``clusters`` is (head notes, cluster means, cluster sizes),
+    in report order.
     """
 
     def __init__(self, p):
         self._coefficients = p.coefficients
+        self._degree = p.degree
+        self._binomial = _binomial_matrix(p.coefficients)
 
     @cached_property
     def eigenvalues(self):
-        vals = _companion_eig(*_companion(self._coefficients), vectors=False)
+        if self._binomial is None:
+            vals = _companion_eig(*_companion(self._coefficients),
+                                  vectors=False)
+        else:
+            vals = _roots(_companion_eig(self._binomial, None, vectors=False),
+                          self._degree).ravel()
         vals.flags.writeable = False
         return vals
 
@@ -173,22 +191,73 @@ class PencilFactorization:
     @cached_property
     def triple(self):
         known = vars(self).get("eigenvalues")
-        if known is not None and not np.all(np.isfinite(known)):
-            return None  # singular A_0: no triple, so skip the eigenvectors
-        a, b = _companion(self._coefficients)
+        if known is not None and not self._has_triple(known):
+            return None  # skip the eigenvectors
+        if self._binomial is None:
+            a, b = _companion(self._coefficients)
+        else:
+            a, b = self._binomial, None
         vals, vecs = _companion_eig(a, b, vectors=True)
-        vals.flags.writeable = False
+        if self._binomial is not None:
+            vals = _roots(vals, self._degree)
         # a later spectrum reuses these instead of a second solve
-        vars(self).setdefault("eigenvalues", vals)
+        w = vals.ravel()
+        w.flags.writeable = False
+        vars(self).setdefault("eigenvalues", w)
+        if not self._has_triple(w):
+            return None
+        n = self._coefficients[0].shape[0]
         try:
-            X, Y = _standard_triple(vals, vecs, b,
-                                    self._coefficients[0].shape[0])
+            X, Y = _standard_triple(vecs, b, n)
         except np.linalg.LinAlgError:
             return None
+        m = self._degree
+        if self._binomial is not None and m > 1:
+            # W diag(1 / (lam^m - nu)) W^{-1} in partial fractions: the
+            # residue of 1 / (lam^m - nu) at a root omega is
+            # 1 / (m omega^(m-1)); m = 1 keeps W and W^{-1} as they are
+            X = np.tile(X, m)
+            Y = (Y / (m * vals ** (m - 1))[:, :, None]).reshape(m * n, n)
         # shared by every later solve on this pencil
         X.flags.writeable = False
         Y.flags.writeable = False
-        return vals, X, Y
+        return w, X, Y
+
+    def _has_triple(self, vals):
+        """False when the eigenvalues rule a triple out: an infinite one
+        (singular A_0), or 0 for a binomial pencil of degree m >= 2, where
+        it is an m-fold defective eigenvalue."""
+        if not np.all(np.isfinite(vals)):
+            return False
+        return self._binomial is None or self._degree == 1 or np.all(vals)
+
+
+def _binomial_matrix(coefficients):
+    """-A_m when the pencil is lam^m I + A_m, else None.
+
+    That is, A_0 is exactly I and A_1..A_(m-1) are exactly zero; -A_m comes
+    back real when A_m is.
+    """
+    n = coefficients[0].shape[0]
+    if not np.array_equal(coefficients[0], np.eye(n)) or any(
+            np.any(c) for c in coefficients[1:-1]):
+        return None
+    c = coefficients[-1]
+    return -(c if np.any(c.imag) else c.real)
+
+
+def _roots(nu, m):
+    """The m-th roots of each nu, as an (m, len(nu)) array.
+
+    Row r holds nu^(1/m) e^(2 pi i r / m) (principal branch); for m = 2 the
+    rows are exactly sqrt(nu) and -sqrt(nu).
+    """
+    if m == 1:
+        return nu[None]
+    if m == 2:
+        root = np.sqrt(nu)
+        return np.stack([root, -root])
+    return nu ** (1.0 / m) * np.exp(2j * np.pi * np.arange(m) / m)[:, None]
 
 
 def _companion(coefficients):
@@ -220,8 +289,9 @@ def _companion_eig(A, B, vectors):
     """Eigenvalues of lam B - A, with eigenvectors V when ``vectors``.
 
     With B None this is the standard problem, solved by Hessenberg QR
-    (numpy.linalg.eig or eigvals); otherwise QZ (scipy.linalg.eig or
-    eigvals).  Values and vectors are always complex.  LAPACK failures
+    (numpy.linalg.eig or eigvals): the identity-led companion, or the
+    n x n matrix -A_m of a binomial pencil.  Otherwise QZ (scipy.linalg.eig
+    or eigvals).  Values and vectors are always complex.  LAPACK failures
     are raised as EigenSolverError.
     """
     try:
@@ -239,16 +309,14 @@ def _companion_eig(A, B, vectors):
     return out.astype(complex, copy=False)
 
 
-def _standard_triple(vals, vecs, B, n):
-    """X = V[:n] and Y = (B V)^{-1}[:, (m-1)n:] from A V = B V diag(vals).
+def _standard_triple(vecs, B, n):
+    """X = V[:n] and Y = (B V)^{-1}[:, (m-1)n:] from A V = B V J.
 
     Then lam B - A = B V (lam - J) V^{-1}, and the first block row of its
     inverse applied to the last block column is A(lam)^{-1}.  B None stands
     for the identity.  Raises LinAlgError when the triple does not exist
     numerically.
     """
-    if not np.all(np.isfinite(vals)):
-        raise np.linalg.LinAlgError("infinite eigenvalues: A_0 is singular")
     Y = np.linalg.inv(vecs if B is None else B @ vecs)[:, -n:]
     if not np.all(np.isfinite(Y)):
         raise np.linalg.LinAlgError("(B V)^{-1} is not finite")

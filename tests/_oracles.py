@@ -7,7 +7,8 @@ that the FFT factorization replaced, the uncached spectrum that the
 per-pencil factorization replaced (certified in the same pass, and
 clustered from the full matrix of pairwise distances instead of a sweep),
 the QZ solve of the full companion pencil that the standard QR solve
-replaced for pencils led by the identity,
+replaced for pencils led by the identity (and the n x n root solve for
+binomial pencils lam^m I + A_m),
 the per-element log-space scaling (and
 the forward/inverse transforms and per-component exponential sum built on
 it) that per-row factors and transform.exp_sum replaced, the transforms
@@ -24,7 +25,8 @@ import scipy.integrate
 import scipy.linalg
 import scipy.sparse.csgraph
 
-from conescale.pencil import SpectrumReport, _companion, evaluate
+from conescale.pencil import (SpectrumReport, _binomial_matrix, _companion,
+                              _roots, evaluate)
 from conescale.stencils import _window, derivative_uniform, fornberg_weights
 from conescale.transform import (_SQRT2PI, _dft_phases, _require_finite,
                                  apply_derivative_rule, scaled_values)
@@ -240,17 +242,23 @@ def spectrum_uncached(p, region=None, tol_cluster=1e-7, tol_inf=1e-8):
     """The spectrum and its certificate as computed before factorizations
     were cached, as (SpectrumReport, (residuals, notes)).
 
-    A fresh eigenvalue-only companion solve per call (standard QR when
-    A_0 is the identity, QZ otherwise, as the factorization solves),
+    A fresh eigenvalue-only solve per call by the factorization's route
+    (the m-th roots of the eigenvalues of -A_m for a binomial pencil
+    lam^m I + A_m; else the companion by standard QR when A_0 is the
+    identity, QZ otherwise),
     clustered by cluster_pairwise, with the region filter applied before
     each cluster's SVD certificate.  Clusters are ordered by a walk over
     their real parts that starts a new group at each gap above
     tol_cluster, then by imaginary part within a group; notes follow the
     same order.
     """
-    a, b = _companion(p.coefficients)
-    raw = (np.linalg.eigvals(a) if b is None
-           else scipy.linalg.eigvals(a, b)).astype(complex)
+    k = _binomial_matrix(p.coefficients)
+    if k is not None:
+        raw = _roots(np.linalg.eigvals(k).astype(complex), p.degree).ravel()
+    else:
+        a, b = _companion(p.coefficients)
+        raw = (np.linalg.eigvals(a) if b is None
+               else scipy.linalg.eigvals(a, b)).astype(complex)
     finite = raw[np.isfinite(raw)]
     kept = finite[np.abs(finite) <= 1.0 / tol_inf]
     head = []

@@ -455,6 +455,37 @@ class TestDemoCylinder:
                 if l.startswith("# eigenvalue_max_rel_err=")][0]
         assert float(line.split("=")[1]) <= 1e-10
 
+    def test_eigenvalues_on_imaginary_axis(self, tmp_path, capsys):
+        # lam^2 I + L_h is solved through L_h, so every eigenvalue is
+        # exactly +-i sqrt(mu), with real part exactly 0
+        assert run(["demo-cylinder", "--n", "16", "--phi", str(math.pi / 16),
+                    "--out-problem", str(tmp_path / "p.json")]) == 0
+        rows = [r.split(",") for r in
+                table_lines(capsys.readouterr().out, "eigenvalues")[1:]]
+        assert len(rows) == 32
+        assert {r[0] for r in rows} == {"0"}
+        ims = [float(r[1]) for r in rows]
+        assert sorted(ims) == sorted(-x for x in ims)
+
+    def test_eigenvalue_error_counts_real_part(self, tmp_path, capsys,
+                                               monkeypatch):
+        real = conescale.cli.spectrum
+
+        def shifted(p, region=None):
+            spec = real(p, region)
+            return type(spec)(tuple(lam + 1e-6 for lam in spec.eigenvalues),
+                              spec.multiplicities)
+
+        monkeypatch.setattr(conescale.cli, "spectrum", shifted)
+        assert run(["demo-cylinder", "--n", "2", "--phi", str(math.pi / 16),
+                    "--out-problem", str(tmp_path / "p.json")]) == 0
+        out = capsys.readouterr().out
+        line = [l for l in out.splitlines()
+                if l.startswith("# eigenvalue_max_rel_err=")][0]
+        # the smallest closed-form eigenvalue at n = 2 is 3 (2/h sin(pi/6))
+        assert float(line.split("=")[1]) == pytest.approx(1e-6 / 3.0,
+                                                          rel=1e-6)
+
     def test_single_mode(self, tmp_path, capsys):
         assert run(["demo-cylinder", "--n", "1", "--phi", str(math.pi / 16),
                     "--out-problem", str(tmp_path / "p.json")]) == 0

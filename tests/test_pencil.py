@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -657,9 +658,11 @@ def _refuse(name):
 
 
 class TestStandardCompanion:
-    """Pencils led by exactly I are solved by standard QR, in real
-    arithmetic for real coefficients; every other pencil by QZ, which
-    companion_qz_eigvals keeps as the oracle."""
+    """Pencils are solved by one of three routes: a binomial pencil
+    lam^m I + A_m through the n x n eigenproblem of -A_m (TestBinomial),
+    any other pencil led by exactly I through its block companion by
+    standard QR, both in real arithmetic for real coefficients, and every
+    other pencil by QZ, which companion_qz_eigvals keeps as the oracle."""
 
     # fast and QZ eigenvalues agree to this, relative to max(1, |lam|)
     # (the largest gap seen over 3000 such pencils was 3e-14)
@@ -740,3 +743,125 @@ class TestStandardCompanion:
         assert dropped_notes == (
             [f"dropped {dropped} eigenvalue(s) at or near infinity"]
             if dropped else [])
+
+
+def binomial_pencil(seed, degree, n, real, magnitude):
+    """A(lam) = lam^m I + A_m, A_m Gaussian times ``magnitude``, complex
+    unless ``real``."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((n, n))
+    if not real:
+        c = c + 1j * rng.standard_normal((n, n))
+    return MatrixPencil((np.eye(n),) + (np.zeros((n, n)),) * (degree - 1)
+                        + (magnitude * c,))
+
+
+def hermitian_binomial(n):
+    """lam^2 I + K with K complex Hermitian and positive definite."""
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return MatrixPencil((np.eye(n), np.zeros((n, n)),
+                         g @ g.conj().T + np.eye(n)))
+
+
+def record_standard_solves(monkeypatch):
+    """(shape, dtype kind) of every matrix numpy.linalg.eig/eigvals gets."""
+    seen = []
+    for name in ("eig", "eigvals"):
+        def recording(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            seen.append((a.shape, a.dtype.kind))
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    return seen
+
+
+class TestBinomial:
+    """A binomial pencil lam^m I + A_m is solved through -A_m W = W
+    diag(nu): its eigenvalues are the m-th roots of each nu, and its triple
+    is the partial-fraction form of W diag(1 / (lam^m - nu)) W^{-1}."""
+
+    # nodes are drawn on the scale of the spectrum: at |lam| much larger
+    # than the eigenvalues the m terms of each partial fraction cancel to
+    # (|omega| / |lam|)^(m-1) of their size, and the residual certificate
+    # sends such nodes to LU (for the companion triple too); over 6000
+    # pencils these nodes left a factor 2 below it
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 6),
+           st.booleans(), st.sampled_from([1e-3, 1.0, 10.0]))
+    def test_matches_qz_and_lu(self, seed, degree, n, real, magnitude):
+        p = binomial_pencil(seed, degree, n, real, magnitude)
+        fast = p.factorization.eigenvalues
+        qz = companion_qz_eigvals(p)
+        assert fast.dtype == complex and fast.shape == qz.shape
+        gaps = np.abs(fast[:, None] - qz[None, :])
+        rows, cols = scipy.optimize.linear_sum_assignment(gaps)
+        assert np.all(gaps[rows, cols] <= TestStandardCompanion.TOL_QZ
+                      * np.maximum(1.0, np.abs(qz[cols])))
+        if degree == 2:
+            assert np.array_equal(np.sort_complex(fast),
+                                  np.sort_complex(-fast))
+        rng = np.random.default_rng(seed + 1)
+        scale = max(1.0, float(np.max(np.abs(fast))))
+        lams = scale * (rng.standard_normal(16)
+                        + 1j * rng.standard_normal(16))
+        rhs = rng.standard_normal((16, n)) + 1j * rng.standard_normal((16, n))
+        try:
+            want = nodewise(p, lams, rhs)
+        except NearEigenvalueError:
+            assume(False)
+        with mock.patch.object(conescale.pencil, "_lu_fallback",
+                               _refuse("the LU fallback")):
+            got = resolvent_apply_batch(p, lams, rhs)
+        assert np.all(np.linalg.norm(got - want, axis=1)
+                      <= 1e-10 * np.linalg.norm(want, axis=1))
+
+    @pytest.mark.parametrize("make, kind", [
+        (lambda: dirichlet_pencil(5), "f"),
+        (lambda: hermitian_binomial(4), "c"),
+    ], ids=["dirichlet", "hermitian"])
+    def test_solves_n_by_n(self, monkeypatch, make, kind):
+        seen = record_standard_solves(monkeypatch)
+        p = make()
+        spectrum(p)
+        assert p.factorization.triple is not None
+        n = p.dim
+        assert seen == [((n, n), kind), ((n, n), kind)]
+
+    def test_other_monic_takes_companion(self, monkeypatch):
+        seen = record_standard_solves(monkeypatch)
+        p = monic_pencil(1, 2, 3, True, 1.0)
+        spectrum(p)
+        assert p.factorization.triple is not None
+        assert seen == [((6, 6), "f"), ((6, 6), "f")]
+
+    def test_zero_root_has_no_triple(self, monkeypatch):
+        # 0 is a defective double eigenvalue of lam^2 + 0
+        p = MatrixPencil((np.eye(2), np.zeros((2, 2)), np.diag([0.0, 4.0])))
+        spec = spectrum(p)
+        assert spec == SpectrumReport((-2j, 0j, 2j), (1, 2, 1))
+        assert ("cluster at 0j: multiplicity 2 by distance; Jordan chains "
+                "unresolved, may be defective") in certify_spectrum(p)[1]
+        # the eigenvalues already rule the triple out: no eigenvectors
+        monkeypatch.setattr(conescale.pencil, "_companion_eig",
+                            _refuse("_companion_eig"))
+        assert p.factorization.triple is None
+        lams = np.array([0.5, 1.0 + 1.0j, -3.0, 0.25j])
+        rhs = np.arange(1, 9, dtype=complex).reshape(4, 2)
+        assert np.array_equal(resolvent_apply_batch(p, lams, rhs),
+                              nodewise(p, lams, rhs))
+
+    def test_zero_root_without_vectors_first(self):
+        p = MatrixPencil((np.eye(2), np.zeros((2, 2)), np.diag([0.0, 4.0])))
+        assert p.factorization.triple is None
+        assert spectrum(p) == SpectrumReport((-2j, 0j, 2j), (1, 2, 1))
+
+    def test_linear_zero_root_keeps_triple(self, monkeypatch):
+        # for m = 1 a zero eigenvalue is simple
+        p = MatrixPencil((np.eye(2), np.diag([0.0, 1.0])))
+        assert p.factorization.triple is not None
+        monkeypatch.setattr(conescale.pencil, "_lu_fallback",
+                            _refuse("the LU fallback"))
+        lams = np.array([0.5, 1.0 + 1.0j, -3.0])
+        rhs = np.ones((3, 2), dtype=complex)
+        assert np.allclose(resolvent_apply_batch(p, lams, rhs),
+                           nodewise(p, lams, rhs), rtol=1e-14, atol=0.0)
