@@ -591,9 +591,13 @@ def cmd_demo_cylinder(args):
         raise ValidationError("need at least one cross-section point", "n")
     data = cylinder_problem_dict(args.n, args.phi)
     problem_path = args.out_problem
-    with open(problem_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(problem_path, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(data, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write problem file: {exc}",
+                              "--out-problem")
     # reparse from disk so the pipeline sees exactly what a later
     # `conescale solve` of the generated file will see
     problem = load_problem(problem_path)
@@ -662,9 +666,12 @@ def _emit(report, out):
     text = report.render()
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write report: {exc}", "--out")
 
 
 def build_parser():
@@ -743,23 +750,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_options(args)
-        if args.command == "demo-cylinder":
-            report = cmd_demo_cylinder(args)
-        else:
-            problem = load_problem(args.problem)
-            if args.command == "spectrum":
-                report = cmd_spectrum(problem, args)
-            elif args.command == "clearance":
-                report = cmd_clearance(problem, args)
-            elif args.command == "solve":
-                report = cmd_solve(problem, args)
-            elif args.command == "verify":
-                report = cmd_verify(problem, args)
-    except _DemoClearance as exc:
-        _emit(exc.report, args.out)
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        try:
+            report = _run(args)
+        except _DemoClearance as exc:
+            # the partial report still goes out; the exit code stays 4
+            _emit(exc.report, args.out)
+            raise
+        _emit(report, args.out)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -771,8 +768,21 @@ def main(argv=None):
         # numerical failure.  An untyped exception is a bug: it propagates.
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _emit(report, args.out)
     return 0
+
+
+def _run(args):
+    _check_options(args)
+    if args.command == "demo-cylinder":
+        return cmd_demo_cylinder(args)
+    problem = load_problem(args.problem)
+    if args.command == "spectrum":
+        return cmd_spectrum(problem, args)
+    if args.command == "clearance":
+        return cmd_clearance(problem, args)
+    if args.command == "solve":
+        return cmd_solve(problem, args)
+    return cmd_verify(problem, args)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ cylinder lam^2 I + L) is solved as the n x n standard problem
 exactly +-sqrt(nu) when m = 2.  Any other pencil goes through its block
 companion pencil lam B - A: when A_0 is exactly I, B is the identity and
 the standard problem A V = V J is solved; every other pencil, a singular
-or scaled A_0 included, goes through QZ.  Both standard problems run
+or scaled A_0 included, goes through QZ, the only use of scipy, which is
+imported on the first QZ solve.  Both standard problems run
 Hessenberg QR, in real arithmetic when every coefficient is real (so
 complex eigenvalues come in exact conjugate pairs).  The eigenvalues are
 grouped once into single-linkage clusters (the connected components of
@@ -49,7 +50,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EigenSolverError, NearEigenvalueError, ValidationError
 from .geometry import Disk
@@ -291,16 +291,17 @@ def _companion_eig(A, B, vectors):
     With B None this is the standard problem, solved by Hessenberg QR
     (numpy.linalg.eig or eigvals): the identity-led companion, or the
     n x n matrix -A_m of a binomial pencil.  Otherwise QZ (scipy.linalg.eig
-    or eigvals).  Values and vectors are always complex.  LAPACK failures
-    are raised as EigenSolverError.
+    or eigvals); scipy is imported here, on the first QZ solve, so a run
+    whose pencils are all identity-led never loads it.  Values and vectors
+    are always complex.  LAPACK failures are raised as EigenSolverError.
     """
     try:
         if B is None:
             out = np.linalg.eig(A) if vectors else np.linalg.eigvals(A)
-        elif vectors:
-            out = scipy.linalg.eig(A, B)
         else:
-            out = scipy.linalg.eigvals(A, B)
+            import scipy.linalg
+            out = (scipy.linalg.eig(A, B) if vectors
+                   else scipy.linalg.eigvals(A, B))
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise EigenSolverError(
             f"companion eigenvalue solve failed: {exc}") from exc

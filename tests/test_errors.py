@@ -8,6 +8,7 @@ exception is a bug and propagates with its traceback.
 
 import ast
 import json
+import math
 import pathlib
 import re
 import sys
@@ -76,6 +77,54 @@ def test_lint_sees_an_offence(tmp_path):
                    "        raise ValueError(x)\n", encoding="utf-8")
     assert _offences(bad) == ["bad.py:4 broad except in f",
                               "bad.py:5 raise ValueError"]
+
+
+def _module_scipy_imports(path):
+    """Imports of scipy that run when the module loads: every one outside
+    a function body.  A function-local import loads scipy on first call."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        if any(name == "scipy" or name.startswith("scipy.")
+               for name in names):
+            found.append(f"{path.name}:{node.lineno} module-level scipy "
+                         f"import")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")))
+    return found
+
+
+def test_no_module_level_scipy_import():
+    files = sorted(SRC.glob("*.py"))
+    assert "pencil.py" in {f.name for f in files}
+    assert [o for f in files for o in _module_scipy_imports(f)] == []
+
+
+def test_scipy_lint_sees_an_offence(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import scipy.linalg\nfrom scipy import sparse\n"
+                   "import scipyx\nfrom .scipy import x\n"
+                   "try:\n    import numpy, scipy as sp\n"
+                   "except ImportError:\n    pass\n"
+                   "class C:\n    from scipy.linalg import eig\n"
+                   "def f():\n    import scipy.linalg\n"
+                   "    from scipy import fft\n", encoding="utf-8")
+    assert _module_scipy_imports(bad) == [
+        "bad.py:1 module-level scipy import",
+        "bad.py:2 module-level scipy import",
+        "bad.py:6 module-level scipy import",
+        "bad.py:10 module-level scipy import"]
 
 
 def _dead_code(paths):
@@ -247,6 +296,34 @@ def test_unreadable_problem_file_exits_2(tmp_path, capsys, content, message):
     assert main(["spectrum", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid JSON: ") and message in err
+
+
+@pytest.mark.parametrize("phi, option", [(0.1, "--out-problem"),
+                                         (0.1, "--out"),
+                                         (math.pi / 2, "--out")],
+                         ids=["out_problem", "out", "out_after_violation"])
+def test_unwritable_demo_output_exits_2(tmp_path, capsys, phi, option):
+    # at phi = pi/2 the cone reaches the spectrum; the partial report still
+    # goes to --out, and an unwritable --out then exits 2, not 4
+    paths = {"--out-problem": tmp_path / "p.json", "--out": tmp_path / "r.csv"}
+    paths[option] = tmp_path / "missing" / paths[option].name
+    what = "problem file" if option == "--out-problem" else "report"
+    argv = ["demo-cylinder", "--n", "2", "--phi", str(phi)]
+    for name, path in paths.items():
+        argv += [name, str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {option}: cannot write {what}: [Errno 2] No such file "
+        f"or directory: '{paths[option]}'\n")
+
+
+def test_unwritable_report_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.csv"
+    assert run(tmp_path, linear_problem(), ["spectrum", "--out",
+                                            str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --out: cannot write report: [Errno 2] No such file or "
+        f"directory: '{out}'\n")
 
 
 def test_plain_value_error_propagates(tmp_path, monkeypatch):
