@@ -746,6 +746,20 @@ def _check_options(args):
                     f"{suite} does", f"--{name}")
 
 
+def _run(args):
+    _check_options(args)
+    if args.command == "demo-cylinder":
+        return cmd_demo_cylinder(args)
+    problem = load_problem(args.problem)
+    if args.command == "spectrum":
+        return cmd_spectrum(problem, args)
+    if args.command == "clearance":
+        return cmd_clearance(problem, args)
+    if args.command == "solve":
+        return cmd_solve(problem, args)
+    return cmd_verify(problem, args)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -769,20 +783,6 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-def _run(args):
-    _check_options(args)
-    if args.command == "demo-cylinder":
-        return cmd_demo_cylinder(args)
-    problem = load_problem(args.problem)
-    if args.command == "spectrum":
-        return cmd_spectrum(problem, args)
-    if args.command == "clearance":
-        return cmd_clearance(problem, args)
-    if args.command == "solve":
-        return cmd_solve(problem, args)
-    return cmd_verify(problem, args)
 
 
 if __name__ == "__main__":
