@@ -317,15 +317,6 @@ def test_unwritable_demo_output_exits_2(tmp_path, capsys, phi, option):
         f"or directory: '{paths[option]}'\n")
 
 
-def test_unwritable_report_exits_2(tmp_path, capsys):
-    out = tmp_path / "missing" / "r.csv"
-    assert run(tmp_path, linear_problem(), ["spectrum", "--out",
-                                            str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: --out: cannot write report: [Errno 2] No such file or "
-        f"directory: '{out}'\n")
-
-
 def test_plain_value_error_propagates(tmp_path, monkeypatch):
     # a ValueError no raise site typed is a bug, not bad input
     def fail(*args, **kwargs):
