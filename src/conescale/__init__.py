@@ -16,12 +16,10 @@ from .errors import (ConescaleError, ConfigurationError,
                      NumericalError, SpectralObstructionError,
                      ValidationError, WeightOverflowError)
 from .geometry import (FREQUENCY, TIME, Cone, Disk, Grid, Ray, RayFunction,
-                       exp_weight, exp_weight_log, sobolev_norm_derivative,
-                       sobolev_norm_spectral, weighted_l2_norm,
-                       weighted_l2_report)
-from .hardy import (ConeFunction, cauchy_reconstruct, decay_profile,
-                    entire_window_check, membership_scan, paley_wiener_check,
-                    project_halfline, projection_idempotence_check)
+                       weighted_l2_norm, weighted_l2_report)
+from .hardy import (ConeFunction, cauchy_reconstruct, membership_scan,
+                    paley_wiener_check, project_halfline,
+                    projection_idempotence_check)
 from .pencil import (MatrixPencil, SpectrumReport, certify_spectrum,
                      cone_clearance, evaluate, resolvent_apply, spectrum,
                      verify_growth_condition)
@@ -29,7 +27,6 @@ from .rhs import BumpRhs, GaussianRhs, OneSidedExpRhs, PoleRhs, SampledRhs
 from .solver import (ConstantProblem, VariableProblem, constant_problem,
                      continuation_certificate, localize_traces, solve_const,
                      solve_scaled, solve_variable)
-from .transform import (TransformContext, apply_derivative_rule, dual_grid,
-                        parseval_check)
+from .transform import TransformContext, dual_grid, parseval_check
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -519,6 +519,9 @@ def _verify_continuation(problem, report, args):
     report.meta("offset", _fmt(offset))
     report.meta("verdict", cert.verdict)
     report.meta("ratio", _fmt(cert.ratio) if np.isfinite(cert.ratio) else "inf")
+    if cert.base_value == 0.0 and cert.max_value > 0.0:
+        report.meta("diagnostic", f"base energy is 0 but a ray reaches "
+                    f"{_fmt(cert.max_value)}; the ratio is unbounded")
     for psi, reason in cert.blown:
         report.meta("diagnostic", f"ray psi={_fmt(psi)} blew up: {reason}")
     report.table("continuation", ("psi", "energy"),
@@ -551,11 +554,12 @@ def dirichlet_laplacian(n):
 def cylinder_problem_dict(n, phi, count=4096):
     """Problem file contents for the waveguide cross-section demo.
 
-    phi = 0 is the degenerate identity scaling; the recorded dual cone then
-    falls back to a small positive aperture so the clearance check still has
-    a region to certify.
+    The recorded dual cone is the one solve_scaled checks: aperture |phi|,
+    clockwise (orientation -1) for negative phi.  phi = 0 is the degenerate
+    identity scaling; the cone then falls back to a small positive aperture
+    so the clearance check still has a region to certify.
     """
-    cone_angle = phi if phi > 0.0 else math.pi / 16
+    cone_angle = abs(phi) if phi != 0.0 else math.pi / 16
     L, h = dirichlet_laplacian(n)
     xs = (np.arange(1, n + 1)) * h
     cross = np.sin(math.pi * xs)
@@ -574,7 +578,7 @@ def cylinder_problem_dict(n, phi, count=4096):
         },
         "geometry": {
             "cone": {"angle": cone_angle, "vertex": [0.0, 0.0],
-                     "orientation": 1},
+                     "orientation": -1 if phi < 0.0 else 1},
             "weight": [0.0, 0.0],
         },
         "grid": {"half_width": 20.0, "count": count},

@@ -7,16 +7,16 @@ offset copy of the real line; frequency-side rays turn counterclockwise
 such rays.  A Grid is a uniform sampling of the ray parameter, and a
 RayFunction couples samples of a vector-valued function on a ray with the
 weight metadata (order ``ell`` and a complex weight number) that define its
-weighted L2 and Sobolev norms.
+weighted norms.
 
-Weighted L2 norms and the spectral Sobolev norm use composite trapezoid
-quadrature over the grid, with a tail-mass diagnostic on the L2 norms so
-truncation problems surface as warnings.  Weighted derivative energies
-(derivative_energy, shared by the derivative-form Sobolev norm and the
-solver's ray energies) use the rectangle rule over each derivative order's
-stencil-valid core.  The L2 norms and the derivative energies join the
-exponential weight to the data in log space (exp_weighted), so overflow
-surfaces as a structured error instead of inf.
+Weighted L2 norms use composite trapezoid quadrature over the grid, with a
+tail-mass diagnostic so truncation problems surface as warnings.  The
+weighted derivative energy (derivative_energy, behind the solver's ray
+energies) uses the rectangle rule over each derivative order's
+stencil-valid core; with the binomial weights C(ell, j) on identity forms
+it is the squared H^ell norm.  The L2 norms and the derivative energy join
+the exponential weight to the data in log space (exp_weighted), so
+overflow surfaces as a structured error instead of inf.
 """
 
 import cmath
@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigurationError, NonFiniteSampleError,
-                     ValidationError, WeightOverflowError)
+from .errors import NonFiniteSampleError, ValidationError, WeightOverflowError
 from .stencils import derivative_uniform
 
 # exp() overflows near 709.78 for float64; stay clear of it
@@ -45,16 +44,6 @@ def normalize_angle(psi):
     if out < 0.0:
         out += 2.0 * math.pi
     return out - math.pi
-
-
-def exp_weight(z, zeta):
-    """The exponential weight exp(-i*zeta*z)."""
-    return np.exp(-1j * np.asarray(zeta) * np.asarray(z))
-
-
-def exp_weight_log(z, zeta):
-    """log |exp(-i*zeta*z)|, i.e. Re(-i*zeta*z); use to test for overflow."""
-    return np.real(-1j * np.asarray(zeta) * np.asarray(z))
 
 
 @dataclass(frozen=True)
@@ -91,10 +80,6 @@ class Ray:
         if abs(u.imag) > 1e-9 * max(1.0, abs(u)):
             raise ValidationError(f"point {z} is not on the ray (offset {u.imag:.3g})")
         return u.real
-
-    def contains(self, z):
-        u = (complex(z) - self.offset) / self.direction
-        return abs(u.imag) <= 1e-9 * max(1.0, abs(u))
 
 
 @dataclass(frozen=True)
@@ -329,26 +314,6 @@ def weighted_l2_norm(f, form=None, order=None, number=None):
     return report.value
 
 
-def sobolev_norm_spectral(f, ell, ctx, form=None):
-    """Sobolev norm of a time-side RayFunction via its frequency content.
-
-    Pulls the exponentially weighted samples back to the real parameter,
-    takes their Fourier transform on the context's frequency grid, and
-    integrates (1+xi^2)^ell there.  Works for any real ell; for nonnegative
-    integer ell (and zero weight number) it agrees with the derivative-form
-    norm to quadrature accuracy.
-    """
-    if f.ray.side != TIME:
-        raise ValidationError("spectral Sobolev norm expects a time-side ray function")
-    xi, spectrum, dxi = ctx.pullback_spectrum(f)
-    q = _quadratic_form(spectrum, form)
-    weight = (1.0 + xi ** 2) ** float(ell)
-    w = np.ones(xi.size)
-    w[0] = w[-1] = 0.5
-    total = float(np.sum(w * weight * q) * dxi)
-    return math.sqrt(max(total, 0.0))
-
-
 def derivative_energy(f, forms, coeffs=None, keep=None):
     """Weighted derivative energy of a RayFunction along its ray.
 
@@ -380,24 +345,3 @@ def derivative_energy(f, forms, coeffs=None, keep=None):
         term = float(np.sum(integrand[mask]) * f.grid.spacing)
         total += term if coeffs is None else coeffs[j] * term
     return total
-
-
-def sobolev_norm_derivative(f, ell, form=None):
-    """Sobolev norm from weighted derivatives along the ray.
-
-    For integer ell >= 0 this is the square root of derivative_energy with
-    the binomial weights C(ell, j), j = 0..ell,
-
-        sum_j C(ell, j) * integral |e^{-i zeta z} D^j f(z)|^2 |dz|;
-
-    they make the value coincide with the spectral-side norm (weight
-    (1+xi^2)^ell) when the weight number is zero, so the two routes can
-    cross-check each other.
-    """
-    if (isinstance(ell, float) and not ell.is_integer()) or ell < 0:
-        raise ValidationError("derivative-form norm needs a nonnegative integer order")
-    ell = int(ell)
-    if f.grid.count < 2 * ell + 2:
-        raise ConfigurationError("grid too short for the requested derivative order")
-    coeffs = [math.comb(ell, j) for j in range(ell + 1)]
-    return math.sqrt(derivative_energy(f, [form] * (ell + 1), coeffs))

@@ -7,8 +7,7 @@ relative to the boundary norms (membership_scan), the function is
 reproduced from its boundary data by a Cauchy contour integral
 (cauchy_reconstruct), half-line projections behave like projections
 (project_halfline and friends), and support on a half-line corresponds to
-bounded norms on lines sweeping a half-plane (paley_wiener_check,
-entire_window_check).
+bounded norms on lines sweeping a half-plane (paley_wiener_check).
 """
 
 import cmath
@@ -18,16 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigurationError, IllConditionedKernelError,
-                     NumericalError, ValidationError, WeightOverflowError)
-from .geometry import (FREQUENCY, TIME, Cone, Grid, Ray, RayFunction,
-                       exp_weighted, weighted_l2_report)
-from .transform import TransformContext, exp_sum, scaled_values
-
-_SQRT2PI = math.sqrt(2.0 * math.pi)
+                     ValidationError, WeightOverflowError)
+from .geometry import FREQUENCY, TIME, Cone, RayFunction, weighted_l2_report
+from .transform import TransformContext, scaled_values
 
 RATIO_BOUND = 10.0
 PW_BOUND = 1.5
-WINDOW_BOUND = 10.0
 # a norm integrand that has not decayed to this fraction of its peak by the
 # grid ends is treated as divergent, not merely inaccurate
 DIVERGENCE_TAIL = 1e-6
@@ -360,111 +355,3 @@ def paley_wiener_check(F, side):
         verdict="consistent" if consistent else "inconsistent",
         opposite_verdict="correctly-rejected" if rejected else "not-rejected",
     )
-
-
-def _forward_continuation(F, lam_points):
-    """Transform of a compactly supported F evaluated at arbitrary lam.
-
-    For samples that vanish near the grid ends the defining integral
-    converges for every complex lam, so the quadrature sum itself is the
-    entire continuation.  Exponents combine with data magnitudes in log
-    space (transform.exp_sum); a genuinely overflowing value raises.
-    """
-    lam = np.asarray(lam_points, dtype=complex)
-    sums = exp_sum(F.values, -1j * np.outer(lam, F.points))
-    return sums * (F.ray.direction * F.grid.spacing / _SQRT2PI)
-
-
-@dataclass(frozen=True)
-class WindowReport:
-    support: tuple
-    ray_norm_table: tuple
-    verdict: str
-
-
-def entire_window_check(F):
-    """Compact support versus entire transform with two-sided growth bounds.
-
-    The numerical support hull [a, b] (nodes above 1e-12 of the peak) is
-    read off the samples; the transform is then evaluated on 7 rays
-    sweeping both half-planes, on Grid(40, 513), and its half-ray norms
-    are weighted with the endpoint weight numbers (b on the positive
-    halves, a on the negative halves).  Sweeps that stay within
-    WINDOW_BOUND of the first ray's norms are consistent with compact
-    support in [a, b]; unweighted-growth blow-up (including overflow and
-    other numerical failures) is flagged.
-    """
-    if F.ray.side != TIME:
-        raise ValidationError("window checks act on time-side ray functions")
-    mass = np.max(np.abs(F.values), axis=1)
-    peak = float(np.max(mass))
-    if peak == 0.0:
-        return WindowReport((0.0, 0.0), (), "bounded")
-    nz = np.nonzero(mass > 1e-12 * peak)[0]
-    t = F.grid.nodes
-    a, b = float(t[nz[0]]), float(t[nz[-1]])
-    freq_grid = Grid(half_width=40.0, count=513)
-    r = freq_grid.nodes
-    pos, neg = r > 0, r < 0
-    angles = np.linspace(math.pi / 8, math.pi, 7, endpoint=False)
-    table = []
-    ref_pos = ref_neg = None
-    flagged = False
-    for psi in angles:
-        ray = Ray(psi, 0j, FREQUENCY)
-        try:
-            vals = _forward_continuation(F, ray.points(r))
-            rf = RayFunction(ray, freq_grid, vals, F.weight_order, 0j)
-            n_pos = weighted_l2_report(rf, number=b, mask=pos).value
-            n_neg = weighted_l2_report(rf, number=a, mask=neg).value
-        except NumericalError:
-            table.append((float(psi), math.inf, math.inf))
-            flagged = True
-            continue
-        table.append((float(psi), n_neg, n_pos))
-        ref_pos = n_pos if ref_pos is None else ref_pos
-        ref_neg = n_neg if ref_neg is None else ref_neg
-        if n_pos > WINDOW_BOUND * max(ref_pos, 1e-300) or \
-                n_neg > WINDOW_BOUND * max(ref_neg, 1e-300):
-            flagged = True
-    return WindowReport((a, b), tuple(table),
-                        "flagged" if flagged else "bounded")
-
-
-@dataclass(frozen=True)
-class DecayProfile:
-    tables: tuple
-    monotone: bool
-
-
-def decay_profile(f, ell):
-    """Tabulate |e^{i w lam}| (1+|lam|)^ell |lam - zeta|^(1/2) |F(lam)|.
-
-    Only rays at angular distance >= angle/10 from the boundary are used.
-    The running maximum of the profile over |lam - zeta| >= L must strictly
-    decrease over 8 levels of L in the upper range for the decay claim to
-    be consistent.  The weight joins the rest in log space (exp_weighted), so
-    WeightOverflowError is raised only where the profile itself overflows.
-    """
-    margin = f.cone.angle / 10.0
-    tables = []
-    monotone = True
-    for psi, rf in zip(f.angles, f.rays):
-        if psi < margin - 1e-12 or psi > f.cone.angle - margin + 1e-12:
-            continue
-        t = rf.grid.nodes
-        lam = rf.points
-        norms = np.sqrt(np.sum(np.abs(rf.values) ** 2, axis=1))
-        profile = exp_weighted(-np.imag(f.weight_number * lam),
-                               (1.0 + np.abs(lam)) ** float(ell)
-                               * np.sqrt(np.abs(t)) * norms, lam)
-        tables.append((float(psi), np.abs(t), profile))
-        if np.max(profile) == 0.0:
-            continue
-        levels = np.linspace(0.5 * np.max(np.abs(t)), np.max(np.abs(t)) * 0.95,
-                             8)
-        running = [float(np.max(profile[np.abs(t) >= L])) for L in levels]
-        if any(running[i + 1] >= running[i] * (1.0 - 1e-12)
-               for i in range(len(running) - 1)):
-            monotone = False
-    return DecayProfile(tuple(tables), monotone)

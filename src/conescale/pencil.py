@@ -119,9 +119,6 @@ class MatrixPencil:
     def dim(self):
         return self.coefficients[0].shape[0]
 
-    def coefficient_scale(self):
-        return max(float(np.linalg.norm(c)) for c in self.coefficients)
-
     def vector_norm(self, u, j):
         h = self.norm_forms[j]
         return math.sqrt(max(float(np.real(np.conj(u) @ (h @ u))), 0.0))

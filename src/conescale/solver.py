@@ -414,17 +414,14 @@ def _gamma_admissible(gamma, zeta, cone_angle, orientation):
 def localize_traces(traces, cone, orientation=1, zeta=0j, gamma=None):
     """Entire function e^{gamma z} sum a_k z^k matching D^j Phi(0) = d_j.
 
-    ``cone`` may be a Cone (whose angle and orientation are used) or a plain
-    aperture in radians.  The triangular system for the a_k is solved by
+    ``cone`` is the aperture in radians of the time-side cone, swept with
+    ``orientation``.  The triangular system for the a_k is solved by
     forward substitution; gamma is either supplied (and validated) or found
     by a deterministic sweep over magnitudes {1, 2, 4, ...} and a small
     angular fan, accepting the first candidate for which e^{-i zeta z} Phi
     decays on every forward ray of the time-side cone.
     """
-    if isinstance(cone, Cone):
-        cone_angle, orientation = cone.angle, cone.orientation
-    else:
-        cone_angle = float(cone)
+    cone_angle = float(cone)
     traces = [np.atleast_1d(np.asarray(d, dtype=complex)) for d in traces]
     if not traces:
         raise ValidationError("need at least one trace")
@@ -490,11 +487,13 @@ def continuation_certificate(problem, phi, offset=None, n_angles=9,
         sum_j integral_{t >= 0} |e^{-i zeta z} D^j u|_{m-j}^2 dt
 
     is recorded.  The certificate "holds" when every ray succeeds and the
-    sweep maximum stays within CERT_BOUND of the psi = 0 value; per-ray
-    numerical blow-ups (overflow, residual failures, non-finite samples or
-    energies) are recorded as blow-up data, with their reasons in
-    ``blown``, rather than raised.  Other errors propagate.  ``problem`` is
-    a ConstantProblem, or a VariableProblem whose rays are Neumann solves
+    sweep maximum stays within CERT_BOUND of the psi = 0 value (a sweep
+    whose energies are all 0 has ratio 0, a zero base under a nonzero
+    maximum ratio inf); per-ray numerical blow-ups (overflow, residual
+    failures, non-finite samples or energies) are recorded as blow-up
+    data, with their reasons in ``blown``, rather than raised.  Other
+    errors propagate.  ``problem`` is a ConstantProblem, or a
+    VariableProblem whose rays are Neumann solves
     (solve_variable with ``res_tol`` and ``max_iter``; the projection cut
     rides along at parameter sector_start of each ray).
     """
@@ -529,8 +528,11 @@ def continuation_certificate(problem, phi, offset=None, n_angles=9,
             base_value = value
     finite = [v for _, v in rows if np.isfinite(v)]
     max_value = max(finite) if finite else math.inf
-    base = base_value if base_value else math.inf
-    ratio = max_value / base if np.isfinite(base) and base > 0 else math.inf
+    if base_value:
+        ratio = max_value / base_value
+    else:
+        # a zero base: nothing grew if every energy is 0, else unbounded
+        ratio = 0.0 if max_value == 0.0 else math.inf
     holds = (not blown) and np.isfinite(max_value) and ratio <= CERT_BOUND
     return CertificateReport(
         rows=tuple(rows),

@@ -27,8 +27,8 @@ the DFT phase and the constant prefactor of a node are summed in log space
 into one complex factor per node; only nodes whose factor alone would
 leave the normal double range are scaled with a power-of-two split.  These
 factors depend on (psi, zeta, w) and the grids alone, so each context
-builds them once, on the first call of each pass, and keeps them with its
-nodes and rays in a plan (as an FFTW plan keeps its twiddle factors); every
+builds them once, on the first forward or inverse call, and keeps them with
+its nodes and rays in a plan (as an FFTW plan keeps its twiddle factors); every
 call then costs one multiply per sample on each side of the FFT, while the
 checks on the data still run per call.  The discrete forward and inverse
 are exact inverses of each other at the nodes (for M >= N), for any
@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ConfigurationError, NonFiniteSampleError,
-                     ValidationError, WeightOverflowError)
+                     WeightOverflowError)
 from .geometry import (FREQUENCY, LOG_OVERFLOW_BOUND, TIME, Grid, Ray,
                        RayFunction, weighted_l2_norm)
 
@@ -282,13 +282,6 @@ class _TransformPlan:
                                 pre=1j * self.w * dir_f * self.xi,
                                 post=1j * self.zeta * dir_t * self.t + log_prefactor)
 
-    @functools.cached_property
-    def pullback(self):
-        dir_t = self.time_ray.direction
-        return _kernel_factors(self.src_grid.count, self.dst_grid.count,
-                               pre=-1j * self.zeta * (dir_t * self.t + self.w),
-                               post=math.log(self.src_grid.spacing / _SQRT2PI))
-
 
 @dataclass(frozen=True)
 class TransformContext:
@@ -400,24 +393,6 @@ class TransformContext:
         return RayFunction(plan.time_ray, self.src_grid, out,
                            fhat.weight_order, self.zeta)
 
-    def pullback_spectrum(self, f):
-        """Fourier transform of the weighted pullback of a time-side function.
-
-        Returns (xi, spectrum, dxi) where spectrum samples
-        (2 pi)^{-1/2} * integral e^{-i xi t} e^{-i zeta z(t)} F(z(t)) dt
-        on the real frequency parameters of the destination grid.
-        """
-        plan = self._plan
-        self._require_ray(f, plan.time_ray)
-        part = plan.forward_check[2] + self._data_log(f.values)
-        k = int(np.argmax(part))
-        worst = part[k] + plan.slopes[2]
-        if worst > LOG_OVERFLOW_BOUND:
-            raise WeightOverflowError(k, plan.time_ray.points(plan.t[k]),
-                                      float(worst))
-        spectrum = _apply_kernel(f.values, *plan.pullback)
-        return self.dst_grid.nodes, spectrum, self.dst_grid.spacing
-
     def evaluate_continuation(self, fhat, z_points):
         """Inverse transform evaluated at arbitrary complex points.
 
@@ -462,26 +437,3 @@ def parseval_check(ctx, f):
     denom = max(lhs, rhs)
     rel = abs(lhs - rhs) / denom if denom > 0.0 else 0.0
     return ParsevalReport(lhs, rhs, rel)
-
-
-def apply_derivative_rule(ctx, fhat, j):
-    """Inverse transform of lam^j * Fhat, realizing D^j on the time side.
-
-    Refuses to proceed when lam^j * Fhat has not decayed to 1e-8 of its
-    peak at the frequency window ends, since the quadrature would silently
-    truncate it.
-    """
-    j = int(j)
-    if j < 0:
-        raise ValidationError("derivative order must be nonnegative")
-    lam = fhat.points
-    scaled = fhat.values * (lam ** j)[:, None]
-    peak = float(np.max(np.abs(scaled)))
-    if peak > 0.0:
-        edge = float(max(np.max(np.abs(scaled[0])), np.max(np.abs(scaled[-1]))))
-        if edge > 1e-8 * peak:
-            raise ConfigurationError(
-                f"lam^{j} * Fhat has tail mass {edge / peak:.2e} at the "
-                f"frequency window ends; enlarge the grid"
-            )
-    return ctx.inverse(fhat.with_values(scaled))

@@ -13,8 +13,11 @@ the per-element log-space scaling (and
 the forward/inverse transforms and per-component exponential sum built on
 it) that per-row factors and transform.exp_sum replaced, the transforms
 with their node exponents built on every call that per-context plans
-replaced, per-point sampling of perturbing coefficients, and finite
-differences checked against the transform's derivative rule.
+replaced, per-point sampling of perturbing coefficients, the transform's
+derivative rule (the inverse transform of lam^j Fhat) that finite
+differences are checked against, and the spectral Sobolev norm (from the
+Fourier transform of the weighted pullback) that checks the
+weighted-derivative energy.
 """
 
 import cmath
@@ -25,11 +28,12 @@ import scipy.integrate
 import scipy.linalg
 import scipy.sparse.csgraph
 
+from conescale.errors import ConfigurationError
 from conescale.pencil import (SpectrumReport, _binomial_matrix, _companion,
                               _roots, evaluate)
 from conescale.stencils import _window, derivative_uniform, fornberg_weights
 from conescale.transform import (_SQRT2PI, _dft_phases, _require_finite,
-                                 apply_derivative_rule, scaled_values)
+                                 scaled_values)
 
 GAUSS_L2 = math.pi ** 0.25                      # (int e^{-t^2} dt)^(1/2)
 GAUSS_SOBOLEV1 = (1.5 * math.sqrt(math.pi)) ** 0.5   # (int (1+t^2) e^{-t^2})^(1/2)
@@ -156,13 +160,48 @@ def inverse_per_call(ctx, fhat):
 
 
 def pullback_per_call(ctx, f):
-    """The spectrum of TransformContext.pullback_spectrum (see
+    """Fourier transform of the weighted pullback of a time-side function:
+    (2 pi)^{-1/2} * integral e^{-i xi t} e^{-i zeta z(t)} F(z(t)) dt on the
+    real frequency parameters xi of the destination grid (see
     forward_per_call)."""
     t = ctx.src_grid.nodes
     dir_t = ctx.time_ray.direction
     return _kernel_per_call(ctx.src_grid, ctx.dst_grid, f.values,
                             pre=-1j * ctx.zeta * (dir_t * t + ctx.w),
                             post=math.log(ctx.src_grid.spacing / _SQRT2PI))
+
+
+def sobolev_norm_spectral(f, ell, ctx):
+    """Sobolev norm of a time-side RayFunction via its frequency content:
+    (1 + xi^2)^ell integrated against the squared pullback spectrum by
+    composite trapezoid.  Any real ell; for integer ell >= 0 and weight
+    number 0 it is the square root of geometry.derivative_energy with the
+    binomial weights C(ell, j), to quadrature accuracy."""
+    xi = ctx.dst_grid.nodes
+    q = np.sum(np.abs(pullback_per_call(ctx, f)) ** 2, axis=1)
+    weight = (1.0 + xi ** 2) ** float(ell)
+    w = ctx.dst_grid.trapezoid_weights()
+    return math.sqrt(float(np.sum(w * weight * q) * ctx.dst_grid.spacing))
+
+
+def apply_derivative_rule(ctx, fhat, j):
+    """Inverse transform of lam^j * Fhat, realizing D^j on the time side.
+
+    Refuses to proceed when lam^j * Fhat has not decayed to 1e-8 of its
+    peak at the frequency window ends, since the quadrature would silently
+    truncate it.
+    """
+    lam = fhat.points
+    scaled = fhat.values * (lam ** j)[:, None]
+    peak = float(np.max(np.abs(scaled)))
+    if peak > 0.0:
+        edge = float(max(np.max(np.abs(scaled[0])), np.max(np.abs(scaled[-1]))))
+        if edge > 1e-8 * peak:
+            raise ConfigurationError(
+                f"lam^{j} * Fhat has tail mass {edge / peak:.2e} at the "
+                f"frequency window ends; enlarge the grid"
+            )
+    return ctx.inverse(fhat.with_values(scaled))
 
 
 def derivative_rule_deviation(ctx, fhat, j, acc=2):

@@ -366,6 +366,33 @@ class TestVerifyCommand:
         assert all("blew up: solve residual" in l for l in diags)
         assert lines.index(diags[-1]) < lines.index("# table=continuation")
 
+    def test_continuation_zero_rhs_holds(self, tmp_path, capsys):
+        # every energy is 0, so nothing grew: ratio 0, not inf
+        data = linear_problem()
+        data["grid"]["count"] = 1024
+        data["rhs"] = {"kind": "gaussian", "amplitude": [0.0, 0.0]}
+        path = write(tmp_path, data)
+        assert run(["verify", "--suite", "continuation", path]) == 0
+        out = capsys.readouterr().out
+        assert "# verdict=holds\n# ratio=0\n" in out
+        assert "# diagnostic=" not in out
+        assert {row.split(",")[1]
+                for row in table_lines(out, "continuation")[1:]} == {"0"}
+
+    def test_continuation_zero_base_explained(self, tmp_path, capsys,
+                                              monkeypatch):
+        # a zero base under a nonzero maximum is unbounded growth
+        energies = iter([0.0] + [2.0] * 8)
+        monkeypatch.setattr(conescale.solver, "derivative_energy",
+                            lambda *args, **kwargs: next(energies))
+        data = linear_problem()
+        data["grid"]["count"] = 1024
+        path = write(tmp_path, data)
+        assert run(["verify", "--suite", "continuation", path]) == 0
+        out = capsys.readouterr().out
+        assert ("# verdict=blow-up\n# ratio=inf\n# diagnostic=base energy "
+                "is 0 but a ray reaches 2; the ratio is unbounded\n") in out
+
     def test_continuation_holds_without_diagnostics(self, tmp_path, capsys):
         data = linear_problem()
         data["solver"] = {"phi_list": [math.pi / 8]}
@@ -506,6 +533,25 @@ class TestDemoCylinder:
         # phi wide enough that the cone reaches the imaginary-axis spectrum
         assert run(["demo-cylinder", "--n", "2", "--phi", str(math.pi / 2),
                     "--out-problem", str(tmp_path / "p.json")]) == 4
+
+    def test_negative_phi_violation_writes_partial_report(self, tmp_path):
+        # at -pi/2 the clockwise cone reaches the spectrum, as at +pi/2
+        out = tmp_path / "r.csv"
+        assert run(["demo-cylinder", "--n", "2", "--phi", str(-math.pi / 2),
+                    "--out-problem", str(tmp_path / "p.json"),
+                    "--out", str(out)]) == 4
+        text = out.read_text()
+        assert "# cone.orientation=-1\n" in text
+        assert "# clearance=violated\n" in text
+        assert len(table_lines(text, "violations")) == 5
+
+    def test_negative_phi_echoes_clockwise_cone(self, tmp_path, capsys):
+        assert run(["demo-cylinder", "--n", "2", "--phi", str(-math.pi / 16),
+                    "--out-problem", str(tmp_path / "p.json")]) == 0
+        out = capsys.readouterr().out
+        assert f"# cone.angle={math.pi / 16!r}\n" in out
+        assert "# cone.orientation=-1\n" in out
+        assert "# clearance=clear\n" in out
 
     def test_generated_file_validates(self, tmp_path):
         data = cylinder_problem_dict(3, math.pi / 16)

@@ -181,6 +181,84 @@ def test_dead_code_check_sees_an_offence(tmp_path):
         "a.py:11 unreferenced _dead", "a.py:14 unreferenced _Gone"]
 
 
+# Exports that no command reaches, with the reason each one stays
+# (project_halfline, also criterion 7, is reached through the idempotence
+# check)
+REACH_ROOTS = {
+    "cauchy_reconstruct": "acceptance criterion 6",
+    "projection_idempotence_check": "acceptance criterion 7",
+    "PoleRhs": "acceptance criterion 9",
+    "localize_traces": "acceptance criterion 10",
+    "verify_growth_condition": "the resolvent growth probe; no suite yet",
+}
+
+
+def _unreached_exports(paths, roots):
+    """Names that __init__.py imports but that nothing reaches from
+    ``main`` or from ``roots``.  Name-level: a reached name reaches every
+    top-level function, class or assignment of that name in ``paths``, and
+    with it every name its source mentions (a class's methods included)."""
+    defs, exports = {}, set()
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if path.name == "__init__.py":
+                if isinstance(node, ast.ImportFrom):
+                    exports |= {alias.name for alias in node.names}
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                defs.setdefault(name, []).append(node)
+    reached, todo = set(), ["main", *roots]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in defs.get(name, ()):
+            todo.extend(n.id if isinstance(n, ast.Name) else n.attr
+                        for n in ast.walk(node)
+                        if isinstance(n, (ast.Name, ast.Attribute)))
+    return sorted(exports - reached)
+
+
+def test_every_export_is_reached():
+    files = sorted(SRC.glob("*.py"))
+    assert {"__init__.py", "cli.py"} <= {f.name for f in files}
+    assert _unreached_exports(files, REACH_ROOTS) == []
+    # no root is stale: without it, it is unreached
+    for root in REACH_ROOTS:
+        rest = set(REACH_ROOTS) - {root}
+        assert root in _unreached_exports(files, rest)
+
+
+def test_reachability_check_sees_an_offence(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .lib import Shape, planted, rooted, spare\n"
+        "from .cli import main\n", encoding="utf-8")
+    (tmp_path / "lib.py").write_text(
+        "SIDES = 4\n\n"
+        "def _side():\n    return SIDES\n\n"
+        "class Shape:\n    def area(self):\n        return _side() ** 2\n\n"
+        "def rooted():\n    pass\n\n"
+        "def planted():\n    return spare()\n\n"
+        "def spare():\n    pass\n", encoding="utf-8")
+    (tmp_path / "cli.py").write_text(
+        "from .lib import Shape\n\n"
+        "def main():\n    return Shape().area()\n", encoding="utf-8")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert _unreached_exports(paths, {"rooted": "a reason"}) == [
+        "planted", "spare"]
+    assert _unreached_exports(paths, {}) == ["planted", "rooted", "spare"]
+
+
 def run(tmp_path, data, argv):
     return main(argv[:1] + [write(tmp_path, data)] + argv[1:])
 

@@ -1,16 +1,14 @@
 import cmath
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from conescale import (Cone, ConeFunction, Grid, IllConditionedKernelError,
-                       Ray, RayFunction, TIME, WeightOverflowError,
-                       cauchy_reconstruct, decay_profile, entire_window_check,
+                       Ray, RayFunction, TIME, cauchy_reconstruct,
                        membership_scan, paley_wiener_check, project_halfline,
                        projection_idempotence_check)
-from conescale.hardy import _forward_continuation, halfline_projection
+from conescale.hardy import halfline_projection
 from conftest import gaussian_on
 
 GAUSS = lambda lam: np.exp(-lam ** 2 / 2.0)
@@ -263,85 +261,3 @@ class TestPaleyWiener:
         rep = paley_wiener_check(gauss4096, "backward-support")
         assert rep.support_leakage > 0.1
         assert rep.verdict == "inconsistent"
-
-
-class TestEntireWindow:
-    def test_bump_bounded(self, grid2048):
-        t = grid2048.nodes
-        inside = np.abs(t) < 1.0
-        vals = np.zeros(grid2048.count, dtype=complex)
-        with np.errstate(divide="ignore", over="ignore"):
-            vals[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
-        f = RayFunction(Ray(0.0, 0j, TIME), grid2048, vals)
-        # zero samples outside the support must not meet overflowing
-        # exponentials (inf * 0 = nan, with an overflow RuntimeWarning)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rep = entire_window_check(f)
-        assert rep.verdict == "bounded"
-        assert rep.support[0] == pytest.approx(-1.0, abs=0.1)
-        assert rep.support[1] == pytest.approx(1.0, abs=0.1)
-
-    def test_continuation_overflow_names_time_node(self, grid2048):
-        f = gaussian_on(grid2048)
-        with pytest.raises(WeightOverflowError) as err:
-            _forward_continuation(f, np.array([0.0, 1000j]))
-        assert err.value.point is None
-        # Re(-i lam z) = 1000 t weights the last node most
-        assert err.value.node_index == grid2048.count - 1
-
-    def test_gaussian_flagged(self, grid2048):
-        rep = entire_window_check(gaussian_on(grid2048))
-        assert rep.verdict == "flagged"
-
-    def test_zero_trivially_bounded(self, grid2048, real_ray):
-        zero = RayFunction(real_ray, grid2048, np.zeros(grid2048.count))
-        assert entire_window_check(zero).verdict == "bounded"
-
-
-class TestDecayProfile:
-    def test_zero(self):
-        grid = Grid(20.0, 513)
-        cf = ConeFunction.from_callable(Cone(math.pi / 6, 0j, 1),
-                                        lambda lam: np.zeros(lam.shape), grid)
-        prof = decay_profile(cf, 0.0)
-        assert prof.monotone
-
-    def test_gaussian_profile(self):
-        grid = Grid(20.0, 4097)
-        cf = ConeFunction.from_callable(Cone(math.pi / 6, 0j, 1), GAUSS, grid)
-        prof = decay_profile(cf, 0.0)
-        assert prof.monotone
-        assert prof.tables  # interior rays present
-
-    def test_weight_past_exp_range_over_decayed_tail(self):
-        # e^{30 Re lam} overflows past Re lam = 23.7, where the Gaussian is
-        # tiny or has underflowed to zero; the profile stays below e^600
-        grid = Grid(40.0, 4097)
-        cf = ConeFunction.from_callable(Cone(math.pi / 6, 0j, 1), GAUSS, grid,
-                                        weight_number=-30j)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            prof = decay_profile(cf, 0.0)
-        assert prof.tables
-        assert all(np.all(np.isfinite(values)) for _, _, values in prof.tables)
-
-    def test_overflowing_profile_raises(self):
-        grid = Grid(40.0, 4097)
-        cf = ConeFunction.from_callable(Cone(math.pi / 6, 0j, 1), GAUSS, grid,
-                                        weight_number=-60j)
-        with pytest.raises(WeightOverflowError):
-            decay_profile(cf, 0.0)
-
-    def test_rational_profile(self):
-        grid = Grid(40.0, 4097)
-        func = lambda lam: 1.0 / (lam + 2j)
-        cf = ConeFunction.from_callable(Cone(math.pi / 6, 0j, 1), func, grid)
-        prof = decay_profile(cf, 0.0)
-        assert prof.monotone
-        # profile ~ |lam|^(1/2) * |lam|^(-1) decays like |lam|^(-1/2)
-        psi, radii, values = prof.tables[0]
-        outer = radii > 10.0
-        ratio = values[outer] * np.sqrt(radii[outer])
-        spread = np.max(ratio) / np.min(ratio)
-        assert spread < 3.0

@@ -7,18 +7,17 @@ from hypothesis import example, given, settings, strategies as st
 import conescale.transform
 from conescale import (ConfigurationError, Grid, NonFiniteSampleError,
                        NumericalError, Ray, RayFunction, TIME,
-                       TransformContext, WeightOverflowError,
-                       apply_derivative_rule, dual_grid, parseval_check)
+                       TransformContext, WeightOverflowError, dual_grid,
+                       parseval_check)
 from conescale.geometry import LOG_OVERFLOW_BOUND
 from conescale.transform import (_adjoint_factors, _apply_kernel,
                                  _apply_kernel_adjoint, _dft_phases,
                                  _kernel_factors, exp_sum, scaled_values)
 from conftest import gaussian_on
-from _oracles import (dense_kernel, derivative_rule_deviation,
-                      exp_sum_per_component, forward_per_call,
-                      forward_per_element, inverse_per_call,
-                      inverse_per_element, pullback_per_call,
-                      scaled_values_per_element)
+from _oracles import (apply_derivative_rule, dense_kernel,
+                      derivative_rule_deviation, exp_sum_per_component,
+                      forward_per_call, forward_per_element, inverse_per_call,
+                      inverse_per_element, scaled_values_per_element)
 
 # a few units in the last place of the subnormal range
 SUBNORMAL_SLACK = 8 * 2.0 ** -1074
@@ -480,8 +479,6 @@ def test_plan_matches_per_call_route_property(case):
                 == forward_per_call(ctx, f).tobytes())
         assert (ctx.inverse(fhat).values.tobytes()
                 == inverse_per_call(ctx, fhat).tobytes())
-        assert (ctx.pullback_spectrum(f)[1].tobytes()
-                == pullback_per_call(ctx, f).tobytes())
 
 
 class TestPlan:
@@ -494,9 +491,8 @@ class TestPlan:
         f = gaussian_on(ctx.src_grid, ctx.time_ray, number=ctx.zeta)
         for _ in range(2):
             ctx.inverse(ctx.forward(f))
-            ctx.pullback_spectrum(f)
             # two row-factor sets per pass, one on each side of its FFT
-            assert len(built) == 6
+            assert len(built) == 4
 
     def test_each_pass_checks_only_its_fft_sums(self, monkeypatch):
         # the input is a RayFunction, checked when it was built
@@ -507,10 +503,8 @@ class TestPlan:
                             or check(values))
         ctx = TransformContext(math.pi / 16, 0.3j, 0.5, Grid(20.0, 256))
         f = gaussian_on(ctx.src_grid, ctx.time_ray, number=ctx.zeta)
-        fhat = ctx.forward(f)
-        ctx.inverse(fhat)
-        ctx.pullback_spectrum(f)
-        assert checked == [(256, 1)] * 3
+        ctx.inverse(ctx.forward(f))
+        assert checked == [(256, 1)] * 2
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_fft_sums_rejected(self, bad):
@@ -529,7 +523,7 @@ class TestPlan:
         assert ctx.time_ray is plan.time_ray
         assert ctx.frequency_ray is plan.frequency_ray
         arrays = [plan.t, plan.xi, plan.forward_check[2], plan.inverse_check[2]]
-        for factors in (*plan.forward, *plan.inverse, *plan.pullback):
+        for factors in (*plan.forward, *plan.inverse):
             arrays.extend(factors)
         assert plan.forward[0].unit.size > 0  # wide rows were split
         for arr in arrays:
@@ -581,12 +575,13 @@ class TestExpSum:
     def test_overflow_names_node_and_point(self):
         values = np.ones((3, 1))
         expo = np.array([[0.0, 710.0, 0.0], [0.0, 0.0, 720.0]])
-        points = np.array([1.0, 2.0, 3.0])
-        with pytest.raises(WeightOverflowError) as err:
-            exp_sum(values, expo, points)
-        assert err.value.node_index == 2
-        assert err.value.point == 3.0
-        assert err.value.log_magnitude == pytest.approx(720.0)
+        for points, point in ((np.array([1.0, 2.0, 3.0]), 3.0), (None, None)):
+            with pytest.raises(WeightOverflowError,
+                               match=rf"node 2 \(point {point}\)") as err:
+                exp_sum(values, expo, points)
+            assert err.value.node_index == 2
+            assert err.value.point == point
+            assert err.value.log_magnitude == pytest.approx(720.0)
 
     def test_weight_past_exp_range(self):
         # exp(750) alone overflows; its products with these values do not
