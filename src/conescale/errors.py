@@ -26,7 +26,8 @@ class ValidationError(ConescaleError, ValueError):
 
 
 class ConfigurationError(ValidationError):
-    """Grids or parameters violate a precondition (Nyquist, tail decay)."""
+    """Grids or parameters violate a precondition (a grid too short for
+    its stencil, samples that cannot be continued off their ray)."""
 
 
 class NumericalError(ConescaleError):

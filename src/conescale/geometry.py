@@ -140,8 +140,8 @@ class Disk:
     center: complex
     radius: float
 
-    def contains_closed(self, lam, margin=0.0):
-        return abs(complex(lam) - self.center) <= self.radius + margin
+    def contains_closed(self, lam):
+        return abs(complex(lam) - self.center) <= self.radius
 
 
 @dataclass(frozen=True)
@@ -260,7 +260,7 @@ def exp_weighted(log_weight, q, points):
     return out
 
 
-def _weighted_integrand_log(f, order, number, form, mask=None):
+def _weighted_integrand_log(f, order, number, form):
     """(log integrand, quadratic form) for the weighted L2 norm squared.
 
     Splitting into log weight + data keeps huge weights representable until
@@ -268,24 +268,20 @@ def _weighted_integrand_log(f, order, number, form, mask=None):
     """
     z = f.points
     log_w = -2.0 * np.imag(number * z) + order * np.log1p(np.abs(z) ** 2)
-    q = _quadratic_form(f.values, form)
-    if mask is not None:
-        q = np.where(mask, q, 0.0)
-    return log_w, q
+    return log_w, _quadratic_form(f.values, form)
 
 
-def weighted_l2_report(f, form=None, order=None, number=None, mask=None):
+def weighted_l2_report(f, form=None, order=None, number=None):
     """Weighted L2 norm of a RayFunction plus a tail-mass diagnostic.
 
     Computes ( integral |exp(2 i w lam)| (1+|lam|^2)^ell <H f, f> |dlam| )^(1/2)
     by composite trapezoid along the ray, where w/ell default to the
-    function's weight metadata.  ``mask`` restricts to a node subset (used
-    for half-line norms).  Raises WeightOverflowError naming the first node
-    whose integrand would overflow.
+    function's weight metadata.  Raises WeightOverflowError naming the first
+    node whose integrand would overflow.
     """
     order = f.weight_order if order is None else float(order)
     number = f.weight_number if number is None else complex(number)
-    log_w, q = _weighted_integrand_log(f, order, number, form, mask)
+    log_w, q = _weighted_integrand_log(f, order, number, form)
     integrand = exp_weighted(log_w, q, f.points)
     w = f.grid.trapezoid_weights()
     total = float(np.sum(w * integrand) * f.grid.spacing)

@@ -334,8 +334,7 @@ def paley_wiener_check(F, side):
     for direction in (+1.0, -1.0):
         for d in (0.0, 0.25, 0.5, 0.75, 1.5, 2.0):
             eta = ctx.zeta + 1j * sign * direction * d * ctx.frequency_ray.direction
-            shifted = TransformContext(ctx.psi, eta, ctx.w,
-                                       ctx.src_grid, ctx.dst_grid)
+            shifted = TransformContext(ctx.psi, eta, ctx.w, ctx.src_grid)
             try:
                 fhat = shifted.forward(F)
                 norm = weighted_l2_report(fhat, order=0.0, number=ctx.w).value

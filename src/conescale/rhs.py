@@ -32,10 +32,6 @@ class AnalyticRhs:
             return base[:, None]
         return np.outer(base, self.cross_section)
 
-    @property
-    def dim(self):
-        return 1 if self.cross_section is None else self.cross_section.size
-
     def sample(self, ray, grid, weight_order=0.0, weight_number=0j):
         return RayFunction(ray, grid, self(ray.points(grid.nodes)),
                            weight_order, weight_number)
@@ -118,11 +114,6 @@ class SampledRhs:
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=complex)
-
-    @property
-    def dim(self):
-        v = self.values
-        return 1 if v.ndim == 1 else v.shape[1]
 
     def sample(self, ray, grid, weight_order=0.0, weight_number=0j):
         return RayFunction(ray, grid, self.values, weight_order, weight_number)

@@ -489,9 +489,10 @@ def continuation_certificate(problem, phi, offset=None, n_angles=9,
     is recorded.  The certificate "holds" when every ray succeeds and the
     sweep maximum stays within CERT_BOUND of the psi = 0 value (a sweep
     whose energies are all 0 has ratio 0, a zero base under a nonzero
-    maximum ratio inf); per-ray numerical blow-ups (overflow, residual
-    failures, non-finite samples or energies) are recorded as blow-up
-    data, with their reasons in ``blown``, rather than raised.  Other
+    maximum ratio inf, and a blown-up psi = 0 ray base and ratio inf);
+    per-ray numerical blow-ups (overflow, residual failures, non-finite
+    samples or energies) are recorded as blow-up data, with their reasons
+    in ``blown``, rather than raised.  Other
     errors propagate.  ``problem`` is a ConstantProblem, or a
     VariableProblem whose rays are Neumann solves
     (solve_variable with ``res_tol`` and ``max_iter``; the projection cut
@@ -501,11 +502,12 @@ def continuation_certificate(problem, phi, offset=None, n_angles=9,
     const = problem.base if variable else problem
     if const.evaluator is None:
         raise ConfigurationError("certificates need an analytic right-hand-side evaluator")
+    if n_angles < 1:
+        raise ConfigurationError("certificates need the psi = 0 ray (n_angles >= 1)")
     orientation = 1 if phi >= 0 else -1
     aperture = abs(float(phi))
     offset = const.ray.offset if offset is None else complex(offset)
     rows = []
-    base_value = None
     blown = []
     for psi in np.linspace(0.0, aperture, n_angles):
         try:
@@ -524,19 +526,20 @@ def continuation_certificate(problem, phi, offset=None, n_angles=9,
             blown.append((float(psi), str(exc)))
             continue
         rows.append((float(psi), value))
-        if base_value is None:
-            base_value = value
+    base_value = rows[0][1]  # the psi = 0 ray, inf if it blew up
     finite = [v for _, v in rows if np.isfinite(v)]
     max_value = max(finite) if finite else math.inf
-    if base_value:
-        ratio = max_value / base_value
-    else:
-        # a zero base: nothing grew if every energy is 0, else unbounded
+    if not math.isfinite(base_value):
+        ratio = math.inf
+    elif base_value == 0.0:
+        # nothing grew if every energy is 0, else unbounded
         ratio = 0.0 if max_value == 0.0 else math.inf
+    else:
+        ratio = max_value / base_value
     holds = (not blown) and np.isfinite(max_value) and ratio <= CERT_BOUND
     return CertificateReport(
         rows=tuple(rows),
-        base_value=base_value if base_value is not None else math.inf,
+        base_value=base_value,
         max_value=max_value,
         ratio=ratio,
         verdict="holds" if holds else "blow-up",

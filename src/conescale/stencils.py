@@ -48,9 +48,8 @@ def fornberg_weights(x0, xs, m):
 
 
 def centered_weights(m, acc):
-    """Centered stencil (offsets, weights) for d^m/dx^m at accuracy `acc`."""
-    if m == 0:
-        return np.array([0]), np.array([1.0])
+    """Centered stencil (offsets, weights) for d^m/dx^m, m >= 1, at
+    accuracy `acc`."""
     half = (m + 1) // 2 + acc // 2 - 1
     half = max(half, (m + acc) // 2)
     return np.arange(-half, half + 1), _window_weights(-half, 2 * half + 1, m)

@@ -12,15 +12,15 @@ weighted L2 spaces (see parseval_check).  The phase kernel separates as
 
     e^{-i lam z} = e^{-i xi t} * (diagonal factors in xi and t),
 
-and the diagonal factors carry every (psi, zeta, w) dependence.  Grids are
-paired commensurately (dxi * dt = 2 pi / M, see dual_grid; other
-destination grids are rejected).  With node indices centred on the
-symmetric grids this gives the exact integer identity
+and the diagonal factors carry every (psi, zeta, w) dependence.  The
+frequency grid is always the dual of the time grid (dual_grid: N nodes
+with dxi * dt = 2 pi / N).  With node indices centred on the symmetric
+grids this gives the exact integer identity
 
-    xi_j t_k = (pi / 2M) (2j - M + 1)(2k - N + 1),
+    xi_j t_k = (pi / 2N) (2j - N + 1)(2k - N + 1),
 
-so exp(-i xi t) is a constant times diagonal phases around one length-M
-DFT, each phase exp(-i pi r / 2M) with the integer r reduced mod 4M.  The
+so exp(-i xi t) is a constant times diagonal phases around one length-N
+DFT, each phase exp(-i pi r / 2N) with the integer r reduced mod 4N.  The
 sums therefore cost one FFT per transform and carry no argument-rounding
 error that grows with N.  On each side of the FFT, the weight exponent,
 the DFT phase and the constant prefactor of a node are summed in log space
@@ -31,10 +31,10 @@ builds them once, on the first forward or inverse call, and keeps them with
 its nodes and rays in a plan (as an FFTW plan keeps its twiddle factors); every
 call then costs one multiply per sample on each side of the FFT, while the
 checks on the data still run per call.  The discrete forward and inverse
-are exact inverses of each other at the nodes (for M >= N), for any
-sampled data, which is what the round-trip contract asks for.  The uniform
-quadrature weights used here agree with composite trapezoid whenever the
-integrand has decayed at the window ends, which the preconditions require.
+are exact inverses of each other at the nodes, for any sampled data,
+which is what the round-trip contract asks for.  The uniform quadrature
+weights used here agree with composite trapezoid whenever the integrand
+has decayed at the window ends, which the preconditions require.
 """
 
 import cmath
@@ -56,13 +56,14 @@ _LN2 = math.log(2.0)
 _LOG_NORMAL = 700.0
 
 
-def dual_grid(grid, count=None):
-    """Frequency grid commensurate with `grid`: dxi * dt = 2 pi / count.
+def dual_grid(grid):
+    """Frequency grid of the transforms on `grid`: N nodes with
+    dxi * dt = 2 pi / N.
 
-    Commensurate spacing makes the discrete transform pair unitary (up to
-    the isometry factor), hence round trips exact at the nodes.
+    This spacing makes the discrete transform pair unitary (up to the
+    isometry factor), hence round trips exact at the nodes.
     """
-    count = grid.count if count is None else int(count)
+    count = grid.count
     dxi = 2.0 * math.pi / (count * grid.spacing)
     return Grid(half_width=0.5 * (count - 1) * dxi, count=count)
 
@@ -73,60 +74,51 @@ def _quarter_log_phase(r, count):
 
 
 @functools.lru_cache(maxsize=32)
-def _dft_phases(src_count, dst_count):
-    """Log-phases (const, row, col) such that, for commensurate grids,
+def _dft_phases(count):
+    """Log-phases (const, phase) such that, for a grid and its dual,
 
-    exp(-i xi_j t_k) = exp(const + row_j + col_k) * exp(-2 pi i j k / M).
+    exp(-i xi_j t_k) = exp(const + phase_j + phase_k) * exp(-2 pi i j k / N).
 
-    Cached per (N, M); the arrays are read-only.
+    Cached per N; the array is read-only.
     """
-    n, m = src_count, dst_count
-    const = complex(_quarter_log_phase((m - 1) * (n - 1), m))
-    row = _quarter_log_phase(-2 * (n - 1) * np.arange(m), m)
-    col = _quarter_log_phase(-2 * (m - 1) * np.arange(n), m)
-    return const, _read_only(row), _read_only(col)
+    const = complex(_quarter_log_phase((count - 1) ** 2, count))
+    phase = _quarter_log_phase(-2 * (count - 1) * np.arange(count), count)
+    return const, _read_only(phase)
 
 
-def _kernel_factors(src_count, dst_count, pre=0.0, post=0.0):
+def _kernel_factors(count, pre=0.0, post=0.0):
     """Row factors (before, after the FFT) of _apply_kernel.
 
-    ``pre`` (one log factor per source node) and ``post`` (one per
-    destination node) are folded with the DFT phases, so that the kernel
-    computes exp(post_j) * sum_k exp(-i xi_j t_k) exp(pre_k) x_k.
+    ``pre`` (one log factor per time node) and ``post`` (one per frequency
+    node) are folded with the DFT phases, so that the kernel computes
+    exp(post_j) * sum_k exp(-i xi_j t_k) exp(pre_k) x_k.
     """
-    const, row, col = _dft_phases(src_count, dst_count)
-    return _row_factors(col + pre), _row_factors(const + row + post)
+    const, phase = _dft_phases(count)
+    return _row_factors(phase + pre), _row_factors(const + phase + post)
 
 
-def _adjoint_factors(src_count, dst_count, pre=0.0, post=0.0):
+def _adjoint_factors(count, pre=0.0, post=0.0):
     """Row factors (before, after the FFT) of _apply_kernel_adjoint, which
     then computes exp(post_k) * sum_j exp(+i t_k xi_j) exp(pre_j) y_j;
     ``pre`` lives on the frequency nodes, ``post`` on the time nodes."""
-    const, row, col = _dft_phases(src_count, dst_count)
-    return _row_factors(pre - row), _row_factors(post - const - col)
+    const, phase = _dft_phases(count)
+    return _row_factors(pre - phase), _row_factors(post - const - phase)
 
 
 def _apply_kernel(x, pre, post):
-    """The sums of _kernel_factors for commensurate grids, via one FFT.
+    """The sums of _kernel_factors on a grid and its dual, via one FFT.
 
-    Rows of x beyond M fold onto k mod M; fewer than M rows are
-    zero-padded.  x must be finite (RayFunction values are); a non-finite
-    FFT sum raises NonFiniteSampleError.
+    x must be finite (RayFunction values are); a non-finite FFT sum raises
+    NonFiniteSampleError.
     """
-    m = post.normal.shape[0]
-    y = _apply_factors(x, pre)
-    n = y.shape[0]
-    if n > m:
-        y = np.concatenate([y, np.zeros(((-n) % m,) + y.shape[1:], dtype=complex)])
-        y = y.reshape((-1, m) + y.shape[1:]).sum(axis=0)
-    return _apply_factors(_require_finite(np.fft.fft(y, n=m, axis=0)), post)
+    y = np.fft.fft(_apply_factors(x, pre), axis=0)
+    return _apply_factors(_require_finite(y), post)
 
 
 def _apply_kernel_adjoint(y, pre, post):
-    """The sums of _adjoint_factors for commensurate grids, via one FFT."""
-    n, m = post.normal.shape[0], y.shape[0]
+    """The sums of _adjoint_factors on a grid and its dual, via one FFT."""
     sums = np.fft.ifft(_apply_factors(y, pre), axis=0, norm="forward")
-    return _apply_factors(_require_finite(sums[np.arange(n) % m]), post)
+    return _apply_factors(_require_finite(sums), post)
 
 
 def _require_finite(values):
@@ -268,7 +260,7 @@ class _TransformPlan:
         dir_f = self.frequency_ray.direction
         log_prefactor = (cmath.log(self.src_grid.spacing / _SQRT2PI * dir_t)
                          - 2j * self.zeta * self.w)
-        return _kernel_factors(self.src_grid.count, self.dst_grid.count,
+        return _kernel_factors(self.src_grid.count,
                                pre=-1j * self.zeta * dir_t * self.t,
                                post=-1j * self.w * dir_f * self.xi + log_prefactor)
 
@@ -278,46 +270,29 @@ class _TransformPlan:
         dir_f = self.frequency_ray.direction
         log_prefactor = (cmath.log(self.dst_grid.spacing / _SQRT2PI * dir_f)
                          + 2j * self.zeta * self.w)
-        return _adjoint_factors(self.src_grid.count, self.dst_grid.count,
+        return _adjoint_factors(self.src_grid.count,
                                 pre=1j * self.w * dir_f * self.xi,
                                 post=1j * self.zeta * dir_t * self.t + log_prefactor)
 
 
 @dataclass(frozen=True)
 class TransformContext:
-    """Grids plus the (psi, zeta, w) parameters of one transform pair."""
+    """The (psi, zeta, w) parameters of one transform pair and its time
+    grid; the frequency grid is its dual (see dual_grid)."""
 
     psi: float
-    zeta: complex = 0j
-    w: complex = 0j
-    src_grid: Grid = None
-    dst_grid: Grid = None
+    zeta: complex
+    w: complex
+    src_grid: Grid
 
     def __post_init__(self):
-        if self.src_grid is None:
-            raise ConfigurationError("transform context needs a source grid")
-        if self.dst_grid is None:
-            object.__setattr__(self, "dst_grid", dual_grid(self.src_grid))
         object.__setattr__(self, "zeta", complex(self.zeta))
         object.__setattr__(self, "w", complex(self.w))
-        tol = 1.0 + 1e-9
-        if self.dst_grid.spacing > tol * math.pi / self.src_grid.half_width:
-            raise ConfigurationError(
-                "frequency spacing violates the Nyquist bound pi / T for the "
-                "source grid extent"
-            )
-        if self.src_grid.spacing > tol * math.pi / self.dst_grid.half_width:
-            raise ConfigurationError(
-                "time spacing violates the Nyquist bound pi / T for the "
-                "frequency grid extent"
-            )
-        m = self.dst_grid.count
-        if abs(self.dst_grid.spacing * self.src_grid.spacing * m
-               - 2.0 * math.pi) > 1e-12 * 2.0 * math.pi:
-            raise ConfigurationError(
-                "frequency grid is not commensurate with the source grid: "
-                "dxi * dt must equal 2 pi / M (see dual_grid)"
-            )
+
+    @functools.cached_property
+    def dst_grid(self):
+        """The frequency grid, dual_grid(src_grid)."""
+        return dual_grid(self.src_grid)
 
     @functools.cached_property
     def _plan(self):

@@ -33,20 +33,21 @@ from conescale.pencil import (SpectrumReport, _binomial_matrix, _companion,
                               _roots, evaluate)
 from conescale.stencils import _window, derivative_uniform, fornberg_weights
 from conescale.transform import (_SQRT2PI, _dft_phases, _require_finite,
-                                 scaled_values)
+                                 dual_grid, scaled_values)
 
 GAUSS_L2 = math.pi ** 0.25                      # (int e^{-t^2} dt)^(1/2)
 GAUSS_SOBOLEV1 = (1.5 * math.sqrt(math.pi)) ** 0.5   # (int (1+t^2) e^{-t^2})^(1/2)
 
 
-def dense_kernel(src_grid, dst_grid):
-    """The M x N matrix exp(-i * outer(xi, t)), formed entry by entry.
+def dense_kernel(grid):
+    """The N x N matrix exp(-i * outer(xi, t)) on a time grid and its dual,
+    formed entry by entry.
 
-    Limited to N, M <= 1024: the matrix costs 16 N M bytes.
+    Limited to N <= 1024: the matrix costs 16 N^2 bytes.
     """
-    if max(src_grid.count, dst_grid.count) > 1024:
+    if grid.count > 1024:
         raise ValueError("the dense kernel oracle is limited to 1024 nodes")
-    return np.exp(-1j * np.outer(dst_grid.nodes, src_grid.nodes))
+    return np.exp(-1j * np.outer(dual_grid(grid).nodes, grid.nodes))
 
 
 def scaled_values_per_element(values, exponents):
@@ -89,13 +90,13 @@ def _transform_per_element(kernel, values, log_pre, prefactor, log_post):
 
 def forward_per_element(ctx, f):
     """TransformContext.forward as computed before per-row factors: the data
-    and the sums scaled element by element, with the dense kernel (N, M <=
+    and the sums scaled element by element, with the dense kernel (N <=
     1024) in place of the FFT.  Returns (values, sizes)."""
     dir_t = ctx.time_ray.direction
     prefactor = (ctx.src_grid.spacing / _SQRT2PI * dir_t
                  * np.exp(-2j * ctx.zeta * ctx.w))
     return _transform_per_element(
-        dense_kernel(ctx.src_grid, ctx.dst_grid), f.values,
+        dense_kernel(ctx.src_grid), f.values,
         -1j * ctx.zeta * dir_t * ctx.src_grid.nodes, prefactor,
         -1j * ctx.w * ctx.frequency_ray.direction * ctx.dst_grid.nodes)
 
@@ -107,30 +108,26 @@ def inverse_per_element(ctx, fhat):
     prefactor = (ctx.dst_grid.spacing / _SQRT2PI * dir_f
                  * np.exp(2j * ctx.zeta * ctx.w))
     return _transform_per_element(
-        dense_kernel(ctx.src_grid, ctx.dst_grid).conj().T, fhat.values,
+        dense_kernel(ctx.src_grid).conj().T, fhat.values,
         1j * ctx.w * dir_f * ctx.dst_grid.nodes, prefactor,
         1j * ctx.zeta * ctx.time_ray.direction * ctx.src_grid.nodes)
 
 
-def _kernel_per_call(src_grid, dst_grid, x, pre=0.0, post=0.0):
-    """exp(post_j) * sum_k exp(-i xi_j t_k) exp(pre_k) x_k via one FFT, the
-    node exponents folded with the DFT phases on this call."""
-    n, m = src_grid.count, dst_grid.count
-    const, row, col = _dft_phases(n, m)
-    y = scaled_values(x, col + pre)
-    if n > m:
-        y = np.concatenate([y, np.zeros(((-n) % m,) + y.shape[1:], dtype=complex)])
-        y = y.reshape((-1, m) + y.shape[1:]).sum(axis=0)
-    return scaled_values(np.fft.fft(y, n=m, axis=0), const + row + post)
+def _kernel_per_call(grid, x, pre, post):
+    """exp(post_j) * sum_k exp(-i xi_j t_k) exp(pre_k) x_k via one FFT, on
+    a time grid and its dual, the node exponents folded with the DFT phases
+    on this call."""
+    const, phase = _dft_phases(grid.count)
+    y = scaled_values(x, phase + pre)
+    return scaled_values(np.fft.fft(y, axis=0), const + phase + post)
 
 
-def _kernel_adjoint_per_call(src_grid, dst_grid, y, pre=0.0, post=0.0):
+def _kernel_adjoint_per_call(grid, y, pre, post):
     """exp(post_k) * sum_j exp(+i t_k xi_j) exp(pre_j) y_j via one FFT,
     the node exponents folded with the DFT phases on this call."""
-    n, m = src_grid.count, dst_grid.count
-    const, row, col = _dft_phases(n, m)
-    sums = np.fft.ifft(scaled_values(y, pre - row), axis=0, norm="forward")
-    return scaled_values(sums[np.arange(n) % m], post - const - col)
+    const, phase = _dft_phases(grid.count)
+    sums = np.fft.ifft(scaled_values(y, pre - phase), axis=0, norm="forward")
+    return scaled_values(sums, post - const - phase)
 
 
 def forward_per_call(ctx, f):
@@ -142,7 +139,7 @@ def forward_per_call(ctx, f):
     dir_f = ctx.frequency_ray.direction
     log_prefactor = (cmath.log(ctx.src_grid.spacing / _SQRT2PI * dir_t)
                      - 2j * ctx.zeta * ctx.w)
-    return _kernel_per_call(ctx.src_grid, ctx.dst_grid, f.values,
+    return _kernel_per_call(ctx.src_grid, f.values,
                             pre=-1j * ctx.zeta * dir_t * t,
                             post=-1j * ctx.w * dir_f * xi + log_prefactor)
 
@@ -154,7 +151,7 @@ def inverse_per_call(ctx, fhat):
     dir_f = ctx.frequency_ray.direction
     log_prefactor = (cmath.log(ctx.dst_grid.spacing / _SQRT2PI * dir_f)
                      + 2j * ctx.zeta * ctx.w)
-    return _kernel_adjoint_per_call(ctx.src_grid, ctx.dst_grid, fhat.values,
+    return _kernel_adjoint_per_call(ctx.src_grid, fhat.values,
                                     pre=1j * ctx.w * dir_f * xi,
                                     post=1j * ctx.zeta * dir_t * t + log_prefactor)
 
@@ -166,7 +163,7 @@ def pullback_per_call(ctx, f):
     forward_per_call)."""
     t = ctx.src_grid.nodes
     dir_t = ctx.time_ray.direction
-    return _kernel_per_call(ctx.src_grid, ctx.dst_grid, f.values,
+    return _kernel_per_call(ctx.src_grid, f.values,
                             pre=-1j * ctx.zeta * (dir_t * t + ctx.w),
                             post=math.log(ctx.src_grid.spacing / _SQRT2PI))
 

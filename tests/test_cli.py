@@ -11,7 +11,7 @@ import conescale.cli
 from conescale import TIME, Grid, Ray, RayFunction
 from conescale.cli import (_complex_matrix, _complex_matrix_walk, main,
                            parse_problem, cylinder_problem_dict)
-from conescale.errors import ValidationError
+from conescale.errors import NumericalError, ValidationError
 from conescale.solver import _prepare_perturbation
 
 
@@ -392,6 +392,29 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert ("# verdict=blow-up\n# ratio=inf\n# diagnostic=base energy "
                 "is 0 but a ray reaches 2; the ratio is unbounded\n") in out
+
+    def test_continuation_blown_base_gives_infinite_ratio(self, tmp_path,
+                                                          capsys, monkeypatch):
+        # the ratio is measured against the psi = 0 ray only, never the
+        # first ray that succeeds
+        calls = []
+        solve = conescale.solver.solve_const
+
+        def first_blows_up(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise NumericalError("forced blow-up")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(conescale.solver, "solve_const", first_blows_up)
+        data = linear_problem()
+        data["grid"]["count"] = 1024
+        path = write(tmp_path, data)
+        assert run(["verify", "--suite", "continuation", path]) == 0
+        out = capsys.readouterr().out
+        assert ("# verdict=blow-up\n# ratio=inf\n"
+                "# diagnostic=ray psi=0 blew up: forced blow-up\n") in out
+        assert len(calls) == 9
 
     def test_continuation_holds_without_diagnostics(self, tmp_path, capsys):
         data = linear_problem()

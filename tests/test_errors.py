@@ -259,6 +259,125 @@ def test_reachability_check_sees_an_offence(tmp_path):
     assert _unreached_exports(paths, {}) == ["planted", "rooted", "spare"]
 
 
+# Defaulted parameters that no call sets, with the reason each one stays:
+# all are problem data, which a user states and the code does not fix
+UNSET_DEFAULTS = {
+    "constant_problem(psi)": "problem data: the ray angle",
+    "projection_idempotence_check(v)": "problem data: the cut point",
+    "ConeFunction.from_callable(weight_number)": "problem data: the weight "
+                                                 "number",
+    "localize_traces(orientation)": "problem data: the cone orientation",
+    "localize_traces(zeta)": "problem data: the weight number",
+    "PoleRhs(order)": "problem data: the pole order",
+    "PoleRhs(window)": "problem data: the window width",
+    "PoleRhs(amplitude)": "problem data: the amplitude",
+    "PoleRhs(cross_section)": "problem data: the cross-section vector",
+}
+
+
+def _defaulted(tree):
+    """(label, names, parameter, position) of each defaulted parameter of
+    the functions and methods in ``tree``: a class's __init__ is labelled
+    by the class and called by its name or as __init__, and ``position``
+    (None for keyword-only ones) does not count a method's self or cls."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                shift = 0 if cls is None or static else 1
+                if cls is not None and child.name == "__init__":
+                    label, names = cls, (cls, child.name)
+                else:
+                    label = child.name if cls is None else f"{cls}.{child.name}"
+                    names = (child.name,)
+                args = child.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    found.append((label, names, arg.arg, i - shift))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append((label, names, arg.arg, None))
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def _unset_defaults(paths, callers):
+    """Defaulted parameters of the functions and methods in ``paths`` that
+    no call in ``callers`` sets, by keyword or by position.  Name-level: a
+    call of ``f`` or ``x.f`` counts for every function or method named f,
+    and a call of a class name (or of __init__) for its __init__.  A call
+    with ``*args`` sets every position, one with ``**kwargs`` every
+    keyword."""
+    positions, keywords = {}, {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            count = math.inf if starred else len(node.args)
+            positions[name] = max(positions.get(name, 0), count)
+            for kw in node.keywords:
+                keywords.setdefault(name, set()).add(kw.arg)
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for label, names, param, position in _defaulted(tree):
+            given = set().union(*(keywords.get(n, set()) for n in names))
+            passed = max(positions.get(n, 0) for n in names)
+            if (param in given or None in given
+                    or (position is not None and position < passed)):
+                continue
+            found.append(f"{label}({param})")
+    return sorted(found)
+
+
+def test_every_default_is_set():
+    files = sorted(SRC.glob("*.py"))
+    root = SRC.parents[1]
+    callers = [path for part in ("src", "tests", "bench")
+               for path in sorted((root / part).rglob("*.py"))]
+    assert _unset_defaults(files, callers) == sorted(UNSET_DEFAULTS)
+
+
+def test_unset_default_check_sees_an_offence(tmp_path):
+    (tmp_path / "lib.py").write_text(
+        "def scale(x, by=1.0, shift=0.0, *, clip=None):\n"
+        "    return x * by + shift\n\n"
+        "class Box:\n"
+        "    def __init__(self, size=1.0, label=None):\n"
+        "        self.size = size\n\n"
+        "    def grow(self, by=2.0):\n"
+        "        return self.size * by\n\n"
+        "    @staticmethod\n"
+        "    def unit(size=1.0):\n"
+        "        return Box(size)\n\n"
+        "def pad(x, width=0):\n    return x\n\n"
+        "def trim(x, side=None):\n    return x\n", encoding="utf-8")
+    (tmp_path / "use.py").write_text(
+        "from lib import Box, pad, scale, trim\n\n"
+        "scale(1.0, 2.0, clip=3.0)\n"
+        "Box(2.0).grow()\n"
+        "Box.unit(3.0)\n"
+        "pad(*[1, 2])\n"
+        "trim(1, **{'side': 'left'})\n", encoding="utf-8")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert _unset_defaults(paths, paths) == [
+        "Box(label)", "Box.grow(by)", "scale(shift)"]
+
+
 def run(tmp_path, data, argv):
     return main(argv[:1] + [write(tmp_path, data)] + argv[1:])
 

@@ -16,7 +16,7 @@ from conescale import (FREQUENCY, ConstantProblem, ContractionFailureError,
                        constant_problem,
                        continuation_certificate, localize_traces, solve_const,
                        solve_scaled, solve_variable)
-from conescale.errors import NonFiniteSampleError
+from conescale.errors import ConfigurationError, NonFiniteSampleError
 from conescale.geometry import derivative_energy
 from conescale.solver import _prepare_perturbation, apply_pencil_fd
 from conescale.stencils import (_window_weights, derivative_with_cuts,
@@ -453,6 +453,10 @@ class TestContinuationCertificate:
         cert = continuation_certificate(linear_problem, math.pi / 8,
                                         offset=1.0)
         assert cert.blown == ()
+
+    def test_no_rays_rejected(self, linear_problem):
+        with pytest.raises(ConfigurationError, match="n_angles"):
+            continuation_certificate(linear_problem, math.pi / 8, n_angles=0)
 
     def test_non_finite_energy_is_blow_up(self, linear_problem, monkeypatch):
         energy = conescale.solver.derivative_energy
