@@ -118,20 +118,24 @@ def _number(value, path, kind=float, positive=False):
 def _complex_matrix(value, n, path):
     """An n x n matrix of [re, im] pairs as a complex array.
 
-    Read as one float array when every row is a list and every number a
-    plain int or float (numpy would also take bools and numeric strings);
-    any other input goes to _complex_matrix_walk, which names the bad field.
+    Read as one float array when every row is a list of n pairs, every
+    pair a list of two numbers and every number a plain int or float
+    (numpy would also take bools and numeric strings); any other input
+    goes to _complex_matrix_walk, which names the bad field.
     """
-    try:
-        if (type(value) is list and all(type(row) is list for row in value)
-                and set(map(type, chain.from_iterable(
-                    chain.from_iterable(value)))) <= {int, float}):
-            arr = np.asarray(value, dtype=float)
-            if arr.shape == (n, n, 2) and np.all(np.isfinite(arr)):
-                # the pairs' (re, im) floats are exactly a complex array
-                return arr.view(complex).reshape(n, n)
-    except (TypeError, ValueError, OverflowError):
-        pass  # a scalar entry, a ragged row or an int past the float range
+    if type(value) is list and len(value) == n and all(
+            type(row) is list and len(row) == n for row in value):
+        pairs = list(chain.from_iterable(value))
+        if set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
+            nums = list(chain.from_iterable(pairs))
+            if set(map(type, nums)) <= {int, float}:
+                try:
+                    arr = np.array(nums, dtype=float)
+                except OverflowError:  # an int past the float range
+                    return _complex_matrix_walk(value, n, path)
+                if np.all(np.isfinite(arr)):
+                    # the pairs' (re, im) floats are exactly a complex array
+                    return arr.view(complex).reshape(n, n)
     return _complex_matrix_walk(value, n, path)
 
 

@@ -12,35 +12,36 @@ resolvent growth bound
 over sampled lam in a closed cone pair.
 
 Each pencil caches its factorization (``factorization``), each part
-computed on first need, by one of three routes.  A binomial pencil
+computed on first need, by one of four routes.  A binomial pencil
 lam^m I + A_m (A_0 exactly I, A_1..A_(m-1) exactly zero, as for the
 cylinder lam^2 I + L) is solved as the n x n standard problem
 -A_m W = W diag(nu): its eigenvalues are the m-th roots of each nu,
-exactly +-sqrt(nu) when m = 2.  Any other pencil goes through its block
-companion pencil lam B - A: when A_0 is exactly I, B is the identity and
-the standard problem A V = V J is solved; every other pencil, a singular
-or scaled A_0 included, goes through QZ, the only use of scipy, which is
-imported on the first QZ solve.  Both standard problems run
-Hessenberg QR, in real arithmetic when every coefficient is real (so
-complex eigenvalues come in exact conjugate pairs).  The eigenvalues are
-grouped once into single-linkage clusters (the connected components of
-|a - b| <= TOL_CLUSTER) and put in report order.  ``spectrum`` returns
-the cluster means and sizes and runs no SVD; ``certify_spectrum``
-certifies the same clusters by one SVD each, and only the reports that
-print certificates call it.  The eigenvectors, computed only when a
-batched resolvent first needs them, give a standard triple with
+exactly +-sqrt(nu) when m = 2.  When -A_m is exactly Hermitian (the
+cylinder's self-adjoint cross-section operator) one eigh gives nu and a
+unitary W at once; otherwise Hessenberg QR does.  Any other pencil goes
+through its block companion pencil lam B - A: when A_0 is exactly I, B is
+the identity and the standard problem A V = V J is solved; every other
+pencil, a singular or scaled A_0 included, goes through QZ, the only use
+of scipy, which is imported on the first QZ solve.  Both standard
+problems run Hessenberg QR, in real arithmetic when every coefficient is
+real (so complex eigenvalues come in exact conjugate pairs).  The
+eigenvalues are grouped once into single-linkage clusters (the connected
+components of |a - b| <= TOL_CLUSTER) and put in report order.
+``spectrum`` returns the cluster means and sizes and runs no SVD;
+``certify_spectrum`` certifies the same clusters by one SVD each, and only
+the reports that print certificates call it.  The eigenvectors, computed
+only when a batched resolvent first needs them (or with the eigenvalues,
+by the one eigh of the Hermitian route), give a triple with
 
-    A(lam)^{-1} = X (lam - J)^{-1} Y:
+    A(lam)^{-1} = X (lam^power - J)^{-1} Y:
 
 X = V[:n] and Y = (B V)^{-1}[:, (m-1)n:] from A V = B V J (B = I for
-the standard problem), or for a binomial pencil X = [W ... W] and Y the
-blocks W^{-1} / (m omega^(m-1)) over the roots omega, the partial
-fractions of W diag(1 / (lam^m - nu)) W^{-1}.  It is applied to N nodes
-at once with two matrix products.  Each node's residual
-|A(lam_k) u_k - f_k| is still certified against RESOLVENT_TOL; nodes that
-fail it, and every node of a pencil without a usable triple (singular A_0,
-a singular (B V), or a zero nu of a binomial pencil of degree m >= 2,
-where 0 is a defective eigenvalue), are solved by stacked LU instead, and
+the standard problem), power 1; or for a binomial pencil the modal form
+X = W, Y = W^{-1} (W^H when W is unitary), J = diag(nu) and power m.  It
+is applied to N nodes at once with two matrix products.  Each node's
+residual |A(lam_k) u_k - f_k| is still certified against RESOLVENT_TOL;
+nodes that fail it, and every node of a pencil without a usable triple
+(singular A_0 or a singular (B V)), are solved by stacked LU instead, and
 a node that fails there too by its own certified LU solve.
 """
 
@@ -137,27 +138,39 @@ class MatrixPencil:
 
 
 class PencilFactorization:
-    """Eigendecomposition of one MatrixPencil, by one of three routes.
+    """Eigendecomposition of one MatrixPencil, by one of four routes.
 
     Each part is computed on first use.  A binomial pencil lam^m I + A_m
     (A_0 exactly I, A_1..A_(m-1) exactly zero) is solved as the n x n
     problem -A_m W = W diag(nu), its eigenvalues the m-th roots of each nu
-    (exactly +-sqrt(nu) when m = 2).  Any other pencil is solved through
-    its block companion: the standard problem A V = V J when A_0 is exactly
-    I, the pencil lam B - A (QZ) otherwise.  Both standard problems run
+    (exactly +-sqrt(nu) when m = 2).  When -A_m is exactly Hermitian, one
+    eigh gives nu and a unitary W, and serves both ``eigenvalues`` and
+    ``triple``, so every read order gives the same bytes; otherwise
+    Hessenberg QR does.  Any other pencil is solved through its block
+    companion: the standard problem A V = V J when A_0 is exactly I, the
+    pencil lam B - A (QZ) otherwise.  Both standard problems run
     Hessenberg QR, in real arithmetic when the coefficients are real.
-    ``eigenvalues`` holds all m n of them (inf where A_0 is singular); it
-    comes from an eigenvalue-only solve unless the triple was built first.
-    ``triple`` is (w, X, Y) with A(lam)^{-1} = X diag(1 / (lam - w)) Y, or
-    None when the pencil has none; only it pays for eigenvectors and an
-    inverse.  ``clusters`` is (head notes, cluster means, cluster sizes),
-    in report order.
+    ``eigenvalues`` holds all m n of them (inf where A_0 is singular); off
+    the Hermitian route it comes from an eigenvalue-only solve unless the
+    triple was built first.  ``triple`` is (w, X, Y, power) with
+    A(lam)^{-1} = X diag(1 / (lam^power - w)) Y, or None when the pencil
+    has none; off the Hermitian route only it pays for eigenvectors and an
+    inverse.  A binomial triple is modal, (nu, W, W^{-1}, m); a companion
+    triple has power 1.  ``clusters`` is (head notes, cluster means,
+    cluster sizes), in report order.
     """
 
     def __init__(self, p):
         self._coefficients = p.coefficients
         self._degree = p.degree
-        self._binomial = _binomial_matrix(p.coefficients)
+        k = self._binomial = _binomial_matrix(p.coefficients)
+        self._hermitian = k is not None and np.array_equal(k, k.conj().T)
+
+    @cached_property
+    def _modes(self):
+        """(nu, W) of the Hermitian -A_m by one eigh; W is unitary."""
+        return _companion_eig(self._binomial, None, vectors=True,
+                              hermitian=True)
 
     @cached_property
     def eigenvalues(self):
@@ -165,8 +178,9 @@ class PencilFactorization:
             vals = _companion_eig(*_companion(self._coefficients),
                                   vectors=False)
         else:
-            vals = _roots(_companion_eig(self._binomial, None, vectors=False),
-                          self._degree).ravel()
+            nu = (self._modes[0] if self._hermitian
+                  else _companion_eig(self._binomial, None, vectors=False))
+            vals = _roots(nu, self._degree).ravel()
         vals.flags.writeable = False
         return vals
 
@@ -180,53 +194,41 @@ class PencilFactorization:
             head = (f"dropped {raw.size - kept.size} eigenvalue(s) at or near "
                     f"infinity",)
         clusters = _cluster(kept, TOL_CLUSTER)
-        means = np.array([np.mean(c) for c in clusters], dtype=complex)
+        # a singleton's mean is its member (+0j turns -0.0 into 0.0, as
+        # np.mean's sum does)
+        means = np.array([c[0] + 0j if c.size == 1 else np.mean(c)
+                          for c in clusters], dtype=complex)
         order = _report_order(means)
         return (head, tuple(complex(means[k]) for k in order),
                 tuple(len(clusters[k]) for k in order))
 
     @cached_property
     def triple(self):
-        known = vars(self).get("eigenvalues")
-        if known is not None and not self._has_triple(known):
-            return None  # skip the eigenvectors
-        if self._binomial is None:
-            a, b = _companion(self._coefficients)
+        power = 1 if self._binomial is None else self._degree
+        if self._hermitian:
+            nu, W = self._modes
+            X, Y = W, W.conj().T
         else:
-            a, b = self._binomial, None
-        vals, vecs = _companion_eig(a, b, vectors=True)
-        if self._binomial is not None:
-            vals = _roots(vals, self._degree)
-        # a later spectrum reuses these instead of a second solve
-        w = vals.ravel()
-        w.flags.writeable = False
-        vars(self).setdefault("eigenvalues", w)
-        if not self._has_triple(w):
-            return None
-        n = self._coefficients[0].shape[0]
-        try:
-            X, Y = _standard_triple(vecs, b, n)
-        except np.linalg.LinAlgError:
-            return None
-        m = self._degree
-        if self._binomial is not None and m > 1:
-            # W diag(1 / (lam^m - nu)) W^{-1} in partial fractions: the
-            # residue of 1 / (lam^m - nu) at a root omega is
-            # 1 / (m omega^(m-1)); m = 1 keeps W and W^{-1} as they are
-            X = np.tile(X, m)
-            Y = (Y / (m * vals ** (m - 1))[:, :, None]).reshape(m * n, n)
+            known = vars(self).get("eigenvalues")
+            if known is not None and not np.all(np.isfinite(known)):
+                return None  # singular A_0: skip the eigenvectors
+            a, b = (_companion(self._coefficients) if self._binomial is None
+                    else (self._binomial, None))
+            nu, vecs = _companion_eig(a, b, vectors=True)
+            # a later spectrum reuses these instead of a second solve
+            vals = _roots(nu, power).ravel()
+            vals.flags.writeable = False
+            vars(self).setdefault("eigenvalues", vals)
+            if not np.all(np.isfinite(vals)):
+                return None
+            try:
+                X, Y = _standard_triple(vecs, b, len(self._coefficients[0]))
+            except np.linalg.LinAlgError:
+                return None
         # shared by every later solve on this pencil
-        X.flags.writeable = False
-        Y.flags.writeable = False
-        return w, X, Y
-
-    def _has_triple(self, vals):
-        """False when the eigenvalues rule a triple out: an infinite one
-        (singular A_0), or 0 for a binomial pencil of degree m >= 2, where
-        it is an m-fold defective eigenvalue."""
-        if not np.all(np.isfinite(vals)):
-            return False
-        return self._binomial is None or self._degree == 1 or np.all(vals)
+        for part in (nu, X, Y):
+            part.flags.writeable = False
+        return nu, X, Y, power
 
 
 def _binomial_matrix(coefficients):
@@ -282,18 +284,22 @@ def _companion(coefficients):
     return A, B
 
 
-def _companion_eig(A, B, vectors):
+def _companion_eig(A, B, vectors, hermitian=False):
     """Eigenvalues of lam B - A, with eigenvectors V when ``vectors``.
 
-    With B None this is the standard problem, solved by Hessenberg QR
-    (numpy.linalg.eig or eigvals): the identity-led companion, or the
-    n x n matrix -A_m of a binomial pencil.  Otherwise QZ (scipy.linalg.eig
-    or eigvals); scipy is imported here, on the first QZ solve, so a run
-    whose pencils are all identity-led never loads it.  Values and vectors
-    are always complex.  LAPACK failures are raised as EigenSolverError.
+    With B None this is the standard problem: numpy.linalg.eigh when
+    ``hermitian`` (A exactly Hermitian; V is then unitary), else
+    Hessenberg QR (numpy.linalg.eig or eigvals), for the identity-led
+    companion or the n x n matrix -A_m of a binomial pencil.  Otherwise QZ
+    (scipy.linalg.eig or eigvals); scipy is imported here, on the first QZ
+    solve, so a run whose pencils are all identity-led never loads it.
+    Values and vectors are always complex.  LAPACK failures are raised as
+    EigenSolverError.
     """
     try:
-        if B is None:
+        if hermitian:
+            out = np.linalg.eigh(A)
+        elif B is None:
             out = np.linalg.eig(A) if vectors else np.linalg.eigvals(A)
         else:
             import scipy.linalg
@@ -362,8 +368,11 @@ def resolvent_apply(p, lam, f):
 def resolvent_apply_batch(p, lams, rhs):
     """A(lam_k)^{-1} rhs_k for every node k, certified nodewise.
 
-    ``rhs`` has shape (len(lams), n).  With a standard triple the solves
-    are U = ((F Y^T) / (lam_k - w_i)) X^T, and each node must pass
+    ``rhs`` has shape (len(lams), n).  With a triple (w, X, Y, power) the
+    solves are U = ((F Y^T) / (lam_k^power - w_i)) X^T: the companion's
+    standard triple (power 1), or for a binomial pencil the modal form
+    W [(W^{-1} f) / (lam^m - nu)], n terms whose far-node rounding does
+    not cancel (W^{-1} = W^H on the Hermitian route).  Each node must pass
     |A(lam_k) u_k - f_k| <= RESOLVENT_TOL |f_k| (rows with |f_k| <= 1e-280
     only need a finite residual).  Failing nodes, or all nodes when the
     pencil has no triple, go to the LU fallback (_lu_fallback).
@@ -375,9 +384,10 @@ def resolvent_apply_batch(p, lams, rhs):
         sols = np.zeros_like(rhs)
         redo = np.arange(lams.size)
     else:
-        w, X, Y = triple
+        w, X, Y, power = triple
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            sols = ((rhs @ Y.T) / (lams[:, None] - w)) @ X.T
+            shifted = (lams if power == 1 else lams ** power)[:, None] - w
+            sols = ((rhs @ Y.T) / shifted) @ X.T
             res = np.linalg.norm(evaluate_batch(p, lams, sols) - rhs, axis=1)
             scale = np.linalg.norm(rhs, axis=1)
         fails = (res > RESOLVENT_TOL * scale) & (scale > 1e-280)

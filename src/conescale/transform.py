@@ -313,25 +313,27 @@ class TransformContext:
 
         |e^{-i lam z}| is e^{+Im(lam z)} on the forward pass (sign +1) and
         e^{-Im(lam z)} on the inverse pass (sign -1), and Im(lam z) = a xi
-        + b t + c separates on the two grids.  The data (``data_log``, the
-        log of each source row's largest magnitude) enter on the source
-        side: t forward, xi inverse.  The test adds the largest source-side
-        term to the largest destination-side exponent, even where these sit
-        at nodes whose product is small.  That is deliberate: the bound
-        covers the FFT sum's rounding error, not only its range.  A sum that
-        cancels down from a large term keeps a rounding error of the size of
-        that term, and the destination factor multiplies it.  With
-        TransformContext(0, 40j, 0, Grid(20, 256)) and f = e^{-40 t - t^2},
-        every product of the inverse of forward(f) is representable, yet
-        with this check bypassed the FFT sum cancels down from about e^800
-        and its rounding error times the destination factor overflows to a
-        non-finite sample at node 0.
+        + b t + c separates on the two grids, with c = Im(zeta w).  The
+        normalisation e^{-+i zeta w} carries e^{+-c} once more, so the
+        destination factors hold e^{+-2c} and the test counts c twice.  The
+        data (``data_log``, the log of each source row's largest magnitude)
+        enter on the source side: t forward, xi inverse.  The test adds the
+        largest source-side term to the largest destination-side exponent,
+        even where these sit at nodes whose product is small.  That is
+        deliberate: the bound covers the FFT sum's rounding error, not only
+        its range.  A sum that cancels down from a large term keeps a
+        rounding error of the size of that term, and the destination factor
+        multiplies it.  With TransformContext(0, 40j, 0, Grid(20, 256)) and
+        f = e^{-40 t - t^2}, every product of the inverse of forward(f) is
+        representable, yet with this check bypassed the FFT sum cancels down
+        from about e^800 and its rounding error times the destination factor
+        overflows to a non-finite sample at node 0.
         """
         plan = self._plan
         top, at, base = plan.forward_check if sign > 0 else plan.inverse_check
         part = base + data_log
         k = int(np.argmax(part))
-        worst = top + part[k] + sign * plan.slopes[2]
+        worst = top + part[k] + 2.0 * sign * plan.slopes[2]
         if worst > LOG_OVERFLOW_BOUND:
             i, k = (at, k) if sign > 0 else (k, at)
             raise WeightOverflowError(

@@ -8,8 +8,8 @@ per-pencil factorization replaced (certified in the same pass, and
 clustered from the full matrix of pairwise distances instead of a sweep),
 the QZ solve of the full companion pencil that the standard QR solve
 replaced for pencils led by the identity (and the n x n root solve for
-binomial pencils lam^m I + A_m),
-the per-element log-space scaling (and
+binomial pencils lam^m I + A_m), the partial-fraction triple of binomial
+pencils that the modal triple replaced, the per-element log-space scaling (and
 the forward/inverse transforms and per-component exponential sum built on
 it) that per-row factors and transform.exp_sum replaced, the transforms
 with their node exponents built on every call that per-context plans
@@ -274,14 +274,29 @@ def companion_qz_eigvals(p):
     return scipy.linalg.eigvals(A, B)
 
 
+def partial_fraction_triple(p):
+    """(w, X, Y) with A(lam)^{-1} = X diag(1 / (lam - w)) Y for a binomial
+    pencil lam^m I + A_m, in the partial fractions that the modal triple
+    replaced: with -A_m W = W diag(nu) and omega the m-th roots of nu, X is
+    m copies of W side by side and Y stacks the blocks W^{-1} / (m
+    omega^(m-1)), the residues of 1 / (lam^m - nu) at each root.  Its m
+    terms per mode cancel at nodes far outside the spectrum."""
+    k = _binomial_matrix(p.coefficients)
+    nu, W = np.linalg.eig(k)
+    m, n = p.degree, p.dim
+    omega = _roots(nu.astype(complex), m)
+    Y = np.linalg.inv(W) / (m * omega ** (m - 1))[:, :, None]
+    return omega.ravel(), np.tile(W, m), Y.reshape(m * n, n)
+
+
 def spectrum_uncached(p, region=None, tol_cluster=1e-7, tol_inf=1e-8):
     """The spectrum and its certificate as computed before factorizations
     were cached, as (SpectrumReport, (residuals, notes)).
 
-    A fresh eigenvalue-only solve per call by the factorization's route
-    (the m-th roots of the eigenvalues of -A_m for a binomial pencil
-    lam^m I + A_m; else the companion by standard QR when A_0 is the
-    identity, QZ otherwise),
+    A fresh eigenvalue solve per call by the factorization's route (the
+    m-th roots of the eigenvalues of -A_m for a binomial pencil
+    lam^m I + A_m, by eigh when -A_m is exactly Hermitian; else the
+    companion by standard QR when A_0 is the identity, QZ otherwise),
     clustered by cluster_pairwise, with the region filter applied before
     each cluster's SVD certificate.  Clusters are ordered by a walk over
     their real parts that starts a new group at each gap above
@@ -290,7 +305,11 @@ def spectrum_uncached(p, region=None, tol_cluster=1e-7, tol_inf=1e-8):
     """
     k = _binomial_matrix(p.coefficients)
     if k is not None:
-        raw = _roots(np.linalg.eigvals(k).astype(complex), p.degree).ravel()
+        # the eigenvalues of eigh's with-vectors solve, as the Hermitian
+        # route computes them (eigvalsh may differ in the last digits)
+        nu = (np.linalg.eigh(k)[0] if np.array_equal(k, k.conj().T)
+              else np.linalg.eigvals(k))
+        raw = _roots(nu.astype(complex), p.degree).ravel()
     else:
         a, b = _companion(p.coefficients)
         raw = (np.linalg.eigvals(a) if b is None

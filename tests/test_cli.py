@@ -175,7 +175,8 @@ def _matrices(draw, valid):
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     defect = draw(st.sampled_from(["number", "ragged_row", "tuple_row",
                                    "three_entries", "scalar_entry",
-                                   "missing_row", "wrong_n"]))
+                                   "dict_entry", "string_entry",
+                                   "count_kept", "missing_row", "wrong_n"]))
     if defect == "number":
         m[i][j][draw(st.integers(0, 1))] = draw(_BAD_NUMBERS)
     elif defect == "ragged_row":
@@ -186,6 +187,18 @@ def _matrices(draw, valid):
         m[i][j].append(0.0)
     elif defect == "scalar_entry":
         m[i][j] = 1.0
+    elif defect == "dict_entry":
+        # JSON objects have string keys; int keys would flatten to numbers
+        keys = draw(st.sampled_from([("re", "im"), (0, 1)]))
+        m[i][j] = dict(zip(keys, m[i][j]))
+    elif defect == "string_entry":
+        m[i][j] = draw(st.sampled_from(["12", "ab", "1j"]))
+    elif defect == "count_kept" and n > 1:
+        # a 3-entry and a 1-entry pair: the numbers still count 2 n^2
+        k = (i * n + j + draw(st.integers(1, n * n - 1))) % (n * n)
+        m[i][j].append(m[k // n][k % n].pop())
+    elif defect == "count_kept":
+        m[i][j].append(0.0)
     elif defect == "missing_row":
         m.pop()
     return m, n + (defect == "wrong_n")
@@ -633,15 +646,33 @@ class TestExitCodes:
     @pytest.mark.parametrize("exc", [np.linalg.LinAlgError, ValueError])
     def test_eigensolver_failure_exit_3(self, tmp_path, capsys, monkeypatch,
                                         route, leading, exc):
-        # A_0 = I goes to numpy's standard solve, any other A_0 to QZ; a
-        # ValueError from LAPACK is a numerical failure too, not bad input
+        # lam^2 + 1 (A_0 = I, A_2 Hermitian) goes to numpy's eigh, any
+        # other A_0 to QZ; a ValueError from LAPACK is a numerical failure
+        # too, not bad input
         def fail(*args, **kwargs):
             raise exc("Eigenvalues did not converge")
 
-        module = np.linalg if route == "numpy" else scipy.linalg
-        monkeypatch.setattr(module, "eigvals", fail)
+        if route == "numpy":
+            monkeypatch.setattr(np.linalg, "eigh", fail)
+        else:
+            monkeypatch.setattr(scipy.linalg, "eigvals", fail)
         data = quad_problem()
         data["pencil"]["coefficients"][0] = [[[leading, 0.0]]]
+        path = write(tmp_path, data)
+        assert run(["spectrum", path]) == 3
+        assert ("companion eigenvalue solve failed: Eigenvalues did not "
+                "converge") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc", [np.linalg.LinAlgError, ValueError])
+    def test_standard_eigensolver_failure_exit_3(self, tmp_path, capsys,
+                                                 monkeypatch, exc):
+        # lam^2 + i is binomial but not Hermitian: numpy's eigvals
+        def fail(*args, **kwargs):
+            raise exc("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        data = quad_problem()
+        data["pencil"]["coefficients"][2] = [[[0.0, 1.0]]]
         path = write(tmp_path, data)
         assert run(["spectrum", path]) == 3
         assert ("companion eigenvalue solve failed: Eigenvalues did not "

@@ -24,12 +24,10 @@ SRC = pathlib.Path(conescale.__file__).parent
 README = pathlib.Path(__file__).parents[1] / "README.md"
 
 # (module, function) of the only handlers allowed to catch ValueError or
-# Exception: the matrix parser's fallback to its walk, the mapping of
-# LAPACK failures to EigenSolverError, and the problem-file reader, where
-# the json module reports undecodable bytes and over-long integers as
-# ValueError
-ALLOWED_HANDLERS = {("cli.py", "_complex_matrix"),
-                    ("cli.py", "load_problem"),
+# Exception: the mapping of LAPACK failures to EigenSolverError, and the
+# problem-file reader, where the json module reports undecodable bytes and
+# over-long integers as ValueError
+ALLOWED_HANDLERS = {("cli.py", "load_problem"),
                     ("pencil.py", "_companion_eig")}
 
 

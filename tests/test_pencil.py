@@ -19,7 +19,8 @@ from conescale.cli import main as cli_main
 from conescale.pencil import (_cluster, evaluate_batch, resolvent_apply_batch,
                               search_radius)
 from _oracles import (cluster_pairwise, companion_qz_eigvals,
-                      fd_laplacian_eigenvalues, spectrum_uncached)
+                      fd_laplacian_eigenvalues, partial_fraction_triple,
+                      spectrum_uncached)
 
 
 @pytest.fixture(scope="module")
@@ -549,12 +550,15 @@ class TestFactorizationCache:
         assert p.factorization is first
 
     def test_spectrum_alone_computes_no_eigenvectors(self):
-        p = dirichlet_pencil(8)
-        spectrum(p)
-        assert "triple" not in vars(p.factorization)
-        first = p.factorization.eigenvalues
-        assert p.factorization.triple is not None
-        assert p.factorization.eigenvalues is first
+        # off the Hermitian route (which solves by one eigh with vectors)
+        for make in (lambda: monic_pencil(1, 2, 3, False, 1.0),
+                     lambda: binomial_pencil(1, 2, 4, False, 1.0)):
+            p = make()
+            spectrum(p)
+            assert "triple" not in vars(p.factorization)
+            first = p.factorization.eigenvalues
+            assert p.factorization.triple is not None
+            assert p.factorization.eigenvalues is first
 
     def test_known_singular_leading_coefficient_skips_eigenvectors(
             self, monkeypatch):
@@ -567,12 +571,19 @@ class TestFactorizationCache:
         monkeypatch.setattr(conescale.pencil, "_companion_eig", refuse)
         assert p.factorization.triple is None
 
-    def test_resolvent_first_shares_eigenvalues(self):
-        p = dirichlet_pencil(8)
-        resolvent_apply_batch(p, np.array([0.5j]), np.ones((1, 8)))
-        w, _, _ = p.factorization.triple
-        assert p.factorization.eigenvalues is w
-        assert spectrum(p) == spectrum_uncached(dirichlet_pencil(8))[0]
+    def test_resolvent_first_shares_eigenvalues(self, monkeypatch):
+        seen = record_standard_solves(monkeypatch)
+        for make in (lambda: monic_pencil(1, 2, 3, False, 1.0),
+                     lambda: binomial_pencil(1, 2, 4, False, 1.0),
+                     lambda: dirichlet_pencil(8)):
+            p = make()
+            seen.clear()
+            resolvent_apply_batch(p, np.array([0.5j]), np.ones((1, p.dim)))
+            solves = list(seen)
+            assert len(solves) == 1 and solves[0][0] in ("eig", "eigh")
+            spec = spectrum(p)
+            assert seen == solves
+            assert spec == spectrum_uncached(make())[0]
 
     def test_scaled_pencil_has_its_own(self):
         p = dirichlet_pencil(4)
@@ -765,12 +776,36 @@ def hermitian_binomial(n):
                          g @ g.conj().T + np.eye(n)))
 
 
+def hermitian_binomial_pencil(seed, degree, n, real, magnitude):
+    """A(lam) = lam^m I + A_m, A_m the exactly Hermitian part of a Gaussian
+    times ``magnitude``, real symmetric when ``real``."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n))
+    if not real:
+        g = g + 1j * rng.standard_normal((n, n))
+    c = magnitude * (0.5 * (g + g.conj().T))
+    assert np.array_equal(c, c.conj().T)
+    return MatrixPencil((np.eye(n),) + (np.zeros((n, n)),) * (degree - 1)
+                        + (c,))
+
+
+def one_ulp_off_hermitian(real):
+    """lam^2 I + K with K one ulp off Hermitian in one entry."""
+    k = hermitian_binomial_pencil(4, 2, 4, real, 1.0).coefficients[-1]
+    k = np.array(k.real if real else k)
+    k[0, 1] += np.spacing(k[0, 1].real)
+    assert not np.array_equal(k, k.conj().T)
+    return MatrixPencil((np.eye(4), np.zeros((4, 4)), k))
+
+
 def record_standard_solves(monkeypatch):
-    """(shape, dtype kind) of every matrix numpy.linalg.eig/eigvals gets."""
+    """(name, shape, dtype kind) of every matrix numpy.linalg.eig, eigvals
+    or eigh gets."""
     seen = []
-    for name in ("eig", "eigvals"):
-        def recording(a, *args, _solve=getattr(np.linalg, name), **kwargs):
-            seen.append((a.shape, a.dtype.kind))
+    for name in ("eig", "eigvals", "eigh"):
+        def recording(a, *args, _solve=getattr(np.linalg, name), _name=name,
+                      **kwargs):
+            seen.append((_name, a.shape, a.dtype.kind))
             return _solve(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, recording)
     return seen
@@ -778,15 +813,13 @@ def record_standard_solves(monkeypatch):
 
 class TestBinomial:
     """A binomial pencil lam^m I + A_m is solved through -A_m W = W
-    diag(nu): its eigenvalues are the m-th roots of each nu, and its triple
-    is the partial-fraction form of W diag(1 / (lam^m - nu)) W^{-1}."""
+    diag(nu), by one eigh when -A_m is exactly Hermitian: its eigenvalues
+    are the m-th roots of each nu, and its triple is the modal form
+    W diag(1 / (lam^m - nu)) W^{-1} (W^{-1} = W^H for eigh)."""
 
-    # nodes are drawn on the scale of the spectrum: at |lam| much larger
-    # than the eigenvalues the m terms of each partial fraction cancel to
-    # (|omega| / |lam|)^(m-1) of their size, and the residual certificate
-    # sends such nodes to LU (the companion triple's too); at this scale
-    # the largest residual over 5000 cubics of magnitude 1e-3 was half
-    # the certificate's bound
+    # nodes are drawn on the scale of the spectrum, where the companion and
+    # the modal triples both certify; far nodes are checked separately
+    # (test_far_nodes_need_no_partial_fractions)
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 6),
            st.booleans(), st.sampled_from([1e-3, 1.0, 10.0]))
@@ -817,44 +850,117 @@ class TestBinomial:
         assert np.all(np.linalg.norm(got - want, axis=1)
                       <= 1e-10 * np.linalg.norm(want, axis=1))
 
-    @pytest.mark.parametrize("make, kind", [
-        (lambda: dirichlet_pencil(5), "f"),
-        (lambda: hermitian_binomial(4), "c"),
-    ], ids=["dirichlet", "hermitian"])
-    def test_solves_n_by_n(self, monkeypatch, make, kind):
-        seen = record_standard_solves(monkeypatch)
+    # at magnitude 1e-3 the nodes, 3x complex Gaussians, lie far outside
+    # the spectrum, where partial fractions lost accuracy
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 6),
+           st.booleans(), st.sampled_from([1e-3, 1.0]))
+    def test_hermitian_matches_qz_and_lu(self, seed, degree, n, real,
+                                         magnitude):
+        p = hermitian_binomial_pencil(seed, degree, n, real, magnitude)
+        with mock.patch.object(np.linalg, "eig", _refuse("numpy.linalg.eig")):
+            fast = p.factorization.eigenvalues
+        qz = companion_qz_eigvals(p)
+        assert fast.dtype == complex and fast.shape == qz.shape
+        gaps = np.abs(fast[:, None] - qz[None, :])
+        rows, cols = scipy.optimize.linear_sum_assignment(gaps)
+        assert np.all(gaps[rows, cols] <= TestStandardCompanion.TOL_QZ
+                      * np.maximum(1.0, np.abs(qz[cols])))
+        if degree == 2:
+            # nu is real: each pair of roots is exactly +-sqrt(|nu|) on one
+            # axis, the imaginary one where -nu > 0
+            assert np.all((fast.real == 0.0) | (fast.imag == 0.0))
+        w, X, _, power = p.factorization.triple
+        assert power == degree and np.all(w.imag == 0.0)
+        assert np.allclose(X.conj().T @ X, np.eye(n), rtol=0.0, atol=1e-13)
+        rng = np.random.default_rng(seed + 1)
+        lams = 3.0 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        rhs = rng.standard_normal((16, n)) + 1j * rng.standard_normal((16, n))
+        try:
+            want = nodewise(p, lams, rhs)
+        except NearEigenvalueError:
+            assume(False)
+        with mock.patch.object(conescale.pencil, "_lu_fallback",
+                               _refuse("the LU fallback")):
+            got = resolvent_apply_batch(p, lams, rhs)
+        assert np.all(np.linalg.norm(got - want, axis=1)
+                      <= 1e-10 * np.linalg.norm(want, axis=1))
+
+    def test_far_nodes_need_no_partial_fractions(self):
+        # lam^3 I + A_3 with A_3 a 1e-3 complex Gaussian at nodes 3x complex
+        # Gaussians: the partial fractions' three terms per mode cancel
+        # there, the modal n terms do not
+        modal, fractions = [], []
+        for seed in range(20):
+            p = binomial_pencil(seed, 3, 4, False, 1e-3)
+            rng = np.random.default_rng(seed + 1)
+            lams = 3.0 * (rng.standard_normal(16)
+                          + 1j * rng.standard_normal(16))
+            rhs = (rng.standard_normal((16, 4))
+                   + 1j * rng.standard_normal((16, 4)))
+            scale = np.linalg.norm(rhs, axis=1)
+            with mock.patch.object(conescale.pencil, "_lu_fallback",
+                                   _refuse("the LU fallback")):
+                u = resolvent_apply_batch(p, lams, rhs)
+            modal.append(np.linalg.norm(evaluate_batch(p, lams, u) - rhs,
+                                        axis=1) / scale)
+            w, X, Y = partial_fraction_triple(p)
+            v = ((rhs @ Y.T) / (lams[:, None] - w)) @ X.T
+            fractions.append(np.linalg.norm(evaluate_batch(p, lams, v) - rhs,
+                                            axis=1) / scale)
+        assert np.max(modal) <= 1e-14
+        assert np.median(fractions) >= 10.0 * np.max(modal)
+
+    @pytest.mark.parametrize("make, want", [
+        (lambda: dirichlet_pencil(5), [("eigh", "f")]),
+        (lambda: hermitian_binomial(4), [("eigh", "c")]),
+        (lambda: binomial_pencil(3, 2, 4, False, 1.0),
+         [("eigvals", "c"), ("eig", "c")]),
+        (lambda: one_ulp_off_hermitian(True),
+         [("eigvals", "f"), ("eig", "f")]),
+        (lambda: one_ulp_off_hermitian(False),
+         [("eigvals", "c"), ("eig", "c")]),
+    ], ids=["dirichlet", "hermitian", "non_hermitian", "ulp_off_real",
+            "ulp_off_complex"])
+    def test_solves_n_by_n(self, monkeypatch, make, want):
+        # one eigh serves both the eigenvalues and the triple of an exactly
+        # Hermitian -A_m; any other takes eigvals, then eig
         p = make()
+        seen = record_standard_solves(monkeypatch)
         spectrum(p)
         assert p.factorization.triple is not None
         n = p.dim
-        assert seen == [((n, n), kind), ((n, n), kind)]
+        assert seen == [(name, (n, n), kind) for name, kind in want]
 
     def test_other_monic_takes_companion(self, monkeypatch):
         seen = record_standard_solves(monkeypatch)
         p = monic_pencil(1, 2, 3, True, 1.0)
         spectrum(p)
         assert p.factorization.triple is not None
-        assert seen == [((6, 6), "f"), ((6, 6), "f")]
+        assert seen == [("eigvals", (6, 6), "f"), ("eig", (6, 6), "f")]
 
-    def test_zero_root_has_no_triple(self, monkeypatch):
-        # 0 is a defective double eigenvalue of lam^2 + 0
-        p = MatrixPencil((np.eye(2), np.zeros((2, 2)), np.diag([0.0, 4.0])))
+    @pytest.mark.parametrize("a", [np.diag([0.0, 4.0]),
+                                   np.array([[0.0, 1.0], [0.0, 4.0]])],
+                             ids=["hermitian", "non_hermitian"])
+    def test_zero_root_keeps_triple(self, monkeypatch, a):
+        # 0 is a defective double eigenvalue of lam^2 + 0, but the modal
+        # triple divides by lam^2 - 0 and needs no eigenvector at it
+        p = MatrixPencil((np.eye(2), np.zeros((2, 2)), a))
         spec = spectrum(p)
         assert spec == SpectrumReport((-2j, 0j, 2j), (1, 2, 1))
         assert ("cluster at 0j: multiplicity 2 by distance; Jordan chains "
                 "unresolved, may be defective") in certify_spectrum(p)[1]
-        # the eigenvalues already rule the triple out: no eigenvectors
-        monkeypatch.setattr(conescale.pencil, "_companion_eig",
-                            _refuse("_companion_eig"))
-        assert p.factorization.triple is None
+        assert p.factorization.triple is not None
+        monkeypatch.setattr(conescale.pencil, "_lu_fallback",
+                            _refuse("the LU fallback"))
         lams = np.array([0.5, 1.0 + 1.0j, -3.0, 0.25j])
         rhs = np.arange(1, 9, dtype=complex).reshape(4, 2)
-        assert np.array_equal(resolvent_apply_batch(p, lams, rhs),
-                              nodewise(p, lams, rhs))
+        assert np.allclose(resolvent_apply_batch(p, lams, rhs),
+                           nodewise(p, lams, rhs), rtol=1e-14, atol=0.0)
 
     def test_zero_root_without_vectors_first(self):
         p = MatrixPencil((np.eye(2), np.zeros((2, 2)), np.diag([0.0, 4.0])))
-        assert p.factorization.triple is None
+        assert p.factorization.triple is not None
         assert spectrum(p) == SpectrumReport((-2j, 0j, 2j), (1, 2, 1))
 
     def test_linear_zero_root_keeps_triple(self, monkeypatch):

@@ -147,6 +147,27 @@ class TestForwardInverse:
             ctx.inverse(ctx.forward(f))
         assert err.value.log_magnitude == pytest.approx(800.0, abs=1.0)
 
+    @pytest.mark.parametrize("zeta, w, side", [(20j, 20.0, "forward"),
+                                               (-20j, 20.0, "inverse")],
+                             ids=["forward", "inverse"])
+    def test_overflow_check_counts_zeta_w_twice(self, zeta, w, side):
+        # Im(zeta w) = +-400 enters the destination factors twice, through
+        # Im(lam z) and through the e^{-+i zeta w} normalisation; counted
+        # once, the check passed at about 420 and the FFT's post factors
+        # overflowed to a non-finite sample instead
+        grid = Grid(1.0, 64)
+        ctx = TransformContext(0.0, zeta, w, grid)
+        if side == "forward":
+            f = RayFunction(ctx.time_ray, grid, np.exp(-grid.nodes ** 2),
+                            0.0, zeta)
+        else:
+            xi = ctx.dst_grid.nodes
+            f = RayFunction(ctx.frequency_ray, ctx.dst_grid, np.exp(-xi ** 2),
+                            0.0, w)
+        with pytest.raises(WeightOverflowError) as err:
+            getattr(ctx, side)(f)
+        assert err.value.log_magnitude == pytest.approx(818.0, abs=2.0)
+
     def test_ray_mismatch_rejected(self, ctx4096, grid4096):
         wrong = RayFunction(Ray(0.3, 0j, TIME), grid4096,
                             np.zeros(grid4096.count))
