@@ -11,16 +11,16 @@ resolvent growth bound
 
 over sampled lam in a closed cone pair.
 
-Each pencil caches its factorization (``factorization``), each part
-computed on first need, by one of four routes.  A binomial pencil
+Each pencil caches its factorization (``factorization``): one eigensolve,
+with vectors, on first need, by one of four routes.  A binomial pencil
 lam^m I + A_m (A_0 exactly I, A_1..A_(m-1) exactly zero, as for the
 cylinder lam^2 I + L) is solved as the n x n standard problem
 -A_m W = W diag(nu): its eigenvalues are the m-th roots of each nu,
 exactly +-sqrt(nu) when m = 2.  When -A_m is exactly Hermitian (the
-cylinder's self-adjoint cross-section operator) one eigh gives nu and a
-unitary W at once; otherwise Hessenberg QR does.  Any other pencil goes
-through its block companion pencil lam B - A: when A_0 is exactly I, B is
-the identity and the standard problem A V = V J is solved; every other
+cylinder's self-adjoint cross-section operator) eigh gives nu and a
+unitary W; otherwise Hessenberg QR does.  Any other pencil goes through
+its block companion pencil lam B - A: when A_0 is exactly I, B is the
+identity and the standard problem A V = V J is solved; every other
 pencil, a singular or scaled A_0 included, goes through QZ, the only use
 of scipy, which is imported on the first QZ solve.  Both standard
 problems run Hessenberg QR, in real arithmetic when every coefficient is
@@ -29,9 +29,9 @@ eigenvalues are grouped once into single-linkage clusters (the connected
 components of |a - b| <= TOL_CLUSTER) and put in report order.
 ``spectrum`` returns the cluster means and sizes and runs no SVD;
 ``certify_spectrum`` certifies the same clusters by one SVD each, and only
-the reports that print certificates call it.  The eigenvectors, computed
-only when a batched resolvent first needs them (or with the eigenvalues,
-by the one eigh of the Hermitian route), give a triple with
+the reports that print certificates call it.  The same solve's
+eigenvectors give a triple, its inverse formed when a batched resolvent
+first needs it, with
 
     A(lam)^{-1} = X (lam^power - J)^{-1} Y:
 
@@ -140,47 +140,40 @@ class MatrixPencil:
 class PencilFactorization:
     """Eigendecomposition of one MatrixPencil, by one of four routes.
 
-    Each part is computed on first use.  A binomial pencil lam^m I + A_m
-    (A_0 exactly I, A_1..A_(m-1) exactly zero) is solved as the n x n
-    problem -A_m W = W diag(nu), its eigenvalues the m-th roots of each nu
-    (exactly +-sqrt(nu) when m = 2).  When -A_m is exactly Hermitian, one
-    eigh gives nu and a unitary W, and serves both ``eigenvalues`` and
-    ``triple``, so every read order gives the same bytes; otherwise
-    Hessenberg QR does.  Any other pencil is solved through its block
+    The eigenproblem is built and solved once, with vectors, on first use.
+    A binomial pencil lam^m I + A_m (A_0 exactly I, A_1..A_(m-1) exactly
+    zero) is solved as the n x n problem -A_m W = W diag(nu), by one eigh
+    when -A_m is exactly Hermitian (W is then unitary), by Hessenberg QR
+    otherwise; its eigenvalues are the m-th roots of each nu (exactly
+    +-sqrt(nu) when m = 2).  Any other pencil is solved through its block
     companion: the standard problem A V = V J when A_0 is exactly I, the
-    pencil lam B - A (QZ) otherwise.  Both standard problems run
-    Hessenberg QR, in real arithmetic when the coefficients are real.
-    ``eigenvalues`` holds all m n of them (inf where A_0 is singular); off
-    the Hermitian route it comes from an eigenvalue-only solve unless the
-    triple was built first.  ``triple`` is (w, X, Y, power) with
+    pencil lam B - A (QZ) otherwise.  Both standard problems run Hessenberg
+    QR, in real arithmetic when the coefficients are real.  ``eigenvalues``
+    holds all m n of them (inf where A_0 is singular), and every read order
+    gives the same bytes.  ``triple`` is (w, X, Y, power) with
     A(lam)^{-1} = X diag(1 / (lam^power - w)) Y, or None when the pencil
-    has none; off the Hermitian route only it pays for eigenvectors and an
-    inverse.  A binomial triple is modal, (nu, W, W^{-1}, m); a companion
-    triple has power 1.  ``clusters`` is (head notes, cluster means,
-    cluster sizes), in report order.
+    has none; it reuses the solve's vectors and forms the inverse only
+    when first read.  A binomial triple is modal, (nu, W, W^{-1}, m); a
+    companion triple has power 1.  ``clusters`` is (head notes, cluster
+    means, cluster sizes), in report order.
     """
 
     def __init__(self, p):
         self._coefficients = p.coefficients
-        self._degree = p.degree
         k = self._binomial = _binomial_matrix(p.coefficients)
         self._hermitian = k is not None and np.array_equal(k, k.conj().T)
+        self._power = 1 if k is None else p.degree
 
     @cached_property
     def _modes(self):
-        """(nu, W) of the Hermitian -A_m by one eigh; W is unitary."""
-        return _companion_eig(self._binomial, None, vectors=True,
-                              hermitian=True)
+        """(nu, V, B) from the one eigensolve of lam B - A (B None for I)."""
+        a, b = (_companion(self._coefficients) if self._binomial is None
+                else (self._binomial, None))
+        return _companion_eig(a, b, self._hermitian) + (b,)
 
     @cached_property
     def eigenvalues(self):
-        if self._binomial is None:
-            vals = _companion_eig(*_companion(self._coefficients),
-                                  vectors=False)
-        else:
-            nu = (self._modes[0] if self._hermitian
-                  else _companion_eig(self._binomial, None, vectors=False))
-            vals = _roots(nu, self._degree).ravel()
+        vals = _roots(self._modes[0], self._power).ravel()
         vals.flags.writeable = False
         return vals
 
@@ -204,31 +197,20 @@ class PencilFactorization:
 
     @cached_property
     def triple(self):
-        power = 1 if self._binomial is None else self._degree
+        nu, V, B = self._modes
+        if not np.all(np.isfinite(nu)):
+            return None  # singular A_0
         if self._hermitian:
-            nu, W = self._modes
-            X, Y = W, W.conj().T
+            X, Y = V, V.conj().T
         else:
-            known = vars(self).get("eigenvalues")
-            if known is not None and not np.all(np.isfinite(known)):
-                return None  # singular A_0: skip the eigenvectors
-            a, b = (_companion(self._coefficients) if self._binomial is None
-                    else (self._binomial, None))
-            nu, vecs = _companion_eig(a, b, vectors=True)
-            # a later spectrum reuses these instead of a second solve
-            vals = _roots(nu, power).ravel()
-            vals.flags.writeable = False
-            vars(self).setdefault("eigenvalues", vals)
-            if not np.all(np.isfinite(vals)):
-                return None
             try:
-                X, Y = _standard_triple(vecs, b, len(self._coefficients[0]))
+                X, Y = _standard_triple(V, B, len(self._coefficients[0]))
             except np.linalg.LinAlgError:
                 return None
         # shared by every later solve on this pencil
         for part in (nu, X, Y):
             part.flags.writeable = False
-        return nu, X, Y, power
+        return nu, X, Y, self._power
 
 
 def _binomial_matrix(coefficients):
@@ -284,33 +266,29 @@ def _companion(coefficients):
     return A, B
 
 
-def _companion_eig(A, B, vectors, hermitian=False):
-    """Eigenvalues of lam B - A, with eigenvectors V when ``vectors``.
+def _companion_eig(A, B, hermitian):
+    """Eigenvalues nu and eigenvectors V of lam B - A, both complex.
 
     With B None this is the standard problem: numpy.linalg.eigh when
-    ``hermitian`` (A exactly Hermitian; V is then unitary), else
-    Hessenberg QR (numpy.linalg.eig or eigvals), for the identity-led
-    companion or the n x n matrix -A_m of a binomial pencil.  Otherwise QZ
-    (scipy.linalg.eig or eigvals); scipy is imported here, on the first QZ
-    solve, so a run whose pencils are all identity-led never loads it.
-    Values and vectors are always complex.  LAPACK failures are raised as
-    EigenSolverError.
+    ``hermitian`` (A exactly Hermitian; V is then unitary), else Hessenberg
+    QR (numpy.linalg.eig), for the identity-led companion or the n x n
+    matrix -A_m of a binomial pencil.  Otherwise QZ (scipy.linalg.eig);
+    scipy is imported here, on the first QZ solve, so a run whose pencils
+    are all identity-led never loads it.  This is the module's one
+    eigensolve.  LAPACK failures are raised as EigenSolverError.
     """
     try:
         if hermitian:
             out = np.linalg.eigh(A)
         elif B is None:
-            out = np.linalg.eig(A) if vectors else np.linalg.eigvals(A)
+            out = np.linalg.eig(A)
         else:
             import scipy.linalg
-            out = (scipy.linalg.eig(A, B) if vectors
-                   else scipy.linalg.eigvals(A, B))
+            out = scipy.linalg.eig(A, B)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise EigenSolverError(
             f"companion eigenvalue solve failed: {exc}") from exc
-    if vectors:
-        return tuple(a.astype(complex, copy=False) for a in out)
-    return out.astype(complex, copy=False)
+    return tuple(a.astype(complex, copy=False) for a in out)
 
 
 def _standard_triple(vecs, B, n):

@@ -54,6 +54,9 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 _LN2 = math.log(2.0)
 # exp(x) is a normal double for |x| <= 700
 _LOG_NORMAL = 700.0
+# evaluate_continuation forms at most this many exponent entries (8 MiB)
+# at once
+_CONTINUATION_ENTRIES = 1 << 19
 
 
 def dual_grid(grid):
@@ -376,15 +379,25 @@ class TransformContext:
         Used to analytically continue a solution off its ray from the
         frequency-side data.  Exponents are combined with the data
         magnitudes in log space, so growing phase factors are harmless
-        whenever the products stay representable.
+        whenever the products stay representable.  The points go through
+        exp_sum in blocks of at most _CONTINUATION_ENTRIES exponents; a
+        WeightOverflowError comes from the first block that overflows, so
+        it names that block's worst node, not necessarily the worst over
+        all points.
         """
         self._require_ray(fhat, self.frequency_ray)
         lam = fhat.points
-        expo = 1j * np.outer(np.asarray(z_points, dtype=complex), lam)
+        z = np.asarray(z_points, dtype=complex).ravel()
         prefactor = (self.dst_grid.spacing / _SQRT2PI
                      * self.frequency_ray.direction
                      * np.exp(1j * self.zeta * self.w))
-        return exp_sum(fhat.values, expo, lam) * prefactor
+        rows = max(1, _CONTINUATION_ENTRIES // lam.size)
+        out = np.empty((z.size, fhat.values.shape[1]), dtype=complex)
+        for start in range(0, z.size, rows):
+            block = slice(start, start + rows)
+            expo = 1j * np.outer(z[block], lam)
+            out[block] = exp_sum(fhat.values, expo, lam) * prefactor
+        return out
 
     def _require_ray(self, f, ray):
         got = f.ray

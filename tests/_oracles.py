@@ -303,17 +303,17 @@ def spectrum_uncached(p, region=None, tol_cluster=1e-7, tol_inf=1e-8):
     tol_cluster, then by imaginary part within a group; notes follow the
     same order.
     """
+    # the eigenvalues of the with-vectors solve, as the factorization
+    # computes them (eigvalsh or eigvals may differ in the last digits)
     k = _binomial_matrix(p.coefficients)
     if k is not None:
-        # the eigenvalues of eigh's with-vectors solve, as the Hermitian
-        # route computes them (eigvalsh may differ in the last digits)
-        nu = (np.linalg.eigh(k)[0] if np.array_equal(k, k.conj().T)
-              else np.linalg.eigvals(k))
+        nu = (np.linalg.eigh(k) if np.array_equal(k, k.conj().T)
+              else np.linalg.eig(k))[0]
         raw = _roots(nu.astype(complex), p.degree).ravel()
     else:
         a, b = _companion(p.coefficients)
-        raw = (np.linalg.eigvals(a) if b is None
-               else scipy.linalg.eigvals(a, b)).astype(complex)
+        raw = (np.linalg.eig(a) if b is None
+               else scipy.linalg.eig(a, b))[0].astype(complex)
     finite = raw[np.isfinite(raw)]
     kept = finite[np.abs(finite) <= 1.0 / tol_inf]
     head = []

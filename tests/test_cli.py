@@ -647,15 +647,15 @@ class TestExitCodes:
     def test_eigensolver_failure_exit_3(self, tmp_path, capsys, monkeypatch,
                                         route, leading, exc):
         # lam^2 + 1 (A_0 = I, A_2 Hermitian) goes to numpy's eigh, any
-        # other A_0 to QZ; a ValueError from LAPACK is a numerical failure
-        # too, not bad input
+        # other A_0 to QZ (scipy's eig); a ValueError from LAPACK is a
+        # numerical failure too, not bad input
         def fail(*args, **kwargs):
             raise exc("Eigenvalues did not converge")
 
         if route == "numpy":
             monkeypatch.setattr(np.linalg, "eigh", fail)
         else:
-            monkeypatch.setattr(scipy.linalg, "eigvals", fail)
+            monkeypatch.setattr(scipy.linalg, "eig", fail)
         data = quad_problem()
         data["pencil"]["coefficients"][0] = [[[leading, 0.0]]]
         path = write(tmp_path, data)
@@ -666,11 +666,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("exc", [np.linalg.LinAlgError, ValueError])
     def test_standard_eigensolver_failure_exit_3(self, tmp_path, capsys,
                                                  monkeypatch, exc):
-        # lam^2 + i is binomial but not Hermitian: numpy's eigvals
+        # lam^2 + i is binomial but not Hermitian: numpy's eig
         def fail(*args, **kwargs):
             raise exc("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        monkeypatch.setattr(np.linalg, "eig", fail)
         data = quad_problem()
         data["pencil"]["coefficients"][2] = [[[0.0, 1.0]]]
         path = write(tmp_path, data)

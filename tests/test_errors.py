@@ -125,6 +125,71 @@ def test_scipy_lint_sees_an_offence(tmp_path):
         "bad.py:10 module-level scipy import"]
 
 
+EIGENSOLVERS = {"eig", "eigvals", "eigh", "eigvalsh"}
+# (module, qualified function) -> the eigensolvers it may call: the one
+# eigensolve of every pencil, and the nested-norm check of the norm forms
+ALLOWED_EIGENSOLVES = {
+    ("pencil.py", "_companion_eig"): {"eig", "eigh"},
+    ("pencil.py", "MatrixPencil.__post_init__"): {"eigvalsh"},
+}
+
+
+def _eigensolves(path):
+    """Calls of an eigensolver (np.linalg.eig, scipy.linalg.eigvals, a
+    bare eigh, ...) outside the functions allowed to make them, and every
+    import of one by name, which could hide a call under an alias."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.ImportFrom):
+            found.extend(f"{path.name}:{node.lineno} import of {alias.name}"
+                         for alias in node.names
+                         if alias.name in EIGENSOLVERS)
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    else func.id if isinstance(func, ast.Name) else None)
+            if (name in EIGENSOLVERS and name not in
+                    ALLOWED_EIGENSOLVES.get((path.name, scope), ())):
+                found.append(f"{path.name}:{node.lineno} {name} in {scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_one_eigensolve_site():
+    files = sorted(SRC.glob("*.py"))
+    assert "pencil.py" in {f.name for f in files}
+    assert [o for f in files for o in _eigensolves(f)] == []
+
+
+def test_eigensolve_lint_sees_an_offence(tmp_path):
+    bad = tmp_path / "pencil.py"
+    bad.write_text("import numpy as np\n"
+                   "from scipy.linalg import eigh as solve\n"
+                   "def _companion_eig(a):\n"
+                   "    return np.linalg.eigvals(a), np.linalg.eigh(a)\n"
+                   "class MatrixPencil:\n"
+                   "    def __post_init__(self):\n"
+                   "        np.linalg.eigvalsh(self)\n"
+                   "        np.linalg.eig(self)\n"
+                   "def f(a, b):\n"
+                   "    import scipy.linalg\n"
+                   "    return (scipy.linalg.eig(a, b), np.linalg.svd(a),\n"
+                   "            solve(a), eigvals(a))\n", encoding="utf-8")
+    assert _eigensolves(bad) == [
+        "pencil.py:2 import of eigh",
+        "pencil.py:4 eigvals in _companion_eig",
+        "pencil.py:8 eig in MatrixPencil.__post_init__",
+        "pencil.py:11 eig in f",
+        "pencil.py:12 eigvals in f"]
+
+
 def _dead_code(paths):
     """Unused imports (outside __init__.py, whose imports are the package's
     API), and module-private top-level functions or classes that no module

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -263,6 +264,41 @@ def notes_pencil():
                          np.eye(2)))
 
 
+# one pencil per factorization route (by the eigensolver it takes, with
+# real and complex arithmetic where they differ)
+ROUTES = {
+    "hermitian_real": (lambda: dirichlet_pencil(8), "eigh"),
+    "hermitian_complex": (lambda: hermitian_binomial(4), "eigh"),
+    "binomial_real": (lambda: binomial_pencil(1, 2, 4, True, 1.0), "eig"),
+    "binomial_complex": (lambda: binomial_pencil(1, 2, 4, False, 1.0),
+                         "eig"),
+    "companion_real": (lambda: monic_pencil(1, 2, 3, True, 1.0), "eig"),
+    "companion_complex": (lambda: monic_pencil(1, 2, 3, False, 1.0), "eig"),
+    "qz_scaled": (lambda: dirichlet_pencil(4).scaled(math.pi / 8), "qz"),
+    "qz_singular_leading": (notes_pencil, "qz"),
+}
+
+# every reader of a pencil's factorization
+READS = {
+    "spectrum": spectrum,
+    "clearance": lambda p: cone_clearance(p, Cone(math.pi / 8, 0j, 1),
+                                          search_radius(p, 0j)),
+    "certificate": certify_spectrum,
+    "resolvent": lambda p: resolvent_apply_batch(
+        p, np.array([0.3 + 0.2j, -1.7 + 2.9j]), np.ones((2, p.dim))),
+    "triple": lambda p: p.factorization.triple,
+}
+
+
+def _bits(x):
+    """The exact content of a read: array bytes, else the repr."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, tuple):
+        return tuple(_bits(y) for y in x)
+    return repr(x)
+
+
 class TestLazyCertificate:
     """Certificates are computed by certify_spectrum only, never by the
     readers of eigenvalues."""
@@ -301,17 +337,19 @@ class TestLazyCertificate:
         assert len(calls) == 4 + 16
 
     @pytest.mark.parametrize("make", [lambda: dirichlet_pencil(8),
-                                      notes_pencil])
-    @pytest.mark.parametrize("first", ["clearance", "region", "full", "none"])
+                                      notes_pencil] + [
+        pytest.param(ROUTES[route][0], id=route)
+        for route in ("hermitian_complex", "binomial_real", "binomial_complex",
+                      "companion_real", "companion_complex", "qz_scaled")])
+    @pytest.mark.parametrize("first", ["clearance", "region", "full", "none",
+                                       "resolvent", "triple"])
     def test_any_read_order_matches_uncached(self, make, first):
         p = make()
-        region = Disk(10j, 5.0) if p.dim == 8 else Disk(1.0, 0.5)
-        if first == "clearance":
-            cone_clearance(p, Cone(math.pi / 8, 0j, 1), search_radius(p, 0j))
-        elif first == "region":
+        region = Disk(spectrum_uncached(make())[0].eigenvalues[0], 0.5)
+        if first == "region":
             certify_spectrum(p, region)
-        elif first == "full":
-            certify_spectrum(p)
+        elif first != "none":
+            READS["certificate" if first == "full" else first](p)
         for kwargs in ({"region": region}, {}):
             got = spectrum(p, **kwargs), certify_spectrum(p, **kwargs)
             assert got == spectrum_uncached(make(), **kwargs)
@@ -549,24 +587,36 @@ class TestFactorizationCache:
         resolvent_apply_batch(p, np.array([0.5]), np.ones((1, 4)))
         assert p.factorization is first
 
-    def test_spectrum_alone_computes_no_eigenvectors(self):
-        # off the Hermitian route (which solves by one eigh with vectors)
-        for make in (lambda: monic_pencil(1, 2, 3, False, 1.0),
-                     lambda: binomial_pencil(1, 2, 4, False, 1.0)):
-            p = make()
-            spectrum(p)
-            assert "triple" not in vars(p.factorization)
-            first = p.factorization.eigenvalues
-            assert p.factorization.triple is not None
-            assert p.factorization.eigenvalues is first
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_one_eigensolve_in_any_read_order(self, monkeypatch, route):
+        # every reader shares the one solve, with vectors, so the bytes of
+        # every read do not depend on which came first
+        make, solver = ROUTES[route]
+        calls = []
+        solve = conescale.pencil._companion_eig
 
-    def test_known_singular_leading_coefficient_skips_eigenvectors(
+        def spy(A, B, hermitian):
+            calls.append("eigh" if hermitian else "eig" if B is None
+                         else "qz")
+            return solve(A, B, hermitian)
+
+        monkeypatch.setattr(conescale.pencil, "_companion_eig", spy)
+        first = None
+        for order in itertools.permutations(READS):
+            p = make()
+            calls.clear()
+            got = {name: _bits(READS[name](p)) for name in order}
+            assert calls == [solver], order
+            first = got if first is None else first
+            assert got == first, order
+
+    def test_singular_leading_coefficient_has_no_triple_after_spectrum(
             self, monkeypatch):
         p = MatrixPencil((np.diag([1.0, 0.0]), np.eye(2)))
         spectrum(p)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("computed eigenvectors")
+            raise AssertionError("solved again")
 
         monkeypatch.setattr(conescale.pencil, "_companion_eig", refuse)
         assert p.factorization.triple is None
@@ -747,7 +797,8 @@ class TestStandardCompanion:
                             _refuse("numpy.linalg.eigvals"))
         p = make()
         spectrum(p)
-        assert calls == ["eigvals"]
+        assert (p.factorization.triple is None) == bool(dropped)
+        assert calls == ["eig"]
         assert np.array_equal(p.factorization.eigenvalues,
                               companion_qz_eigvals(make()), equal_nan=True)
         dropped_notes = [note for note in certify_spectrum(p)[1]
@@ -914,17 +965,14 @@ class TestBinomial:
     @pytest.mark.parametrize("make, want", [
         (lambda: dirichlet_pencil(5), [("eigh", "f")]),
         (lambda: hermitian_binomial(4), [("eigh", "c")]),
-        (lambda: binomial_pencil(3, 2, 4, False, 1.0),
-         [("eigvals", "c"), ("eig", "c")]),
-        (lambda: one_ulp_off_hermitian(True),
-         [("eigvals", "f"), ("eig", "f")]),
-        (lambda: one_ulp_off_hermitian(False),
-         [("eigvals", "c"), ("eig", "c")]),
+        (lambda: binomial_pencil(3, 2, 4, False, 1.0), [("eig", "c")]),
+        (lambda: one_ulp_off_hermitian(True), [("eig", "f")]),
+        (lambda: one_ulp_off_hermitian(False), [("eig", "c")]),
     ], ids=["dirichlet", "hermitian", "non_hermitian", "ulp_off_real",
             "ulp_off_complex"])
     def test_solves_n_by_n(self, monkeypatch, make, want):
-        # one eigh serves both the eigenvalues and the triple of an exactly
-        # Hermitian -A_m; any other takes eigvals, then eig
+        # one solve serves both the eigenvalues and the triple: eigh for an
+        # exactly Hermitian -A_m, eig for any other
         p = make()
         seen = record_standard_solves(monkeypatch)
         spectrum(p)
@@ -937,7 +985,7 @@ class TestBinomial:
         p = monic_pencil(1, 2, 3, True, 1.0)
         spectrum(p)
         assert p.factorization.triple is not None
-        assert seen == [("eigvals", (6, 6), "f"), ("eig", (6, 6), "f")]
+        assert seen == [("eig", (6, 6), "f")]
 
     @pytest.mark.parametrize("a", [np.diag([0.0, 4.0]),
                                    np.array([[0.0, 1.0], [0.0, 4.0]])],
@@ -958,7 +1006,7 @@ class TestBinomial:
         assert np.allclose(resolvent_apply_batch(p, lams, rhs),
                            nodewise(p, lams, rhs), rtol=1e-14, atol=0.0)
 
-    def test_zero_root_without_vectors_first(self):
+    def test_zero_root_triple_first(self):
         p = MatrixPencil((np.eye(2), np.zeros((2, 2)), np.diag([0.0, 4.0])))
         assert p.factorization.triple is not None
         assert spectrum(p) == SpectrumReport((-2j, 0j, 2j), (1, 2, 1))

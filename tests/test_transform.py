@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -652,3 +653,54 @@ def test_continuation_overflow_names_frequency_node():
         ctx.evaluate_continuation(fhat, np.array([0.0, -100j]))
     assert err.value.node_index == 255
     assert err.value.point == fhat.points[255]
+
+
+class TestContinuationBlocks:
+    """evaluate_continuation forms its exponents in blocks of points."""
+
+    @staticmethod
+    def packet(count):
+        ctx = TransformContext(0.0, 0j, 0j, Grid(10.0, count))
+        fhat = ctx.forward(gaussian_on(ctx.src_grid))
+        return ctx, fhat
+
+    def test_blocks_match_one_shot(self, monkeypatch):
+        ctx, fhat = self.packet(64)
+        rng = np.random.default_rng(3)
+        z = rng.uniform(-2.0, 2.0, 50) + 1j * rng.uniform(-0.1, 0.1, 50)
+        whole = ctx.evaluate_continuation(fhat, z)
+        prefactor = ctx.dst_grid.spacing / math.sqrt(2.0 * math.pi)
+        one_shot = exp_sum(fhat.values, 1j * np.outer(z, fhat.points),
+                           fhat.points) * prefactor
+        assert np.array_equal(whole, one_shot)
+        # 7 points per block: seven full blocks and one of a single point
+        monkeypatch.setattr(conescale.transform, "_CONTINUATION_ENTRIES",
+                            7 * 64)
+        blocked = ctx.evaluate_continuation(fhat, z)
+        assert np.all(np.abs(blocked - one_shot)
+                      <= 1e-14 * np.max(np.abs(one_shot)))
+
+    def test_overflow_comes_from_first_failing_block(self, monkeypatch):
+        ctx = TransformContext(0.0, 0j, 0j, Grid(20.0, 256))
+        fhat = RayFunction(ctx.frequency_ray, ctx.dst_grid, np.ones(256))
+        monkeypatch.setattr(conescale.transform, "_CONTINUATION_ENTRIES", 256)
+        # Re(i z lam) = -Im(z) lam: the first point overflows at the first
+        # node, the later, deeper one at the last node
+        with pytest.raises(WeightOverflowError) as err:
+            ctx.evaluate_continuation(fhat, np.array([100j, -200j]))
+        assert err.value.node_index == 0
+
+    def test_memory_stays_bounded(self):
+        # 4096 points against 1024 nodes: one full exponent matrix is
+        # 64 MiB, and exp_sum keeps several of its size alive at once
+        ctx, fhat = self.packet(1024)
+        z = np.linspace(-5.0, 5.0, 4096) + 0.01j
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            got = ctx.evaluate_continuation(fhat, z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (4096, 1) and np.all(np.isfinite(got))
+        assert peak < z.size * fhat.points.size * 16
