@@ -302,21 +302,17 @@ class Problem:
     def variable(self):
         """Neumann setup for the rational perturbation.
 
-        The perturbing matrix fills the leading slot Q_0; the projection cut
-        sits in the far left tail of the window (where every function has
-        decayed); Q_0 is holomorphic off its poles +- i*pole_scale.
+        Q_0 is one term, the profile eps / (z^2 + pole_scale^2) times the
+        identity, and Q_1, ..., Q_m vanish; the projection cut sits in the
+        far left tail of the window (where every function has decayed); Q_0
+        is holomorphic off its poles +- i*pole_scale.
         """
         cfg = self.perturbation
         eps, scale = cfg["epsilon"], cfg["pole_scale"]
-        n = self.pencil.dim
-        m = self.pencil.degree
-        eye = np.eye(n)
-        zero = np.zeros((n, n))
+        eye, m = np.eye(self.pencil.dim), self.pencil.degree
 
         def coefficients(z):
-            out = [zero] * (m + 1)
-            out[0] = (eps / (z ** 2 + scale ** 2))[:, None, None] * eye
-            return out
+            return [[(eps / (z ** 2 + scale ** 2), eye)]] + [None] * m
 
         return VariableProblem(self.constant(), coefficients,
                                sector_start=-0.6 * self.grid.half_width)

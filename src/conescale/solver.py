@@ -266,12 +266,13 @@ class VariableProblem:
     """Base problem plus dilation-analytic perturbing coefficients.
 
     ``coefficients`` is called once per solve with the array ``z`` of the
-    N ray nodes (shape (N,)).  It returns the list [Q_0, ..., Q_m], each
-    Q_j an array of shape (N, n, n), row k holding Q_j(z_k); Q_j
-    multiplies D^(m-j).  For example ``(eps / (z**2 + 9))[:, None, None]
-    * np.eye(n)``; a plain n x n matrix (or shape (1, n, n)) is a constant
-    coefficient.  Any other shape is rejected: the matrix axes are never
-    broadcast.
+    N ray nodes (shape (N,)).  It returns m + 1 entries, Q_j multiplying
+    D^(m-j): None for Q_j = 0, or a list of (profile, matrix) terms, a
+    profile of shape (N,) holding phi_r(z_k) and a matrix V_r of shape
+    (n, n), with Q_j(z) = sum_r phi_r(z) V_r.  For example
+    ``[[(eps / (z**2 + 9), np.eye(n))], None]``.  Each term costs one
+    (N, n) x (n, n) product per application, so only a Q_j that splits
+    into few terms is cheap: a general one needs n^2 terms, O(N n^4).
     The caller must ensure that the Q_j extend holomorphically to a sector
     |arg(z - sector_start)| <= alpha, with alpha in (0, pi/2) no smaller
     than the scaling angles used, and decay there; nothing checks it.  The
@@ -293,30 +294,31 @@ class VariableSolveResult:
 
 
 def _prepare_perturbation(vp, grid):
-    """The nonzero Q_j sampled once on the ray nodes, as (N, n, n) stacks
-    (None for a Q_j that vanishes identically)."""
+    """Per Q_j, its nonzero (profile, matrix) terms sampled on the ray nodes."""
     z = vp.base.ray.points(grid.nodes)
-    m = vp.base.pencil.degree
-    n = vp.base.pencil.dim
     qs = vp.coefficients(z)
-    if len(qs) != m + 1:
-        raise ValidationError("coefficient callable must return m + 1 matrices")
-    shape = (z.size, n, n)
+    if len(qs) != vp.base.pencil.degree + 1:
+        raise ValidationError("coefficient callable must return m + 1 entries")
+    square = (vp.base.pencil.dim,) * 2
     per_j = []
-    for j, q in enumerate(qs):
-        q = np.asarray(q, dtype=complex)
-        # the matrix axes must be n x n exactly: broadcasting a size-1 axis
-        # would silently turn a scalar into a matrix of ones
-        if q.shape[-2:] != (n, n) or q.shape[:-2] not in ((), (1,), (z.size,)):
-            raise ValidationError(
-                f"perturbing coefficient Q_{j} has shape {q.shape}; expected "
-                f"{shape}, or ({n}, {n}) for a constant")
-        arr = np.broadcast_to(q, shape)
-        # every entry of q appears in arr, so q alone decides both tests
-        if not np.all(np.isfinite(q)):
-            raise NonFiniteSampleError(
-                f"perturbing coefficient Q_{j} is not finite")
-        per_j.append(arr if np.max(np.abs(q)) > 0.0 else None)
+    for j, terms in enumerate(qs):
+        if terms is not None and (not isinstance(terms, (list, tuple)) or not all(
+                isinstance(t, (list, tuple)) and len(t) == 2 for t in terms)):
+            raise ValidationError(f"perturbing coefficient Q_{j} must be None "
+                                  "or a list of (profile, matrix) terms")
+        kept = []
+        for r, (profile, matrix) in enumerate(terms or ()):
+            profile = np.asarray(profile, dtype=complex)
+            matrix = np.asarray(matrix, dtype=complex)
+            if profile.shape != z.shape or matrix.shape != square:
+                raise ValidationError(
+                    f"term {r} of Q_{j} has profile shape {profile.shape} and "
+                    f"matrix shape {matrix.shape}; expected {z.shape}, {square}")
+            if not (np.all(np.isfinite(profile)) and np.all(np.isfinite(matrix))):
+                raise NonFiniteSampleError(f"term {r} of Q_{j} is not finite")
+            if np.any(profile) and np.any(matrix):
+                kept.append((profile, matrix))
+        per_j.append(kept)
     return per_j
 
 
@@ -324,12 +326,13 @@ def _apply_perturbation(vp, per_j, u, ctx, cut):
     m = vp.base.pencil.degree
     eta = vp.base.zeta + 4j
     out = np.zeros_like(u.values)
-    for j, q in enumerate(per_j):
-        if q is None:
+    for j, terms in enumerate(per_j):
+        if not terms:
             continue
         proj = halfline_projection(u, m - j, eta=eta, v=cut, ctx=ctx,
-                                   extra_power=m - j)
-        out += np.einsum("kij,kj->ki", q, proj.values)
+                                   extra_power=m - j).values
+        for profile, matrix in terms:
+            out += profile[:, None] * (proj @ matrix.T)
     return out
 
 

@@ -217,15 +217,16 @@ def exp_sum(values, exponents, points=None):
     shift = e[:, None]
     unit = (np.ldexp(values.real[keep], -shift)
             + 1j * np.ldexp(values.imag[keep], -shift))
-    log_scale = e * _LN2
-    expo = exponents[:, keep] + log_scale
+    # the column selection is a copy of this call's own: shift and exp in place
+    expo = exponents[:, keep]
+    expo += e * _LN2
     combined = expo.real + np.log(np.max(np.abs(unit), axis=1))
     worst = float(np.max(combined))
     if worst > LOG_OVERFLOW_BOUND:
         k = int(keep[int(np.argmax(combined)) % keep.size])
         raise WeightOverflowError(k, None if points is None else points[k],
                                   worst)
-    return np.exp(expo) @ unit
+    return np.exp(expo, out=expo) @ unit
 
 
 def _top(values):

@@ -13,24 +13,31 @@ pencils that the modal triple replaced, the per-element log-space scaling (and
 the forward/inverse transforms and per-component exponential sum built on
 it) that per-row factors and transform.exp_sum replaced, the transforms
 with their node exponents built on every call that per-context plans
-replaced, per-point sampling of perturbing coefficients, the transform's
-derivative rule (the inverse transform of lam^j Fhat) that finite
-differences are checked against, and the spectral Sobolev norm (from the
-Fourier transform of the weighted pullback) that checks the
-weighted-derivative energy.
+replaced, the dense per-node perturbation Q_j(z_k) applied by matvec
+that the profile x matrix terms replaced, the transform's derivative rule
+(the inverse transform of lam^j Fhat) that finite differences are checked
+against, and the spectral Sobolev norm (from the Fourier transform of the
+weighted pullback) that checks the weighted-derivative energy.  The modal
+solve of the perturbed cylinder does run the package's solver, but one
+1 x 1 cross-section mode at a time: it checks the n x n path against the
+problem's own separation of variables.
 """
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.integrate
 import scipy.linalg
 import scipy.sparse.csgraph
 
+from conescale import (ConstantProblem, MatrixPencil, continuation_certificate,
+                       solve_variable)
 from conescale.errors import ConfigurationError
 from conescale.pencil import (SpectrumReport, _binomial_matrix, _companion,
                               _roots, evaluate)
+from conescale.rhs import AnalyticRhs
 from conescale.stencils import _window, derivative_uniform, fornberg_weights
 from conescale.transform import (_SQRT2PI, _dft_phases, _require_finite,
                                  dual_grid, scaled_values)
@@ -217,13 +224,75 @@ def derivative_rule_deviation(ctx, fhat, j, acc=2):
     return float(np.max(gap)) if gap.size else 0.0
 
 
-def perturbation_per_point(coefficients, z, n):
-    """Perturbing coefficients sampled one node at a time: Q_j(z_k) from
-    coefficients(z[k:k+1]), stacked to (N, n, n) per j."""
-    per_point = [coefficients(z[k:k + 1]) for k in range(z.size)]
-    return [np.stack([np.broadcast_to(np.asarray(qs[j], dtype=complex), (1, n, n))[0]
-                      for qs in per_point])
-            for j in range(len(per_point[0]))]
+def perturbation_per_point(coefficients, z, projections):
+    """sum_j Q_j(z_k) p_j(z_k) one node at a time.
+
+    Q_j(z_k) = sum_r phi_r(z_k) V_r is formed as a dense n x n matrix from
+    coefficients(z[k:k+1]) and applied by matvec to row k of
+    projections[j], the (N, n) projected derivative that Q_j multiplies.
+    """
+    n = projections[0].shape[1]
+    out = np.zeros((z.size, n), dtype=complex)
+    for k in range(z.size):
+        for terms, proj in zip(coefficients(z[k:k + 1]), projections):
+            q = np.zeros((n, n), dtype=complex)
+            for profile, matrix in terms or ():
+                q += np.asarray(profile)[0] * np.asarray(matrix)
+            out[k] += q @ proj[k]
+    return out
+
+
+class _ModeRhs(AnalyticRhs):
+    """Cross-section mode w of an analytic rhs: z -> f(z) . w."""
+
+    def __init__(self, full, w):
+        super().__init__()
+        self.full = full
+        self.w = w
+
+    def __call__(self, z):
+        return self.full(z) @ self.w[:, None]
+
+
+def modal_variable_solve(vp, phi, offset, n_angles, res_tol):
+    """The perturbed cylinder solved one cross-section mode at a time.
+
+    vp's pencil is A_0 lam^m + ... + A_(m-1) lam + L with A_0, ...,
+    A_(m-1) multiples of I, L real symmetric and identity norm forms.
+    With L = W diag(nu) W^T (eigh), mode k is the 1 x 1 problem with
+    coefficients (A_0[0, 0], ..., nu_k) and rhs W[:, k]^T f, and each term
+    (phi_r, V_r) of vp's coefficients becomes (phi_r, W[:, k]^T V_r
+    W[:, k]): exact when every V_r commutes with L, wrong otherwise.  Each
+    mode runs solve_variable and continuation_certificate at ``res_tol``.
+    Returns W times the modal solutions on vp's ray, the per-ray energies
+    summed over the modes (with identity forms and orthogonal W they add)
+    and their max / psi = 0 ratio.
+    """
+    base = vp.base
+    *lead, stiffness = base.pencil.coefficients
+    nu, W = np.linalg.eigh(stiffness.real)
+    us, energies = [], 0.0
+    for k in range(nu.size):
+        w = W[:, k]
+
+        def coefficients(z, w=w):
+            return [None if terms is None
+                    else [(profile, [[w @ np.asarray(matrix) @ w]])
+                          for profile, matrix in terms]
+                    for terms in vp.coefficients(z)]
+
+        pencil = MatrixPencil(tuple(a[:1, :1] for a in lead)
+                              + (np.array([[nu[k]]]),))
+        rhs = _ModeRhs(base.evaluator, w)
+        mode_base = ConstantProblem(
+            pencil, rhs.sample(base.ray, base.rhs.grid, base.rhs.weight_order,
+                               base.zeta), rhs)
+        mode = replace(vp, base=mode_base, coefficients=coefficients)
+        us.append(solve_variable(mode, res_tol=res_tol).u.values[:, 0])
+        cert = continuation_certificate(mode, phi, offset=offset,
+                                        n_angles=n_angles, res_tol=res_tol)
+        energies = energies + np.array([e for _, e in cert.rows])
+    return np.stack(us, axis=1) @ W.T, energies, energies.max() / energies[0]
 
 
 def exp_sum_per_component(values, exponents):

@@ -204,7 +204,7 @@ def test_criterion_08_neumann(tmp_path):
     base = constant_problem(LINEAR, GaussianRhs(center=5.0), grid)
 
     def coefficients(z):
-        return [(0.05 / (z ** 2 + 9.0))[:, None, None], np.zeros((1, 1))]
+        return [[(0.05 / (z ** 2 + 9.0), np.eye(1))], None]
 
     vp = VariableProblem(base, coefficients, sector_start=-12.0)
     res = solve_variable(vp, res_tol=1e-8)
@@ -216,7 +216,7 @@ def test_criterion_08_neumann(tmp_path):
     assert agreement <= 1e-6
 
     def big(z):
-        return [(50.0 / (z ** 2 + 9.0))[:, None, None], np.zeros((1, 1))]
+        return [[(50.0 / (z ** 2 + 9.0), np.eye(1))], None]
 
     with pytest.raises(ContractionFailureError) as err:
         solve_variable(VariableProblem(base, big, sector_start=-12.0),

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from conescale import TIME, Grid, Ray, RayFunction
 from conescale.cli import (_complex_matrix, _complex_matrix_walk, main,
                            parse_problem, cylinder_problem_dict)
 from conescale.errors import NumericalError, ValidationError
-from conescale.solver import _prepare_perturbation
+from conescale.solver import _apply_perturbation, _prepare_perturbation
 
 
 def quad_problem(**overrides):
@@ -320,8 +321,8 @@ class TestSolveCommand:
 
 
 def test_rational_decay_sampled_once_per_ray():
-    # one call on all nodes gives bitwise the per-node matrices
-    # (eps / (z^2 + s^2)) * I, and the zero slots are dropped
+    # one call on all nodes gives bitwise the per-node profile
+    # eps / (z^2 + s^2), as one identity term of Q_0; Q_1 = Q_2 = 0
     data = cylinder_problem_dict(3, math.pi / 16, count=256)
     data["perturbation"] = {"kind": "rational_decay", "epsilon": 0.05,
                             "pole_scale": 3.0}
@@ -329,9 +330,32 @@ def test_rational_decay_sampled_once_per_ray():
     grid = vp.base.rhs.grid
     z = vp.base.ray.points(grid.nodes)
     per_j = _prepare_perturbation(vp, grid)
-    want = np.stack([(0.05 / (zk ** 2 + 9.0)) * np.eye(3) for zk in z])
-    assert np.array_equal(per_j[0], want)
-    assert per_j[1] is None and per_j[2] is None
+    want = np.array([0.05 / (zk ** 2 + 9.0) for zk in z])
+    [(profile, matrix)] = per_j[0]
+    assert np.array_equal(profile, want) and np.array_equal(matrix, np.eye(3))
+    assert per_j[1] == [] and per_j[2] == []
+
+
+def test_rational_decay_forms_no_stack():
+    # n = 32, N = 2048: one (N, n, n) complex stack is 32 MiB; sampling the
+    # terms and one application hold a few (N, n) arrays at a time
+    data = cylinder_problem_dict(32, math.pi / 16, count=2048)
+    data["perturbation"] = {"kind": "rational_decay", "epsilon": 0.05,
+                            "pole_scale": 3.0}
+    vp = parse_problem(data).variable()
+    base = vp.base
+    ctx = base.context()
+    cut = base.ray.points(np.array([vp.sector_start]))[0]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        per_j = _prepare_perturbation(vp, base.rhs.grid)
+        out = _apply_perturbation(vp, per_j, base.rhs, ctx, cut)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (2048, 32) and np.all(np.isfinite(out))
+    assert peak < 16 * 2 ** 20
 
 
 class TestVerifyCommand:

@@ -12,6 +12,7 @@ import math
 import pathlib
 import re
 import sys
+import warnings
 
 import pytest
 
@@ -585,6 +586,19 @@ def test_plain_value_error_propagates(tmp_path, monkeypatch):
     monkeypatch.setattr(conescale.cli, "solve_const", fail)
     with pytest.raises(ValueError, match="untyped"):
         run(tmp_path, linear_problem(), ["solve"])
+
+
+def test_readme_library_sketch_runs(capsys):
+    # the sketch shows the VariableProblem contract; running it keeps the
+    # README from drifting off the code
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        exec(compile(block, "README.md", "exec"), {})
+    ratio, verdict, parseval = capsys.readouterr().out.splitlines()
+    assert float(ratio) <= 0.5 and verdict.startswith("holds ")
+    assert float(parseval) <= 1e-6
 
 
 def test_readme_problem_file_parses():

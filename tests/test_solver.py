@@ -18,12 +18,15 @@ from conescale import (FREQUENCY, ConstantProblem, ContractionFailureError,
                        solve_scaled, solve_variable)
 from conescale.errors import ConfigurationError, NonFiniteSampleError
 from conescale.geometry import derivative_energy
-from conescale.solver import _prepare_perturbation, apply_pencil_fd
+from conescale.cli import dirichlet_laplacian
+from conescale.hardy import halfline_projection
+from conescale.solver import (_apply_perturbation, _prepare_perturbation,
+                              apply_pencil_fd)
 from conescale.stencils import (_window_weights, derivative_with_cuts,
                                 fornberg_weights)
 from _oracles import (collocation_constant, collocation_perturbed_first_order,
-                      differentiation_matrix, perturbation_per_point,
-                      variation_of_constants)
+                      differentiation_matrix, modal_variable_solve,
+                      perturbation_per_point, variation_of_constants)
 
 IDENT = MatrixPencil((np.zeros((1, 1)), np.eye(1)))
 LINEAR = MatrixPencil((np.eye(1), 1j * np.eye(1)))      # lam + i
@@ -199,8 +202,7 @@ def test_scaling_equivalence_property(grid, case, phi):
 
 def rational_coefficients(eps, pole_scale):
     def coefficients(z):
-        return [(eps / (z ** 2 + pole_scale ** 2))[:, None, None],
-                np.zeros((1, 1))]
+        return [[(eps / (z ** 2 + pole_scale ** 2), np.eye(1))], None]
     return coefficients
 
 
@@ -278,72 +280,224 @@ class TestSolveVariable:
         assert np.max(np.abs(res.u.values[:, 0] - oracle)) < 1e-6
 
 
+def perturbed(coefficients, pencil=MatrixPencil((np.eye(2), 1j * np.eye(2))),
+              count=256):
+    """A VariableProblem with a fixed Gaussian rhs on Grid(20, count)."""
+    n = pencil.dim
+    cross = np.linspace(1.0, 0.5, n) + 0.25j * np.arange(n)
+    base = constant_problem(pencil, GaussianRhs(cross_section=cross),
+                            Grid(20.0, count))
+    return VariableProblem(base, coefficients, sector_start=-12.0)
+
+
+def applied_and_oracle(vp):
+    """_apply_perturbation on the base rhs, and the dense per-node oracle
+    on the same projections."""
+    base = vp.base
+    ctx = base.context()
+    cut = base.ray.points(np.array([vp.sector_start]))[0]
+    m = base.pencil.degree
+    got = _apply_perturbation(vp, _prepare_perturbation(vp, base.rhs.grid),
+                              base.rhs, ctx, cut)
+    projections = [halfline_projection(base.rhs, m - j, eta=base.zeta + 4j,
+                                       v=cut, ctx=ctx, extra_power=m - j).values
+                   for j in range(m + 1)]
+    want = perturbation_per_point(
+        vp.coefficients, base.ray.points(base.rhs.grid.nodes), projections)
+    return got, want
+
+
 class TestPerturbationSampling:
-    """Q_j sampled once per ray on the array of nodes."""
-
-    PENCIL = MatrixPencil((np.eye(2), 1j * np.eye(2)))
-
-    def problem(self, coefficients):
-        base = constant_problem(self.PENCIL,
-                                GaussianRhs(cross_section=[1.0, 0.5j]),
-                                Grid(20.0, 256))
-        return VariableProblem(base, coefficients, sector_start=-12.0)
+    """Q_j = sum_r phi_r(z) V_r, sampled once per ray as (profile, matrix)
+    terms and applied without forming Q_j."""
 
     def test_matches_per_point_sampling(self):
         mix = np.array([[1.0, 0.5j], [-0.25, 2.0]])
 
         def coefficients(z):
-            return [(0.05 / (z ** 2 + 9.0))[:, None, None] * mix,
-                    np.array([[0.0, 0.01], [0.0, 0.0]])]
+            return [[(0.05 / (z ** 2 + 9.0), mix),
+                     (0.02 * np.exp(-z ** 2 / 50.0), np.eye(2))],
+                    [(np.ones(z.shape), np.array([[0.0, 0.01], [0.0, 0.0]]))]]
 
-        vp = self.problem(coefficients)
-        grid = vp.base.rhs.grid
-        got = _prepare_perturbation(vp, grid)
-        want = perturbation_per_point(coefficients,
-                                      vp.base.ray.points(grid.nodes), 2)
-        assert len(got) == 2
-        for q, ref in zip(got, want):
-            assert q.shape == (256, 2, 2)
-            assert np.array_equal(q, ref)
+        got, want = applied_and_oracle(perturbed(coefficients))
+        assert got.shape == (256, 2)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_zero_coefficient_dropped(self):
-        vp = self.problem(lambda z: [np.zeros((2, 2)),
-                                     (1.0 / (z ** 2 + 9.0))[:, None, None]
-                                     * np.eye(2)])
+        def coefficients(z):
+            return [[(np.zeros(z.shape), np.eye(2)),
+                     (1.0 / (z ** 2 + 9.0), np.zeros((2, 2)))],
+                    [(1.0 / (z ** 2 + 9.0), np.eye(2))]]
+
+        vp = perturbed(coefficients)
         q0, q1 = _prepare_perturbation(vp, vp.base.rhs.grid)
-        assert q0 is None and q1.shape == (256, 2, 2)
+        assert q0 == [] and len(q1) == 1
+        assert q1[0][0].shape == (256,)
+        assert np.array_equal(q1[0][1], np.eye(2))
 
     def test_wrong_shape_names_coefficient(self):
-        vp = self.problem(lambda z: [np.zeros((2, 2)), np.ones((3, 2, 2))])
-        with pytest.raises(ValueError, match=r"Q_1 .*\(256, 2, 2\)"):
+        # the profile must be exactly (N,): neither (N, 1) nor a constant
+        vp = perturbed(lambda z: [None, [(np.ones((256, 1)), np.eye(2))]])
+        with pytest.raises(ValidationError,
+                           match=r"term 0 of Q_1 .*\(256, 1\).*\(256,\)"):
+            _prepare_perturbation(vp, vp.base.rhs.grid)
+        vp = perturbed(lambda z: [None, [(np.ones(z.shape), np.eye(2)),
+                                            (0.5, np.eye(2))]])
+        with pytest.raises(ValidationError, match=r"term 1 of Q_1 .*\(\)"):
             _prepare_perturbation(vp, vp.base.rhs.grid)
 
     @pytest.mark.parametrize("bad", [
-        lambda z: (1.0 / (z ** 2 + 9.0))[:, None, None],      # (N, 1, 1)
         lambda z: np.ones((1, 2)),
         lambda z: np.ones(2),
         lambda z: np.float64(0.5),
-        lambda z: np.ones((2, 256, 2, 2)),
+        lambda z: np.ones((1, 2, 2)),
+        lambda z: (1.0 / (z ** 2 + 9.0))[:, None, None] * np.eye(2),
     ])
     def test_matrix_axes_not_broadcast(self, bad):
-        vp = self.problem(lambda z: [np.zeros((2, 2)), bad(z)])
-        with pytest.raises(ValueError, match=r"Q_1 .*\(256, 2, 2\)"):
+        # a term's matrix is exactly n x n: broadcasting a size-1 axis would
+        # silently turn a scalar into a matrix of ones
+        vp = perturbed(lambda z: [None, [(np.ones(z.shape), bad(z))]])
+        with pytest.raises(ValidationError, match=r"term 0 of Q_1 .*\(2, 2\)"):
+            _prepare_perturbation(vp, vp.base.rhs.grid)
+
+    @pytest.mark.parametrize("entry", [
+        lambda z: (1.0 / (z ** 2 + 9.0))[:, None, None] * np.eye(2),
+        lambda z: (1.0 / (z ** 2 + 9.0), np.eye(2)),
+        lambda z: [np.eye(2)],
+        lambda z: [(1.0 / (z ** 2 + 9.0), np.eye(2), 1.0)],
+        lambda z: 0.5,
+    ], ids=["stack", "bare_pair", "bare_matrix", "triple", "scalar"])
+    def test_entry_not_terms_rejected(self, entry):
+        vp = perturbed(lambda z: [None, entry(z)])
+        with pytest.raises(ValidationError,
+                           match=r"Q_1 must be None or a list of \(profile, "
+                                 r"matrix\) terms"):
             _prepare_perturbation(vp, vp.base.rhs.grid)
 
     def test_count_checked(self):
-        vp = self.problem(lambda z: [np.zeros((2, 2))])
-        with pytest.raises(ValueError, match="m \\+ 1"):
+        vp = perturbed(lambda z: [None])
+        with pytest.raises(ValidationError, match="m \\+ 1"):
             _prepare_perturbation(vp, vp.base.rhs.grid)
 
     def test_non_finite_rejected(self):
         def coefficients(z):
-            q = (1.0 / (z ** 2 + 9.0))[:, None, None] * np.eye(2)
-            q[17, 1, 0] = np.nan
-            return [np.zeros((2, 2)), q]
+            profile = 1.0 / (z ** 2 + 9.0)
+            profile[17] = np.nan
+            return [None, [(profile, np.eye(2))]]
 
-        vp = self.problem(coefficients)
-        with pytest.raises(NonFiniteSampleError, match="Q_1"):
+        vp = perturbed(coefficients)
+        with pytest.raises(NonFiniteSampleError, match="term 0 of Q_1"):
             _prepare_perturbation(vp, vp.base.rhs.grid)
+
+    def test_non_finite_matrix_rejected(self):
+        bad = np.array([[1.0, np.inf], [0.0, 1.0]])
+        vp = perturbed(lambda z: [[(np.ones(z.shape), np.eye(2)),
+                                      (np.ones(z.shape), bad)], None])
+        with pytest.raises(NonFiniteSampleError, match="term 1 of Q_0"):
+            _prepare_perturbation(vp, vp.base.rhs.grid)
+
+
+def _profile(kind, scale):
+    """A dilation-analytic profile z -> phi(z) of the drawn kind."""
+    return {"zero": lambda z: np.zeros(z.shape, dtype=complex),
+            "rational": lambda z: scale / (z ** 2 + 9.0),
+            "gaussian": lambda z: scale * np.exp(-z ** 2 / 40.0),
+            "constant": lambda z: np.full(z.shape, scale)}[kind]
+
+
+_TERMS = st.lists(st.tuples(
+    st.sampled_from(["zero", "rational", "gaussian", "constant"]),
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                       allow_infinity=False),
+    st.sampled_from(["identity", "zero", "dense"]),
+    st.integers(0, 2 ** 16)), max_size=3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.one_of(st.none(), _TERMS), min_size=3, max_size=3))
+def test_apply_matches_dense_per_node(slots):
+    """Random terms (identity, zero, dense, several per slot) on a degree-2
+    pencil of dimension 3 against Q_j(z_k) formed densely per node."""
+    n = 3
+
+    def matrix(kind, seed):
+        rng = np.random.default_rng(seed)
+        return {"identity": np.eye(n), "zero": np.zeros((n, n)),
+                "dense": rng.standard_normal((n, n))
+                + 1j * rng.standard_normal((n, n))}[kind]
+
+    drawn = [None if terms is None else
+             [(_profile(kind, scale), matrix(mkind, seed))
+              for kind, scale, mkind, seed in terms]
+             for terms in slots]
+
+    def coefficients(z):
+        return [None if terms is None else [(f(z), v) for f, v in terms]
+                for terms in drawn]
+
+    pencil = MatrixPencil((np.eye(n), np.zeros((n, n)), 4.0 * np.eye(n)))
+    got, want = applied_and_oracle(perturbed(coefficients, pencil, 128))
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+def cylinder_variable(n, terms, seed=1):
+    """The perturbed cylinder lam^2 I + L_h at dimension n on a small grid,
+    with a seeded random real cross-section (the demo's sin(pi x) is the
+    first eigenvector of L_h and would excite one mode only); terms(z, L)
+    gives Q_0's terms, and Q_1 = Q_2 = 0."""
+    lap, _ = dirichlet_laplacian(n)
+    rng = np.random.default_rng(seed)
+    cross = rng.standard_normal(n)
+    pencil = MatrixPencil((np.eye(n), np.zeros((n, n)), lap))
+    base = constant_problem(
+        pencil, GaussianRhs(cross_section=cross / np.linalg.norm(cross)),
+        Grid(20.0, 2048))
+    return VariableProblem(base, lambda z: [terms(z, lap), None, None],
+                           sector_start=-12.0)
+
+
+def _non_commuting(z, lap):
+    g = np.random.default_rng(7).standard_normal(lap.shape)
+    return [(0.05 / (z ** 2 + 9.0), (g + g.T) / np.linalg.norm(g + g.T, 2))]
+
+
+class TestModalOracle:
+    """The quasicylindrical example at n > 1 against its own separation of
+    variables: each cross-section mode solved as a 1 x 1 problem."""
+
+    TOL = 1e-12     # one tight res_tol for the full and the modal solves
+    PHI = math.pi / 16
+
+    def compare(self, vp):
+        full = solve_variable(vp, res_tol=self.TOL).u.values
+        cert = continuation_certificate(vp, self.PHI, offset=1.0, n_angles=3,
+                                        res_tol=self.TOL)
+        energies = np.array([e for _, e in cert.rows])
+        u, modal_energies, ratio = modal_variable_solve(vp, self.PHI, 1.0, 3,
+                                                        self.TOL)
+        assert cert.verdict == "holds"
+        return (np.max(np.abs(full - u)) / np.max(np.abs(u)),
+                np.max(np.abs(energies - modal_energies) / modal_energies),
+                abs(cert.ratio - ratio) / ratio)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_identity_perturbation_splits(self, n):
+        vp = cylinder_variable(
+            n, lambda z, lap: [(0.05 / (z ** 2 + 9.0), np.eye(n))])
+        assert max(self.compare(vp)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_polynomial_in_laplacian_splits(self, n):
+        def terms(z, lap):
+            scaled = lap / np.linalg.norm(lap, 2)
+            return [(0.05 / (z ** 2 + 9.0), 0.5 * (np.eye(n) + scaled)),
+                    (0.03 * np.exp(-z ** 2 / 40.0), scaled @ scaled)]
+
+        assert max(self.compare(cylinder_variable(n, terms))) <= 1e-10
+
+    def test_non_commuting_matrix_does_not_split(self):
+        u_gap, energy_gap, _ = self.compare(cylinder_variable(8, _non_commuting))
+        assert u_gap > 1e-6 and energy_gap > 1e-6
 
 
 class TestCachedStencilWeights:

@@ -692,7 +692,9 @@ class TestContinuationBlocks:
 
     def test_memory_stays_bounded(self):
         # 4096 points against 1024 nodes: one full exponent matrix is
-        # 64 MiB, and exp_sum keeps several of its size alive at once
+        # 64 MiB, and one block 8 MiB; a block's exponents, exp_sum's copy
+        # of the kept columns (shifted and exponentiated in place) and its
+        # real part fit in three
         ctx, fhat = self.packet(1024)
         z = np.linspace(-5.0, 5.0, 4096) + 0.01j
         tracemalloc.start()
@@ -703,4 +705,4 @@ class TestContinuationBlocks:
         finally:
             tracemalloc.stop()
         assert got.shape == (4096, 1) and np.all(np.isfinite(got))
-        assert peak < z.size * fhat.points.size * 16
+        assert peak < 3 * conescale.transform._CONTINUATION_ENTRIES * 16
