@@ -204,6 +204,29 @@ class RayFunction:
         object.__setattr__(self, "weight_number", complex(self.weight_number))
         object.__setattr__(self, "weight_order", float(self.weight_order))
 
+    @classmethod
+    def _adopt(cls, ray, grid, values, weight_order, weight_number):
+        """A RayFunction that takes over ``values``, a complex
+        (grid.count, n) array nobody else holds: it is made read-only, not
+        checked or copied.  The transform passes build their results this
+        way, after the one finiteness check of each pass.  The half-line
+        projection and the Neumann sweep hand their products between
+        passes over this way too: an inf among them fails the next pass's
+        overflow check (WeightOverflowError) and a nan its finiteness check
+        (NonFiniteSampleError)."""
+        out = object.__new__(cls)
+        values.flags.writeable = False
+        for name, value in (("ray", ray), ("grid", grid), ("values", values),
+                            ("weight_order", float(weight_order)),
+                            ("weight_number", complex(weight_number))):
+            object.__setattr__(out, name, value)
+        return out
+
+    def _adopt_values(self, values):
+        """with_values for an array as _adopt takes it."""
+        return RayFunction._adopt(self.ray, self.grid, values,
+                                  self.weight_order, self.weight_number)
+
     @property
     def dim(self):
         return self.values.shape[1]

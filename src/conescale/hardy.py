@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (ConfigurationError, IllConditionedKernelError,
                      ValidationError, WeightOverflowError)
 from .geometry import FREQUENCY, TIME, Cone, RayFunction, weighted_l2_report
-from .transform import TransformContext, scaled_values
+from .transform import TransformContext, _read_only, scaled_values
 
 RATIO_BOUND = 10.0
 PW_BOUND = 1.5
@@ -230,14 +230,19 @@ def _context_for(F, ctx=None):
     return ctx
 
 
-def halfline_projection(F, s, eta=None, v=0j, ctx=None, extra_power=0):
+def halfline_projection(F, s, eta=None, v=0j, ctx=None, extra_power=0,
+                        fhat=None):
     """P^s cutting a time-side ray function to the forward half-line past v.
 
     s = 0 is exactly the node indicator of {t >= t_v}.  For other integer s
     the operator is realized in its factored form: divide the transform by
     (lam - eta)^s, cut with the indicator, multiply back; ``extra_power``
     additionally multiplies by lam^extra_power on the way back (used to fold
-    a derivative into the same pass).
+    a derivative into the same pass).  A caller that holds the transform of
+    F already (``fhat``, as ctx.forward(F) would give it) saves the first of
+    the four passes.  The mask and the frequency-side factors depend on the
+    context, s, eta, v and extra_power alone; they are built on first use
+    and kept as long as the context (_cut_plan).
     """
     if F.ray.side != TIME:
         raise ValidationError("half-line projections act on time-side ray functions")
@@ -245,31 +250,53 @@ def halfline_projection(F, s, eta=None, v=0j, ctx=None, extra_power=0):
         raise ValidationError(f"unsupported projection order {s}: must be an integer")
     s = int(s)
     t_v = F.ray.parameter(v)
-    mask = F.grid.nodes >= t_v - 1e-12 * max(1.0, abs(t_v))
     if s == 0 and extra_power == 0:
-        return F.with_values(np.where(mask[:, None], F.values, 0.0))
+        return F.with_values(np.where(_past(F.grid, t_v)[:, None], F.values, 0.0))
+    if s != 0 and eta is None:
+        raise ValidationError("s != 0 needs the auxiliary point eta")
     ctx = _context_for(F, ctx)
-    fhat = ctx.forward(F)
-    lam = fhat.points
-    if s != 0:
-        if eta is None:
-            raise ValidationError("s != 0 needs the auxiliary point eta")
-        offside = np.min(np.abs(np.imag((eta - ctx.zeta)
-                                        / ctx.frequency_ray.direction)))
-        if offside < 1e-9:
-            raise ValidationError("eta must lie off the frequency-side ray")
-        ghat = fhat.with_values(fhat.values * ((lam - eta) ** s)[:, None])
-    else:
-        ghat = fhat
-    g = ctx.inverse(ghat)
-    cut = g.with_values(np.where(mask[:, None], g.values, 0.0))
-    hhat = ctx.forward(cut)
-    mult = np.ones_like(lam)
-    if s != 0:
-        mult = mult / (lam - eta) ** s
-    if extra_power:
-        mult = mult * lam ** extra_power
-    return ctx.inverse(hhat.with_values(hhat.values * mult[:, None]))
+    mask, before, after = _cut_plan(ctx, s, eta, t_v, extra_power)
+    if fhat is None:
+        fhat = ctx.forward(F)
+    if before is not None:
+        fhat = fhat._adopt_values(fhat.values * before[:, None])
+    g = ctx.inverse(fhat)
+    hhat = ctx.forward(g._adopt_values(np.where(mask[:, None], g.values, 0.0)))
+    return ctx.inverse(hhat._adopt_values(hhat.values * after[:, None]))
+
+
+def _past(grid, t_v):
+    """The node indicator of {t >= t_v}."""
+    return grid.nodes >= t_v - 1e-12 * max(1.0, abs(t_v))
+
+
+def _cut_plan(ctx, s, eta, t_v, extra_power):
+    """(mask, before, after) of halfline_projection on one context.
+
+    ``mask`` is the node indicator of {t >= t_v}, ``before`` the factor
+    (lam - eta)^s on the frequency nodes (None for s = 0) and ``after`` the
+    factor lam^extra_power / (lam - eta)^s.  Built once per context and
+    (s, eta, t_v, extra_power), with eta's position off the frequency ray
+    checked then; they are kept in the context's transform plan, and the
+    arrays are read-only.
+    """
+    plans = ctx._plan.cuts
+    key = (s, eta, t_v, extra_power)
+    if key not in plans:
+        lam = ctx.frequency_points
+        before = None
+        after = np.ones_like(lam)
+        if s != 0:
+            offside = abs(((eta - ctx.zeta) / ctx.frequency_ray.direction).imag)
+            if offside < 1e-9:
+                raise ValidationError("eta must lie off the frequency-side ray")
+            before = (lam - eta) ** s
+            after = after / before
+        if extra_power:
+            after = after * lam ** extra_power
+        plans[key] = tuple(None if a is None else _read_only(a)
+                           for a in (_past(ctx.src_grid, t_v), before, after))
+    return plans[key]
 
 
 def project_halfline(F, s, eta=None, v=0j, ctx=None):

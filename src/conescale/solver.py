@@ -134,8 +134,9 @@ def _check_line_clear(pencil, ctx):
 def _resolve(pencil, ctx, f):
     """u = T [ A(lam)^{-1} (T^{-1} f) ]; returns u and its frequency data."""
     fhat = ctx.forward(f)
-    uhat = fhat.with_values(resolvent_apply_batch(pencil, fhat.points,
-                                                  fhat.values))
+    # the resolvent certifies every node, so its solutions are finite
+    uhat = fhat._adopt_values(resolvent_apply_batch(
+        pencil, ctx.frequency_points, fhat.values))
     return ctx.inverse(uhat), uhat
 
 
@@ -144,8 +145,10 @@ def _fd_residual(pencil, u, rhs, pert=None, cuts=()):
     to max(1, |F|_inf), with A(D) applied by finite differences."""
     scale = max(1.0, float(np.max(np.abs(rhs.values))))
     applied, core = apply_pencil_fd(pencil, u, cuts=cuts)
-    lhs = applied[core] if pert is None else applied[core] - pert[core]
-    gap = np.linalg.norm(lhs - rhs.values[core], axis=1)
+    lhs = applied[core]
+    if pert is not None:
+        np.subtract(lhs, pert[core], out=lhs)
+    gap = np.linalg.norm(np.subtract(lhs, rhs.values[core], out=lhs), axis=1)
     return float(np.max(gap)) / scale if gap.size else 0.0
 
 
@@ -191,8 +194,10 @@ def solve_scaled(problem, phi, scale_tol=SCALE_TOL, res_tol=RES_TOL,
 
     The first comparison is enforced: a deviation above ``scale_tol`` times
     max(1, |u|_inf) (or a non-finite one) raises NumericalError.
-    ``deviation_continuation`` is report-only, since its shallow window can
-    be empty (it is then nan).
+    ``deviation_continuation`` is report-only, and nan when no comparison is
+    made: at phi = 0, where the rotated ray is the base ray and the
+    continuation would only repeat the inverse transform, and when its
+    shallow window holds fewer than three nodes.
     """
     if problem.evaluator is None:
         raise ConfigurationError("scaled solves need an analytic right-hand-side evaluator")
@@ -238,7 +243,7 @@ def solve_scaled(problem, phi, scale_tol=SCALE_TOL, res_tol=RES_TOL,
     depth = abs(math.sin(phi))
     t_shallow = 20.0 / (xi_max * max(depth, 1e-12))
     shallow = np.abs(grid.nodes) <= t_shallow
-    if np.count_nonzero(shallow) >= 3:
+    if phi != 0 and np.count_nonzero(shallow) >= 3:
         cont = ctx0.evaluate_continuation(base.frequency_data,
                                           rot_ray.points(grid.nodes[shallow]))
         deviation_cont = float(np.max(np.abs(v.u.values[shallow] - cont)))
@@ -322,7 +327,9 @@ def _prepare_perturbation(vp, grid):
     return per_j
 
 
-def _apply_perturbation(vp, per_j, u, ctx, cut):
+def _apply_perturbation(vp, per_j, u, uhat, ctx, cut):
+    """sum_j Q_j P^(m-j) D^(m-j) u, with uhat = ctx.forward(u) (the
+    frequency data the sweep has just inverted to u)."""
     m = vp.base.pencil.degree
     eta = vp.base.zeta + 4j
     out = np.zeros_like(u.values)
@@ -330,7 +337,7 @@ def _apply_perturbation(vp, per_j, u, ctx, cut):
         if not terms:
             continue
         proj = halfline_projection(u, m - j, eta=eta, v=cut, ctx=ctx,
-                                   extra_power=m - j).values
+                                   extra_power=m - j, fhat=uhat).values
         for profile, matrix in terms:
             out += profile[:, None] * (proj @ matrix.T)
     return out
@@ -341,7 +348,10 @@ def solve_variable(vp, res_tol=RES_TOL, max_iter=MAX_ITER):
 
     R is the constant-coefficient inverse (the transform route); the
     perturbation applies the projected derivatives and multiplies by the
-    Q_j.  Residuals are re-checked each sweep by a finite-difference
+    Q_j.  A sweep runs five transform passes: R is a forward and an
+    inverse, and each projection starts from the frequency data that R
+    has just inverted, then runs an inverse, a forward and an inverse.
+    Residuals are re-checked each sweep by a finite-difference
     application of A(D) (cut-aware stencils at the projection cut).
     Geometric decay is required; two consecutive increases, or running out
     of the max_iter sweeps before res_tol, raise ContractionFailureError
@@ -355,11 +365,11 @@ def solve_variable(vp, res_tol=RES_TOL, max_iter=MAX_ITER):
     cut = base.ray.points(np.array([vp.sector_start]))[0]
     cut_node = int(np.argmin(np.abs(grid.nodes - base.ray.parameter(cut))))
 
-    u, _ = _resolve(base.pencil, ctx, base.rhs)
+    u, uhat = _resolve(base.pencil, ctx, base.rhs)
     residuals = []
     increases = 0
     for _ in range(max_iter):
-        pert = _apply_perturbation(vp, per_j, u, ctx, cut)
+        pert = _apply_perturbation(vp, per_j, u, uhat, ctx, cut)
         residuals.append(_fd_residual(base.pencil, u, base.rhs, pert,
                                       cuts=(cut_node,)))
         if residuals[-1] <= res_tol:
@@ -373,8 +383,8 @@ def solve_variable(vp, res_tol=RES_TOL, max_iter=MAX_ITER):
                 increases = 0
         if not np.isfinite(residuals[-1]) or residuals[-1] > 1e6:
             raise ContractionFailureError(residuals)
-        u, _ = _resolve(base.pencil, ctx,
-                        base.rhs.with_values(base.rhs.values + pert))
+        u, uhat = _resolve(base.pencil, ctx, base.rhs._adopt_values(
+            np.add(base.rhs.values, pert, out=pert)))
     else:
         raise ContractionFailureError(residuals, cap=(max_iter, res_tol))
     ratios = [residuals[k + 1] / residuals[k]

@@ -107,24 +107,45 @@ def derivative_with_cuts(values, spacing, m, acc=6, cuts=()):
     """Like derivative_uniform but one-sided near the given cut indices.
 
     Only rows near cuts/edges deviate from the centered stencil, so the cost
-    stays O(N * stencil) rather than a dense matrix apply.
+    stays O(N * stencil) rather than a dense matrix apply: those rows are
+    one gather and one batched product (_edge_rows).
     """
     values = np.asarray(values)
     if m == 0:
         return values.copy(), slice(0, values.shape[0])
     out, core = derivative_uniform(values, spacing, m, acc=acc)
+    rows, index, weights = _edge_rows(values.shape[0], m, acc,
+                                      tuple(int(c) for c in cuts))
+    # (rows, 1, width) @ (rows, width, columns); 1-D values are one column
+    windows = values[index].reshape(index.shape + (-1,))
+    out[rows] = (np.matmul(weights, windows)[:, 0] / spacing ** m).reshape(
+        rows.shape + values.shape[1:])
+    return out, core
+
+
+@functools.lru_cache(maxsize=64)
+def _edge_rows(n, m, acc, cuts):
+    """(rows, index, weights) of derivative_with_cuts on n nodes.
+
+    ``rows`` are the nodes within one stencil width of an edge or a cut,
+    ``index`` (rows, width) their windows, which never straddle a cut, and
+    ``weights`` (rows, 1, width) the window weights of d^m/dx^m at unit
+    spacing.  Built once per (n, m, acc, cuts); the arrays are read-only.
+    """
     width = m + acc
     if (m + width) % 2 == 1:
         width += 1
-    n = values.shape[0]
-    bounds = sorted({0, n, *[int(c) for c in cuts if 0 < c < n]})
+    bounds = sorted({0, n, *[c for c in cuts if 0 < c < n]})
     segments = list(zip(bounds[:-1], bounds[1:]))
     redo = set(range(0, min(width, n)))
     redo.update(range(max(n - width, 0), n))
     for c in cuts:
-        redo.update(range(max(int(c) - width, 0), min(int(c) + width, n)))
-    for k in sorted(redo):
-        start = _window(k, n, width, segments)
-        w = _window_weights(start - k, width, m)
-        out[k] = values[start:start + width].T @ w / spacing ** m
-    return out, core
+        redo.update(range(max(c - width, 0), min(c + width, n)))
+    rows = np.array(sorted(redo))
+    starts = np.array([_window(k, n, width, segments) for k in rows])
+    weights = np.array([_window_weights(start - k, width, m)
+                        for start, k in zip(starts, rows)])[:, None, :]
+    index = starts[:, None] + np.arange(width)
+    for array in (rows, index, weights):
+        array.flags.writeable = False
+    return rows, index, weights

@@ -30,11 +30,13 @@ factors depend on (psi, zeta, w) and the grids alone, so each context
 builds them once, on the first forward or inverse call, and keeps them with
 its nodes and rays in a plan (as an FFTW plan keeps its twiddle factors); every
 call then costs one multiply per sample on each side of the FFT, while the
-checks on the data still run per call.  The discrete forward and inverse
-are exact inverses of each other at the nodes, for any sampled data,
-which is what the round-trip contract asks for.  The uniform quadrature
-weights used here agree with composite trapezoid whenever the integrand
-has decayed at the window ends, which the preconditions require.
+checks on the data still run per call: one overflow check on the input and
+one finiteness check on the output, whose array the result takes over.
+The discrete forward and inverse are exact inverses of each other at the
+nodes, for any sampled data, which is what the round-trip contract asks
+for.  The uniform quadrature weights used here agree with composite
+trapezoid whenever the integrand has decayed at the window ends, which the
+preconditions require.
 """
 
 import cmath
@@ -111,23 +113,32 @@ def _adjoint_factors(count, pre=0.0, post=0.0):
 def _apply_kernel(x, pre, post):
     """The sums of _kernel_factors on a grid and its dual, via one FFT.
 
-    x must be finite (RayFunction values are); a non-finite FFT sum raises
-    NonFiniteSampleError.
+    x must be finite (RayFunction values are).  The result is the one
+    array a pass checks: a non-finite FFT sum stays non-finite through the
+    post factors, so it raises NonFiniteSampleError here, as does a post
+    factor that overflows.
     """
-    y = np.fft.fft(_apply_factors(x, pre), axis=0)
-    return _apply_factors(_require_finite(y), post)
+    return _finite_output(np.fft.fft(_apply_factors(x, pre), axis=0), post)
 
 
 def _apply_kernel_adjoint(y, pre, post):
-    """The sums of _adjoint_factors on a grid and its dual, via one FFT."""
+    """The sums of _adjoint_factors on a grid and its dual, via one FFT
+    (checked as in _apply_kernel)."""
     sums = np.fft.ifft(_apply_factors(y, pre), axis=0, norm="forward")
-    return _apply_factors(_require_finite(sums), post)
+    return _finite_output(sums, post)
+
+
+def _finite_output(sums, post):
+    """The FFT sums times their post factors, in place, checked finite."""
+    # a non-finite sum raises below, not as a warning from its product
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _require_finite(_apply_factors(sums, post, out=sums))
 
 
 def _require_finite(values):
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        index = tuple(int(i) for i in np.argwhere(bad)[0])
+    finite = np.isfinite(values)
+    if not finite.all():
+        index = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise NonFiniteSampleError(
             f"non-finite sample {values[index]} at index {index}")
     return values
@@ -162,10 +173,12 @@ def _row_factors(exponents):
     return _RowFactors(*map(_read_only, (normal, wide, unit, p.astype(int))))
 
 
-def _apply_factors(values, factors):
-    """values times the row factors of _row_factors (see scaled_values)."""
+def _apply_factors(values, factors, out=None):
+    """values times the row factors of _row_factors (see scaled_values),
+    into ``out`` if given (which may be ``values``)."""
     pad = (1,) * (values.ndim - factors.normal.ndim)
-    out = values * factors.normal.reshape(factors.normal.shape + pad)
+    out = np.multiply(values, factors.normal.reshape(factors.normal.shape + pad),
+                      out=out)
     if factors.unit.size:
         v = values[factors.wide]
         _, e = np.frexp(np.maximum(np.abs(v.real), np.abs(v.imag)))
@@ -229,17 +242,50 @@ def exp_sum(values, exponents, points=None):
     return np.exp(expo, out=expo) @ unit
 
 
-def _top(values):
-    """(largest entry, its index)."""
-    k = int(np.argmax(values))
-    return values[k], k
+class _PassCheck(NamedTuple):
+    """The data-independent half of one pass's pair overflow check."""
+
+    top: float          # the largest destination-side exponent
+    at: int             # its node
+    base: np.ndarray    # source-side exponents, one per source node
+    base_top: float     # the largest of them
+
+
+def _pass_check(dst_exponents, src_exponents):
+    """The _PassCheck of a pass with these exponents on its two grids."""
+    at = int(np.argmax(dst_exponents))
+    return _PassCheck(float(dst_exponents[at]), at, _read_only(src_exponents),
+                      float(np.max(src_exponents)))
+
+
+def _source_top(values, check, slack):
+    """None if no source row's check.base[k] + log max_c |values[k, c]|
+    can exceed ``slack``; else (k, part), the row where that sum is
+    largest and the sum.
+
+    The first test needs no complex modulus and no log per node: every
+    |v| is at most sqrt(2) max(|Re v|, |Im v|), and the test takes twice
+    that maximum, whose margin of log sqrt(2) covers the rounding of the
+    sums.  Data that come near ``slack`` (or hold an inf or a nan) take
+    the log of every row.
+    """
+    peak = float(np.max(np.abs(values.ravel().view(float))))
+    if peak == 0.0 or check.base_top + math.log(2.0 * peak) <= slack:
+        return None
+    with np.errstate(divide="ignore"):  # a zero row's log is -inf
+        parts = check.base + np.log(np.max(np.abs(values), axis=1))
+    # a row holding a nan is left to the pass's output check
+    parts[np.isnan(parts)] = -np.inf
+    k = int(np.argmax(parts))
+    return k, parts[k]
 
 
 class _TransformPlan:
     """What one context's transforms compute from (psi, zeta, w) and the
-    grids alone: the nodes, both rays, the data-independent halves of the
-    pair overflow checks and, built on each pass's first use, the row
-    factors on both sides of its FFT.  Arrays are read-only.
+    grids alone: the nodes, both rays, the frequency points, the
+    data-independent halves of the pair overflow checks and, built on first
+    use, the row factors on both sides of each pass's FFT and the half-line
+    cut plans.  Arrays are read-only.
     """
 
     def __init__(self, ctx):
@@ -249,14 +295,17 @@ class _TransformPlan:
         self.xi = _read_only(ctx.dst_grid.nodes)
         self.time_ray = Ray(ctx.psi, ctx.w, TIME)
         self.frequency_ray = Ray(ctx.psi, ctx.zeta, FREQUENCY)
+        self.lam = _read_only(self.frequency_ray.points(self.xi))
         # separable pieces of Im(lam * z) = a*xi + b*t + c on the two grids
         a = (self.frequency_ray.direction * self.w).imag
         b = (self.zeta * self.time_ray.direction).imag
         self.slopes = (a, b, (self.zeta * self.w).imag)
-        # each check pass: (max, argmax) of its destination-side exponents
-        # and the source-side exponents, to which the data's log is added
-        self.forward_check = _top(a * self.xi) + (_read_only(b * self.t),)
-        self.inverse_check = _top(-b * self.t) + (_read_only(-a * self.xi),)
+        # each pass: its destination-side maximum and the source-side
+        # exponents, to which the data's log is added
+        self.forward_check = _pass_check(a * self.xi, b * self.t)
+        self.inverse_check = _pass_check(-b * self.t, -a * self.xi)
+        # the half-line cut plans of hardy._cut_plan, filled there
+        self.cuts = {}
 
     @functools.cached_property
     def forward(self):
@@ -311,7 +360,13 @@ class TransformContext:
     def frequency_ray(self):
         return self._plan.frequency_ray
 
-    def _check_pair_overflow(self, sign, data_log):
+    @property
+    def frequency_points(self):
+        """The frequency nodes lam on the frequency ray (the points of every
+        forward result), built once per context; read-only."""
+        return self._plan.lam
+
+    def _check_pair_overflow(self, sign, values):
         """Refuse a pass whose largest data-times-kernel term could pass
         LOG_OVERFLOW_BOUND.
 
@@ -320,9 +375,10 @@ class TransformContext:
         + b t + c separates on the two grids, with c = Im(zeta w).  The
         normalisation e^{-+i zeta w} carries e^{+-c} once more, so the
         destination factors hold e^{+-2c} and the test counts c twice.  The
-        data (``data_log``, the log of each source row's largest magnitude)
-        enter on the source side: t forward, xi inverse.  The test adds the
-        largest source-side term to the largest destination-side exponent,
+        data (``values``, through the log of each source row's largest
+        magnitude) enter on the source side: t forward, xi inverse.  The
+        test adds the largest source-side term (_source_top, which tries a
+        bound on the data first) to the largest destination-side exponent,
         even where these sit at nodes whose product is small.  That is
         deliberate: the bound covers the FFT sum's rounding error, not only
         its range.  A sum that cancels down from a large term keeps a
@@ -334,23 +390,22 @@ class TransformContext:
         overflows to a non-finite sample at node 0.
         """
         plan = self._plan
-        top, at, base = plan.forward_check if sign > 0 else plan.inverse_check
-        part = base + data_log
-        k = int(np.argmax(part))
-        worst = top + part[k] + 2.0 * sign * plan.slopes[2]
+        check = plan.forward_check if sign > 0 else plan.inverse_check
+        pair = 2.0 * sign * plan.slopes[2]
+        found = _source_top(values, check,
+                            LOG_OVERFLOW_BOUND - check.top - pair)
+        if found is None:
+            return
+        k, part = found
+        worst = check.top + part + pair
         if worst > LOG_OVERFLOW_BOUND:
-            i, k = (at, k) if sign > 0 else (k, at)
+            i, k = (check.at, k) if sign > 0 else (k, check.at)
             raise WeightOverflowError(
                 (i, k),
                 (plan.frequency_ray.points(plan.xi[i]),
                  plan.time_ray.points(plan.t[k])),
                 float(worst),
             )
-
-    def _data_log(self, values):
-        mag = np.max(np.abs(values), axis=1)
-        with np.errstate(divide="ignore"):
-            return np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
 
     def forward(self, f):
         """Time side to frequency side.
@@ -360,19 +415,19 @@ class TransformContext:
         """
         plan = self._plan
         self._require_ray(f, plan.time_ray)
-        self._check_pair_overflow(1.0, self._data_log(f.values))
+        self._check_pair_overflow(1.0, f.values)
         out = _apply_kernel(f.values, *plan.forward)
-        return RayFunction(plan.frequency_ray, self.dst_grid, out,
-                           f.weight_order, self.w)
+        return RayFunction._adopt(plan.frequency_ray, self.dst_grid, out,
+                                  f.weight_order, self.w)
 
     def inverse(self, fhat):
         """Frequency side back to the time side (mirror of forward)."""
         plan = self._plan
         self._require_ray(fhat, plan.frequency_ray)
-        self._check_pair_overflow(-1.0, self._data_log(fhat.values))
+        self._check_pair_overflow(-1.0, fhat.values)
         out = _apply_kernel_adjoint(fhat.values, *plan.inverse)
-        return RayFunction(plan.time_ray, self.src_grid, out,
-                           fhat.weight_order, self.zeta)
+        return RayFunction._adopt(plan.time_ray, self.src_grid, out,
+                                  fhat.weight_order, self.zeta)
 
     def evaluate_continuation(self, fhat, z_points):
         """Inverse transform evaluated at arbitrary complex points.

@@ -14,7 +14,9 @@ the forward/inverse transforms and per-component exponential sum built on
 it) that per-row factors and transform.exp_sum replaced, the transforms
 with their node exponents built on every call that per-context plans
 replaced, the dense per-node perturbation Q_j(z_k) applied by matvec
-that the profile x matrix terms replaced, the transform's derivative rule
+that the profile x matrix terms replaced, the six-pass Neumann sweep (each
+projection transforming u afresh) that the five-pass sweep replaced, the
+transform's derivative rule
 (the inverse transform of lam^j Fhat) that finite differences are checked
 against, and the spectral Sobolev norm (from the Fourier transform of the
 weighted pullback) that checks the weighted-derivative energy.  The modal
@@ -35,9 +37,12 @@ import scipy.sparse.csgraph
 from conescale import (ConstantProblem, MatrixPencil, continuation_certificate,
                        solve_variable)
 from conescale.errors import ConfigurationError
+from conescale.hardy import halfline_projection
 from conescale.pencil import (SpectrumReport, _binomial_matrix, _companion,
                               _roots, evaluate)
 from conescale.rhs import AnalyticRhs
+from conescale.solver import (VariableSolveResult, _check_line_clear,
+                              _fd_residual, _prepare_perturbation, _resolve)
 from conescale.stencils import _window, derivative_uniform, fornberg_weights
 from conescale.transform import (_SQRT2PI, _dft_phases, _require_finite,
                                  dual_grid, scaled_values)
@@ -240,6 +245,46 @@ def perturbation_per_point(coefficients, z, projections):
                 q += np.asarray(profile)[0] * np.asarray(matrix)
             out[k] += q @ proj[k]
     return out
+
+
+def solve_variable_six_pass(vp, res_tol, max_iter=50):
+    """solve_variable's Neumann iteration with six transform passes a
+    sweep: each projection starts from its own forward transform of u_k
+    instead of the frequency data the sweep has just inverted to u_k.
+
+    The same resolve, perturbation terms, cut-aware residual and ratio;
+    the sweep stops at res_tol, and running out of the max_iter sweeps
+    raises AssertionError (the oracle is for problems that converge).
+    """
+    base = vp.base
+    ctx = base.context()
+    _check_line_clear(base.pencil, ctx)
+    grid = base.rhs.grid
+    per_j = _prepare_perturbation(vp, grid)
+    cut = base.ray.points(np.array([vp.sector_start]))[0]
+    cut_node = int(np.argmin(np.abs(grid.nodes - base.ray.parameter(cut))))
+    m = base.pencil.degree
+    u, _ = _resolve(base.pencil, ctx, base.rhs)
+    residuals = []
+    for _ in range(max_iter):
+        pert = np.zeros_like(u.values)
+        for j, terms in enumerate(per_j):
+            if terms:
+                proj = halfline_projection(u, m - j, eta=base.zeta + 4j, v=cut,
+                                           ctx=ctx, extra_power=m - j).values
+                for profile, matrix in terms:
+                    pert += profile[:, None] * (proj @ matrix.T)
+        residuals.append(_fd_residual(base.pencil, u, base.rhs, pert,
+                                      cuts=(cut_node,)))
+        if residuals[-1] <= res_tol:
+            break
+        u, _ = _resolve(base.pencil, ctx,
+                        base.rhs.with_values(base.rhs.values + pert))
+    else:
+        raise AssertionError(f"no convergence in {max_iter} sweeps: {residuals}")
+    ratios = [residuals[k + 1] / residuals[k]
+              for k in range(len(residuals) - 1) if residuals[k] > 0.0]
+    return VariableSolveResult(u, tuple(residuals), max(ratios, default=0.0))
 
 
 class _ModeRhs(AnalyticRhs):

@@ -346,11 +346,12 @@ def test_rational_decay_forms_no_stack():
     base = vp.base
     ctx = base.context()
     cut = base.ray.points(np.array([vp.sector_start]))[0]
+    fhat = ctx.forward(base.rhs)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         per_j = _prepare_perturbation(vp, base.rhs.grid)
-        out = _apply_perturbation(vp, per_j, base.rhs, ctx, cut)
+        out = _apply_perturbation(vp, per_j, base.rhs, fhat, ctx, cut)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,14 +1,17 @@
 import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from conescale import (Cone, ConeFunction, Grid, IllConditionedKernelError,
-                       Ray, RayFunction, TIME, cauchy_reconstruct,
-                       membership_scan, paley_wiener_check, project_halfline,
+                       Ray, RayFunction, TIME, TransformContext,
+                       ValidationError, cauchy_reconstruct, membership_scan,
+                       paley_wiener_check, project_halfline,
                        projection_idempotence_check)
-from conescale.hardy import halfline_projection
+from conescale.hardy import _cut_plan, halfline_projection
 from conftest import gaussian_on
 
 GAUSS = lambda lam: np.exp(-lam ** 2 / 2.0)
@@ -224,6 +227,78 @@ class TestProjections:
         out = halfline_projection(tail_gauss, 1, eta=2j, v=0j)
         gap = np.max(np.abs(out.values - tail_gauss.values))
         assert gap < 1e-6
+
+
+class TestCutPlans:
+    """halfline_projection builds its mask and frequency factors once per
+    context, and can start from a transform the caller already holds."""
+
+    @staticmethod
+    def case(psi=math.pi / 16):
+        ctx = TransformContext(psi, 0j, 0.5, Grid(20.0, 512))
+        return ctx, gaussian_on(ctx.src_grid, ctx.time_ray)
+
+    @pytest.mark.parametrize("s, extra", [(1, 1), (2, 0), (0, 2), (-1, 0)])
+    def test_given_transform_matches_own_forward(self, s, extra):
+        ctx, f = self.case()
+        cut = complex(ctx.time_ray.points(-3.0))
+        own = halfline_projection(f, s, eta=4j, v=cut, ctx=ctx,
+                                  extra_power=extra)
+        given = halfline_projection(f, s, eta=4j, v=cut, ctx=ctx,
+                                    extra_power=extra, fhat=ctx.forward(f))
+        assert np.array_equal(own.values, given.values)
+
+    def test_given_transform_saves_one_forward(self, monkeypatch):
+        ctx, f = self.case()
+        fhat = ctx.forward(f)
+        calls = []
+        for name in ("forward", "inverse"):
+            original = getattr(TransformContext, name)
+            monkeypatch.setattr(
+                TransformContext, name,
+                lambda self, g, name=name, original=original:
+                    calls.append(name) or original(self, g))
+        cut = complex(ctx.time_ray.points(-3.0))
+        halfline_projection(f, 1, eta=4j, v=cut, ctx=ctx, extra_power=1,
+                            fhat=fhat)
+        assert calls == ["inverse", "forward", "inverse"]
+        calls.clear()
+        halfline_projection(f, 1, eta=4j, v=cut, ctx=ctx, extra_power=1)
+        assert calls == ["forward", "inverse", "forward", "inverse"]
+
+    def test_factors_built_once_and_read_only(self):
+        ctx, f = self.case()
+        t_v = -3.0
+        plan = _cut_plan(ctx, 2, 4j, t_v, 1)
+        assert _cut_plan(ctx, 2, 4j, t_v, 1) is plan
+        mask, before, after = plan
+        lam = ctx.frequency_ray.points(ctx.dst_grid.nodes)
+        assert np.array_equal(mask, ctx.src_grid.nodes >= t_v - 3e-12)
+        assert np.array_equal(before, (lam - 4j) ** 2)
+        assert np.array_equal(after, np.ones_like(lam) / (lam - 4j) ** 2 * lam)
+        for arr in plan:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        assert _cut_plan(ctx, 0, None, t_v, 1)[1] is None
+
+    def test_factors_live_as_long_as_the_context(self):
+        ctx, f = self.case(psi=0.123)
+        halfline_projection(f, 1, eta=4j, v=complex(ctx.time_ray.points(0.0)),
+                            ctx=ctx, extra_power=1)
+        assert len(ctx._plan.cuts) == 1
+        # a value-equal context keeps its own plans
+        twin = TransformContext(ctx.psi, ctx.zeta, ctx.w, ctx.src_grid)
+        assert twin == ctx and twin._plan.cuts == {}
+        plan = weakref.ref(ctx._plan)
+        del ctx
+        gc.collect()
+        assert plan() is None
+
+    def test_eta_on_frequency_ray_rejected_every_call(self):
+        ctx, f = self.case(psi=0.0)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="off the frequency"):
+                halfline_projection(f, 1, eta=3.0, v=0.5, ctx=ctx)
 
 
 class TestPaleyWiener:

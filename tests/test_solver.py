@@ -18,15 +18,16 @@ from conescale import (FREQUENCY, ConstantProblem, ContractionFailureError,
                        solve_scaled, solve_variable)
 from conescale.errors import ConfigurationError, NonFiniteSampleError
 from conescale.geometry import derivative_energy
-from conescale.cli import dirichlet_laplacian
+from conescale.cli import dirichlet_laplacian, parse_problem
 from conescale.hardy import halfline_projection
 from conescale.solver import (_apply_perturbation, _prepare_perturbation,
                               apply_pencil_fd)
-from conescale.stencils import (_window_weights, derivative_with_cuts,
-                                fornberg_weights)
+from conescale.stencils import (_edge_rows, _window_weights,
+                                derivative_with_cuts, fornberg_weights)
 from _oracles import (collocation_constant, collocation_perturbed_first_order,
                       differentiation_matrix, modal_variable_solve,
-                      perturbation_per_point, variation_of_constants)
+                      perturbation_per_point, solve_variable_six_pass,
+                      variation_of_constants)
 
 IDENT = MatrixPencil((np.zeros((1, 1)), np.eye(1)))
 LINEAR = MatrixPencil((np.eye(1), 1j * np.eye(1)))      # lam + i
@@ -130,6 +131,18 @@ class TestSolveScaled:
 
     def test_negative_angle(self, linear_problem):
         u, v, rep = solve_scaled(linear_problem, -math.pi / 8)
+        assert rep.deviation <= 1e-6
+
+    def test_phi_zero_makes_no_continuation(self, linear_problem, monkeypatch):
+        # at phi = 0 the rotated ray is the base ray: continuing the base
+        # solution there would only repeat its inverse transform
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate_continuation called at phi = 0")
+
+        monkeypatch.setattr(conescale.solver.TransformContext,
+                            "evaluate_continuation", refuse)
+        u, v, rep = solve_scaled(linear_problem, 0.0, ray_table_angles=2)
+        assert math.isnan(rep.deviation_continuation)
         assert rep.deviation <= 1e-6
 
     def test_scale_tol_is_relative_to_solution_size(self, grid):
@@ -291,14 +304,16 @@ def perturbed(coefficients, pencil=MatrixPencil((np.eye(2), 1j * np.eye(2))),
 
 
 def applied_and_oracle(vp):
-    """_apply_perturbation on the base rhs, and the dense per-node oracle
-    on the same projections."""
+    """_apply_perturbation on the base rhs (given its transform, as a
+    sweep gives it the frequency data it has just inverted), and the dense
+    per-node oracle on the same projections, each transforming the rhs
+    itself."""
     base = vp.base
     ctx = base.context()
     cut = base.ray.points(np.array([vp.sector_start]))[0]
     m = base.pencil.degree
     got = _apply_perturbation(vp, _prepare_perturbation(vp, base.rhs.grid),
-                              base.rhs, ctx, cut)
+                              base.rhs, ctx.forward(base.rhs), ctx, cut)
     projections = [halfline_projection(base.rhs, m - j, eta=base.zeta + 4j,
                                        v=cut, ctx=ctx, extra_power=m - j).values
                    for j in range(m + 1)]
@@ -500,6 +515,63 @@ class TestModalOracle:
         assert u_gap > 1e-6 and energy_gap > 1e-6
 
 
+def _neumann_cert_problem():
+    """The benchmark's neumann-cert problem at its seed-0 inputs: lam + i,
+    a rational_decay perturbation, N = 4096."""
+    return parse_problem({
+        "schema_version": 1,
+        "pencil": {"degree": 1, "dim": 1,
+                   "coefficients": [[[[1.0, 0.0]]], [[[0.0, 1.0]]]]},
+        "geometry": {"cone": {"angle": math.pi / 6, "vertex": [0.0, 2.0],
+                              "orientation": 1},
+                     "weight": [0.0, 0.0]},
+        "grid": {"half_width": 20.0, "count": 4096},
+        "rhs": {"kind": "shifted_gaussian", "center": [5.0, 0.0]},
+        "perturbation": {"kind": "rational_decay", "epsilon": 0.05,
+                         "pole_scale": 3.0},
+        "solver": {"phi_list": [math.pi / 16], "res_tol": 1e-8}}).variable()
+
+
+class TestFivePassSweep:
+    """The sweep hands the frequency data it has just inverted to the
+    projection; the six-pass sweep, which transforms u again, is the
+    oracle.  forward(inverse(uhat)) equals uhat only to rounding, so the
+    two agree to rounding, not bit for bit."""
+
+    TOL = 1e-12
+
+    def compare(self, vp, res_tol, n_angles, monkeypatch):
+        new = solve_variable(vp, res_tol=res_tol)
+        old = solve_variable_six_pass(vp, res_tol)
+        cert = continuation_certificate(vp, math.pi / 16, offset=1.0,
+                                        n_angles=n_angles, res_tol=res_tol)
+        monkeypatch.setattr(
+            conescale.solver, "solve_variable",
+            lambda vp, res_tol, max_iter: solve_variable_six_pass(
+                vp, res_tol, max_iter))
+        want = continuation_certificate(vp, math.pi / 16, offset=1.0,
+                                        n_angles=n_angles, res_tol=res_tol)
+        assert cert.verdict == want.verdict == "holds"
+        assert np.max(np.abs(new.u.values - old.u.values)) <= \
+            self.TOL * np.max(np.abs(old.u.values))
+        # a residual is already relative, to max(1, |F|_inf): the traces
+        # agree to 1e-12 of that scale (they differ by about 2e-14 here,
+        # and the last, 3e-9, in its sixth digit)
+        assert len(new.residuals) == len(old.residuals) >= 3
+        assert np.max(np.abs(np.subtract(new.residuals, old.residuals))) <= \
+            self.TOL
+        assert abs(cert.ratio - want.ratio) <= self.TOL * want.ratio
+        for (_, e_new), (_, e_old) in zip(cert.rows, want.rows):
+            assert abs(e_new - e_old) <= self.TOL * e_old
+
+    def test_neumann_cert_problem(self, monkeypatch):
+        self.compare(_neumann_cert_problem(), 1e-8, 9, monkeypatch)
+
+    def test_non_identity_matrix_at_n4(self, monkeypatch):
+        self.compare(cylinder_variable(4, _non_commuting), 1e-10, 3,
+                     monkeypatch)
+
+
 class TestCachedStencilWeights:
     @pytest.mark.parametrize("first, width, m", [(-4, 9, 1), (0, 9, 1),
                                                  (-8, 9, 2), (-3, 7, 0)])
@@ -525,6 +597,57 @@ class TestCachedStencilWeights:
         # rounding grows like |values| / spacing^m
         assert np.max(np.abs(out[rows] - ref[rows])) <= \
             1e-12 * np.max(np.abs(values)) / spacing ** m
+
+    def test_edge_rows_built_once_and_read_only(self):
+        rows, index, weights = _edge_rows(64, 1, 6, (32,))
+        assert _edge_rows(64, 1, 6, (32,))[0] is rows
+        assert list(rows) == [*range(0, 7), *range(25, 39), *range(57, 64)]
+        assert index.shape == (rows.size, 7)
+        assert weights.shape == (rows.size, 1, 7)
+        # no window straddles the cut
+        assert np.all((index[:, 0] >= 32) | (index[:, -1] < 32))
+        for arr in (rows, index, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+
+@st.composite
+def cut_stencil_cases(draw):
+    """Orders, accuracies, columns and 0-3 cuts, some near the edges."""
+    m = draw(st.sampled_from([1, 2, 3]))
+    acc = draw(st.sampled_from([2, 4, 6, 8]))
+    count = draw(st.integers(40, 96))
+    near_edge = st.sampled_from([1, 2, 3, count - 3, count - 2, count - 1])
+    cuts = draw(st.lists(st.one_of(st.integers(1, count - 1), near_edge),
+                         max_size=3, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # no columns: 1-D samples
+    shape = (count,) + draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return m, acc, tuple(cuts), values
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut_stencil_cases())
+def test_cut_rows_match_dense_oracle_property(case):
+    """Every row derivative_with_cuts takes one-sided (within one stencil
+    width of an edge or a cut) against the dense matrix built from the
+    same windows, for 1-D samples and for 1 to 3 columns; a segment too
+    short for the stencil fails both ways."""
+    m, acc, cuts, values = case
+    count = values.shape[0]
+    spacing = 0.05
+    try:
+        ref = differentiation_matrix(count, spacing, m, acc=acc,
+                                     cuts=cuts) @ values
+    except ConfigurationError:
+        with pytest.raises(ConfigurationError):
+            derivative_with_cuts(values, spacing, m, acc=acc, cuts=cuts)
+        return
+    out, _ = derivative_with_cuts(values, spacing, m, acc=acc, cuts=cuts)
+    rows, _, _ = _edge_rows(count, m, acc, cuts)
+    assert np.max(np.abs(out[rows] - ref[rows])) <= \
+        1e-12 * np.max(np.abs(values)) / spacing ** m
 
 
 class TestLocalizeTraces:

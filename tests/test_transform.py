@@ -14,7 +14,8 @@ from conescale import (ConfigurationError, Grid, NonFiniteSampleError,
 from conescale.geometry import LOG_OVERFLOW_BOUND
 from conescale.transform import (_adjoint_factors, _apply_kernel,
                                  _apply_kernel_adjoint, _dft_phases,
-                                 _kernel_factors, exp_sum, scaled_values)
+                                 _kernel_factors, _pass_check, _source_top,
+                                 exp_sum, scaled_values)
 from conftest import gaussian_on
 from _oracles import (apply_derivative_rule, dense_kernel,
                       derivative_rule_deviation, exp_sum_per_component,
@@ -511,16 +512,26 @@ class TestPlan:
             assert len(built) == 4
 
     def test_each_pass_checks_only_its_fft_sums(self, monkeypatch):
-        # the input is a RayFunction, checked when it was built
+        # the input is a RayFunction, checked when it was built; each pass
+        # checks its FFT sums once, after the post factors, and its result
+        # takes over that array without another check or copy
         checked = []
         check = conescale.transform._require_finite
         monkeypatch.setattr(conescale.transform, "_require_finite",
-                            lambda values: checked.append(values.shape)
+                            lambda values: checked.append(values)
                             or check(values))
         ctx = TransformContext(math.pi / 16, 0.3j, 0.5, Grid(20.0, 256))
         f = gaussian_on(ctx.src_grid, ctx.time_ray, number=ctx.zeta)
-        ctx.inverse(ctx.forward(f))
-        assert checked == [(256, 1)] * 2
+
+        def unchecked(self):
+            raise AssertionError("a pass result was checked again")
+
+        monkeypatch.setattr(RayFunction, "__post_init__", unchecked)
+        fhat = ctx.forward(f)
+        back = ctx.inverse(fhat)
+        assert [a.shape for a in checked] == [(256, 1)] * 2
+        assert checked[0] is fhat.values and checked[1] is back.values
+        assert not back.values.flags.writeable
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_fft_sums_rejected(self, bad):
@@ -533,12 +544,36 @@ class TestPlan:
             with pytest.raises(NonFiniteSampleError, match="non-finite"):
                 _apply_kernel_adjoint(x, *_adjoint_factors(n))
 
+    @pytest.mark.parametrize("bad, error", [(np.inf, WeightOverflowError),
+                                            (np.nan, NonFiniteSampleError)],
+                             ids=["inf", "nan"])
+    def test_unchecked_input_still_raises(self, bad, error):
+        # a sweep hands products between passes over unchecked: an inf
+        # fails the pass's overflow check, a nan its output check
+        ctx = TransformContext(0.0, 0j, 0j, Grid(20.0, 64))
+        values = np.ones((64, 1), dtype=complex)
+        values[5] = bad
+        f = RayFunction._adopt(ctx.time_ray, ctx.src_grid, values, 0.0, 0j)
+        with pytest.raises(error):
+            ctx.forward(f)
+
+    def test_overflowing_post_factor_rejected(self):
+        # finite FFT sums (8e300 at the zero frequency) whose post factor
+        # e^700 overflows them: the pass output is what gets checked
+        n = 8
+        x = np.full((n, 1), 1e300, dtype=complex)
+        with pytest.raises(NonFiniteSampleError, match="non-finite"):
+            _apply_kernel(x, *_kernel_factors(n, post=np.full(n, 700.0)))
+
     def test_cached_arrays_read_only(self):
         ctx, _, _ = _wide_rows_case()
         plan = ctx._plan
         assert ctx.time_ray is plan.time_ray
         assert ctx.frequency_ray is plan.frequency_ray
-        arrays = [plan.t, plan.xi, plan.forward_check[2], plan.inverse_check[2]]
+        arrays = [plan.t, plan.xi]
+        for check in (plan.forward_check, plan.inverse_check):
+            arrays.append(check.base)
+            assert check.base_top == np.max(check.base)
         for factors in (*plan.forward, *plan.inverse):
             arrays.extend(factors)
         assert plan.forward[0].unit.size > 0  # wide rows were split
@@ -643,6 +678,55 @@ def test_exp_sum_matches_per_component_property(case):
     got = exp_sum(values, expo)
     assert np.all(np.isfinite(got))
     assert np.all(np.abs(got - want) <= 1e-12 * sizes)
+
+
+@st.composite
+def source_top_cases(draw):
+    """Rows of magnitudes spread over the whole double range (subnormals,
+    zero rows and pairs with |Re| = |Im| included), source exponents
+    inside the normal range or past it, and a slack within a few units of
+    the data's true largest term, or far off."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    top = draw(st.sampled_from([-1074, -900, 0, 300, 1023]))
+    exps = rng.integers(max(-1074, top - draw(st.sampled_from([2, 60, 2000]))),
+                        top + 1, (rows, cols))
+    angles = draw(st.sampled_from([None, math.pi / 4]))
+    angles = (rng.uniform(-math.pi, math.pi, (rows, cols)) if angles is None
+              else angles + rng.integers(0, 4, (rows, cols)) * math.pi / 2)
+    values = (np.ldexp(rng.uniform(0.5, 1.0, (rows, cols)), exps)
+              * np.exp(1j * angles))
+    values[rng.uniform(size=rows) < 0.2] = 0.0
+    limit = draw(st.sampled_from([1.0, 300.0, 700.0, 900.0]))
+    base = rng.uniform(-limit, limit, rows)
+    with np.errstate(divide="ignore"):
+        parts = base + np.log(np.max(np.abs(values), axis=1))
+    offset = draw(st.sampled_from([-1e3, -1.0, -0.3, 0.0, 0.3, 1.0, 1e3]))
+    slack = float(np.max(parts)) + offset
+    return values, base, slack if math.isfinite(slack) else offset
+
+
+@settings(max_examples=300, deadline=None)
+@given(source_top_cases())
+def test_source_top_matches_log_of_every_row_property(case):
+    # the bound may skip the log path only where no row exceeds the
+    # slack; otherwise the result is the log path's, bit for bit
+    values, base, slack = case
+    check = _pass_check(np.zeros(1), base)
+    with np.errstate(divide="ignore"):
+        parts = base + np.log(np.max(np.abs(values), axis=1))
+    found = _source_top(values, check, slack)
+    if found is None:
+        assert np.max(parts) <= slack
+    else:
+        k = int(np.argmax(parts))
+        assert found == (k, parts[k])
+
+
+def test_source_top_nan_row_hides_no_other_row():
+    values = np.array([[np.nan], [1e300], [1.0]], dtype=complex)
+    k, part = _source_top(values, _pass_check(np.zeros(1), np.zeros(3)), 1.0)
+    assert (k, part) == (1, np.log(1e300))
 
 
 def test_continuation_overflow_names_frequency_node():
