@@ -16,7 +16,7 @@ from .errors import (ConescaleError, ConfigurationError,
                      NumericalError, SpectralObstructionError,
                      ValidationError, WeightOverflowError)
 from .geometry import (FREQUENCY, TIME, Cone, Disk, Grid, Ray, RayFunction,
-                       weighted_l2_norm, weighted_l2_report)
+                       weighted_l2_report)
 from .hardy import (ConeFunction, cauchy_reconstruct, membership_scan,
                     paley_wiener_check, project_halfline,
                     projection_idempotence_check)

@@ -462,11 +462,12 @@ def _verify_parseval(problem, report):
                 rep = parseval_check(ctx, f)
                 worst = max(worst, rep.rel_err)
                 rows.append((psi, zeta.real, zeta.imag, w.real, w.imag,
-                             rep.lhs, rep.rhs, rep.rel_err))
+                             rep.lhs, rep.rhs, rep.rel_err, rep.lhs_tail,
+                             rep.rhs_tail))
     report.meta("max_rel_err", _fmt(worst))
     report.table("parseval",
                  ("psi", "zeta_re", "zeta_im", "w_re", "w_im",
-                  "lhs", "rhs", "rel_err"), rows)
+                  "lhs", "rhs", "rel_err", "lhs_tail", "rhs_tail"), rows)
 
 
 def _verify_hardy(problem, report):

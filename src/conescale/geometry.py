@@ -9,30 +9,28 @@ RayFunction couples samples of a vector-valued function on a ray with the
 weight metadata (order ``ell`` and a complex weight number) that define its
 weighted norms.
 
-Weighted L2 norms use composite trapezoid quadrature over the grid, with a
-tail-mass diagnostic so truncation problems surface as warnings.  The
-weighted derivative energy (derivative_energy, behind the solver's ray
-energies) uses the rectangle rule over each derivative order's
-stencil-valid core; with the binomial weights C(ell, j) on identity forms
-it is the squared H^ell norm.  The L2 norms and the derivative energy join
-the exponential weight to the data in log space (exp_weighted), so
-overflow surfaces as a structured error instead of inf.
+Weighted L2 norms use composite trapezoid quadrature over the grid, and
+report a tail mass (the integrand at the grid ends relative to its peak) so
+truncation shows in the result.  The weighted derivative energy
+(derivative_energy, behind the solver's ray energies) takes every
+derivative order from one stencil call and uses the rectangle rule over
+their common stencil-valid core; with the binomial weights C(ell, j) on
+identity forms it is the squared H^ell norm.  The L2 norms and the
+derivative energy join the exponential weight to the data in log space
+(exp_weighted), so overflow surfaces as a structured error instead of inf.
 """
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteSampleError, ValidationError, WeightOverflowError
-from .stencils import derivative_uniform
+from .stencils import derivative_with_cuts
 
 # exp() overflows near 709.78 for float64; stay clear of it
 LOG_OVERFLOW_BOUND = 700.0
-# warn when the norm integrand has not decayed by this factor at the grid ends
-TAIL_WARN = 1e-10
 
 TIME = "time"
 FREQUENCY = "frequency"
@@ -316,23 +314,6 @@ def weighted_l2_report(f, form=None, order=None, number=None):
     return NormReport(math.sqrt(max(total, 0.0)), tail)
 
 
-def weighted_l2_norm(f, form=None, order=None, number=None):
-    """Weighted L2 norm along a ray; see weighted_l2_report for the formula.
-
-    Warns when the integrand has not decayed at the grid ends, since the
-    quadrature silently truncates there.
-    """
-    report = weighted_l2_report(f, form, order=order, number=number)
-    if report.tail_mass > TAIL_WARN:
-        warnings.warn(
-            f"norm integrand tail mass {report.tail_mass:.2e} exceeds "
-            f"{TAIL_WARN:.0e}; the grid window may truncate the integral",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return report.value
-
-
 def derivative_energy(f, forms, coeffs=None, keep=None):
     """Weighted derivative energy of a RayFunction along its ray.
 
@@ -343,23 +324,26 @@ def derivative_energy(f, forms, coeffs=None, keep=None):
     with w the function's weight number, D the complex derivative along the
     ray (centered differences of accuracy order 8), one order j per entry of
     ``forms`` (None is the identity form) and ``coeffs`` defaulting to 1.
-    Order j is summed by the rectangle rule over its own stencil-valid core,
-    restricted to the boolean node mask ``keep`` if given.  The weight
-    joins each quadratic form in log space (exp_weighted), so
-    WeightOverflowError is raised only where an integrand itself overflows.
+    One stencil call returns every order; each is summed by the rectangle
+    rule over the one stencil-valid core (where the highest order's
+    centered stencil fits), restricted to the boolean node mask ``keep`` if
+    given.  The weight joins each quadratic form in log space
+    (exp_weighted), so WeightOverflowError is raised only where an
+    integrand itself overflows.
     """
     z = f.points
     log_w = -2.0 * np.imag(f.weight_number * z)
-    dir_inv = 1.0 / f.ray.direction
+    # D^j is (-i / direction)^j d^j/dt^j; the factor has modulus 1, so no
+    # quadratic form sees it
+    derivs, core = derivative_with_cuts(f.values, f.grid.spacing,
+                                        range(len(forms)))
+    mask = np.zeros(f.grid.count, dtype=bool)
+    mask[core] = True
+    if keep is not None:
+        mask &= keep
     total = 0.0
     for j, form in enumerate(forms):
-        deriv, core = derivative_uniform(f.values, f.grid.spacing, j, acc=8)
-        deriv = deriv * (-1j * dir_inv) ** j
-        mask = np.zeros(f.grid.count, dtype=bool)
-        mask[core] = True
-        if keep is not None:
-            mask &= keep
-        q = np.where(mask, _quadratic_form(deriv, form), 0.0)
+        q = np.where(mask, _quadratic_form(derivs[..., j], form), 0.0)
         integrand = exp_weighted(log_w, q, z)
         term = float(np.sum(integrand[mask]) * f.grid.spacing)
         total += term if coeffs is None else coeffs[j] * term

@@ -29,7 +29,7 @@ from .geometry import TIME, Cone, Ray, RayFunction, derivative_energy
 from .hardy import halfline_projection
 from .pencil import (MatrixPencil, cone_clearance, line_distance,
                      resolvent_apply_batch, search_radius, spectrum)
-from .stencils import derivative_uniform, derivative_with_cuts
+from .stencils import derivative_with_cuts
 from .transform import TransformContext
 
 RES_TOL = 1e-6
@@ -96,26 +96,21 @@ class SolveResult:
 def apply_pencil_fd(pencil, u, cuts=()):
     """A(D) applied to samples by finite differences along the ray.
 
-    The stencils have accuracy order 8.  Returns (values, interior slice);
-    the interior excludes nodes whose stencil would run off the grid.
-    ``cuts`` lets the stencils respect known kinks (one-sided differences
-    on each side).
+    The stencils have accuracy order 8; one stencil call returns every
+    order whose coefficient is not exactly zero, and one product applies
+    all the coefficients.  Returns (values, interior slice); the interior
+    excludes nodes whose stencil would run off the grid.  ``cuts`` lets
+    the stencils respect known kinks (one-sided differences on each side).
     """
     m = pencil.degree
+    terms = [(m - j, c) for j, c in enumerate(pencil.coefficients) if np.any(c)]
+    derivs, core = derivative_with_cuts(u.values, u.grid.spacing,
+                                        [order for order, _ in terms], cuts=cuts)
     dir_inv = 1.0 / u.ray.direction
-    out = np.zeros_like(u.values, dtype=complex)
-    lo, hi = 0, u.grid.count
-    for j, coeff in enumerate(pencil.coefficients):
-        order = m - j
-        if cuts:
-            deriv, core = derivative_with_cuts(u.values, u.grid.spacing, order,
-                                               acc=8, cuts=cuts)
-        else:
-            deriv, core = derivative_uniform(u.values, u.grid.spacing, order,
-                                             acc=8)
-        out += (deriv * (-1j * dir_inv) ** order) @ coeff.T
-        lo, hi = max(lo, core.start), min(hi, core.stop)
-    return out, slice(lo, hi)
+    # (n, orders, n) to match derivs' (N, n, orders) layout
+    mixing = np.stack([(-1j * dir_inv) ** order * c.T for order, c in terms],
+                      axis=1)
+    return derivs.reshape(u.grid.count, -1) @ mixing.reshape(-1, u.dim), core
 
 
 def _check_line_clear(pencil, ctx):

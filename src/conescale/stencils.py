@@ -1,15 +1,17 @@
 """Finite-difference stencils on uniform grids.
 
 Weights come from Fornberg's recursion, so arbitrary derivative orders,
-accuracy orders, and one-sided windows all share one code path.  These
-stencils back every residual re-check in the package: solves happen on the
-frequency side, the checks re-apply differential operators here, on the
-samples, so the two routes stay independent.
+accuracy orders, and one-sided windows all share one code path, and one
+call (derivative_with_cuts) returns every order a caller asks for.  These
+stencils back every residual re-check and ray energy in the package: solves
+happen on the frequency side, the checks re-apply differential operators
+here, on the samples, so the two routes stay independent.
 """
 
 import functools
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
 
@@ -47,39 +49,6 @@ def fornberg_weights(x0, xs, m):
     return c[:, m]
 
 
-def centered_weights(m, acc):
-    """Centered stencil (offsets, weights) for d^m/dx^m, m >= 1, at
-    accuracy `acc`."""
-    half = (m + 1) // 2 + acc // 2 - 1
-    half = max(half, (m + acc) // 2)
-    return np.arange(-half, half + 1), _window_weights(-half, 2 * half + 1, m)
-
-
-def derivative_uniform(values, spacing, m, acc=8):
-    """m-th derivative of sampled columns; returns (derivs, valid_slice).
-
-    `values` has shape (N,) or (N, n); derivatives are centered stencils of
-    accuracy `acc`, valid only on the interior slice where the full stencil
-    fits (edges are filled with the nearest valid value but flagged invalid).
-    """
-    values = np.asarray(values)
-    if m == 0:
-        return values.copy(), slice(0, values.shape[0])
-    offsets, w = centered_weights(m, acc)
-    half = int(offsets[-1])
-    n = values.shape[0]
-    if n < 2 * half + 1:
-        raise ConfigurationError(f"grid too short for stencil: {n} nodes < {2 * half + 1}")
-    out = np.zeros_like(values, dtype=complex)
-    core = slice(half, n - half)
-    for off, c in zip(offsets, w):
-        out[core] += c * values[half + off: n - half + off]
-    out /= spacing ** m
-    out[:half] = out[half]
-    out[n - half:] = out[n - half - 1]
-    return out, core
-
-
 @functools.lru_cache(maxsize=256)
 def _window_weights(first, width, m):
     """Read-only weights of d^m/dx^m at 0 on the unit-spaced nodes
@@ -88,6 +57,21 @@ def _window_weights(first, width, m):
     w = fornberg_weights(0.0, np.arange(first, first + width, dtype=float), m)
     w.flags.writeable = False
     return w
+
+
+@functools.lru_cache(maxsize=64)
+def _centered_matrix(orders, acc, spacing):
+    """Read-only (width, len(orders)) centered weights of d^m/dx^m at
+    accuracy `acc` and `spacing`, zero-padded to the widest order; order 0
+    is the identity.  Complex: a real operand is cast once per window."""
+    halves = [(m + acc) // 2 if m else 0 for m in orders]
+    half = max(halves)
+    matrix = np.zeros((2 * half + 1, len(orders)), dtype=complex)
+    for i, (m, h) in enumerate(zip(orders, halves)):
+        matrix[half - h:half + h + 1, i] = (_window_weights(-h, 2 * h + 1, m)
+                                            * spacing ** -m)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _window(k, n_nodes, width, segments):
@@ -103,48 +87,73 @@ def _window(k, n_nodes, width, segments):
     return start
 
 
-def derivative_with_cuts(values, spacing, m, acc=6, cuts=()):
-    """Like derivative_uniform but one-sided near the given cut indices.
+def derivative_with_cuts(values, spacing, orders, acc=8, cuts=()):
+    """Derivatives of sampled columns for every order in `orders` at once.
 
-    Only rows near cuts/edges deviate from the centered stencil, so the cost
-    stays O(N * stencil) rather than a dense matrix apply: those rows are
-    one gather and one batched product (_edge_rows).
+    `values` has shape (N,) or (N, n); returns (derivs, core), derivs[..., i]
+    the orders[i]-th derivative at accuracy `acc`.  Rows where the widest
+    centered stencil fits in the row's segment are one sliding-window
+    product with every order's centered weights.  Rows within its half
+    width of an edge or one of the `cuts` (indices where the samples may
+    lose smoothness) take one-sided windows of m + acc nodes that never
+    straddle a cut (_edge_rows).  ``core`` is the slice where the widest
+    centered stencil fits on the grid: stencil-valid for every order.
     """
     values = np.asarray(values)
-    if m == 0:
-        return values.copy(), slice(0, values.shape[0])
-    out, core = derivative_uniform(values, spacing, m, acc=acc)
-    rows, index, weights = _edge_rows(values.shape[0], m, acc,
-                                      tuple(int(c) for c in cuts))
-    # (rows, 1, width) @ (rows, width, columns); 1-D values are one column
-    windows = values[index].reshape(index.shape + (-1,))
-    out[rows] = (np.matmul(weights, windows)[:, 0] / spacing ** m).reshape(
-        rows.shape + values.shape[1:])
+    orders, spacing = tuple(orders), float(spacing)
+    weights = _centered_matrix(orders, acc, spacing)
+    width, half = weights.shape[0], weights.shape[0] // 2
+    n = values.shape[0]
+    if n < width:
+        raise ConfigurationError(f"grid too short for stencil: {n} nodes < {width}")
+    core = slice(half, n - half)
+    out = np.empty(values.shape + (len(orders),), dtype=complex)
+    columns = values.reshape(n, -1)  # 1-D values are one column
+    windows, target = sliding_window_view(columns, width, axis=0), out[core]
+    if columns.shape[1] <= 16:
+        # one (rows * columns, width) matrix beats a product per window
+        # below about 20 columns (N = 4096)
+        windows = windows.reshape(-1, width)
+        target = target.reshape(-1, len(orders))
+    np.matmul(windows, weights, out=target)
+    cuts = tuple(int(c) for c in cuts)
+    for i, m in enumerate(orders):
+        rows, index, w = _edge_rows(n, m, acc, cuts, half)
+        # (rows, 1, width) @ (rows, width, columns)
+        edge = np.matmul(w, columns[index])[:, 0] * spacing ** -m
+        out[rows, ..., i] = edge.reshape(rows.shape + values.shape[1:])
     return out, core
 
 
-@functools.lru_cache(maxsize=64)
-def _edge_rows(n, m, acc, cuts):
-    """(rows, index, weights) of derivative_with_cuts on n nodes.
+def derivative_uniform(values, spacing, orders, acc=8):
+    """derivative_with_cuts with no cuts: windows shift only at the edges."""
+    return derivative_with_cuts(values, spacing, orders, acc)
 
-    ``rows`` are the nodes within one stencil width of an edge or a cut,
-    ``index`` (rows, width) their windows, which never straddle a cut, and
-    ``weights`` (rows, 1, width) the window weights of d^m/dx^m at unit
-    spacing.  Built once per (n, m, acc, cuts); the arrays are read-only.
+
+@functools.lru_cache(maxsize=64)
+def _edge_rows(n, m, acc, cuts, reach):
+    """(rows, index, weights) of order m in derivative_with_cuts on n nodes.
+
+    ``rows`` are the nodes within ``reach`` (the widest centered stencil's
+    half width) of an edge or a cut, ``index`` (rows, width) their windows,
+    which never straddle a cut, and ``weights`` (rows, 1, width) the window
+    weights of d^m/dx^m at unit spacing.  Built once per
+    (n, m, acc, cuts, reach); the arrays are read-only.
     """
-    width = m + acc
-    if (m + width) % 2 == 1:
-        width += 1
+    # m + acc nodes, one more for odd acc; order 0 is the one-node identity
+    width = m + acc + acc % 2 if m else 1
     bounds = sorted({0, n, *[c for c in cuts if 0 < c < n]})
     segments = list(zip(bounds[:-1], bounds[1:]))
-    redo = set(range(0, min(width, n)))
-    redo.update(range(max(n - width, 0), n))
+    redo = set(range(0, min(reach, n)))
+    redo.update(range(max(n - reach, 0), n))
     for c in cuts:
-        redo.update(range(max(c - width, 0), min(c + width, n)))
-    rows = np.array(sorted(redo))
-    starts = np.array([_window(k, n, width, segments) for k in rows])
+        redo.update(range(max(c - reach, 0), min(c + reach, n)))
+    rows = np.array(sorted(redo), dtype=np.intp)
+    starts = np.array([_window(k, n, width, segments) for k in rows],
+                      dtype=np.intp)
     weights = np.array([_window_weights(start - k, width, m)
-                        for start, k in zip(starts, rows)])[:, None, :]
+                        for start, k in zip(starts, rows)]).reshape(
+        rows.size, 1, width)
     index = starts[:, None] + np.arange(width)
     for array in (rows, index, weights):
         array.flags.writeable = False

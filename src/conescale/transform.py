@@ -50,7 +50,7 @@ import numpy as np
 from .errors import (ConfigurationError, NonFiniteSampleError,
                      WeightOverflowError)
 from .geometry import (FREQUENCY, LOG_OVERFLOW_BOUND, TIME, Grid, Ray,
-                       RayFunction, weighted_l2_norm)
+                       RayFunction, weighted_l2_report)
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _LN2 = math.log(2.0)
@@ -469,6 +469,8 @@ class ParsevalReport:
     lhs: float
     rhs: float
     rel_err: float
+    lhs_tail: float
+    rhs_tail: float
 
 
 def parseval_check(ctx, f):
@@ -476,10 +478,12 @@ def parseval_check(ctx, f):
 
     The frequency side carries the weight number w, the time side -zeta
     (the two sides swap roles under the transform); both norms are order 0.
+    Each side's tail mass says whether its window truncates the integral.
     """
     fhat = ctx.forward(f)
-    lhs = weighted_l2_norm(fhat, order=0.0, number=ctx.w)
-    rhs = weighted_l2_norm(f, order=0.0, number=-ctx.zeta)
-    denom = max(lhs, rhs)
-    rel = abs(lhs - rhs) / denom if denom > 0.0 else 0.0
-    return ParsevalReport(lhs, rhs, rel)
+    lhs = weighted_l2_report(fhat, order=0.0, number=ctx.w)
+    rhs = weighted_l2_report(f, order=0.0, number=-ctx.zeta)
+    denom = max(lhs.value, rhs.value)
+    rel = abs(lhs.value - rhs.value) / denom if denom > 0.0 else 0.0
+    return ParsevalReport(lhs.value, rhs.value, rel, lhs.tail_mass,
+                          rhs.tail_mass)

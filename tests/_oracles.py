@@ -222,9 +222,10 @@ def derivative_rule_deviation(ctx, fhat, j, acc=2):
     """
     via_rule = apply_derivative_rule(ctx, fhat, j)
     base = ctx.inverse(fhat)
-    deriv, core = derivative_uniform(base.values, base.grid.spacing, j, acc=acc)
+    derivs, core = derivative_uniform(base.values, base.grid.spacing, (j,),
+                                      acc=acc)
     dir_inv = 1.0 / base.ray.direction
-    deriv = deriv * (-1j * dir_inv) ** j
+    deriv = derivs[..., 0] * (-1j * dir_inv) ** j
     gap = np.abs(deriv[core] - via_rule.values[core])
     return float(np.max(gap)) if gap.size else 0.0
 
@@ -489,27 +490,36 @@ def fd_laplacian_eigenvalues(n):
     return 2.0 / h * np.sin(k * math.pi * h / 2.0)
 
 
-def differentiation_matrix(n_nodes, spacing, m, acc=6, cuts=()):
+def differentiation_matrix(n_nodes, spacing, m, acc=6, cuts=(), reach=None):
     """Dense N x N matrix applying d^m/dt^m on a uniform grid.
 
     The collocation oracles' operator; the package itself differentiates
-    with banded stencils (stencils.derivative_with_cuts).
+    with banded stencils (stencils.derivative_with_cuts).  Row k takes a
+    window of m + acc nodes (m + acc + 1 for odd acc, one node at order 0)
+    around k, shifted into k's segment.  Given ``reach``, only rows within
+    ``reach`` of an edge or a cut do; every other row takes the centered
+    stencil of 2 ((m + acc) // 2) + 1 nodes, as derivative_with_cuts does
+    when ``reach`` is the half width of its widest order.
 
     `cuts` are node indices where the sampled function may lose smoothness;
     stencil windows never straddle a cut (one-sided near cuts and edges), so
     piecewise-smooth functions are differentiated at full accuracy on each
     piece.
     """
-    width = m + acc
-    if (m + width) % 2 == 1:
-        width += 1
+    width = m + acc + acc % 2 if m else 1
+    half = (m + acc) // 2 if m else 0
     bounds = sorted({0, n_nodes, *[int(c) for c in cuts if 0 < c < n_nodes]})
     segments = list(zip(bounds[:-1], bounds[1:]))
     D = np.zeros((n_nodes, n_nodes))
     for k in range(n_nodes):
-        start = _window(k, n_nodes, width, segments)
-        xs = (np.arange(start, start + width) - k).astype(float)
-        D[k, start:start + width] = fornberg_weights(0.0, xs, m)
+        lo, hi = next((a, b) for a, b in segments if a <= k < b)
+        if reach is None or min(k - lo, hi - 1 - k) < reach:
+            start = _window(k, n_nodes, width, segments)
+            xs = (np.arange(start, start + width) - k).astype(float)
+        else:
+            start = k - half
+            xs = np.arange(-half, half + 1, dtype=float)
+        D[k, start:start + xs.size] = fornberg_weights(0.0, xs, m)
     return D / spacing ** m
 
 

@@ -367,6 +367,10 @@ class TestVerifyCommand:
         worst = [l for l in out.splitlines()
                  if l.startswith("# max_rel_err=")][0]
         assert float(worst.split("=")[1]) <= 1e-6
+        # both sides' tail masses, where a truncating window shows
+        lines = out.splitlines()
+        header = lines[lines.index("# table=parseval") + 1].split(",")
+        assert header[-2:] == ["lhs_tail", "rhs_tail"]
 
     def test_hardy_suite(self, tmp_path, capsys):
         path = write(tmp_path, linear_problem())

@@ -586,22 +586,24 @@ class TestCachedStencilWeights:
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_cut_rows_match_dense_oracle(self, m):
-        # rows within one stencil width of an edge or the cut take the
-        # windowed weights; the oracle builds the same windows densely
+        # rows within the centered stencil's half width of an edge or the
+        # cut take the windowed weights; the oracle builds the same rows
+        # densely
         t = np.linspace(-1.0, 1.0, 64)
         spacing = t[1] - t[0]
         values = np.where(t < 0.0, np.sin(t), np.cos(3.0 * t))[:, None]
-        out, _ = derivative_with_cuts(values, spacing, m, acc=6, cuts=(32,))
-        ref = differentiation_matrix(64, spacing, m, acc=6, cuts=(32,)) @ values
-        rows = np.r_[0:8, 24:40, 56:64]
+        out, _ = derivative_with_cuts(values, spacing, (m,), acc=6, cuts=(32,))
+        ref = differentiation_matrix(64, spacing, m, acc=6, cuts=(32,),
+                                     reach=(m + 6) // 2) @ values
         # rounding grows like |values| / spacing^m
-        assert np.max(np.abs(out[rows] - ref[rows])) <= \
+        assert np.max(np.abs(out[:, :, 0] - ref)) <= \
             1e-12 * np.max(np.abs(values)) / spacing ** m
 
     def test_edge_rows_built_once_and_read_only(self):
-        rows, index, weights = _edge_rows(64, 1, 6, (32,))
-        assert _edge_rows(64, 1, 6, (32,))[0] is rows
-        assert list(rows) == [*range(0, 7), *range(25, 39), *range(57, 64)]
+        # order 1 at accuracy 6 in a call whose widest stencil reaches 4
+        rows, index, weights = _edge_rows(64, 1, 6, (32,), 4)
+        assert _edge_rows(64, 1, 6, (32,), 4)[0] is rows
+        assert list(rows) == [*range(0, 4), *range(28, 36), *range(60, 64)]
         assert index.shape == (rows.size, 7)
         assert weights.shape == (rows.size, 1, 7)
         # no window straddles the cut
@@ -614,40 +616,46 @@ class TestCachedStencilWeights:
 @st.composite
 def cut_stencil_cases(draw):
     """Orders, accuracies, columns and 0-3 cuts, some near the edges."""
-    m = draw(st.sampled_from([1, 2, 3]))
+    orders = tuple(draw(st.lists(st.sampled_from([0, 1, 2, 3]), min_size=1,
+                                 max_size=4, unique=True)))
     acc = draw(st.sampled_from([2, 4, 6, 8]))
     count = draw(st.integers(40, 96))
     near_edge = st.sampled_from([1, 2, 3, count - 3, count - 2, count - 1])
     cuts = draw(st.lists(st.one_of(st.integers(1, count - 1), near_edge),
                          max_size=3, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    # no columns: 1-D samples
-    shape = (count,) + draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    # no columns: 1-D samples; 17 columns take the per-window product
+    shape = (count,) + draw(st.sampled_from([(), (1,), (2,), (3,), (17,)]))
     values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return m, acc, tuple(cuts), values
+    return orders, acc, tuple(cuts), values
 
 
 @settings(max_examples=150, deadline=None)
 @given(cut_stencil_cases())
 def test_cut_rows_match_dense_oracle_property(case):
-    """Every row derivative_with_cuts takes one-sided (within one stencil
-    width of an edge or a cut) against the dense matrix built from the
-    same windows, for 1-D samples and for 1 to 3 columns; a segment too
-    short for the stencil fails both ways."""
-    m, acc, cuts, values = case
+    """Every row of every order derivative_with_cuts returns, centered
+    core and one-sided rows near the edges and the cuts alike, against the
+    dense matrix built from the same windows, for 1-D samples, for 1 to 3
+    columns and for 17, with and without cuts; a segment too short for
+    some order's stencil fails both ways."""
+    orders, acc, cuts, values = case
     count = values.shape[0]
     spacing = 0.05
+    half = max((m + acc) // 2 if m else 0 for m in orders)
     try:
-        ref = differentiation_matrix(count, spacing, m, acc=acc,
-                                     cuts=cuts) @ values
+        refs = [differentiation_matrix(count, spacing, m, acc=acc, cuts=cuts,
+                                       reach=half) @ values for m in orders]
     except ConfigurationError:
         with pytest.raises(ConfigurationError):
-            derivative_with_cuts(values, spacing, m, acc=acc, cuts=cuts)
+            derivative_with_cuts(values, spacing, orders, acc=acc, cuts=cuts)
         return
-    out, _ = derivative_with_cuts(values, spacing, m, acc=acc, cuts=cuts)
-    rows, _, _ = _edge_rows(count, m, acc, cuts)
-    assert np.max(np.abs(out[rows] - ref[rows])) <= \
-        1e-12 * np.max(np.abs(values)) / spacing ** m
+    out, core = derivative_with_cuts(values, spacing, orders, acc=acc,
+                                     cuts=cuts)
+    assert out.shape == values.shape + (len(orders),)
+    assert core == slice(half, count - half)
+    for i, (m, ref) in enumerate(zip(orders, refs)):
+        assert np.max(np.abs(out[..., i] - ref)) <= \
+            1e-12 * np.max(np.abs(values)) / spacing ** m
 
 
 class TestLocalizeTraces:

@@ -181,7 +181,7 @@ class TestParseval:
     def test_zero(self, ctx4096, grid4096, real_ray):
         zero = RayFunction(real_ray, grid4096, np.zeros(grid4096.count))
         rep = parseval_check(ctx4096, zero)
-        assert rep == type(rep)(0.0, 0.0, 0.0)
+        assert rep == type(rep)(0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_gaussian_base(self, ctx4096, gauss4096):
         rep = parseval_check(ctx4096, gauss4096)
