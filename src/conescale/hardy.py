@@ -217,19 +217,6 @@ def _edge_quadrature(rf, lam, s, eta, w, nappe, sigma):
     return contrib, tail
 
 
-def _context_for(F, ctx=None):
-    # a time-side Ray already encodes the clockwise convention in its side,
-    # so its stored angle is exactly the context psi
-    if ctx is None:
-        ctx = TransformContext(
-            psi=F.ray.angle,
-            zeta=F.weight_number,
-            w=F.ray.offset,
-            src_grid=F.grid,
-        )
-    return ctx
-
-
 def halfline_projection(F, s, eta=None, v=0j, ctx=None, extra_power=0,
                         fhat=None):
     """P^s cutting a time-side ray function to the forward half-line past v.
@@ -254,7 +241,7 @@ def halfline_projection(F, s, eta=None, v=0j, ctx=None, extra_power=0,
         return F.with_values(np.where(_past(F.grid, t_v)[:, None], F.values, 0.0))
     if s != 0 and eta is None:
         raise ValidationError("s != 0 needs the auxiliary point eta")
-    ctx = _context_for(F, ctx)
+    ctx = TransformContext.of(F) if ctx is None else ctx
     mask, before, after = _cut_plan(ctx, s, eta, t_v, extra_power)
     if fhat is None:
         fhat = ctx.forward(F)
@@ -277,10 +264,10 @@ def _cut_plan(ctx, s, eta, t_v, extra_power):
     (lam - eta)^s on the frequency nodes (None for s = 0) and ``after`` the
     factor lam^extra_power / (lam - eta)^s.  Built once per context and
     (s, eta, t_v, extra_power), with eta's position off the frequency ray
-    checked then; they are kept in the context's transform plan, and the
-    arrays are read-only.
+    checked then; they are kept in the context's dict of cut plans, and
+    the arrays are read-only.
     """
-    plans = ctx._plan.cuts
+    plans = ctx._cuts
     key = (s, eta, t_v, extra_power)
     if key not in plans:
         lam = ctx.frequency_points
@@ -320,7 +307,7 @@ def projection_idempotence_check(F, s, r, eta, v=0j):
     """Check P^r P^s = P^s (r <= s) on concrete data; reports the gap."""
     if r > s:
         raise ValidationError("idempotence requires r <= s")
-    ctx = _context_for(F)
+    ctx = TransformContext.of(F)
     first = project_halfline(F, s, eta=eta, v=v, ctx=ctx)
     second = project_halfline(first, r, eta=eta, v=v, ctx=ctx)
     dev = float(np.max(np.abs(second.values - first.values)))
@@ -349,7 +336,7 @@ def paley_wiener_check(F, side):
         raise ValidationError(f"unknown side {side!r}")
     if F.ray.side != TIME:
         raise ValidationError("support checks act on time-side ray functions")
-    ctx = _context_for(F)
+    ctx = TransformContext.of(F)
     t = F.grid.nodes
     mass = np.sum(np.abs(F.values) ** 2, axis=1)
     wrong = t > 0.0 if side == "backward-support" else t < 0.0

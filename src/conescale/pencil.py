@@ -306,7 +306,8 @@ def _standard_triple(vecs, B, n):
 
 
 def evaluate(p, lam):
-    """A(lam) by Horner's scheme on the matrix coefficients."""
+    """A(lam) by Horner's scheme on the matrix coefficients; lam of shape
+    (K, 1, 1) gives the stack of the K matrices A(lam_k)."""
     out = np.array(p.coefficients[0], dtype=complex)
     for c in p.coefficients[1:]:
         out = out * lam + c
@@ -391,10 +392,7 @@ def _lu_fallback(p, lams, rhs, nodes, sols):
     chunk = max(1, _LU_STACK_ENTRIES // p.dim ** 2)
     for start in range(0, nodes.size, chunk):
         ks = nodes[start:start + chunk]
-        mats = np.broadcast_to(p.coefficients[0],
-                               (ks.size, p.dim, p.dim)).copy()
-        for c in p.coefficients[1:]:
-            mats = mats * lams[ks, None, None] + c
+        mats = evaluate(p, lams[ks, None, None])
         try:
             out = np.linalg.solve(mats, rhs[ks, :, None])[:, :, 0]
         except np.linalg.LinAlgError:

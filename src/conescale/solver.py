@@ -69,8 +69,7 @@ class ConstantProblem:
         return self.rhs.weight_number
 
     def context(self):
-        return TransformContext(self.ray.angle, self.zeta, self.ray.offset,
-                                self.rhs.grid)
+        return TransformContext.of(self.rhs)
 
     def on_ray(self, ray):
         """The same problem with F sampled again on ``ray``."""

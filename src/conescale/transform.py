@@ -26,12 +26,16 @@ error that grows with N.  On each side of the FFT, the weight exponent,
 the DFT phase and the constant prefactor of a node are summed in log space
 into one complex factor per node; only nodes whose factor alone would
 leave the normal double range are scaled with a power-of-two split.  These
-factors depend on (psi, zeta, w) and the grids alone, so each context
-builds them once, on the first forward or inverse call, and keeps them with
-its nodes and rays in a plan (as an FFTW plan keeps its twiddle factors); every
-call then costs one multiply per sample on each side of the FFT, while the
-checks on the data still run per call: one overflow check on the input and
-one finiteness check on the output, whose array the result takes over.
+factors depend on (psi, zeta, w) and the grids alone, so a context builds
+them on the first call of each pass and keeps them as cached properties,
+beside its rays and the data-independent halves of its overflow checks (as
+an FFTW plan keeps its twiddle factors).  Both passes run through one
+kernel, _apply_kernel: one multiply per sample on each side of one FFT.
+The checks on the data still run per call: one overflow check on the
+input, which also finds input lying wholly below the normal range (the
+kernel then lifts it by a power of two, taken back off the post factors,
+so its sums keep relative precision), and one finiteness check on the
+output, whose array the result takes over.
 The discrete forward and inverse are exact inverses of each other at the
 nodes, for any sampled data, which is what the round-trip contract asks
 for.  The uniform quadrature weights used here agree with composite
@@ -56,6 +60,8 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 _LN2 = math.log(2.0)
 # exp(x) is a normal double for |x| <= 700
 _LOG_NORMAL = 700.0
+# log of the smallest normal double, 2^-1022
+_LOG_TINY = -1022 * _LN2
 # evaluate_continuation forms at most this many exponent entries (8 MiB)
 # at once
 _CONTINUATION_ENTRIES = 1 << 19
@@ -91,48 +97,33 @@ def _dft_phases(count):
     return const, _read_only(phase)
 
 
-def _kernel_factors(count, pre=0.0, post=0.0):
-    """Row factors (before, after the FFT) of _apply_kernel.
+def _apply_kernel(x, pre, post, fft=np.fft.fft, lift=0):
+    """exp(post) * fft(exp(pre) * x) along the node axis, the one kernel
+    of both passes.
 
-    ``pre`` (one log factor per time node) and ``post`` (one per frequency
-    node) are folded with the DFT phases, so that the kernel computes
-    exp(post_j) * sum_k exp(-i xi_j t_k) exp(pre_k) x_k.
-    """
-    const, phase = _dft_phases(count)
-    return _row_factors(phase + pre), _row_factors(const + phase + post)
-
-
-def _adjoint_factors(count, pre=0.0, post=0.0):
-    """Row factors (before, after the FFT) of _apply_kernel_adjoint, which
-    then computes exp(post_k) * sum_j exp(+i t_k xi_j) exp(pre_j) y_j;
-    ``pre`` lives on the frequency nodes, ``post`` on the time nodes."""
-    const, phase = _dft_phases(count)
-    return _row_factors(pre - phase), _row_factors(post - const - phase)
-
-
-def _apply_kernel(x, pre, post):
-    """The sums of _kernel_factors on a grid and its dual, via one FFT.
+    ``pre`` and ``post`` are row factors with the DFT phases folded in:
+    with the forward FFT this is exp(post_j) * sum_k exp(-i xi_j t_k)
+    exp(pre_k) x_k, with _ifft_sums the mirror sum over exp(+i t_k xi_j).
+    A nonzero ``lift`` multiplies the FFT input by 2^lift and the post
+    factors by 2^-lift (_times_pow2, exact), so input lying wholly below
+    the normal range is summed with relative, not absolute, rounding.
 
     x must be finite (RayFunction values are).  The result is the one
     array a pass checks: a non-finite FFT sum stays non-finite through the
     post factors, so it raises NonFiniteSampleError here, as does a post
     factor that overflows.
     """
-    return _finite_output(np.fft.fft(_apply_factors(x, pre), axis=0), post)
-
-
-def _apply_kernel_adjoint(y, pre, post):
-    """The sums of _adjoint_factors on a grid and its dual, via one FFT
-    (checked as in _apply_kernel)."""
-    sums = np.fft.ifft(_apply_factors(y, pre), axis=0, norm="forward")
-    return _finite_output(sums, post)
-
-
-def _finite_output(sums, post):
-    """The FFT sums times their post factors, in place, checked finite."""
+    if lift:
+        pre, post = _times_pow2(pre, lift), _times_pow2(post, -lift)
+    sums = fft(_apply_factors(x, pre), axis=0)
     # a non-finite sum raises below, not as a warning from its product
     with np.errstate(invalid="ignore", over="ignore"):
         return _require_finite(_apply_factors(sums, post, out=sums))
+
+
+def _ifft_sums(y, axis):
+    """sum_j exp(+2 pi i j k / N) y_j, the FFT of the inverse pass."""
+    return np.fft.ifft(y, axis=axis, norm="forward")
 
 
 def _require_finite(values):
@@ -165,9 +156,10 @@ def _row_factors(exponents):
     exponents = np.asarray(exponents, dtype=complex)
     wide = np.abs(exponents.real) > _LOG_NORMAL
     normal = np.exp(np.where(wide, 0.0, exponents))
-    # past +-2000 every nonzero product over- or underflows either way;
-    # the clip keeps the split factor finite, so zeros stay zeros
-    re = np.clip(exponents.real[wide], -2000.0, 2000.0)
+    # the clip keeps the split factor finite, so zeros stay zeros; unlifted,
+    # a nonzero product past +-2000 over- or underflows anyway, and the
+    # wider bound keeps _apply_kernel's lifts exact up to +-2^20
+    re = np.clip(exponents.real[wide], -2.0 ** 20, 2.0 ** 20)
     p = np.rint(re / _LN2)
     unit = np.exp(re - p * _LN2 + 1j * exponents.imag[wide])
     return _RowFactors(*map(_read_only, (normal, wide, unit, p.astype(int))))
@@ -187,6 +179,17 @@ def _apply_factors(values, factors, out=None):
         shift = e + factors.shift.reshape((-1,) + pad)
         out[factors.wide] = np.ldexp(y.real, shift) + 1j * np.ldexp(y.imag, shift)
     return out
+
+
+def _times_pow2(factors, s):
+    """The row factors times 2^s, every row through the power-of-two split
+    of _apply_factors, so the scaling is exact."""
+    unit = factors.normal.copy()
+    unit[factors.wide] = factors.unit
+    shift = np.full(unit.shape, s)
+    shift[factors.wide] += factors.shift
+    return _RowFactors(np.ones_like(unit), np.ones(unit.shape, dtype=bool),
+                       unit, shift)
 
 
 def scaled_values(values, exponents):
@@ -249,89 +252,51 @@ class _PassCheck(NamedTuple):
     at: int             # its node
     base: np.ndarray    # source-side exponents, one per source node
     base_top: float     # the largest of them
+    base_bottom: float  # the smallest of them
 
 
 def _pass_check(dst_exponents, src_exponents):
     """The _PassCheck of a pass with these exponents on its two grids."""
     at = int(np.argmax(dst_exponents))
     return _PassCheck(float(dst_exponents[at]), at, _read_only(src_exponents),
-                      float(np.max(src_exponents)))
+                      float(np.max(src_exponents)),
+                      float(np.min(src_exponents)))
 
 
 def _source_top(values, check, slack):
-    """None if no source row's check.base[k] + log max_c |values[k, c]|
-    can exceed ``slack``; else (k, part), the row where that sum is
-    largest and the sum.
+    """(k, part): the source row k where check.base[k] + log max_c
+    |values[k, c]| (the log of the pass's FFT input) is largest, and that
+    sum; or (None, bound), a bound on every such sum that is at most
+    ``slack``, when the data's peak shows that no row exceeds ``slack``
+    and that some row lies in the normal range; (None, -inf) for zeros.
 
-    The first test needs no complex modulus and no log per node: every
-    |v| is at most sqrt(2) max(|Re v|, |Im v|), and the test takes twice
+    That first test needs no complex modulus and no log per node: every
+    |v| is at most sqrt(2) max(|Re v|, |Im v|), and the bound takes twice
     that maximum, whose margin of log sqrt(2) covers the rounding of the
-    sums.  Data that come near ``slack`` (or hold an inf or a nan) take
-    the log of every row.
+    sums; the peak's row lies at least at check.base_bottom plus its log.
+    Other data (or an inf or a nan) take the log of every row.
     """
     peak = float(np.max(np.abs(values.ravel().view(float))))
-    if peak == 0.0 or check.base_top + math.log(2.0 * peak) <= slack:
-        return None
+    if peak == 0.0:
+        return None, -math.inf
+    bound = check.base_top + math.log(2.0 * peak)
+    if bound <= slack and check.base_bottom + math.log(peak) >= _LOG_TINY:
+        return None, bound
     with np.errstate(divide="ignore"):  # a zero row's log is -inf
         parts = check.base + np.log(np.max(np.abs(values), axis=1))
     # a row holding a nan is left to the pass's output check
     parts[np.isnan(parts)] = -np.inf
     k = int(np.argmax(parts))
-    return k, parts[k]
-
-
-class _TransformPlan:
-    """What one context's transforms compute from (psi, zeta, w) and the
-    grids alone: the nodes, both rays, the frequency points, the
-    data-independent halves of the pair overflow checks and, built on first
-    use, the row factors on both sides of each pass's FFT and the half-line
-    cut plans.  Arrays are read-only.
-    """
-
-    def __init__(self, ctx):
-        self.src_grid, self.dst_grid = ctx.src_grid, ctx.dst_grid
-        self.zeta, self.w = ctx.zeta, ctx.w
-        self.t = _read_only(ctx.src_grid.nodes)
-        self.xi = _read_only(ctx.dst_grid.nodes)
-        self.time_ray = Ray(ctx.psi, ctx.w, TIME)
-        self.frequency_ray = Ray(ctx.psi, ctx.zeta, FREQUENCY)
-        self.lam = _read_only(self.frequency_ray.points(self.xi))
-        # separable pieces of Im(lam * z) = a*xi + b*t + c on the two grids
-        a = (self.frequency_ray.direction * self.w).imag
-        b = (self.zeta * self.time_ray.direction).imag
-        self.slopes = (a, b, (self.zeta * self.w).imag)
-        # each pass: its destination-side maximum and the source-side
-        # exponents, to which the data's log is added
-        self.forward_check = _pass_check(a * self.xi, b * self.t)
-        self.inverse_check = _pass_check(-b * self.t, -a * self.xi)
-        # the half-line cut plans of hardy._cut_plan, filled there
-        self.cuts = {}
-
-    @functools.cached_property
-    def forward(self):
-        dir_t = self.time_ray.direction
-        dir_f = self.frequency_ray.direction
-        log_prefactor = (cmath.log(self.src_grid.spacing / _SQRT2PI * dir_t)
-                         - 2j * self.zeta * self.w)
-        return _kernel_factors(self.src_grid.count,
-                               pre=-1j * self.zeta * dir_t * self.t,
-                               post=-1j * self.w * dir_f * self.xi + log_prefactor)
-
-    @functools.cached_property
-    def inverse(self):
-        dir_t = self.time_ray.direction
-        dir_f = self.frequency_ray.direction
-        log_prefactor = (cmath.log(self.dst_grid.spacing / _SQRT2PI * dir_f)
-                         + 2j * self.zeta * self.w)
-        return _adjoint_factors(self.src_grid.count,
-                                pre=1j * self.w * dir_f * self.xi,
-                                post=1j * self.zeta * dir_t * self.t + log_prefactor)
+    return k, float(parts[k])
 
 
 @dataclass(frozen=True)
 class TransformContext:
     """The (psi, zeta, w) parameters of one transform pair and its time
-    grid; the frequency grid is its dual (see dual_grid)."""
+    grid; the frequency grid is its dual (see dual_grid).  What the passes
+    compute from these alone (rays, frequency points, overflow checks, row
+    factors, hardy's cut plans) is built on first use and kept as long as
+    the context; arrays are read-only."""
 
     psi: float
     zeta: complex
@@ -342,33 +307,85 @@ class TransformContext:
         object.__setattr__(self, "zeta", complex(self.zeta))
         object.__setattr__(self, "w", complex(self.w))
 
+    @classmethod
+    def of(cls, f):
+        """The context whose time side is that of ``f``: its ray, weight
+        number and grid.  A time-side Ray already encodes the clockwise
+        convention in its side, so its stored angle is exactly psi."""
+        return cls(f.ray.angle, f.weight_number, f.ray.offset, f.grid)
+
     @functools.cached_property
     def dst_grid(self):
         """The frequency grid, dual_grid(src_grid)."""
         return dual_grid(self.src_grid)
 
     @functools.cached_property
-    def _plan(self):
-        """The context's _TransformPlan, built on first use."""
-        return _TransformPlan(self)
-
-    @property
     def time_ray(self):
-        return self._plan.time_ray
+        return Ray(self.psi, self.w, TIME)
 
-    @property
+    @functools.cached_property
     def frequency_ray(self):
-        return self._plan.frequency_ray
+        return Ray(self.psi, self.zeta, FREQUENCY)
 
-    @property
+    @functools.cached_property
     def frequency_points(self):
         """The frequency nodes lam on the frequency ray (the points of every
-        forward result), built once per context; read-only."""
-        return self._plan.lam
+        forward result); read-only."""
+        return _read_only(self.frequency_ray.points(self.dst_grid.nodes))
+
+    @functools.cached_property
+    def _slopes(self):
+        """(a, b, c): Im(lam * z) = a*xi + b*t + c on the two grids."""
+        a = (self.frequency_ray.direction * self.w).imag
+        b = (self.zeta * self.time_ray.direction).imag
+        return a, b, (self.zeta * self.w).imag
+
+    @functools.cached_property
+    def _checks(self):
+        """The _PassCheck of forward and of inverse: each pass's
+        destination-side maximum and the source-side exponents, to which
+        the data's log is added."""
+        a, b, _ = self._slopes
+        t, xi = self.src_grid.nodes, self.dst_grid.nodes
+        return _pass_check(a * xi, b * t), _pass_check(-b * t, -a * xi)
+
+    @functools.cached_property
+    def _forward_factors(self):
+        """_apply_kernel's (pre, post) of forward."""
+        t, xi = self.src_grid.nodes, self.dst_grid.nodes
+        dir_t = self.time_ray.direction
+        dir_f = self.frequency_ray.direction
+        log_prefactor = (cmath.log(self.src_grid.spacing / _SQRT2PI * dir_t)
+                         - 2j * self.zeta * self.w)
+        pre = -1j * self.zeta * dir_t * t
+        post = -1j * self.w * dir_f * xi + log_prefactor
+        const, phase = _dft_phases(t.size)
+        return _row_factors(phase + pre), _row_factors(const + phase + post)
+
+    @functools.cached_property
+    def _inverse_factors(self):
+        """_apply_kernel's (pre, post, fft) of inverse."""
+        t, xi = self.src_grid.nodes, self.dst_grid.nodes
+        dir_t = self.time_ray.direction
+        dir_f = self.frequency_ray.direction
+        log_prefactor = (cmath.log(self.dst_grid.spacing / _SQRT2PI * dir_f)
+                         + 2j * self.zeta * self.w)
+        pre = 1j * self.w * dir_f * xi
+        post = 1j * self.zeta * dir_t * t + log_prefactor
+        const, phase = _dft_phases(t.size)
+        return (_row_factors(pre - phase), _row_factors(post - const - phase),
+                _ifft_sums)
+
+    @functools.cached_property
+    def _cuts(self):
+        """The half-line cut plans of hardy._cut_plan, filled there."""
+        return {}
 
     def _check_pair_overflow(self, sign, values):
         """Refuse a pass whose largest data-times-kernel term could pass
-        LOG_OVERFLOW_BOUND.
+        LOG_OVERFLOW_BOUND; return the pass's lift for _apply_kernel: 0, or
+        the power of two that brings FFT input lying wholly below the
+        normal range up to about 1.
 
         |e^{-i lam z}| is e^{+Im(lam z)} on the forward pass (sign +1) and
         e^{-Im(lam z)} on the inverse pass (sign -1), and Im(lam z) = a xi
@@ -389,23 +406,20 @@ class TransformContext:
         from about e^800 and its rounding error times the destination factor
         overflows to a non-finite sample at node 0.
         """
-        plan = self._plan
-        check = plan.forward_check if sign > 0 else plan.inverse_check
-        pair = 2.0 * sign * plan.slopes[2]
-        found = _source_top(values, check,
-                            LOG_OVERFLOW_BOUND - check.top - pair)
-        if found is None:
-            return
-        k, part = found
+        check = self._checks[0 if sign > 0 else 1]
+        pair = 2.0 * sign * self._slopes[2]
+        k, part = _source_top(values, check,
+                              LOG_OVERFLOW_BOUND - check.top - pair)
         worst = check.top + part + pair
         if worst > LOG_OVERFLOW_BOUND:
             i, k = (check.at, k) if sign > 0 else (k, check.at)
             raise WeightOverflowError(
                 (i, k),
-                (plan.frequency_ray.points(plan.xi[i]),
-                 plan.time_ray.points(plan.t[k])),
+                (self.frequency_points[i],
+                 self.time_ray.points(self.src_grid.nodes[k])),
                 float(worst),
             )
+        return int(-part / _LN2) if -math.inf < part < _LOG_TINY else 0
 
     def forward(self, f):
         """Time side to frequency side.
@@ -413,20 +427,18 @@ class TransformContext:
         Returns samples of the transform on the frequency ray; the weight
         order is carried over and the frequency-side weight number is w.
         """
-        plan = self._plan
-        self._require_ray(f, plan.time_ray)
-        self._check_pair_overflow(1.0, f.values)
-        out = _apply_kernel(f.values, *plan.forward)
-        return RayFunction._adopt(plan.frequency_ray, self.dst_grid, out,
+        self._require_ray(f, self.time_ray)
+        lift = self._check_pair_overflow(1.0, f.values)
+        out = _apply_kernel(f.values, *self._forward_factors, lift=lift)
+        return RayFunction._adopt(self.frequency_ray, self.dst_grid, out,
                                   f.weight_order, self.w)
 
     def inverse(self, fhat):
         """Frequency side back to the time side (mirror of forward)."""
-        plan = self._plan
-        self._require_ray(fhat, plan.frequency_ray)
-        self._check_pair_overflow(-1.0, fhat.values)
-        out = _apply_kernel_adjoint(fhat.values, *plan.inverse)
-        return RayFunction._adopt(plan.time_ray, self.src_grid, out,
+        self._require_ray(fhat, self.frequency_ray)
+        lift = self._check_pair_overflow(-1.0, fhat.values)
+        out = _apply_kernel(fhat.values, *self._inverse_factors, lift=lift)
+        return RayFunction._adopt(self.time_ray, self.src_grid, out,
                                   fhat.weight_order, self.zeta)
 
     def evaluate_continuation(self, fhat, z_points):

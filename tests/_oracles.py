@@ -12,7 +12,7 @@ binomial pencils lam^m I + A_m), the partial-fraction triple of binomial
 pencils that the modal triple replaced, the per-element log-space scaling (and
 the forward/inverse transforms and per-component exponential sum built on
 it) that per-row factors and transform.exp_sum replaced, the transforms
-with their node exponents built on every call that per-context plans
+with their node exponents built on every call that per-context factors
 replaced, the dense per-node perturbation Q_j(z_k) applied by matvec
 that the profile x matrix terms replaced, the six-pass Neumann sweep (each
 projection transforming u afresh) that the five-pass sweep replaced, the
@@ -88,13 +88,23 @@ def scaled_values_per_element(values, exponents):
     return out * phase
 
 
-def _transform_per_element(kernel, values, log_pre, prefactor, log_post):
+def _transform_per_element(kernel, values, log_pre, log_post):
     """(values, sizes): the sums scaled element by element on both sides of
-    a dense kernel, and per output entry |prefactor| * exp(Re log_post_j)
-    * sum_k |inner_k|, the size against which rounding is measured."""
+    a dense kernel, and per output entry exp(Re log_post_j) * sum_k
+    |inner_k|, the size against which rounding is measured.
+
+    The constant prefactor is a term of log_post, so it cannot push the
+    sums out of the normal range; inner products that would all lie below
+    it are formed 2^s larger, with s ln 2 taken off log_post, so the dense
+    sums keep relative precision there too."""
+    with np.errstate(divide="ignore"):
+        top = np.max(np.log(np.abs(values)) + log_pre.real[:, None])
+    if -np.inf < top < math.log(np.finfo(float).tiny):
+        shift = math.floor(-top / math.log(2.0)) * math.log(2.0)
+        log_pre, log_post = log_pre + shift, log_post - shift
     inner = scaled_values_per_element(values, log_pre)
-    out = scaled_values_per_element((kernel @ inner) * prefactor, log_post)
-    total = np.sum(np.abs(inner), axis=0) * abs(prefactor)
+    out = scaled_values_per_element(kernel @ inner, log_post)
+    total = np.sum(np.abs(inner), axis=0)
     sizes = np.abs(scaled_values_per_element(
         np.broadcast_to(total, (log_post.size, total.size)), log_post.real))
     return out, sizes
@@ -105,24 +115,26 @@ def forward_per_element(ctx, f):
     and the sums scaled element by element, with the dense kernel (N <=
     1024) in place of the FFT.  Returns (values, sizes)."""
     dir_t = ctx.time_ray.direction
-    prefactor = (ctx.src_grid.spacing / _SQRT2PI * dir_t
-                 * np.exp(-2j * ctx.zeta * ctx.w))
+    log_prefactor = (cmath.log(ctx.src_grid.spacing / _SQRT2PI * dir_t)
+                     - 2j * ctx.zeta * ctx.w)
     return _transform_per_element(
         dense_kernel(ctx.src_grid), f.values,
-        -1j * ctx.zeta * dir_t * ctx.src_grid.nodes, prefactor,
-        -1j * ctx.w * ctx.frequency_ray.direction * ctx.dst_grid.nodes)
+        -1j * ctx.zeta * dir_t * ctx.src_grid.nodes,
+        -1j * ctx.w * ctx.frequency_ray.direction * ctx.dst_grid.nodes
+        + log_prefactor)
 
 
 def inverse_per_element(ctx, fhat):
     """TransformContext.inverse as computed before per-row factors (see
     forward_per_element).  Returns (values, sizes)."""
     dir_f = ctx.frequency_ray.direction
-    prefactor = (ctx.dst_grid.spacing / _SQRT2PI * dir_f
-                 * np.exp(2j * ctx.zeta * ctx.w))
+    log_prefactor = (cmath.log(ctx.dst_grid.spacing / _SQRT2PI * dir_f)
+                     + 2j * ctx.zeta * ctx.w)
     return _transform_per_element(
         dense_kernel(ctx.src_grid).conj().T, fhat.values,
-        1j * ctx.w * dir_f * ctx.dst_grid.nodes, prefactor,
-        1j * ctx.zeta * ctx.time_ray.direction * ctx.src_grid.nodes)
+        1j * ctx.w * dir_f * ctx.dst_grid.nodes,
+        1j * ctx.zeta * ctx.time_ray.direction * ctx.src_grid.nodes
+        + log_prefactor)
 
 
 def _kernel_per_call(grid, x, pre, post):
@@ -144,8 +156,9 @@ def _kernel_adjoint_per_call(grid, y, pre, post):
 
 def forward_per_call(ctx, f):
     """The values of TransformContext.forward, every node exponent built on
-    this call, as before contexts kept plans; the overflow checks are left
-    out.  The arithmetic is the plan's, so the two agree bit for bit."""
+    this call, as before contexts kept their factors; the overflow checks
+    and the lift are left out.  The arithmetic is the context's, so the two
+    agree bit for bit on every pass that does not lift."""
     t, xi = ctx.src_grid.nodes, ctx.dst_grid.nodes
     dir_t = ctx.time_ray.direction
     dir_f = ctx.frequency_ray.direction

@@ -191,6 +191,71 @@ def test_eigensolve_lint_sees_an_offence(tmp_path):
         "pencil.py:12 eigvals in f"]
 
 
+# (module, function) of the only code that may name an FFT module: the
+# one transform kernel, which runs both passes, and the inverse-FFT helper
+# it takes for the inverse pass
+ALLOWED_FFT = {("transform.py", "_apply_kernel"),
+               ("transform.py", "_ifft_sums")}
+
+
+def _fft_uses(path):
+    """Every use of an FFT module (np.fft, numpy.fft, scipy.fft, ...: a
+    call or a reference, which could make the call under another name)
+    outside the functions allowed to make one, and every import of one."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{name}" for name in names]
+            found.extend(f"{path.name}:{node.lineno} import of {name}"
+                         for name in names if "fft" in name)
+        if (isinstance(node, ast.Attribute) and "fft" in node.attr
+                and isinstance(node.value, ast.Name)
+                and (path.name, scope) not in ALLOWED_FFT):
+            found.append(f"{path.name}:{node.lineno} "
+                         f"{node.value.id}.{node.attr} in {scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_one_fft_site():
+    files = sorted(SRC.glob("*.py"))
+    assert "transform.py" in {f.name for f in files}
+    assert [o for f in files for o in _fft_uses(f)] == []
+
+
+def test_fft_lint_sees_an_offence(tmp_path):
+    bad = tmp_path / "transform.py"
+    bad.write_text("import numpy as np\n"
+                   "import numpy.fft\n"
+                   "from numpy import fft as dft\n"
+                   "def _apply_kernel(x, pre, post, fft=np.fft.fft):\n"
+                   "    return fft(x, axis=0)\n"
+                   "def _ifft_sums(y, axis):\n"
+                   "    return np.fft.ifft(y, axis=axis, norm='forward')\n"
+                   "def _apply_kernel_adjoint(y):\n"
+                   "    return np.fft.ifft(y, axis=0)\n"
+                   "class TransformContext:\n"
+                   "    def inverse(self, y):\n"
+                   "        sums = numpy.fft.ifft\n"
+                   "        return scipy.fft.ifft(y), sums(y)\n",
+                   encoding="utf-8")
+    assert _fft_uses(bad) == [
+        "transform.py:2 import of numpy.fft",
+        "transform.py:3 import of numpy.fft",
+        "transform.py:9 np.fft in _apply_kernel_adjoint",
+        "transform.py:12 numpy.fft in TransformContext.inverse",
+        "transform.py:13 scipy.fft in TransformContext.inverse"]
+
+
 def _dead_code(paths):
     """Unused imports (outside __init__.py, whose imports are the package's
     API), and module-private top-level functions or classes that no module

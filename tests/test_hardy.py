@@ -285,14 +285,16 @@ class TestCutPlans:
         ctx, f = self.case(psi=0.123)
         halfline_projection(f, 1, eta=4j, v=complex(ctx.time_ray.points(0.0)),
                             ctx=ctx, extra_power=1)
-        assert len(ctx._plan.cuts) == 1
+        assert len(ctx._cuts) == 1
         # a value-equal context keeps its own plans
         twin = TransformContext(ctx.psi, ctx.zeta, ctx.w, ctx.src_grid)
-        assert twin == ctx and twin._plan.cuts == {}
-        plan = weakref.ref(ctx._plan)
+        assert twin == ctx and twin._cuts == {}
+        assert twin._cuts is not ctx._cuts
+        (mask, _, _), = ctx._cuts.values()
+        mask = weakref.ref(mask)
         del ctx
         gc.collect()
-        assert plan() is None
+        assert mask() is None
 
     def test_eta_on_frequency_ray_rejected_every_call(self):
         ctx, f = self.case(psi=0.0)

@@ -12,10 +12,9 @@ from conescale import (ConfigurationError, Grid, NonFiniteSampleError,
                        TransformContext, WeightOverflowError, dual_grid,
                        parseval_check)
 from conescale.geometry import LOG_OVERFLOW_BOUND
-from conescale.transform import (_adjoint_factors, _apply_kernel,
-                                 _apply_kernel_adjoint, _dft_phases,
-                                 _kernel_factors, _pass_check, _source_top,
-                                 exp_sum, scaled_values)
+from conescale.transform import (_LOG_TINY, _apply_kernel, _dft_phases,
+                                 _ifft_sums, _pass_check, _row_factors,
+                                 _source_top, exp_sum, scaled_values)
 from conftest import gaussian_on
 from _oracles import (apply_derivative_rule, dense_kernel,
                       derivative_rule_deviation, exp_sum_per_component,
@@ -40,17 +39,36 @@ class TestGrids:
         with pytest.raises(TypeError):
             TransformContext(0.0, 0j, 0j, grid4096, dual_grid(grid4096))
 
+    @pytest.mark.parametrize("psi", [math.pi / 16, -math.pi / 8])
+    def test_of_takes_the_time_side_of_its_function(self, psi):
+        ctx = TransformContext(psi, 0.3j, 0.5 - 0.25j, Grid(20.0, 64))
+        f = gaussian_on(ctx.src_grid, ctx.time_ray, number=ctx.zeta)
+        of = TransformContext.of(f)
+        assert (of.time_ray, of.zeta, of.src_grid) == (f.ray, ctx.zeta, f.grid)
+        assert of.psi == pytest.approx(psi, abs=1e-15)
+
+
+def bare_kernel_args(n, post=0.0):
+    """_apply_kernel's arguments for the bare sums of both passes on an
+    n-node grid and its dual: exp(post_j) sum_k exp(-i xi_j t_k) x_k, and
+    sum_j exp(+i t_k xi_j) y_j."""
+    const, phase = _dft_phases(n)
+    return ((_row_factors(phase), _row_factors(const + phase + post)),
+            (_row_factors(-phase), _row_factors(-const - phase), _ifft_sums))
+
 
 class TestFFTAgainstDenseKernel:
     @pytest.mark.parametrize("n", [1024, 1001, 64, 65])
     def test_matches_dense_oracle(self, n):
+        # one kernel runs both passes: the forward and the adjoint sums
         rng = np.random.default_rng(2 * n)
         E = dense_kernel(Grid(7.0, n))
         x = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
         y = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-        fwd, ref = _apply_kernel(x, *_kernel_factors(n)), E @ x
+        forward, inverse = bare_kernel_args(n)
+        fwd, ref = _apply_kernel(x, *forward), E @ x
         assert np.max(np.abs(fwd - ref)) <= 1e-12 * np.max(np.abs(ref))
-        adj, ref = _apply_kernel_adjoint(y, *_adjoint_factors(n)), E.conj().T @ y
+        adj, ref = _apply_kernel(y, *inverse), E.conj().T @ y
         assert np.max(np.abs(adj - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -401,7 +419,7 @@ def test_scaled_values_matches_per_element_property(case):
 def _rows_under(rng, log_cap, dim):
     """Random rows whose largest magnitude is e^{L_k}, L_k <= log_cap[k]:
     spread over 1e-300..1e300, some subnormal, some all-zero, and one row
-    within e^5 of its cap."""
+    within e^5 of its cap (unless that is past e^690 or below e^-744)."""
     n = log_cap.size
     top = rng.uniform(-700.0, 690.0, n)
     sub = rng.uniform(size=n) < 0.15
@@ -419,16 +437,16 @@ def _rows_under(rng, log_cap, dim):
 
 
 @st.composite
-def weighted_transform_cases(draw):
+def weighted_transform_cases(draw, lowered=True):
     """A context with one of zeta, w possibly far off the real axis (|Im|
     35 to 60, so that on many draws some nodes' factors leave the normal
-    range), N != M allowed, and data for each side scaled to pass the
-    overflow checks with representable sums.
+    range), and data for each side scaled to pass the overflow checks with
+    representable sums.
 
-    Node exponents stay below about 1200 in size, so each side's largest
-    weighted row can be a normal double: sums formed wholly in the
-    subnormal range carry absolute rounding of order 2^-1074 per term,
-    which the destination factor magnifies in either route.
+    Each side's weighted rows reach up to its cap or, when ``lowered``, on
+    some draws only up to a level between e^-780 and e^-300: then every
+    weighted sample may lie below the normal range (the pass lifts its FFT
+    input), or underflow to zero.
     """
     small = st.floats(-0.5, 0.5)
     far = draw(st.sampled_from(["none", "zeta", "w"]))
@@ -447,13 +465,19 @@ def weighted_transform_cases(draw):
     grid = Grid(draw(st.floats(t_lo, t_hi)), count)
     ctx = TransformContext(draw(st.floats(-math.pi / 4, math.pi / 4)), zeta,
                            w, grid)
-    a, b, c = ctx._plan.slopes
+    a, b, c = ctx._slopes
     t, xi = grid.nodes, ctx.dst_grid.nodes
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     dim = draw(st.integers(1, 2))
     # headroom for the sums, the prefactors and the pair overflow checks
     cap_t = 680.0 - max(0.0, np.max(a * xi) + max(c, 2 * c)) - math.log(xi.size)
     cap_f = 680.0 - max(0.0, np.max(-b * t) + max(-c, -2 * c)) - math.log(t.size)
+    low = st.one_of(st.none(), st.floats(-780.0, -300.0)) if lowered else st.none()
+    low_t, low_f = draw(low), draw(low)
+    if low_t is not None:
+        cap_t = min(cap_t, low_t)
+    if low_f is not None:
+        cap_f = min(cap_f, low_f)
     f = RayFunction(ctx.time_ray, grid, _rows_under(rng, cap_t - b * t, dim),
                     0.0, zeta)
     fhat = RayFunction(ctx.frequency_ray, ctx.dst_grid,
@@ -486,9 +510,11 @@ def _wide_rows_case():
 
 
 @settings(max_examples=60, deadline=None)
-@given(weighted_transform_cases())
+@given(weighted_transform_cases(lowered=False))
 @example(_wide_rows_case())
 def test_plan_matches_per_call_route_property(case):
+    # the per-call route has no lift: lifted passes are compared with the
+    # per-element oracle above
     ctx, f, fhat = case
     # the second round reads the factors the first one built
     for _ in range(2):
@@ -539,10 +565,9 @@ class TestPlan:
         x = np.ones((n, 1), dtype=complex)
         x[3] = bad
         with np.errstate(invalid="ignore"):
-            with pytest.raises(NonFiniteSampleError, match="non-finite"):
-                _apply_kernel(x, *_kernel_factors(n))
-            with pytest.raises(NonFiniteSampleError, match="non-finite"):
-                _apply_kernel_adjoint(x, *_adjoint_factors(n))
+            for args in bare_kernel_args(n):
+                with pytest.raises(NonFiniteSampleError, match="non-finite"):
+                    _apply_kernel(x, *args)
 
     @pytest.mark.parametrize("bad, error", [(np.inf, WeightOverflowError),
                                             (np.nan, NonFiniteSampleError)],
@@ -563,20 +588,23 @@ class TestPlan:
         n = 8
         x = np.full((n, 1), 1e300, dtype=complex)
         with pytest.raises(NonFiniteSampleError, match="non-finite"):
-            _apply_kernel(x, *_kernel_factors(n, post=np.full(n, 700.0)))
+            _apply_kernel(x, *bare_kernel_args(n, post=700.0)[0])
 
     def test_cached_arrays_read_only(self):
         ctx, _, _ = _wide_rows_case()
-        plan = ctx._plan
-        assert ctx.time_ray is plan.time_ray
-        assert ctx.frequency_ray is plan.frequency_ray
-        arrays = [plan.t, plan.xi]
-        for check in (plan.forward_check, plan.inverse_check):
+        for name in ("time_ray", "frequency_ray", "frequency_points",
+                     "_checks", "_forward_factors", "_inverse_factors"):
+            assert getattr(ctx, name) is getattr(ctx, name)
+        arrays = [ctx.frequency_points]
+        for check in ctx._checks:
             arrays.append(check.base)
             assert check.base_top == np.max(check.base)
-        for factors in (*plan.forward, *plan.inverse):
+            assert check.base_bottom == np.min(check.base)
+        pre, post, fft = ctx._inverse_factors
+        assert fft is _ifft_sums
+        for factors in (*ctx._forward_factors, pre, post):
             arrays.extend(factors)
-        assert plan.forward[0].unit.size > 0  # wide rows were split
+        assert ctx._forward_factors[0].unit.size > 0  # wide rows were split
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
@@ -715,18 +743,62 @@ def test_source_top_matches_log_of_every_row_property(case):
     check = _pass_check(np.zeros(1), base)
     with np.errstate(divide="ignore"):
         parts = base + np.log(np.max(np.abs(values), axis=1))
-    found = _source_top(values, check, slack)
-    if found is None:
-        assert np.max(parts) <= slack
+    k, part = _source_top(values, check, slack)
+    if k is None:
+        # a bound, and one that rules out a lift (or all-zero data)
+        assert np.max(parts) <= part <= slack
+        assert np.max(parts) >= _LOG_TINY or part == -np.inf
     else:
-        k = int(np.argmax(parts))
-        assert found == (k, parts[k])
+        top = int(np.argmax(parts))
+        assert (k, part) == (top, parts[top])
 
 
 def test_source_top_nan_row_hides_no_other_row():
     values = np.array([[np.nan], [1e300], [1.0]], dtype=complex)
     k, part = _source_top(values, _pass_check(np.zeros(1), np.zeros(3)), 1.0)
     assert (k, part) == (1, np.log(1e300))
+
+
+@pytest.mark.parametrize("side", ["forward", "inverse"])
+def test_subnormal_fft_input_summed_at_full_precision(side):
+    # every weighted sample of the source side lies below e^-735, in the
+    # subnormal range, and the destination factors reach e^1400 (forward:
+    # w = 47.7j on Grid(5, 96)) or e^800 (inverse: zeta = -40j on
+    # Grid(20, 96)); FFT sums formed there carry absolute rounding of
+    # order 2^-1074, which those factors magnified into relative errors of
+    # 2e-4 here (1e-3 on the property draw that found it), until the pass
+    # lifted its input by a power of two
+    rng = np.random.default_rng(14)
+    values = np.exp(rng.uniform(-760.0, -735.0, (96, 2))
+                    + 2j * math.pi * rng.uniform(size=(96, 2)))
+    if side == "forward":
+        ctx = TransformContext(0.0, 0j, 47.7j, Grid(5.0, 96))
+        f = RayFunction(ctx.time_ray, ctx.src_grid, values, 0.0, ctx.zeta)
+        got, (want, sizes) = ctx.forward(f).values, forward_per_element(ctx, f)
+    else:
+        ctx = TransformContext(0.0, -40j, 0j, Grid(20.0, 96))
+        f = RayFunction(ctx.frequency_ray, ctx.dst_grid, values, 0.0, ctx.w)
+        got, (want, sizes) = ctx.inverse(f).values, inverse_per_element(ctx, f)
+    assert np.max(sizes) > 1e20  # far above the subnormal slack
+    assert np.all(np.abs(got - want) <= 1e-12 * sizes + SUBNORMAL_SLACK)
+
+
+def test_lift_tracks_exponents_past_2000():
+    # source exponents reach -2400 and destination ones 2194: data of
+    # e^300..e^400 on the first rows weigh about e^-2000, and the forward
+    # pass lifts them by 2^2562; its row factors must keep such exponents
+    # (clipped at +-2000 they put the result off by e^170).  Each exp of an
+    # exponent near 2400 rounds by about 2400 * 2^-53, hence 1e-11.
+    ctx = TransformContext(0.0, 120j, 110j, Grid(20.0, 256))
+    rng = np.random.default_rng(1)
+    values = np.zeros((256, 1), dtype=complex)
+    values[:15, 0] = np.exp(rng.uniform(300.0, 400.0, 15)
+                            + 1j * rng.uniform(0.0, 6.0, 15))
+    f = RayFunction(ctx.time_ray, ctx.src_grid, values, 0.0, ctx.zeta)
+    got = ctx.forward(f).values
+    want, sizes = forward_per_element(ctx, f)
+    assert np.max(np.abs(got)) > 1e100
+    assert np.all(np.abs(got - want) <= 1e-11 * sizes + SUBNORMAL_SLACK)
 
 
 def test_continuation_overflow_names_frequency_node():
