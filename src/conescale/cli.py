@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import suppress
 from itertools import chain
 
 import numpy as np
@@ -46,6 +47,8 @@ _RHS_FIELDS = {
 }
 _PERTURBATION_FIELDS = {"none": ((), ()),
                         "rational_decay": ((), ("epsilon", "pole_scale"))}
+# _complex_array's axis labels for an n x n matrix
+_MATRIX_LABELS = ("rows", "entries")
 
 
 def _fmt(x):
@@ -115,40 +118,45 @@ def _number(value, path, kind=float, positive=False):
     return value
 
 
-def _complex_matrix(value, n, path):
-    """An n x n matrix of [re, im] pairs as a complex array.
+def _complex_array(value, shape, path, labels, row_form=False):
+    """A nested list of [re, im] pairs as a complex array of this shape.
 
-    Read as one float array when every row is a list of n pairs, every
-    pair a list of two numbers and every number a plain int or float
-    (numpy would also take bools and numeric strings); any other input
-    goes to _complex_matrix_walk, which names the bad field.
+    Read as one float array when every level is a list of the length
+    ``shape`` asks for, every pair a list of two numbers and every number a
+    plain int or float (numpy would also take bools and numeric strings);
+    any other input goes to _complex_walk, which names the bad field.
     """
-    if type(value) is list and len(value) == n and all(
-            type(row) is list and len(row) == n for row in value):
-        pairs = list(chain.from_iterable(value))
-        if set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
-            nums = list(chain.from_iterable(pairs))
-            if set(map(type, nums)) <= {int, float}:
-                try:
-                    arr = np.array(nums, dtype=float)
-                except OverflowError:  # an int past the float range
-                    return _complex_matrix_walk(value, n, path)
+    level = [value]
+    for n in shape + (2,):
+        if set(map(type, level)) != {list} or set(map(len, level)) != {n}:
+            break
+        level = list(chain.from_iterable(level))
+    else:
+        # an int past the float range raises OverflowError
+        with suppress(OverflowError):
+            if set(map(type, level)) <= {int, float}:
+                arr = np.array(level, dtype=float)
                 if np.all(np.isfinite(arr)):
                     # the pairs' (re, im) floats are exactly a complex array
-                    return arr.view(complex).reshape(n, n)
-    return _complex_matrix_walk(value, n, path)
+                    return arr.view(complex).reshape(shape)
+    return _complex_walk(value, shape, path, labels, row_form)
 
 
-def _complex_matrix_walk(value, n, path):
-    arr = np.zeros((n, n), dtype=complex)
-    if not isinstance(value, list) or len(value) != n:
-        raise ValidationError(f"expected {n} rows", path)
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != n:
-            raise ValidationError(f"expected {n} entries", f"{path}[{i}]")
-        for j, entry in enumerate(row):
-            arr[i, j] = _complex_pair(entry, f"{path}[{i}][{j}]")
-    return arr
+def _complex_walk(value, shape, path, labels, row_form=False):
+    """_complex_array entry by entry; the first bad field raises "expected
+    <n> <label>" (one label per axis) or a pair error.  With ``row_form``,
+    a row (second axis) whose first entry is no list is a pair in a row's
+    place and is refused whole."""
+    def walk(node, depth, at):
+        if depth == len(shape):
+            return _complex_pair(node, at)
+        if (not isinstance(node, list) or len(node) != shape[depth]
+                or row_form and depth == 1 and not isinstance(node[0], list)):
+            raise ValidationError(f"expected {shape[depth]} {labels[depth]}",
+                                  at)
+        return [walk(v, depth + 1, f"{at}[{i}]") for i, v in enumerate(node)]
+
+    return np.array(walk(value, 0, path), dtype=complex)
 
 
 def parse_problem(data):
@@ -170,16 +178,16 @@ def parse_problem(data):
     if not isinstance(coeffs, list) or len(coeffs) != degree + 1:
         raise ValidationError(f"expected {degree + 1} coefficient matrices",
                               "pencil.coefficients")
-    matrices = [_complex_matrix(c, dim, f"pencil.coefficients[{k}]")
-                for k, c in enumerate(coeffs)]
+    matrices = [_complex_array(c, (dim, dim), f"pencil.coefficients[{k}]",
+                               _MATRIX_LABELS) for k, c in enumerate(coeffs)]
     forms = None
     if "norm_forms" in pd:
         nf = pd["norm_forms"]
         if not isinstance(nf, list) or len(nf) != degree + 1:
             raise ValidationError(f"expected {degree + 1} norm forms",
                                   "pencil.norm_forms")
-        forms = [_complex_matrix(h, dim, f"pencil.norm_forms[{k}]")
-                 for k, h in enumerate(nf)]
+        forms = [_complex_array(h, (dim, dim), f"pencil.norm_forms[{k}]",
+                                _MATRIX_LABELS) for k, h in enumerate(nf)]
     try:
         pencil = MatrixPencil(tuple(matrices),
                               tuple(forms) if forms is not None else None)
@@ -237,11 +245,8 @@ def _parse_rhs(rd, dim, grid):
     kind = _require_kind(rd, "rhs", _RHS_FIELDS)
     cross = None
     if "cross_section" in rd:
-        cs = rd["cross_section"]
-        if not isinstance(cs, list) or len(cs) != dim:
-            raise ValidationError(f"expected {dim} entries", "rhs.cross_section")
-        cross = np.array([_complex_pair(v, f"rhs.cross_section[{i}]")
-                          for i, v in enumerate(cs)])
+        cross = _complex_array(rd["cross_section"], (dim,),
+                               "rhs.cross_section", ("entries",))
     elif dim > 1 and kind != "sampled":
         raise ValidationError("vector problems need rhs.cross_section", "rhs")
     if kind in ("gaussian", "shifted_gaussian"):
@@ -256,22 +261,16 @@ def _parse_rhs(rd, dim, grid):
         return BumpRhs(_number(rd.get("half_width", 1.0), "rhs.half_width",
                                float, True), cross)
     values = rd["values"]
-    if not isinstance(values, list) or len(values) != grid.count:
-        raise ValidationError(f"expected {grid.count} sample rows", "rhs.values")
-    rows = []
-    for k, row in enumerate(values):
-        if isinstance(row, list) and row and isinstance(row[0], list):
-            if len(row) != dim:
-                raise ValidationError(f"expected {dim} components",
-                                      f"rhs.values[{k}]")
-            rows.append([_complex_pair(v, f"rhs.values[{k}][{i}]")
-                         for i, v in enumerate(row)])
-        else:
-            if dim != 1:
-                raise ValidationError(f"expected {dim} components",
-                                      f"rhs.values[{k}]")
-            rows.append([_complex_pair(row, f"rhs.values[{k}]")])
-    return SampledRhs(np.array(rows))
+    # a row is a row of pairs when its first entry is a list, else one
+    # [re, im] pair; one component takes either form, as its first row has
+    # it, and more components take rows of pairs
+    first = values[0] if isinstance(values, list) and values else None
+    pairs = dim == 1 and not (isinstance(first, list) and first
+                              and isinstance(first[0], list))
+    shape = (grid.count,) if pairs else (grid.count, dim)
+    arr = _complex_array(values, shape, "rhs.values",
+                         ("sample rows", "components"), row_form=True)
+    return SampledRhs(arr.reshape(grid.count, dim))
 
 
 def _parse_perturbation(pd):

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (ConfigurationError, IllConditionedKernelError,
                      ValidationError, WeightOverflowError)
 from .geometry import FREQUENCY, TIME, Cone, RayFunction, weighted_l2_report
-from .transform import TransformContext, _read_only, scaled_values
+from .transform import TransformContext, _read_only, exp_sum
 
 RATIO_BOUND = 10.0
 PW_BOUND = 1.5
@@ -210,10 +210,14 @@ def _edge_quadrature(rf, lam, s, eta, w, nappe, sigma):
         # no vertex node on this grid: close the gap [0, |t_0|] with a
         # one-sided trapezoid panel using the nearest sample
         weights[0] += abs(tt[0]) * 0.5
-    scaled = scaled_values(vals * base[:, None], kernel_log)
-    contrib = sigma * rf.ray.direction * (weights @ scaled)
-    # crude truncation diagnostic: |integrand| at the far end times |t_end|
-    tail = float(np.max(np.abs(scaled[-1]))) * abs(tt[-1])
+    # row 0 sums the weighted integrand; row 1 keeps the far end alone for
+    # a crude truncation diagnostic, |integrand| there times |t_end|
+    exponents = np.full((2, tt.size), -np.inf, dtype=complex)
+    exponents[0] = kernel_log + np.log(weights)
+    exponents[1, -1] = kernel_log[-1]
+    total, last = exp_sum(vals * base[:, None], exponents, mu)
+    contrib = sigma * rf.ray.direction * total
+    tail = float(np.max(np.abs(last))) * abs(tt[-1])
     return contrib, tail
 
 

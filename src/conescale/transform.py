@@ -150,8 +150,14 @@ class _RowFactors(NamedTuple):
 
 
 def _row_factors(exponents):
-    """The factors exp(exponents) of scaled_values, one per row, built once
-    and applicable to any number of value arrays; the arrays are read-only.
+    """The factors exp(exponents), one per row (the leading axes), built
+    once and applicable to any number of value arrays; the arrays are
+    read-only.
+
+    A row whose factor alone would leave the normal double range keeps it
+    as a power-of-two split, applied with the values' own (frexp/ldexp),
+    so every representable product comes out right however large or small
+    its factors are; zeros stay zeros whatever their exponent.
     """
     exponents = np.asarray(exponents, dtype=complex)
     wide = np.abs(exponents.real) > _LOG_NORMAL
@@ -166,8 +172,9 @@ def _row_factors(exponents):
 
 
 def _apply_factors(values, factors, out=None):
-    """values times the row factors of _row_factors (see scaled_values),
-    into ``out`` if given (which may be ``values``)."""
+    """values times the row factors of _row_factors, into ``out`` if given
+    (which may be ``values``); a product that overflows is inf, and a
+    non-finite value stays non-finite."""
     pad = (1,) * (values.ndim - factors.normal.ndim)
     out = np.multiply(values, factors.normal.reshape(factors.normal.shape + pad),
                       out=out)
@@ -190,20 +197,6 @@ def _times_pow2(factors, s):
     shift[factors.wide] += factors.shift
     return _RowFactors(np.ones_like(unit), np.ones(unit.shape, dtype=bool),
                        unit, shift)
-
-
-def scaled_values(values, exponents):
-    """values * exp(exponents), one exponent per row (the leading axes).
-
-    Each row is multiplied by its factor exp(exponents[k]), one exp per
-    row.  Rows whose factor alone would leave the normal double range are
-    scaled with a power-of-two split of factor and values (frexp/ldexp), so
-    every representable product comes out right however large or small its
-    factors are.  Zeros stay zeros whatever their exponent, a product that
-    overflows is inf, and non-finite values raise NonFiniteSampleError.
-    """
-    values = _require_finite(np.asarray(values, dtype=complex))
-    return _apply_factors(values, _row_factors(exponents))
 
 
 def exp_sum(values, exponents, points=None):

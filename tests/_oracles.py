@@ -44,8 +44,8 @@ from conescale.rhs import AnalyticRhs
 from conescale.solver import (VariableSolveResult, _check_line_clear,
                               _fd_residual, _prepare_perturbation, _resolve)
 from conescale.stencils import _window, derivative_uniform, fornberg_weights
-from conescale.transform import (_SQRT2PI, _dft_phases, _require_finite,
-                                 dual_grid, scaled_values)
+from conescale.transform import (_SQRT2PI, _apply_factors, _dft_phases,
+                                 _require_finite, _row_factors, dual_grid)
 
 GAUSS_L2 = math.pi ** 0.25                      # (int e^{-t^2} dt)^(1/2)
 GAUSS_SOBOLEV1 = (1.5 * math.sqrt(math.pi)) ** 0.5   # (int (1+t^2) e^{-t^2})^(1/2)
@@ -94,19 +94,21 @@ def _transform_per_element(kernel, values, log_pre, log_post):
     |inner_k|, the size against which rounding is measured.
 
     The constant prefactor is a term of log_post, so it cannot push the
-    sums out of the normal range; inner products that would all lie below
-    it are formed 2^s larger, with s ln 2 taken off log_post, so the dense
-    sums keep relative precision there too."""
+    sums out of the normal range; a column whose inner products would all
+    lie below it is formed 2^s larger, with s ln 2 taken off its log_post,
+    so its dense sums keep relative precision there too.  Each column
+    takes its own s: one taken from the largest column would leave a far
+    smaller one partly subnormal."""
     with np.errstate(divide="ignore"):
-        top = np.max(np.log(np.abs(values)) + log_pre.real[:, None])
-    if -np.inf < top < math.log(np.finfo(float).tiny):
-        shift = math.floor(-top / math.log(2.0)) * math.log(2.0)
-        log_pre, log_post = log_pre + shift, log_post - shift
+        top = np.max(np.log(np.abs(values)) + log_pre.real[:, None], axis=0)
+    low = (-np.inf < top) & (top < math.log(np.finfo(float).tiny))
+    lift = np.where(low, np.floor(-top / math.log(2.0)) * math.log(2.0), 0.0)
+    log_pre, log_post = log_pre[:, None] + lift, log_post[:, None] - lift
     inner = scaled_values_per_element(values, log_pre)
     out = scaled_values_per_element(kernel @ inner, log_post)
     total = np.sum(np.abs(inner), axis=0)
     sizes = np.abs(scaled_values_per_element(
-        np.broadcast_to(total, (log_post.size, total.size)), log_post.real))
+        np.broadcast_to(total, log_post.shape), log_post.real))
     return out, sizes
 
 
@@ -142,16 +144,18 @@ def _kernel_per_call(grid, x, pre, post):
     a time grid and its dual, the node exponents folded with the DFT phases
     on this call."""
     const, phase = _dft_phases(grid.count)
-    y = scaled_values(x, phase + pre)
-    return scaled_values(np.fft.fft(y, axis=0), const + phase + post)
+    y = _apply_factors(x, _row_factors(phase + pre))
+    return _apply_factors(np.fft.fft(y, axis=0),
+                          _row_factors(const + phase + post))
 
 
 def _kernel_adjoint_per_call(grid, y, pre, post):
     """exp(post_k) * sum_j exp(+i t_k xi_j) exp(pre_j) y_j via one FFT,
     the node exponents folded with the DFT phases on this call."""
     const, phase = _dft_phases(grid.count)
-    sums = np.fft.ifft(scaled_values(y, pre - phase), axis=0, norm="forward")
-    return scaled_values(sums, post - const - phase)
+    sums = np.fft.ifft(_apply_factors(y, _row_factors(pre - phase)), axis=0,
+                       norm="forward")
+    return _apply_factors(sums, _row_factors(post - const - phase))
 
 
 def forward_per_call(ctx, f):

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import conescale.cli
 from conescale import TIME, Grid, Ray, RayFunction
-from conescale.cli import (_complex_matrix, _complex_matrix_walk, main,
+from conescale.cli import (_complex_array, _complex_walk, _parse_rhs, main,
                            parse_problem, cylinder_problem_dict)
 from conescale.errors import NumericalError, ValidationError
 from conescale.solver import _apply_perturbation, _prepare_perturbation
@@ -164,81 +165,153 @@ _BAD_NUMBERS = st.sampled_from([True, False, "1.5", None, math.nan, math.inf,
                                 2 ** 1024 - 2 ** 970])
 
 
+# (shape, path, labels, row_form) of each kind of complex array a problem
+# file holds, the first axis of length n (N for samples)
+_KINDS = {
+    "matrix": (lambda n, N: (n, n), "pencil.coefficients[1]",
+               ("rows", "entries"), False),
+    "cross_section": (lambda n, N: (n,), "rhs.cross_section", ("entries",),
+                      False),
+    "sampled_pairs": (lambda n, N: (N,), "rhs.values",
+                      ("sample rows", "components"), True),
+    "sampled_rows": (lambda n, N: (N, n), "rhs.values",
+                     ("sample rows", "components"), True),
+}
+
+
+def _pairs(draw, shape):
+    if not shape:
+        return [draw(_NUMBERS), draw(_NUMBERS)]
+    return [_pairs(draw, shape[1:]) for _ in range(shape[0])]
+
+
+def _at(value, index):
+    for i in index:
+        value = value[i]
+    return value
+
+
 @st.composite
-def _matrices(draw, valid):
-    """(n x n matrix of [re, im] pairs, n the parser is asked for); an
-    invalid draw carries one defect the walk refuses."""
-    n = draw(st.integers(1, 3))
-    m = [[[draw(_NUMBERS), draw(_NUMBERS)] for _ in range(n)]
-         for _ in range(n)]
+def _arrays(draw, valid):
+    """(nested list of [re, im] pairs, the reader's arguments but the
+    value); an invalid draw carries one defect the walk refuses."""
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    shape_of, path, labels, row_form = _KINDS[kind]
+    shape = shape_of(draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    m = _pairs(draw, shape)
     if valid:
-        return m, n
-    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        return m, (shape, path, labels, row_form)
+    index = tuple(draw(st.integers(0, k - 1)) for k in shape)
+    *up, last = index
+    parent, pair = _at(m, up), _at(m, index)
     defect = draw(st.sampled_from(["number", "ragged_row", "tuple_row",
                                    "three_entries", "scalar_entry",
                                    "dict_entry", "string_entry",
                                    "count_kept", "missing_row", "wrong_n"]))
     if defect == "number":
-        m[i][j][draw(st.integers(0, 1))] = draw(_BAD_NUMBERS)
+        pair[draw(st.integers(0, 1))] = draw(_BAD_NUMBERS)
     elif defect == "ragged_row":
-        del m[i][j]
+        del parent[last]
+    elif defect == "tuple_row" and up:
+        _at(m, up[:-1])[up[-1]] = tuple(parent)
     elif defect == "tuple_row":
-        m[i] = tuple(m[i])
+        m = tuple(m)
     elif defect == "three_entries":
-        m[i][j].append(0.0)
+        pair.append(0.0)
     elif defect == "scalar_entry":
-        m[i][j] = 1.0
+        parent[last] = 1.0
     elif defect == "dict_entry":
         # JSON objects have string keys; int keys would flatten to numbers
         keys = draw(st.sampled_from([("re", "im"), (0, 1)]))
-        m[i][j] = dict(zip(keys, m[i][j]))
+        parent[last] = dict(zip(keys, pair))
     elif defect == "string_entry":
-        m[i][j] = draw(st.sampled_from(["12", "ab", "1j"]))
-    elif defect == "count_kept" and n > 1:
-        # a 3-entry and a 1-entry pair: the numbers still count 2 n^2
-        k = (i * n + j + draw(st.integers(1, n * n - 1))) % (n * n)
-        m[i][j].append(m[k // n][k % n].pop())
+        parent[last] = draw(st.sampled_from(["12", "ab", "1j"]))
+    elif defect == "count_kept" and math.prod(shape) > 1:
+        # a 3-entry and a 1-entry pair: the numbers still count 2 prod(shape)
+        flat = list(np.ndindex(*shape))
+        other = flat[(flat.index(index) + draw(st.integers(1, len(flat) - 1)))
+                     % len(flat)]
+        pair.append(_at(m, other).pop())
     elif defect == "count_kept":
-        m[i][j].append(0.0)
+        pair.append(0.0)
     elif defect == "missing_row":
         m.pop()
-    return m, n + (defect == "wrong_n")
+    elif defect == "wrong_n":
+        axis = draw(st.integers(0, len(shape) - 1))
+        shape = shape[:axis] + (shape[axis] + 1,) + shape[axis + 1:]
+    return m, (shape, path, labels, row_form)
 
 
-def _parse_outcome(parse, value, n):
+def _parse_outcome(parse, value, args):
     try:
-        arr = parse(copy.deepcopy(value), n, "pencil.coefficients[1]")
+        arr = np.asarray(parse(copy.deepcopy(value), *args))
     except ValidationError as exc:
         return str(exc), exc.field
     return arr.shape, arr.dtype, arr.tobytes()
 
 
+def _refuse_walk(*args):
+    raise AssertionError("walked a valid array")
+
+
 class TestMatrixParse:
+    """Matrices, cross sections and both forms of sampled rows all go
+    through one reader, _complex_array, whose walk names the bad field."""
+
     @settings(max_examples=200, deadline=None)
-    @given(_matrices(valid=True))
+    @given(_arrays(valid=True))
     def test_valid_matches_walk_bitwise(self, case):
-        value, n = case
-        fast = _parse_outcome(_complex_matrix, value, n)
-        assert fast == _parse_outcome(_complex_matrix_walk, value, n)
-        assert fast[:2] == ((n, n), np.dtype(complex))
+        value, args = case
+        walk = _parse_outcome(_complex_walk, value, args)
+        with mock.patch.object(conescale.cli, "_complex_walk", _refuse_walk):
+            fast = _parse_outcome(_complex_array, value, args)
+        assert fast == walk
+        assert fast[:2] == (args[0], np.dtype(complex))
 
     @settings(max_examples=300, deadline=None)
-    @given(_matrices(valid=False))
+    @given(_arrays(valid=False))
     def test_invalid_matches_walk_message_and_path(self, case):
-        value, n = case
-        walk = _parse_outcome(_complex_matrix_walk, value, n)
+        value, args = case
+        walk = _parse_outcome(_complex_walk, value, args)
         assert isinstance(walk[0], str)
-        assert _parse_outcome(_complex_matrix, value, n) == walk
+        assert _parse_outcome(_complex_array, value, args) == walk
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 6), st.booleans(), st.data())
+    def test_sampled_rows_keep_the_first_rows_form(self, count, rows, data):
+        # one component: [re, im] rows or one-pair rows, as the first row
+        # has it; a row of the other form is refused with its path
+        values = [[float(k), -0.5] for k in range(count)]
+        odd = data.draw(st.sets(st.integers(1, count - 1), max_size=count))
+        for k in range(count):
+            if rows != (k in odd):
+                values[k] = [values[k]]
+        grid = Grid(10.0, count)
+        want = np.arange(count) - 0.5j
+        try:
+            got = _parse_rhs({"kind": "sampled", "values": values}, 1, grid)
+        except ValidationError as exc:
+            assert odd and exc.field == f"rhs.values[{min(odd)}]"
+        else:
+            assert not odd
+            assert got.values.tobytes() == want.reshape(count, 1).tobytes()
 
     def test_valid_input_takes_one_array(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("walked a valid matrix")
-
-        monkeypatch.setattr(conescale.cli, "_complex_matrix_walk", refuse)
-        arr = _complex_matrix([[[-0.0, 2 ** 53 + 1], [1, 2.5]],
-                               [[0, 0], [3, -4]]], 2, "m")
+        monkeypatch.setattr(conescale.cli, "_complex_walk", _refuse_walk)
+        arr = _complex_array([[[-0.0, 2 ** 53 + 1], [1, 2.5]],
+                              [[0, 0], [3, -4]]], (2, 2), "m",
+                             ("rows", "entries"))
         assert arr.tobytes() == np.array(
             [[complex(-0.0, 2 ** 53 + 1), 1 + 2.5j], [0j, 3 - 4j]]).tobytes()
+
+    def test_pair_rows_of_a_vector_problem_name_the_row(self):
+        grid = Grid(10.0, 2)
+        with pytest.raises(ValidationError) as exc:
+            _parse_rhs({"kind": "sampled",
+                        "values": [[[1.0, 0.0], [2.0, 0.0]], [1.0, 0.0]]},
+                       2, grid)
+        assert exc.value.field == "rhs.values[1]"
+        assert "expected 2 components" in str(exc.value)
 
 
 class TestClearanceCommand:

@@ -393,8 +393,6 @@ def test_reachability_check_sees_an_offence(tmp_path):
 UNSET_DEFAULTS = {
     "constant_problem(psi)": "problem data: the ray angle",
     "projection_idempotence_check(v)": "problem data: the cut point",
-    "ConeFunction.from_callable(weight_number)": "problem data: the weight "
-                                                 "number",
     "localize_traces(orientation)": "problem data: the cone orientation",
     "localize_traces(zeta)": "problem data: the weight number",
     "PoleRhs(order)": "problem data: the pole order",

@@ -8,7 +8,8 @@ import pytest
 
 from conescale import (Cone, ConeFunction, Grid, IllConditionedKernelError,
                        Ray, RayFunction, TIME, TransformContext,
-                       ValidationError, cauchy_reconstruct, membership_scan,
+                       ValidationError, WeightOverflowError,
+                       cauchy_reconstruct, membership_scan,
                        paley_wiener_check, project_halfline,
                        projection_idempotence_check)
 from conescale.hardy import _cut_plan, halfline_projection
@@ -122,6 +123,17 @@ class TestCauchyReconstruct:
             res = cauchy_reconstruct(cf, lam)
             errs.append(abs(res.value[0] - GAUSS(np.array([lam]))[0]))
         assert math.log2(errs[0] / errs[1]) >= 1.8
+
+    def test_overflowing_integrand_names_its_node(self):
+        # w = -50i makes the kernel e^{50 (mu - lam)}, e^{990} at mu = 20:
+        # the sum raises at that node instead of returning nan
+        cf = ConeFunction.from_callable(Cone(math.pi / 6, 0j, 1),
+                                        lambda lam: np.ones(lam.shape),
+                                        Grid(20.0, 4097), n_angles=3,
+                                        weight_number=-50j)
+        with pytest.raises(WeightOverflowError) as exc:
+            cauchy_reconstruct(cf, 0.5 * cmath.exp(1j * math.pi / 12))
+        assert exc.value.point == 20.0 and exc.value.node_index == 2048
 
     def test_point_too_close_to_boundary(self, cone_pi6_gauss):
         with pytest.raises(IllConditionedKernelError):

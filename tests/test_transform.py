@@ -12,9 +12,10 @@ from conescale import (ConfigurationError, Grid, NonFiniteSampleError,
                        TransformContext, WeightOverflowError, dual_grid,
                        parseval_check)
 from conescale.geometry import LOG_OVERFLOW_BOUND
-from conescale.transform import (_LOG_TINY, _apply_kernel, _dft_phases,
-                                 _ifft_sums, _pass_check, _row_factors,
-                                 _source_top, exp_sum, scaled_values)
+from conescale.transform import (_LOG_TINY, _apply_factors, _apply_kernel,
+                                 _dft_phases, _ifft_sums, _pass_check,
+                                 _require_finite, _row_factors, _source_top,
+                                 exp_sum)
 from conftest import gaussian_on
 from _oracles import (apply_derivative_rule, dense_kernel,
                       derivative_rule_deviation, exp_sum_per_component,
@@ -105,11 +106,17 @@ class TestForwardInverse:
         back = ctx.inverse(ctx.forward(f))
         assert np.max(np.abs(back.values - f.values)) < 1e-13
 
-    def test_scaled_values_rejects_non_finite(self):
+    def test_row_factors_keep_non_finite(self):
         # RayFunction rejects such samples; an overflowed sum must not be
-        # zeroed by the next scaling pass either
-        with pytest.raises(NumericalError, match="non-finite"):
-            scaled_values(np.array([1.0, np.inf]), np.zeros(2))
+        # zeroed by the next scaling pass either, on a normal or a wide row
+        factors = _row_factors(np.array([0.0, -1e4]))
+        for row in (0, 1):
+            values = np.ones(2, dtype=complex)
+            values[row] = np.inf
+            with np.errstate(invalid="ignore"):
+                scaled = _apply_factors(values, factors)
+            with pytest.raises(NumericalError, match="non-finite"):
+                _require_finite(scaled)
 
     def test_round_trip_one_sided(self, ctx4096, one_sided4096):
         back = ctx4096.inverse(ctx4096.forward(one_sided4096))
@@ -375,13 +382,14 @@ class TestPerRowScaling:
         assert np.all(np.abs(back.values - want)
                       <= 1e-12 * sizes + SUBNORMAL_SLACK)
         # round trip, compared under the weight e^{40 t}
-        gap = scaled_values(back.values - f.values * math.exp(-120.0),
-                            40.0 * t + 120.0)
+        gap = _apply_factors(back.values - f.values * math.exp(-120.0),
+                             _row_factors(40.0 * t + 120.0))
         assert np.max(np.abs(gap)) < 1e-12
 
     def test_zero_rows_ignore_their_exponents(self):
         values = np.array([[0.0, 0.0], [1.0, -2.0j], [0.0, 0.0], [3.0, 1e-300]])
-        got = scaled_values(values, np.array([1e300, 0.5, -1e300, -1e300]))
+        got = _apply_factors(values, _row_factors(
+            np.array([1e300, 0.5, -1e300, -1e300])))
         assert np.array_equal(got[[0, 2, 3]], np.zeros((3, 2)))
         assert np.allclose(got[1], np.exp(0.5) * values[1], rtol=1e-15)
 
@@ -408,9 +416,9 @@ def scaling_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(scaling_cases())
-def test_scaled_values_matches_per_element_property(case):
+def test_row_factors_match_per_element_property(case):
     values, expo = case
-    got = scaled_values(values, expo)
+    got = _apply_factors(values, _row_factors(expo))
     want = scaled_values_per_element(values, expo)
     assert np.all(np.isfinite(got))
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + SUBNORMAL_SLACK)
@@ -485,8 +493,26 @@ def weighted_transform_cases(draw, lowered=True):
     return ctx, f, fhat
 
 
+def _subnormal_columns_case():
+    """A draw whose column 1 lies 12 orders below column 0, all of it under
+    the normal range: the oracle lifts each column by its own power of two,
+    or it sums column 1 partly subnormal and misses by 1.2e-12."""
+    ctx = TransformContext(0, -35j, -0.5, Grid(12, 8))
+    values = np.zeros((8, 2), dtype=complex)
+    values[4:] = [
+        [1.08683503e-286 - 1.06675076e-286j, 5.12014441e-294 + 1.97410733e-294j],
+        [-6.71658511e-316 + 1.11773283e-315j, 0],
+        [-2.85509560e-174 + 9.20950795e-175j, 7.71299653e-182 - 2.57467310e-181j],
+        [2.24505527e-127 + 1.83671752e-126j, 5.52049471e-138 + 1.87155615e-138j]]
+    f = RayFunction(ctx.time_ray, ctx.src_grid, values, 0.0, ctx.zeta)
+    fhat = RayFunction(ctx.frequency_ray, ctx.dst_grid, np.zeros((8, 2)),
+                       0.0, ctx.w)
+    return ctx, f, fhat
+
+
 @settings(max_examples=100, deadline=None)
 @given(weighted_transform_cases())
+@example(_subnormal_columns_case())
 def test_forward_inverse_match_per_element_oracle_property(case):
     ctx, f, fhat = case
     got = ctx.forward(f).values
@@ -672,8 +698,6 @@ class TestExpSum:
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteSampleError, match="non-finite"):
             exp_sum(np.array([[1.0], [np.nan]]), np.zeros((1, 2)))
-        with pytest.raises(NonFiniteSampleError, match="non-finite"):
-            scaled_values(np.array([1.0, np.inf]), np.zeros(2))
 
 
 @st.composite
