@@ -11,38 +11,36 @@ resolvent growth bound
 
 over sampled lam in a closed cone pair.
 
-Each pencil caches its factorization (``factorization``): one eigensolve,
-with vectors, on first need, by one of four routes.  A binomial pencil
-lam^m I + A_m (A_0 exactly I, A_1..A_(m-1) exactly zero, as for the
-cylinder lam^2 I + L) is solved as the n x n standard problem
--A_m W = W diag(nu): its eigenvalues are the m-th roots of each nu,
-exactly +-sqrt(nu) when m = 2.  When -A_m is exactly Hermitian (the
-cylinder's self-adjoint cross-section operator) eigh gives nu and a
-unitary W; otherwise Hessenberg QR does.  Any other pencil goes through
-its block companion pencil lam B - A: when A_0 is exactly I, B is the
-identity and the standard problem A V = V J is solved; every other
-pencil, a singular or scaled A_0 included, goes through QZ, the only use
-of scipy, which is imported on the first QZ solve.  Both standard
-problems run Hessenberg QR, in real arithmetic when every coefficient is
-real (so complex eigenvalues come in exact conjugate pairs).  The
-eigenvalues are grouped once into single-linkage clusters (the connected
-components of |a - b| <= TOL_CLUSTER) and put in report order.
-``spectrum`` returns the cluster means and sizes and runs no SVD;
-``certify_spectrum`` certifies the same clusters by one SVD each, and only
-the reports that print certificates call it.  The same solve's
-eigenvectors give a triple, its inverse formed when a batched resolvent
-first needs it, with
+MatrixPencil is the one pencil object.  On first use it classifies each
+coefficient as exactly zero, exactly c I or dense (``scalars``), and that
+classification picks the route of its one eigensolve, run with vectors on
+first need and cached with everything read from it.  A binomial pencil
+lam^m I + A_m (A_0 is I and A_1..A_(m-1) are zero, as for the cylinder
+lam^2 I + L) solves the n x n problem -A_m W = W diag(nu), by eigh when
+-A_m is exactly Hermitian (the cylinder's self-adjoint cross-section
+operator; W is then unitary), by Hessenberg QR otherwise; its eigenvalues
+are the m-th roots of each nu, exactly +-sqrt(nu) when m = 2.  Any other
+pencil whose A_0 is I solves its block companion A V = V J (lam B - A with
+B = I) by Hessenberg QR.  Every other pencil, a singular or scaled A_0
+included, goes through lam B - A by QZ, the only use of scipy, which is
+imported on the first QZ solve.  Both standard routes run in real
+arithmetic when every coefficient is real (so complex eigenvalues come in
+exact conjugate pairs).
+
+``eigenvalues`` holds all m n eigenvalues (inf where A_0 is singular);
+``clusters`` groups them once into single-linkage clusters (the connected
+components of |a - b| <= TOL_CLUSTER), in report order, which
+``spectrum`` and ``certify_spectrum`` filter by region.  The same solve's
+eigenvectors give the ``triple``, formed when a batched resolvent first
+needs it, with
 
     A(lam)^{-1} = X (lam^power - J)^{-1} Y:
 
-X = V[:n] and Y = (B V)^{-1}[:, (m-1)n:] from A V = B V J (B = I for
-the standard problem), power 1; or for a binomial pencil the modal form
-X = W, Y = W^{-1} (W^H when W is unitary), J = diag(nu) and power m.  It
-is applied to N nodes at once with two matrix products.  Each node's
-residual |A(lam_k) u_k - f_k| is still certified against RESOLVENT_TOL;
-nodes that fail it, and every node of a pencil without a usable triple
-(singular A_0 or a singular (B V)), are solved by stacked LU instead, and
-a node that fails there too by its own certified LU solve.
+X = V[:n] and Y = (B V)^{-1}[:, (m-1)n:] from A V = B V J, power 1; or for
+a binomial pencil the modal form X = W, Y = W^{-1} (W^H when W is
+unitary), J = diag(nu) and power m.  resolvent_apply_batch applies it to N
+nodes at once and certifies every node.  Every read order gives the same
+bytes.
 """
 
 import cmath
@@ -66,7 +64,8 @@ _PROBES = (0.0, 1.0, -1.0, 1j, 0.7548271 + 0.3712994j)
 
 @dataclass(frozen=True)
 class MatrixPencil:
-    """Coefficients A_0..A_m (A_j multiplies lam^(m-j)) plus norm forms."""
+    """Coefficients A_0..A_m (A_j multiplies lam^(m-j)) plus norm forms, all
+    finite; the module docstring describes its cached properties."""
 
     coefficients: tuple
     norm_forms: tuple = None
@@ -76,9 +75,11 @@ class MatrixPencil:
         if len(coeffs) < 2:
             raise ValidationError("a pencil needs degree >= 1 (at least two coefficients)")
         n = coeffs[0].shape[0]
-        for c in coeffs:
+        for j, c in enumerate(coeffs):
             if c.shape != (n, n):
                 raise ValidationError("all coefficients must be square with a common size")
+            if not np.all(np.isfinite(c)):
+                raise ValidationError(f"coefficient {j} has a non-finite entry")
             c.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
         if self.norm_forms is None:
@@ -90,6 +91,8 @@ class MatrixPencil:
             for j, h in enumerate(forms):
                 if h.shape != (n, n):
                     raise ValidationError("norm forms must match the pencil dimension")
+                if not np.all(np.isfinite(h)):
+                    raise ValidationError(f"norm form {j} has a non-finite entry")
                 if np.max(np.abs(h - h.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(h))):
                     raise ValidationError(f"norm form {j} is not Hermitian")
                 try:
@@ -132,53 +135,37 @@ class MatrixPencil:
         return MatrixPencil(coeffs, self.norm_forms)
 
     @cached_property
-    def factorization(self):
-        """The companion eigendecomposition, computed on first use."""
-        return PencilFactorization(self)
-
-
-class PencilFactorization:
-    """Eigendecomposition of one MatrixPencil, by one of four routes.
-
-    The eigenproblem is built and solved once, with vectors, on first use.
-    A binomial pencil lam^m I + A_m (A_0 exactly I, A_1..A_(m-1) exactly
-    zero) is solved as the n x n problem -A_m W = W diag(nu), by one eigh
-    when -A_m is exactly Hermitian (W is then unitary), by Hessenberg QR
-    otherwise; its eigenvalues are the m-th roots of each nu (exactly
-    +-sqrt(nu) when m = 2).  Any other pencil is solved through its block
-    companion: the standard problem A V = V J when A_0 is exactly I, the
-    pencil lam B - A (QZ) otherwise.  Both standard problems run Hessenberg
-    QR, in real arithmetic when the coefficients are real.  ``eigenvalues``
-    holds all m n of them (inf where A_0 is singular), and every read order
-    gives the same bytes.  ``triple`` is (w, X, Y, power) with
-    A(lam)^{-1} = X diag(1 / (lam^power - w)) Y, or None when the pencil
-    has none; it reuses the solve's vectors and forms the inverse only
-    when first read.  A binomial triple is modal, (nu, W, W^{-1}, m); a
-    companion triple has power 1.  ``clusters`` is (head notes, cluster
-    means, cluster sizes), in report order.
-    """
-
-    def __init__(self, p):
-        self._coefficients = p.coefficients
-        k = self._binomial = _binomial_matrix(p.coefficients)
-        self._hermitian = k is not None and np.array_equal(k, k.conj().T)
-        self._power = 1 if k is None else p.degree
+    def scalars(self):
+        """Per coefficient: c if it is exactly c I (0 if zero), else None."""
+        eye = np.eye(self.dim)
+        return tuple(None if np.any(c - c[0, 0] * eye) else complex(c[0, 0])
+                     for c in self.coefficients)
 
     @cached_property
     def _modes(self):
-        """(nu, V, B) from the one eigensolve of lam B - A (B None for I)."""
-        a, b = (_companion(self._coefficients) if self._binomial is None
-                else (self._binomial, None))
-        return _companion_eig(a, b, self._hermitian) + (b,)
+        """(nu, V, B, power, hermitian) from the one eigensolve of lam B - A
+        (B None for I; hermitian when eigh ran)."""
+        s = self.scalars
+        real = s[0] == 1 and not any(np.any(c.imag) for c in self.coefficients)
+        if s[0] == 1 and all(c == 0 for c in s[1:-1]):
+            c = self.coefficients[-1]
+            k = -(c.real if real else c)
+            hermitian = np.array_equal(k, k.conj().T)
+            return _companion_eig(k, None, hermitian) + (None, self.degree, hermitian)
+        a, b = _companion(self, real)
+        return _companion_eig(a, b, False) + (b, 1, False)
 
     @cached_property
     def eigenvalues(self):
-        vals = _roots(self._modes[0], self._power).ravel()
+        """All m n eigenvalues, read-only."""
+        nu, _, _, power, _ = self._modes
+        vals = _roots(nu, power).ravel()
         vals.flags.writeable = False
         return vals
 
     @cached_property
     def clusters(self):
+        """(head notes, cluster means, cluster sizes), in report order."""
         raw = self.eigenvalues
         finite = raw[np.isfinite(raw)]
         kept = finite[np.abs(finite) <= 1.0 / TOL_INF]
@@ -197,34 +184,27 @@ class PencilFactorization:
 
     @cached_property
     def triple(self):
-        nu, V, B = self._modes
+        """(w, X, Y, power) with A(lam)^{-1} = X diag(1 / (lam^power - w)) Y,
+        or None when the pencil has none; read-only."""
+        nu, V, B, power, hermitian = self._modes
         if not np.all(np.isfinite(nu)):
             return None  # singular A_0
-        if self._hermitian:
+        if hermitian:
             X, Y = V, V.conj().T
         else:
+            # lam B - A = B V (lam - J) V^{-1}: the first block row of its
+            # inverse on the last block column is A(lam)^{-1}
             try:
-                X, Y = _standard_triple(V, B, len(self._coefficients[0]))
+                Y = np.linalg.inv(V if B is None else B @ V)[:, -self.dim:]
             except np.linalg.LinAlgError:
                 return None
+            if not np.all(np.isfinite(Y)):
+                return None
+            X = V[:self.dim]
         # shared by every later solve on this pencil
         for part in (nu, X, Y):
             part.flags.writeable = False
-        return nu, X, Y, self._power
-
-
-def _binomial_matrix(coefficients):
-    """-A_m when the pencil is lam^m I + A_m, else None.
-
-    That is, A_0 is exactly I and A_1..A_(m-1) are exactly zero; -A_m comes
-    back real when A_m is.
-    """
-    n = coefficients[0].shape[0]
-    if not np.array_equal(coefficients[0], np.eye(n)) or any(
-            np.any(c) for c in coefficients[1:-1]):
-        return None
-    c = coefficients[-1]
-    return -(c if np.any(c.imag) else c.real)
+        return nu, X, Y, power
 
 
 def _roots(nu, m):
@@ -241,15 +221,10 @@ def _roots(nu, m):
     return nu ** (1.0 / m) * np.exp(2j * np.pi * np.arange(m) / m)[:, None]
 
 
-def _companion(coefficients):
-    """The block companion pencil lam * B - A of A_0..A_m, as (A, B).
-
-    When A_0 is exactly I, B is the identity and comes back as None, and A
-    is real whenever every coefficient is.
-    """
-    m, n = len(coefficients) - 1, coefficients[0].shape[0]
-    standard = np.array_equal(coefficients[0], np.eye(n))
-    real = standard and not any(np.any(c.imag) for c in coefficients)
+def _companion(p, real):
+    """The block companion pencil lam * B - A of p, as (A, B): B is None
+    (the identity) when A_0 is I, and A is real when ``real``."""
+    m, n = p.degree, p.dim
     # A holds the companion blocks and B carries the leading coefficient,
     # so a singular A_0 shows up as infinite lams
     A = np.zeros((m * n, m * n), dtype=float if real else complex)
@@ -257,26 +232,20 @@ def _companion(coefficients):
         A[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = np.eye(n)
     for k in range(m):
         # row of powers: -A_m, -A_{m-1}, ..., -A_1
-        c = coefficients[m - k]
+        c = p.coefficients[m - k]
         A[(m - 1) * n:, k * n:(k + 1) * n] = -(c.real if real else c)
-    if standard:
+    if p.scalars[0] == 1:
         return A, None
     B = np.eye(m * n, dtype=complex)
-    B[(m - 1) * n:, (m - 1) * n:] = coefficients[0]
+    B[(m - 1) * n:, (m - 1) * n:] = p.coefficients[0]
     return A, B
 
 
 def _companion_eig(A, B, hermitian):
-    """Eigenvalues nu and eigenvectors V of lam B - A, both complex.
-
-    With B None this is the standard problem: numpy.linalg.eigh when
-    ``hermitian`` (A exactly Hermitian; V is then unitary), else Hessenberg
-    QR (numpy.linalg.eig), for the identity-led companion or the n x n
-    matrix -A_m of a binomial pencil.  Otherwise QZ (scipy.linalg.eig);
-    scipy is imported here, on the first QZ solve, so a run whose pencils
-    are all identity-led never loads it.  This is the module's one
-    eigensolve.  LAPACK failures are raised as EigenSolverError.
-    """
+    """Eigenvalues nu and eigenvectors V of lam B - A, both complex, by the
+    module's one eigensolve: eigh when ``hermitian``, eig when B is None
+    (the identity), QZ otherwise (scipy, imported on the first QZ solve).
+    LAPACK failures are raised as EigenSolverError."""
     try:
         if hermitian:
             out = np.linalg.eigh(A)
@@ -289,20 +258,6 @@ def _companion_eig(A, B, hermitian):
         raise EigenSolverError(
             f"companion eigenvalue solve failed: {exc}") from exc
     return tuple(a.astype(complex, copy=False) for a in out)
-
-
-def _standard_triple(vecs, B, n):
-    """X = V[:n] and Y = (B V)^{-1}[:, (m-1)n:] from A V = B V J.
-
-    Then lam B - A = B V (lam - J) V^{-1}, and the first block row of its
-    inverse applied to the last block column is A(lam)^{-1}.  B None stands
-    for the identity.  Raises LinAlgError when the triple does not exist
-    numerically.
-    """
-    Y = np.linalg.inv(vecs if B is None else B @ vecs)[:, -n:]
-    if not np.all(np.isfinite(Y)):
-        raise np.linalg.LinAlgError("(B V)^{-1} is not finite")
-    return vecs[:n], Y
 
 
 def evaluate(p, lam):
@@ -347,18 +302,17 @@ def resolvent_apply(p, lam, f):
 def resolvent_apply_batch(p, lams, rhs):
     """A(lam_k)^{-1} rhs_k for every node k, certified nodewise.
 
-    ``rhs`` has shape (len(lams), n).  With a triple (w, X, Y, power) the
-    solves are U = ((F Y^T) / (lam_k^power - w_i)) X^T: the companion's
-    standard triple (power 1), or for a binomial pencil the modal form
-    W [(W^{-1} f) / (lam^m - nu)], n terms whose far-node rounding does
-    not cancel (W^{-1} = W^H on the Hermitian route).  Each node must pass
+    ``rhs`` has shape (len(lams), n).  With the pencil's triple (w, X, Y,
+    power) the solves are U = ((F Y^T) / (lam_k^power - w_i)) X^T; the
+    modal triple of a binomial pencil has n terms whose far-node rounding
+    does not cancel.  Each node must pass
     |A(lam_k) u_k - f_k| <= RESOLVENT_TOL |f_k| (rows with |f_k| <= 1e-280
     only need a finite residual).  Failing nodes, or all nodes when the
     pencil has no triple, go to the LU fallback (_lu_fallback).
     """
     lams = np.asarray(lams, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
-    triple = p.factorization.triple
+    triple = p.triple
     if triple is None:
         sols = np.zeros_like(rhs)
         redo = np.arange(lams.size)
@@ -462,7 +416,7 @@ def _report_order(lams):
 
 def _clusters_in(p, region):
     """(head notes, means, sizes) of the pencil's clusters in the region."""
-    head, lams, sizes = p.factorization.clusters
+    head, lams, sizes = p.clusters
     inside = [k for k, lam in enumerate(lams)
               if region is None or region.contains_closed(lam)]
     return head, [lams[k] for k in inside], [sizes[k] for k in inside]

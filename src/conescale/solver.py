@@ -96,13 +96,15 @@ def apply_pencil_fd(pencil, u, cuts=()):
     """A(D) applied to samples by finite differences along the ray.
 
     The stencils have accuracy order 8; one stencil call returns every
-    order whose coefficient is not exactly zero, and one product applies
-    all the coefficients.  Returns (values, interior slice); the interior
-    excludes nodes whose stencil would run off the grid.  ``cuts`` lets
-    the stencils respect known kinks (one-sided differences on each side).
+    order whose coefficient is not exactly zero (by ``pencil.scalars``),
+    and one product applies all the coefficients.  Returns (values,
+    interior slice); the interior excludes nodes whose stencil would run
+    off the grid.  ``cuts`` lets the stencils respect known kinks
+    (one-sided differences on each side).
     """
     m = pencil.degree
-    terms = [(m - j, c) for j, c in enumerate(pencil.coefficients) if np.any(c)]
+    terms = [(m - j, c) for j, (c, scalar) in
+             enumerate(zip(pencil.coefficients, pencil.scalars)) if scalar != 0]
     derivs, core = derivative_with_cuts(u.values, u.grid.spacing,
                                         [order for order, _ in terms], cuts=cuts)
     dir_inv = 1.0 / u.ray.direction

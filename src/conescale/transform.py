@@ -32,10 +32,10 @@ beside its rays and the data-independent halves of its overflow checks (as
 an FFTW plan keeps its twiddle factors).  Both passes run through one
 kernel, _apply_kernel: one multiply per sample on each side of one FFT.
 The checks on the data still run per call: one overflow check on the
-input, which also finds input lying wholly below the normal range (the
-kernel then lifts it by a power of two, taken back off the post factors,
-so its sums keep relative precision), and one finiteness check on the
-output, whose array the result takes over.
+input, which also finds each column lying wholly below the normal range
+(the kernel then lifts that column by its own power of two, taken back off
+the post factors, so its sums keep relative precision), and one
+finiteness check on the output, whose array the result takes over.
 The discrete forward and inverse are exact inverses of each other at the
 nodes, for any sampled data, which is what the round-trip contract asks
 for.  The uniform quadrature weights used here agree with composite
@@ -97,23 +97,24 @@ def _dft_phases(count):
     return const, _read_only(phase)
 
 
-def _apply_kernel(x, pre, post, fft=np.fft.fft, lift=0):
+def _apply_kernel(x, pre, post, fft=np.fft.fft, lift=None):
     """exp(post) * fft(exp(pre) * x) along the node axis, the one kernel
     of both passes.
 
     ``pre`` and ``post`` are row factors with the DFT phases folded in:
     with the forward FFT this is exp(post_j) * sum_k exp(-i xi_j t_k)
     exp(pre_k) x_k, with _ifft_sums the mirror sum over exp(+i t_k xi_j).
-    A nonzero ``lift`` multiplies the FFT input by 2^lift and the post
-    factors by 2^-lift (_times_pow2, exact), so input lying wholly below
-    the normal range is summed with relative, not absolute, rounding.
+    A ``lift``, one integer per column of x, multiplies column c of the FFT
+    input by 2^lift_c and of the post factors by 2^-lift_c (_times_pow2,
+    exact), so a column lying wholly below the normal range is summed with
+    relative, not absolute, rounding, whatever the other columns hold.
 
     x must be finite (RayFunction values are).  The result is the one
     array a pass checks: a non-finite FFT sum stays non-finite through the
     post factors, so it raises NonFiniteSampleError here, as does a post
     factor that overflows.
     """
-    if lift:
+    if lift is not None:
         pre, post = _times_pow2(pre, lift), _times_pow2(post, -lift)
     sums = fft(_apply_factors(x, pre), axis=0)
     # a non-finite sum raises below, not as a warning from its product
@@ -189,14 +190,17 @@ def _apply_factors(values, factors, out=None):
 
 
 def _times_pow2(factors, s):
-    """The row factors times 2^s, every row through the power-of-two split
-    of _apply_factors, so the scaling is exact."""
+    """The row factors times 2^s_c in column c, for an integer array s of
+    one power per column: one factor per entry, every one through the
+    power-of-two split of _apply_factors, so the scaling is exact."""
     unit = factors.normal.copy()
     unit[factors.wide] = factors.unit
-    shift = np.full(unit.shape, s)
-    shift[factors.wide] += factors.shift
-    return _RowFactors(np.ones_like(unit), np.ones(unit.shape, dtype=bool),
-                       unit, shift)
+    shift = np.zeros(unit.shape, dtype=int)
+    shift[factors.wide] = factors.shift
+    shift = shift[..., None] + s
+    return _RowFactors(np.ones(shift.shape, dtype=complex),
+                       np.ones(shift.shape, dtype=bool),
+                       np.broadcast_to(unit[..., None], shift.shape), shift)
 
 
 def exp_sum(values, exponents, points=None):
@@ -257,30 +261,46 @@ def _pass_check(dst_exponents, src_exponents):
 
 
 def _source_top(values, check, slack):
-    """(k, part): the source row k where check.base[k] + log max_c
+    """(k, part, lift) for the (N, C) data of one pass.
+
+    (k, part): the source row k where check.base[k] + log max_c
     |values[k, c]| (the log of the pass's FFT input) is largest, and that
     sum; or (None, bound), a bound on every such sum that is at most
-    ``slack``, when the data's peak shows that no row exceeds ``slack``
-    and that some row lies in the normal range; (None, -inf) for zeros.
+    ``slack``; (None, -inf) for zeros.  lift: None, or per column the power
+    of two that brings a column of FFT input lying wholly below the normal
+    range up to about 1 (0 for the other columns).
 
-    That first test needs no complex modulus and no log per node: every
-    |v| is at most sqrt(2) max(|Re v|, |Im v|), and the bound takes twice
-    that maximum, whose margin of log sqrt(2) covers the rounding of the
-    sums; the peak's row lies at least at check.base_bottom plus its log.
-    Other data (or an inf or a nan) take the log of every row.
+    The bound and the lift's test need no complex modulus and no log per
+    node: every |v| is at most sqrt(2) max(|Re v|, |Im v|), the bound takes
+    twice that peak (log sqrt(2) covers the rounding of the sums), and a
+    column's peak row lies at least at check.base_bottom plus the log of
+    its peak.  Other data (or an inf or a nan) take the logs.
     """
-    peak = float(np.max(np.abs(values.ravel().view(float))))
+    mags = np.abs(values.ravel().view(float))
+    if values.shape[1] == 1:  # a flat maximum is far faster
+        peak = floor = float(np.max(mags))
+    else:
+        peaks = np.max(mags.reshape(len(values), -1), axis=0)
+        peaks = np.maximum(peaks[0::2], peaks[1::2])
+        peak = float(np.max(peaks))
+        floor = float(np.min(peaks, where=peaks > 0.0, initial=peak))
     if peak == 0.0:
-        return None, -math.inf
+        return None, -math.inf, None
+    lift = None
+    if not check.base_bottom + math.log(floor) >= _LOG_TINY:  # or a nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tops = np.max(check.base[:, None] + np.log(np.abs(values)), axis=0)
+        low = (-math.inf < tops) & (tops < _LOG_TINY)
+        lift = np.where(low, -tops / _LN2, 0.0).astype(int) if low.any() else None
     bound = check.base_top + math.log(2.0 * peak)
-    if bound <= slack and check.base_bottom + math.log(peak) >= _LOG_TINY:
-        return None, bound
+    if bound <= slack:
+        return None, bound, lift
     with np.errstate(divide="ignore"):  # a zero row's log is -inf
         parts = check.base + np.log(np.max(np.abs(values), axis=1))
     # a row holding a nan is left to the pass's output check
     parts[np.isnan(parts)] = -np.inf
     k = int(np.argmax(parts))
-    return k, float(parts[k])
+    return k, float(parts[k]), lift
 
 
 @dataclass(frozen=True)
@@ -376,9 +396,8 @@ class TransformContext:
 
     def _check_pair_overflow(self, sign, values):
         """Refuse a pass whose largest data-times-kernel term could pass
-        LOG_OVERFLOW_BOUND; return the pass's lift for _apply_kernel: 0, or
-        the power of two that brings FFT input lying wholly below the
-        normal range up to about 1.
+        LOG_OVERFLOW_BOUND; return the pass's lift for _apply_kernel (see
+        _source_top).
 
         |e^{-i lam z}| is e^{+Im(lam z)} on the forward pass (sign +1) and
         e^{-Im(lam z)} on the inverse pass (sign -1), and Im(lam z) = a xi
@@ -401,8 +420,8 @@ class TransformContext:
         """
         check = self._checks[0 if sign > 0 else 1]
         pair = 2.0 * sign * self._slopes[2]
-        k, part = _source_top(values, check,
-                              LOG_OVERFLOW_BOUND - check.top - pair)
+        k, part, lift = _source_top(values, check,
+                                    LOG_OVERFLOW_BOUND - check.top - pair)
         worst = check.top + part + pair
         if worst > LOG_OVERFLOW_BOUND:
             i, k = (check.at, k) if sign > 0 else (k, check.at)
@@ -412,7 +431,7 @@ class TransformContext:
                  self.time_ray.points(self.src_grid.nodes[k])),
                 float(worst),
             )
-        return int(-part / _LN2) if -math.inf < part < _LOG_TINY else 0
+        return lift
 
     def forward(self, f):
         """Time side to frequency side.

@@ -4,7 +4,7 @@ Everything here deliberately avoids the package's transform-based solve
 path: closed-form integrals, adaptive quadrature of explicit solution
 formulas, dense finite-difference collocation, the dense transform kernel
 that the FFT factorization replaced, the uncached spectrum that the
-per-pencil factorization replaced (certified in the same pass, and
+per-pencil cached eigensolve replaced (certified in the same pass, and
 clustered from the full matrix of pairwise distances instead of a sweep),
 the QZ solve of the full companion pencil that the standard QR solve
 replaced for pencils led by the identity (and the n x n root solve for
@@ -33,13 +33,13 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 import scipy.sparse.csgraph
+import scipy.special
 
 from conescale import (ConstantProblem, MatrixPencil, continuation_certificate,
                        solve_variable)
 from conescale.errors import ConfigurationError
 from conescale.hardy import halfline_projection
-from conescale.pencil import (SpectrumReport, _binomial_matrix, _companion,
-                              _roots, evaluate)
+from conescale.pencil import SpectrumReport, _roots, evaluate
 from conescale.rhs import AnalyticRhs
 from conescale.solver import (VariableSolveResult, _check_line_clear,
                               _fd_residual, _prepare_perturbation, _resolve)
@@ -389,11 +389,9 @@ def cluster_pairwise(values, tol):
     return [vals[labels == c] for c in firsts]
 
 
-def companion_qz_eigvals(p):
-    """All m n eigenvalues of the block companion pencil lam B - A of p by
-    QZ (scipy.linalg.eigvals(A, B)), with B formed in full even when A_0
-    is the identity, as every pencil was solved before the standard QR
-    route; inf where A_0 is singular."""
+def _companion_blocks(p):
+    """(A, B) of the block companion pencil lam B - A of p, both complex
+    and formed in full, B even when A_0 is the identity."""
     coeffs = p.coefficients
     m, n = p.degree, p.dim
     A = np.zeros((m * n, m * n), dtype=complex)
@@ -403,7 +401,31 @@ def companion_qz_eigvals(p):
     for k in range(m):
         A[(m - 1) * n:, k * n:(k + 1) * n] = -coeffs[m - k]
     B[(m - 1) * n:, (m - 1) * n:] = coeffs[0]
-    return scipy.linalg.eigvals(A, B)
+    return A, B
+
+
+def _is_identity(c):
+    return np.array_equal(c, np.eye(len(c)))
+
+
+def _binomial_part(p):
+    """-A_m when p is lam^m I + A_m (A_0 equal to I and A_1..A_(m-1) to
+    zero, entry by entry), real when A_m is; else None.  The test is this
+    module's own, not the pencil's classification."""
+    coeffs = p.coefficients
+    if not _is_identity(coeffs[0]) or any(
+            np.count_nonzero(c) for c in coeffs[1:-1]):
+        return None
+    c = coeffs[-1]
+    return -(c.real if np.all(c.imag == 0.0) else c)
+
+
+def companion_qz_eigvals(p):
+    """All m n eigenvalues of the block companion pencil lam B - A of p by
+    QZ (scipy.linalg.eigvals(A, B)), with B formed in full even when A_0
+    is the identity, as every pencil was solved before the standard QR
+    route; inf where A_0 is singular."""
+    return scipy.linalg.eigvals(*_companion_blocks(p))
 
 
 def partial_fraction_triple(p):
@@ -413,8 +435,7 @@ def partial_fraction_triple(p):
     m copies of W side by side and Y stacks the blocks W^{-1} / (m
     omega^(m-1)), the residues of 1 / (lam^m - nu) at each root.  Its m
     terms per mode cancel at nodes far outside the spectrum."""
-    k = _binomial_matrix(p.coefficients)
-    nu, W = np.linalg.eig(k)
+    nu, W = np.linalg.eig(_binomial_part(p))
     m, n = p.degree, p.dim
     omega = _roots(nu.astype(complex), m)
     Y = np.linalg.inv(W) / (m * omega ** (m - 1))[:, :, None]
@@ -422,30 +443,35 @@ def partial_fraction_triple(p):
 
 
 def spectrum_uncached(p, region=None, tol_cluster=1e-7, tol_inf=1e-8):
-    """The spectrum and its certificate as computed before factorizations
-    were cached, as (SpectrumReport, (residuals, notes)).
+    """The spectrum and its certificate as computed before each pencil
+    cached its eigensolve, as (SpectrumReport, (residuals, notes)).
 
-    A fresh eigenvalue solve per call by the factorization's route (the
-    m-th roots of the eigenvalues of -A_m for a binomial pencil
-    lam^m I + A_m, by eigh when -A_m is exactly Hermitian; else the
-    companion by standard QR when A_0 is the identity, QZ otherwise),
-    clustered by cluster_pairwise, with the region filter applied before
-    each cluster's SVD certificate.  Clusters are ordered by a walk over
-    their real parts that starts a new group at each gap above
-    tol_cluster, then by imaginary part within a group; notes follow the
-    same order.
+    A fresh eigenvalue solve per call by the pencil's route, chosen by
+    this module's own tests of the coefficients (the m-th roots of the
+    eigenvalues of -A_m for a binomial pencil lam^m I + A_m, by eigh when
+    -A_m is exactly Hermitian; else the companion by standard QR when A_0
+    is the identity, QZ otherwise), clustered by cluster_pairwise, with
+    the region filter applied before each cluster's SVD certificate.
+    Clusters are ordered by a walk over their real parts that starts a new
+    group at each gap above tol_cluster, then by imaginary part within a
+    group; notes follow the same order.
     """
-    # the eigenvalues of the with-vectors solve, as the factorization
-    # computes them (eigvalsh or eigvals may differ in the last digits)
-    k = _binomial_matrix(p.coefficients)
+    # the eigenvalues of the with-vectors solve, as the pencil computes
+    # them (eigvalsh or eigvals may differ in the last digits)
+    k = _binomial_part(p)
     if k is not None:
         nu = (np.linalg.eigh(k) if np.array_equal(k, k.conj().T)
               else np.linalg.eig(k))[0]
         raw = _roots(nu.astype(complex), p.degree).ravel()
     else:
-        a, b = _companion(p.coefficients)
-        raw = (np.linalg.eig(a) if b is None
-               else scipy.linalg.eig(a, b))[0].astype(complex)
+        a, b = _companion_blocks(p)
+        if not _is_identity(p.coefficients[0]):
+            raw = scipy.linalg.eig(a, b)[0]
+        elif all(np.all(c.imag == 0.0) for c in p.coefficients):
+            raw = np.linalg.eig(np.ascontiguousarray(a.real))[0]
+        else:
+            raw = np.linalg.eig(a)[0]
+        raw = raw.astype(complex)
     finite = raw[np.isfinite(raw)]
     kept = finite[np.abs(finite) <= 1.0 / tol_inf]
     head = []
@@ -593,3 +619,21 @@ def collocation_perturbed_first_order(q_of_t, grid, rhs_values, acc=6):
     A[-1, -1] = 1.0
     b[-1] = 0.0
     return np.linalg.solve(A, b)
+
+
+def cylinder_mode_solution(z, kappa, cross):
+    """The whole-line solution of -u'' + kappa^2 u = e^{-z^2} c at the
+    complex points z, in closed form, one row per point:
+
+        u(z) = sqrt(pi) / (4 kappa) e^{-z^2}
+               [erfcx(kappa/2 - z) + erfcx(kappa/2 + z)] c.
+
+    erfcx is entire, so this holds on every ray.  For the demo-cylinder
+    pencil lam^2 I + L_h and its rhs e^{-z^2} c, with c (``cross``) an
+    eigenvector of L_h of eigenvalue kappa^2, it solves A(D) u = F exactly.
+    """
+    z = np.asarray(z, dtype=complex)
+    mode = (math.sqrt(math.pi) / (4.0 * kappa) * np.exp(-z ** 2)
+            * (scipy.special.erfcx(0.5 * kappa - z)
+               + scipy.special.erfcx(0.5 * kappa + z)))
+    return mode[:, None] * np.asarray(cross)[None, :]

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import json
 import math
@@ -11,14 +12,18 @@ import scipy.optimize
 from hypothesis import assume, example, given, settings, strategies as st
 
 import conescale.pencil
+import conescale.solver
 from conescale import (Cone, Disk, GaussianRhs, Grid, MatrixPencil,
                        NearEigenvalueError, SpectrumReport, certify_spectrum,
                        cone_clearance, constant_problem, evaluate,
                        resolvent_apply, solve_const, spectrum,
                        verify_growth_condition)
 from conescale.cli import main as cli_main
+from conescale.errors import ValidationError
+from conescale.geometry import TIME, Ray
 from conescale.pencil import (_cluster, evaluate_batch, resolvent_apply_batch,
                               search_radius)
+from conescale.solver import apply_pencil_fd
 from _oracles import (cluster_pairwise, companion_qz_eigvals,
                       fd_laplacian_eigenvalues, partial_fraction_triple,
                       spectrum_uncached)
@@ -94,6 +99,74 @@ class TestConstruction:
         with pytest.raises(ValueError, match="positive definite"):
             MatrixPencil((np.eye(1), np.eye(1)),
                          (np.array([[-1.0]]), np.array([[1.0]])))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1j * np.inf])
+    def test_non_finite_coefficient_refused(self, bad):
+        # lam I + diag(inf, -1) used to get an all-nan spectrum, dropped
+        # without a note, so a cone around its eigenvalue 1 read clear
+        with pytest.raises(ValidationError,
+                           match="coefficient 1 has a non-finite entry"):
+            MatrixPencil((np.eye(2), np.diag([bad, -1.0])))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_norm_form_refused(self, bad):
+        # a nan form used to be accepted, and vector_norm returned nan
+        with pytest.raises(ValidationError,
+                           match="norm form 1 has a non-finite entry"):
+            MatrixPencil((np.eye(1), np.eye(1)),
+                         (np.eye(1), np.array([[bad]])))
+
+
+class TestClassification:
+    """Each coefficient is classified once, as exactly zero, exactly c I or
+    dense; the eigensolve route and apply_pencil_fd read that."""
+
+    @pytest.mark.parametrize("make, scalars", [
+        (lambda: dirichlet_pencil(4), (1, 0, None)),
+        (lambda: dirichlet_pencil(4).scaled(math.pi / 8),
+         (cmath.exp(1j * math.pi / 4), 0, None)),
+        (lambda: notes_pencil(), (None, None, 1)),
+        (lambda: MatrixPencil((np.zeros((1, 1)), np.eye(1))), (0, 1)),
+        (lambda: MatrixPencil((2.0 * np.eye(2), np.diag([1.0, 3j]))),
+         (2, None)),
+        (lambda: MatrixPencil((np.eye(1), np.zeros((1, 1)), 1j * np.eye(1))),
+         (1, 0, 1j)),
+    ])
+    def test_scalars(self, make, scalars):
+        p = make()
+        assert p.scalars == scalars
+        assert p.scalars is p.scalars
+
+    @pytest.mark.parametrize("near", [
+        np.eye(3) + np.diag([0.0, 0.0, np.spacing(1.0)]),
+        np.eye(3) + np.diag([5e-324, 0.0], 1),
+        np.eye(3) + 1j * np.diag([0.0, 5e-324, 0.0]),
+    ], ids=["diagonal_ulp", "subnormal_off_diagonal", "imaginary_entry"])
+    def test_near_identity_is_dense(self, monkeypatch, near):
+        # lam^2 A_0 + L with A_0 one ulp or one subnormal off I: dense, so
+        # QZ, not the binomial eigh
+        p = MatrixPencil((near, np.zeros((3, 3)),
+                          dirichlet_pencil(3).coefficients[2]))
+        assert p.scalars == (None, 0, None)
+        seen = record_standard_solves(monkeypatch)
+        spectrum(p)
+        assert seen == []
+
+    def test_fd_skips_zero_coefficients(self, monkeypatch):
+        orders = []
+        real = conescale.solver.derivative_with_cuts
+
+        def spy(values, spacing, wanted, cuts=()):
+            orders.append(list(wanted))
+            return real(values, spacing, wanted, cuts=cuts)
+
+        monkeypatch.setattr(conescale.solver, "derivative_with_cuts", spy)
+        u = GaussianRhs(cross_section=np.ones(2)).sample(
+            Ray(0.0, 0j, TIME), Grid(20.0, 256))
+        for p in (dirichlet_pencil(2), MatrixPencil(
+                (np.eye(2), np.ones((2, 2)), np.eye(2)))):
+            apply_pencil_fd(p, u)
+        assert orders == [[2, 0], [2, 1, 0]]
 
 
 class TestEvaluate:
@@ -184,7 +257,7 @@ class TestSpectrum:
         p = MatrixPencil((np.eye(1), -2.0 * np.eye(1), np.eye(1)))
         # the companion solve returns the two copies up to about 4e-8
         # apart, within the default TOL_CLUSTER
-        raw = p.factorization.eigenvalues
+        raw = p.eigenvalues
         assert abs(raw[0] - raw[1]) <= conescale.pencil.TOL_CLUSTER
         spec = spectrum(p)
         assert spec.multiplicities == (2,)
@@ -264,7 +337,7 @@ def notes_pencil():
                          np.eye(2)))
 
 
-# one pencil per factorization route (by the eigensolver it takes, with
+# one pencil per eigensolve route (by the eigensolver it takes, with
 # real and complex arithmetic where they differ)
 ROUTES = {
     "hermitian_real": (lambda: dirichlet_pencil(8), "eigh"),
@@ -278,7 +351,7 @@ ROUTES = {
     "qz_singular_leading": (notes_pencil, "qz"),
 }
 
-# every reader of a pencil's factorization
+# every reader of a pencil's one eigensolve
 READS = {
     "spectrum": spectrum,
     "clearance": lambda p: cone_clearance(p, Cone(math.pi / 8, 0j, 1),
@@ -286,7 +359,7 @@ READS = {
     "certificate": certify_spectrum,
     "resolvent": lambda p: resolvent_apply_batch(
         p, np.array([0.3 + 0.2j, -1.7 + 2.9j]), np.ones((2, p.dim))),
-    "triple": lambda p: p.factorization.triple,
+    "triple": lambda p: p.triple,
 }
 
 
@@ -461,7 +534,7 @@ class TestResolventBatch:
         p = MatrixPencil(tuple(
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             for _ in range(degree + 1)))
-        assert p.factorization.triple is not None
+        assert p.triple is not None
         lams = 3.0 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
         rhs = rng.standard_normal((16, n)) + 1j * rng.standard_normal((16, n))
         try:
@@ -503,7 +576,7 @@ class TestResolventBatch:
         monkeypatch.setattr(conescale.pencil, "_LU_STACK_ENTRIES",
                             stack_entries)
         p = make()
-        assert p.factorization.triple is None
+        assert p.triple is None
         lams = np.array([0.1, 2.0, 1.5j, -3.0 + 0.5j, 7.0, -0.25j])
         rhs = np.arange(1, 6 * p.dim + 1, dtype=complex).reshape(6, p.dim)
         assert np.array_equal(resolvent_apply_batch(p, lams, rhs),
@@ -581,11 +654,12 @@ class TestFactorizationCache:
 
     def test_factored_once(self):
         p = dirichlet_pencil(4)
-        first = p.factorization
+        first = p.scalars, p.eigenvalues, p.clusters, p.triple
         spectrum(p)
         spectrum(p, region=Disk(0j, 1.0))
         resolvent_apply_batch(p, np.array([0.5]), np.ones((1, 4)))
-        assert p.factorization is first
+        again = p.scalars, p.eigenvalues, p.clusters, p.triple
+        assert all(a is b for a, b in zip(again, first))
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
     def test_one_eigensolve_in_any_read_order(self, monkeypatch, route):
@@ -619,7 +693,7 @@ class TestFactorizationCache:
             raise AssertionError("solved again")
 
         monkeypatch.setattr(conescale.pencil, "_companion_eig", refuse)
-        assert p.factorization.triple is None
+        assert p.triple is None
 
     def test_resolvent_first_shares_eigenvalues(self, monkeypatch):
         seen = record_standard_solves(monkeypatch)
@@ -639,7 +713,7 @@ class TestFactorizationCache:
         p = dirichlet_pencil(4)
         phi = math.pi / 8
         q = p.scaled(phi)
-        assert q.factorization is not p.factorization
+        assert q.eigenvalues is not p.eigenvalues and q.triple is not p.triple
         # A_q(lam) = A(e^{i phi} lam): eigenvalues rotate by e^{-i phi}
         rotated = [lam * np.exp(-1j * phi) for lam in spectrum(p).eigenvalues]
         assert all(min(abs(lam - mu) for mu in spectrum(q).eigenvalues) < 1e-9
@@ -737,7 +811,7 @@ class TestStandardCompanion:
            st.booleans(), st.sampled_from([1e-3, 1.0, 10.0]))
     def test_matches_qz_and_certifies(self, seed, degree, n, real, magnitude):
         p = monic_pencil(seed, degree, n, real, magnitude)
-        fast = p.factorization.eigenvalues
+        fast = p.eigenvalues
         qz = companion_qz_eigvals(p)
         assert fast.dtype == complex and fast.shape == qz.shape
         # the multisets agree: match them by least total distance
@@ -777,7 +851,7 @@ class TestStandardCompanion:
             f = np.ones((3, p.dim), dtype=complex)
             assert np.allclose(resolvent_apply_batch(p, lams, f),
                                nodewise(p, lams, f), rtol=1e-10, atol=0.0)
-            assert p.factorization.triple is not None
+            assert p.triple is not None
 
     @pytest.mark.parametrize("make, dropped", [
         (notes_pencil, 1),
@@ -797,9 +871,9 @@ class TestStandardCompanion:
                             _refuse("numpy.linalg.eigvals"))
         p = make()
         spectrum(p)
-        assert (p.factorization.triple is None) == bool(dropped)
+        assert (p.triple is None) == bool(dropped)
         assert calls == ["eig"]
-        assert np.array_equal(p.factorization.eigenvalues,
+        assert np.array_equal(p.eigenvalues,
                               companion_qz_eigvals(make()), equal_nan=True)
         dropped_notes = [note for note in certify_spectrum(p)[1]
                          if note.startswith("dropped")]
@@ -876,7 +950,7 @@ class TestBinomial:
            st.booleans(), st.sampled_from([1e-3, 1.0, 10.0]))
     def test_matches_qz_and_lu(self, seed, degree, n, real, magnitude):
         p = binomial_pencil(seed, degree, n, real, magnitude)
-        fast = p.factorization.eigenvalues
+        fast = p.eigenvalues
         qz = companion_qz_eigvals(p)
         assert fast.dtype == complex and fast.shape == qz.shape
         gaps = np.abs(fast[:, None] - qz[None, :])
@@ -910,7 +984,7 @@ class TestBinomial:
                                          magnitude):
         p = hermitian_binomial_pencil(seed, degree, n, real, magnitude)
         with mock.patch.object(np.linalg, "eig", _refuse("numpy.linalg.eig")):
-            fast = p.factorization.eigenvalues
+            fast = p.eigenvalues
         qz = companion_qz_eigvals(p)
         assert fast.dtype == complex and fast.shape == qz.shape
         gaps = np.abs(fast[:, None] - qz[None, :])
@@ -921,7 +995,7 @@ class TestBinomial:
             # nu is real: each pair of roots is exactly +-sqrt(|nu|) on one
             # axis, the imaginary one where -nu > 0
             assert np.all((fast.real == 0.0) | (fast.imag == 0.0))
-        w, X, _, power = p.factorization.triple
+        w, X, _, power = p.triple
         assert power == degree and np.all(w.imag == 0.0)
         assert np.allclose(X.conj().T @ X, np.eye(n), rtol=0.0, atol=1e-13)
         rng = np.random.default_rng(seed + 1)
@@ -976,7 +1050,7 @@ class TestBinomial:
         p = make()
         seen = record_standard_solves(monkeypatch)
         spectrum(p)
-        assert p.factorization.triple is not None
+        assert p.triple is not None
         n = p.dim
         assert seen == [(name, (n, n), kind) for name, kind in want]
 
@@ -984,7 +1058,7 @@ class TestBinomial:
         seen = record_standard_solves(monkeypatch)
         p = monic_pencil(1, 2, 3, True, 1.0)
         spectrum(p)
-        assert p.factorization.triple is not None
+        assert p.triple is not None
         assert seen == [("eig", (6, 6), "f")]
 
     @pytest.mark.parametrize("a", [np.diag([0.0, 4.0]),
@@ -998,7 +1072,7 @@ class TestBinomial:
         assert spec == SpectrumReport((-2j, 0j, 2j), (1, 2, 1))
         assert ("cluster at 0j: multiplicity 2 by distance; Jordan chains "
                 "unresolved, may be defective") in certify_spectrum(p)[1]
-        assert p.factorization.triple is not None
+        assert p.triple is not None
         monkeypatch.setattr(conescale.pencil, "_lu_fallback",
                             _refuse("the LU fallback"))
         lams = np.array([0.5, 1.0 + 1.0j, -3.0, 0.25j])
@@ -1008,13 +1082,13 @@ class TestBinomial:
 
     def test_zero_root_triple_first(self):
         p = MatrixPencil((np.eye(2), np.zeros((2, 2)), np.diag([0.0, 4.0])))
-        assert p.factorization.triple is not None
+        assert p.triple is not None
         assert spectrum(p) == SpectrumReport((-2j, 0j, 2j), (1, 2, 1))
 
     def test_linear_zero_root_keeps_triple(self, monkeypatch):
         # for m = 1 a zero eigenvalue is simple
         p = MatrixPencil((np.eye(2), np.diag([0.0, 1.0])))
-        assert p.factorization.triple is not None
+        assert p.triple is not None
         monkeypatch.setattr(conescale.pencil, "_lu_fallback",
                             _refuse("the LU fallback"))
         lams = np.array([0.5, 1.0 + 1.0j, -3.0])

@@ -18,16 +18,17 @@ from conescale import (FREQUENCY, ConstantProblem, ContractionFailureError,
                        solve_scaled, solve_variable)
 from conescale.errors import ConfigurationError, NonFiniteSampleError
 from conescale.geometry import derivative_energy
-from conescale.cli import dirichlet_laplacian, parse_problem
+from conescale.cli import (cylinder_problem_dict, dirichlet_laplacian,
+                           parse_problem)
 from conescale.hardy import halfline_projection
 from conescale.solver import (_apply_perturbation, _prepare_perturbation,
                               apply_pencil_fd)
 from conescale.stencils import (_edge_rows, _window_weights,
                                 derivative_with_cuts, fornberg_weights)
 from _oracles import (collocation_constant, collocation_perturbed_first_order,
-                      differentiation_matrix, modal_variable_solve,
-                      perturbation_per_point, solve_variable_six_pass,
-                      variation_of_constants)
+                      cylinder_mode_solution, differentiation_matrix,
+                      modal_variable_solve, perturbation_per_point,
+                      solve_variable_six_pass, variation_of_constants)
 
 IDENT = MatrixPencil((np.zeros((1, 1)), np.eye(1)))
 LINEAR = MatrixPencil((np.eye(1), 1j * np.eye(1)))      # lam + i
@@ -211,6 +212,38 @@ def test_scaling_equivalence_property(grid, case, phi):
     _, _, rep = solve_scaled(p, phi, ray_table_angles=2)
     dev = rep.deviation_continuation
     assert math.isnan(dev) or dev <= 1e-6
+
+
+class TestCylinderClosedForm:
+    """The demo-cylinder problem against its closed-form solution
+    (_oracles.cylinder_mode_solution).  The base and rotated-ray solves
+    take the binomial eigh route of lam^2 I + L_h, and the scaled solve
+    takes QZ on e^{2i phi} lam^2 I + L_h."""
+
+    # about 100 times the largest error measured relative to the peak
+    # (base, scaled, rotated: 3.9e-15, 4.0e-15, 4.2e-15 at n = 4; 9.5e-15,
+    # 6.6e-15, 9.7e-15 at n = 16; 9.8e-14, 6.6e-14, 9.9e-14 at n = 64)
+    TOL = {4: 4e-13, 16: 1e-12, 64: 1e-11}
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_solves_match_closed_form(self, n):
+        phi = math.pi / 16
+        data = cylinder_problem_dict(n, phi)
+        problem = parse_problem(data).constant()
+        assert problem.pencil.scalars == (1, 0, None)
+        assert problem.pencil.scaled(phi).scalars[0] != 1
+        _, h = dirichlet_laplacian(n)
+        kappa = 2.0 / h * math.sin(math.pi * h / 2)
+        cross = np.array([re for re, _ in data["rhs"]["cross_section"]])
+        u, v, _ = solve_scaled(problem, phi, ray_table_angles=2)
+        rot = solve_const(problem.on_ray(Ray(phi, problem.ray.offset, TIME))).u
+        base_exact = cylinder_mode_solution(u.points, kappa, cross)
+        # the scaled solve samples u(w + e^{-i phi} t): the rotated ray
+        rot_exact = cylinder_mode_solution(rot.points, kappa, cross)
+        for got, want in ((u.values, base_exact), (v.values, rot_exact),
+                          (rot.values, rot_exact)):
+            assert (np.max(np.abs(got - want))
+                    <= self.TOL[n] * np.max(np.abs(want)))
 
 
 def rational_coefficients(eps, pole_scale):

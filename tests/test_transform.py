@@ -510,9 +510,40 @@ def _subnormal_columns_case():
     return ctx, f, fhat
 
 
+def _small_column_case(zeta, w, count, rows, at):
+    """Forward data whose column 1 lies about 13 orders below column 0,
+    near the subnormal range (``rows`` from row ``at`` on, zeros
+    elsewhere).  A lift taken from the largest row over both columns left
+    column 1's FFT input partly subnormal, off by 3e-12 against the oracle
+    where that column transformed alone is off by 9e-14; each column now
+    takes its own lift."""
+    ctx = TransformContext(0.0, zeta, w, Grid(12.0, count))
+    values = np.zeros((count, 2), dtype=complex)
+    values[at:at + len(rows)] = rows
+    f = RayFunction(ctx.time_ray, ctx.src_grid, values, 0.0, ctx.zeta)
+    fhat = RayFunction(ctx.frequency_ray, ctx.dst_grid,
+                       np.zeros((count, 2)), 0.0, ctx.w)
+    return ctx, f, fhat
+
+
 @settings(max_examples=100, deadline=None)
 @given(weighted_transform_cases())
 @example(_subnormal_columns_case())
+@example(_small_column_case(35j, 0.5, 13, [
+    [-7.59946293e-309 - 8.00226861e-309j, 2.86694451e-312 - 1.41222601e-312j],
+    [-5.78189042e-147 + 2.27337781e-147j, 2.57187212e-160 - 7.54379295e-161j],
+    [-5.34961232e-280 + 3.50197392e-283j, -1.62346855e-296 + 8.24263139e-297j],
+    [-6.81162090e-295 - 6.41375095e-295j, 4.23534865e-305 - 1.30530559e-306j],
+    [1.37470509e-238 - 4.56777997e-239j, -1.67442003e-252 + 4.29411825e-253j],
+    [1.00428751e-267 - 2.06643619e-266j, -3.31466728e-282 + 5.36813599e-284j],
+    [0, 0],
+    [-2.07013506e-321 + 1.23022346e-321j, 0]], at=0))
+@example(_small_column_case(-35j, -0.5, 8, [
+    [-7.14187504e-313 - 2.03372666e-313j, -4.86996442e-314 + 2.37581470e-314j],
+    [9.08364672e-219 + 1.43682799e-219j, -1.05502189e-234 - 2.46764709e-234j],
+    [8.56336848e-314 + 2.00490387e-314j, 1.00295326e-321 - 1.47972661e-320j],
+    [-2.06912768e-266 - 4.63262057e-266j, 4.11136238e-269 - 1.78838000e-269j]],
+    at=4))
 def test_forward_inverse_match_per_element_oracle_property(case):
     ctx, f, fhat = case
     got = ctx.forward(f).values
@@ -762,25 +793,35 @@ def source_top_cases(draw):
 @given(source_top_cases())
 def test_source_top_matches_log_of_every_row_property(case):
     # the bound may skip the log path only where no row exceeds the
-    # slack; otherwise the result is the log path's, bit for bit
+    # slack; otherwise the result is the log path's, bit for bit.  The
+    # column peaks may skip the lift's logs only where no column lies
+    # wholly below the normal range; otherwise each column's lift is the
+    # one its own largest log gives
     values, base, slack = case
     check = _pass_check(np.zeros(1), base)
     with np.errstate(divide="ignore"):
         parts = base + np.log(np.max(np.abs(values), axis=1))
-    k, part = _source_top(values, check, slack)
+        tops = np.max(base[:, None] + np.log(np.abs(values)), axis=0)
+    k, part, lift = _source_top(values, check, slack)
     if k is None:
-        # a bound, and one that rules out a lift (or all-zero data)
+        # a bound (or all-zero data)
         assert np.max(parts) <= part <= slack
-        assert np.max(parts) >= _LOG_TINY or part == -np.inf
     else:
         top = int(np.argmax(parts))
         assert (k, part) == (top, parts[top])
+    low = (-np.inf < tops) & (tops < _LOG_TINY)
+    if lift is None:
+        assert not low.any()
+    else:
+        assert lift.tolist() == [int(-t / math.log(2.0)) if is_low else 0
+                                 for t, is_low in zip(tops, low)]
 
 
 def test_source_top_nan_row_hides_no_other_row():
     values = np.array([[np.nan], [1e300], [1.0]], dtype=complex)
-    k, part = _source_top(values, _pass_check(np.zeros(1), np.zeros(3)), 1.0)
-    assert (k, part) == (1, np.log(1e300))
+    k, part, lift = _source_top(values, _pass_check(np.zeros(1), np.zeros(3)),
+                                1.0)
+    assert (k, part, lift) == (1, np.log(1e300), None)
 
 
 @pytest.mark.parametrize("side", ["forward", "inverse"])
