@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from contextlib import suppress
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -51,11 +52,7 @@ _PERTURBATION_FIELDS = {"none": ((), ()),
 _MATRIX_LABELS = ("rows", "entries")
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
-# table cells of these types print as _fmt does, every other cell as str()
+# report numbers of these types print with %.17g, every other value as str()
 _NUMERIC = (int, float, np.floating)
 
 
@@ -282,17 +279,16 @@ def _parse_perturbation(pd):
     return {"kind": "rational_decay", "epsilon": eps, "pole_scale": scale}
 
 
+@dataclass(frozen=True)
 class Problem:
-    def __init__(self, pencil, cone, zeta, grid, rhs, perturbation,
-                 solver_cfg, rhs_kind):
-        self.pencil = pencil
-        self.cone = cone
-        self.zeta = zeta
-        self.grid = grid
-        self.rhs = rhs
-        self.perturbation = perturbation
-        self.solver_cfg = solver_cfg
-        self.rhs_kind = rhs_kind
+    pencil: MatrixPencil
+    cone: Cone
+    zeta: complex
+    grid: Grid
+    rhs: object
+    perturbation: dict
+    solver_cfg: dict
+    rhs_kind: str
 
     def constant(self):
         return constant_problem(self.pencil, self.rhs, self.grid,
@@ -338,6 +334,8 @@ class Report:
         self._row_formats = {}
 
     def meta(self, key, value):
+        if isinstance(value, _NUMERIC):
+            value = "%.17g" % value
         self.lines.append(f"# {key}={value}")
 
     def table(self, name, header, rows):
@@ -359,39 +357,36 @@ class Report:
 def _echo_config(report, problem):
     report.meta("pencil.degree", problem.pencil.degree)
     report.meta("pencil.dim", problem.pencil.dim)
-    report.meta("grid.half_width", _fmt(problem.grid.half_width))
+    report.meta("grid.half_width", problem.grid.half_width)
     report.meta("grid.count", problem.grid.count)
-    report.meta("cone.angle", _fmt(problem.cone.angle))
+    report.meta("cone.angle", problem.cone.angle)
     report.meta("cone.orientation", problem.cone.orientation)
-    report.meta("weight", f"{_fmt(problem.zeta.real)}{problem.zeta.imag:+.17g}j")
+    report.meta("weight", f"{problem.zeta.real:.17g}{problem.zeta.imag:+.17g}j")
     report.meta("rhs.kind", problem.rhs_kind)
 
 
-def cmd_spectrum(problem, args):
+def cmd_spectrum(problem, args, report):
     region = Disk(0j, args.radius) if args.radius is not None else None
     spec = spectrum(problem.pencil, region=region)
     residuals, notes = certify_spectrum(problem.pencil, region=region)
-    report = Report("spectrum")
-    _echo_config(report, problem)
     for note in notes:
         report.meta("note", note)
     report.table("spectrum", ("re", "im", "multiplicity", "residual"),
                  [(lam.real, lam.imag, mult, res) for lam, mult, res
                   in zip(spec.eigenvalues, spec.multiplicities, residuals)])
-    return report
 
 
-def cmd_clearance(problem, args):
+def cmd_clearance(problem, args, report):
     radius = args.radius if args.radius is not None else \
         search_radius(problem.pencil, problem.cone.vertex)
     clearance = cone_clearance(problem.pencil, problem.cone, radius)
-    report = Report("clearance")
-    _echo_config(report, problem)
-    report.meta("search_radius", _fmt(radius))
+    # the note on dropped infinite eigenvalues, as the spectrum report has it
+    for note in problem.pencil.clusters[0]:
+        report.meta("note", note)
+    report.meta("search_radius", radius)
     report.meta("verdict", clearance.verdict)
     report.table("violations", ("re", "im"),
                  [(lam.real, lam.imag) for lam in clearance.violations])
-    return report
 
 
 def _solution_rows(u):
@@ -408,46 +403,48 @@ def _solution_header(dim):
     return tuple(header)
 
 
-def cmd_solve(problem, args):
+def _scaled_meta(report, scaling):
+    """The scaled solve's residuals and deviations, as solve and the demo
+    report them."""
+    report.meta("residual", scaling.residual_unscaled)
+    report.meta("residual_scaled", scaling.residual_scaled)
+    report.meta("deviation", scaling.deviation)
+    report.meta("deviation_continuation", scaling.deviation_continuation)
+
+
+def cmd_solve(problem, args, report):
     cfg = problem.solver_cfg
-    report = Report("solve")
-    _echo_config(report, problem)
     if problem.perturbation is not None:
         if args.scaled is not None:
             raise ConfigurationError("--scaled is not supported with a "
                                      "perturbation", "perturbation")
-        vp = problem.variable()
-        result = solve_variable(vp, res_tol=cfg["res_tol"],
+        result = solve_variable(problem.variable(), res_tol=cfg["res_tol"],
                                 max_iter=cfg["max_iter"])
         u = result.u
         report.meta("mode", "variable")
-        report.meta("residual", _fmt(result.residuals[-1]))
+        report.meta("residual", result.residuals[-1])
         report.meta("iterations", len(result.residuals))
-        report.meta("contraction_ratio", _fmt(result.contraction_ratio))
+        report.meta("contraction_ratio", result.contraction_ratio)
     elif args.scaled is not None:
-        base = problem.constant()
-        u, v, scaling = solve_scaled(base, args.scaled,
+        # no ray-energy table is printed, so none is computed
+        u, v, scaling = solve_scaled(problem.constant(), args.scaled,
                                      scale_tol=cfg["scale_tol"],
-                                     res_tol=cfg["res_tol"])
+                                     res_tol=cfg["res_tol"],
+                                     ray_table_angles=0)
         report.meta("mode", "scaled")
-        report.meta("phi", _fmt(args.scaled))
-        report.meta("residual", _fmt(scaling.residual_unscaled))
-        report.meta("residual_scaled", _fmt(scaling.residual_scaled))
-        report.meta("deviation", _fmt(scaling.deviation))
-        report.meta("deviation_continuation",
-                    _fmt(scaling.deviation_continuation))
+        report.meta("phi", args.scaled)
+        _scaled_meta(report, scaling)
         report.table("scaled_solution", _solution_header(v.dim),
                      _solution_rows(v))
     else:
         result = solve_const(problem.constant(), res_tol=cfg["res_tol"])
         u = result.u
         report.meta("mode", "constant")
-        report.meta("residual", _fmt(result.residual))
+        report.meta("residual", result.residual)
     report.table("solution", _solution_header(u.dim), _solution_rows(u))
-    return report
 
 
-def _verify_parseval(problem, report):
+def _verify_parseval(problem, report, args):
     if not getattr(problem.rhs, "analytic", False):
         raise ValidationError("parseval sweep needs an analytic rhs kind", "rhs")
     rows = []
@@ -463,13 +460,13 @@ def _verify_parseval(problem, report):
                 rows.append((psi, zeta.real, zeta.imag, w.real, w.imag,
                              rep.lhs, rep.rhs, rep.rel_err, rep.lhs_tail,
                              rep.rhs_tail))
-    report.meta("max_rel_err", _fmt(worst))
+    report.meta("max_rel_err", worst)
     report.table("parseval",
                  ("psi", "zeta_re", "zeta_im", "w_re", "w_im",
                   "lhs", "rhs", "rel_err", "lhs_tail", "rhs_tail"), rows)
 
 
-def _verify_hardy(problem, report):
+def _verify_hardy(problem, report, args):
     if not getattr(problem.rhs, "analytic", False):
         raise ValidationError("hardy scan needs an analytic rhs kind", "rhs")
     cone = problem.cone
@@ -485,7 +482,7 @@ def _verify_hardy(problem, report):
                          0.0, rays[0].weight_number)
     scan = membership_scan(conef)
     report.meta("verdict", scan.verdict)
-    report.meta("ratio", _fmt(scan.ratio))
+    report.meta("ratio", scan.ratio)
     for diag in scan.diagnostics:
         report.meta("diagnostic", diag)
     report.table("hardy", ("psi", "norm"),
@@ -498,7 +495,7 @@ def _verify_paley_wiener(problem, report, args):
     f = problem.rhs.sample(ray, problem.grid, weight_number=problem.zeta)
     rep = paley_wiener_check(f, side)
     report.meta("side", side)
-    report.meta("support_leakage", _fmt(rep.support_leakage))
+    report.meta("support_leakage", rep.support_leakage)
     report.meta("verdict", rep.verdict)
     report.meta("opposite_verdict", rep.opposite_verdict)
     report.table("paley_wiener", ("half_plane", "offset", "norm"),
@@ -515,32 +512,27 @@ def _verify_continuation(problem, report, args):
     cert = continuation_certificate(target, phi, offset=offset,
                                     res_tol=cfg["res_tol"],
                                     max_iter=cfg["max_iter"])
-    report.meta("phi", _fmt(phi))
-    report.meta("offset", _fmt(offset))
+    report.meta("phi", phi)
+    report.meta("offset", offset)
     report.meta("verdict", cert.verdict)
-    report.meta("ratio", _fmt(cert.ratio) if np.isfinite(cert.ratio) else "inf")
+    report.meta("ratio", cert.ratio)
     if cert.base_value == 0.0 and cert.max_value > 0.0:
         report.meta("diagnostic", f"base energy is 0 but a ray reaches "
-                    f"{_fmt(cert.max_value)}; the ratio is unbounded")
+                    f"{cert.max_value:.17g}; the ratio is unbounded")
     for psi, reason in cert.blown:
-        report.meta("diagnostic", f"ray psi={_fmt(psi)} blew up: {reason}")
-    report.table("continuation", ("psi", "energy"),
-                 [(p, v if np.isfinite(v) else "inf") for p, v in cert.rows])
+        report.meta("diagnostic", f"ray psi={psi:.17g} blew up: {reason}")
+    report.table("continuation", ("psi", "energy"), cert.rows)
 
 
-def cmd_verify(problem, args):
-    report = Report("verify")
-    _echo_config(report, problem)
+# each verify suite, as _verify_<suite>(problem, report, args)
+_SUITES = {"parseval": _verify_parseval, "hardy": _verify_hardy,
+           "paley-wiener": _verify_paley_wiener,
+           "continuation": _verify_continuation}
+
+
+def cmd_verify(problem, args, report):
     report.meta("suite", args.suite)
-    if args.suite == "parseval":
-        _verify_parseval(problem, report)
-    elif args.suite == "hardy":
-        _verify_hardy(problem, report)
-    elif args.suite == "paley-wiener":
-        _verify_paley_wiener(problem, report, args)
-    elif args.suite == "continuation":
-        _verify_continuation(problem, report, args)
-    return report
+    _SUITES[args.suite](problem, report, args)
 
 
 def dirichlet_laplacian(n):
@@ -628,42 +620,34 @@ def cmd_demo_cylinder(args):
     report = Report("demo-cylinder")
     _echo_config(report, problem)
     report.meta("n", args.n)
-    report.meta("phi", _fmt(args.phi))
+    report.meta("phi", args.phi)
     report.meta("problem_file", problem_path)
-    report.meta("eigenvalue_max_rel_err", _fmt(worst))
+    report.meta("eigenvalue_max_rel_err", worst)
 
     clearance = cone_clearance(problem.pencil, problem.cone,
                                search_radius(problem.pencil,
                                              problem.cone.vertex))
     report.meta("clearance", clearance.verdict)
-    if not clearance.clear:
-        report.table("eigenvalues",
-                     ("re", "im", "multiplicity", "residual",
-                      "closed_re", "closed_im", "rel_err"), rows)
-        report.table("violations", ("re", "im"),
-                     [(l.real, l.imag) for l in clearance.violations])
-        raise _DemoClearance(report)
-
-    cfg = problem.solver_cfg
-    base = problem.constant()
-    u, v, scaling = solve_scaled(base, args.phi, scale_tol=cfg["scale_tol"],
-                                 res_tol=cfg["res_tol"], ray_table_angles=3)
-    report.meta("residual", _fmt(scaling.residual_unscaled))
-    report.meta("residual_scaled", _fmt(scaling.residual_scaled))
-    report.meta("deviation", _fmt(scaling.deviation))
-    report.meta("deviation_continuation", _fmt(scaling.deviation_continuation))
+    if clearance.clear:
+        cfg = problem.solver_cfg
+        u, _, scaling = solve_scaled(problem.constant(), args.phi,
+                                     scale_tol=cfg["scale_tol"],
+                                     res_tol=cfg["res_tol"],
+                                     ray_table_angles=3)
+        _scaled_meta(report, scaling)
     report.table("eigenvalues",
                  ("re", "im", "multiplicity", "residual",
                   "closed_re", "closed_im", "rel_err"), rows)
+    if not clearance.clear:
+        report.table("violations", ("re", "im"),
+                     [(l.real, l.imag) for l in clearance.violations])
+        # the partial report still goes out; the exit code stays 4
+        _emit(report, args.out)
+        raise HypothesisViolationError(
+            "dual cone is not free of pencil eigenvalues")
     report.table("ray_energies", ("psi", "energy"), scaling.ray_norms)
     report.table("solution", _solution_header(u.dim), _solution_rows(u))
     return report
-
-
-class _DemoClearance(HypothesisViolationError):
-    def __init__(self, report):
-        super().__init__("dual cone is not free of pencil eigenvalues")
-        self.report = report
 
 
 def _emit(report, out):
@@ -709,8 +693,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)
-    p.add_argument("--suite", required=True,
-                   choices=("parseval", "hardy", "paley-wiener", "continuation"))
+    p.add_argument("--suite", required=True, choices=tuple(_SUITES))
     p.add_argument("--side", choices=("backward-support", "forward-support"),
                    help="paley-wiener only (default backward-support)")
     p.add_argument("--phi", type=float, help="continuation only")
@@ -755,26 +738,21 @@ def _run(args):
     if args.command == "demo-cylinder":
         return cmd_demo_cylinder(args)
     problem = load_problem(args.problem)
-    if args.command == "spectrum":
-        return cmd_spectrum(problem, args)
-    if args.command == "clearance":
-        return cmd_clearance(problem, args)
-    if args.command == "solve":
-        return cmd_solve(problem, args)
-    return cmd_verify(problem, args)
+    report = Report(args.command)
+    _echo_config(report, problem)
+    # looked up on each call, so a wrapper set on a module attribute after
+    # import is the one that runs
+    command = {"spectrum": cmd_spectrum, "clearance": cmd_clearance,
+               "solve": cmd_solve, "verify": cmd_verify}[args.command]
+    command(problem, args, report)
+    return report
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        try:
-            report = _run(args)
-        except _DemoClearance as exc:
-            # the partial report still goes out; the exit code stays 4
-            _emit(exc.report, args.out)
-            raise
-        _emit(report, args.out)
+        _emit(_run(args), args.out)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,8 +14,8 @@ report a tail mass (the integrand at the grid ends relative to its peak) so
 truncation shows in the result.  The weighted derivative energy
 (derivative_energy, behind the solver's ray energies) takes every
 derivative order from one stencil call and uses the rectangle rule over
-their common stencil-valid core; with the binomial weights C(ell, j) on
-identity forms it is the squared H^ell norm.  The L2 norms and the
+their common stencil-valid core; with the forms C(ell, j) I it is the
+squared H^ell norm.  The L2 norms and the
 derivative energy join the exponential weight to the data in log space
 (exp_weighted), so overflow surfaces as a structured error instead of inf.
 """
@@ -314,17 +314,17 @@ def weighted_l2_report(f, form=None, order=None, number=None):
     return NormReport(math.sqrt(max(total, 0.0)), tail)
 
 
-def derivative_energy(f, forms, coeffs=None, keep=None):
+def derivative_energy(f, forms, keep=None):
     """Weighted derivative energy of a RayFunction along its ray.
 
     Evaluates
 
-        sum_j coeffs[j] * integral |e^{-i w z} D^j f(z)|^2_{forms[j]} |dz|
+        sum_j integral |e^{-i w z} D^j f(z)|^2_{forms[j]} |dz|
 
     with w the function's weight number, D the complex derivative along the
     ray (centered differences of accuracy order 8), one order j per entry of
-    ``forms`` (None is the identity form) and ``coeffs`` defaulting to 1.
-    One stencil call returns every order; each is summed by the rectangle
+    ``forms`` (None is the identity form; c I weights an order by c).  One
+    stencil call returns every order; each is summed by the rectangle
     rule over the one stencil-valid core (where the highest order's
     centered stencil fits), restricted to the boolean node mask ``keep`` if
     given.  The weight joins each quadratic form in log space
@@ -345,6 +345,5 @@ def derivative_energy(f, forms, coeffs=None, keep=None):
     for j, form in enumerate(forms):
         q = np.where(mask, _quadratic_form(derivs[..., j], form), 0.0)
         integrand = exp_weighted(log_w, q, z)
-        term = float(np.sum(integrand[mask]) * f.grid.spacing)
-        total += term if coeffs is None else coeffs[j] * term
+        total += float(np.sum(integrand[mask]) * f.grid.spacing)
     return total

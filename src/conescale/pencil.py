@@ -167,8 +167,11 @@ class MatrixPencil:
     def clusters(self):
         """(head notes, cluster means, cluster sizes), in report order."""
         raw = self.eigenvalues
-        finite = raw[np.isfinite(raw)]
-        kept = finite[np.abs(finite) <= 1.0 / TOL_INF]
+        kept = raw[np.isfinite(raw)]
+        if self._modes[2] is not None:
+            # B is set only on the QZ route, the one route that meets a
+            # singular A_0, whose infinite eigenvalues may come out huge
+            kept = kept[np.abs(kept) <= 1.0 / TOL_INF]
         head = ()
         if raw.size - kept.size:
             head = (f"dropped {raw.size - kept.size} eigenvalue(s) at or near "
@@ -425,8 +428,9 @@ def _clusters_in(p, region):
 def spectrum(p, region=None):
     """Finite spectrum of the pencil, clustered, in report order.
 
-    Eigenvalues beyond 1/TOL_INF in magnitude are treated as infinite and
-    dropped (they appear when A_0 is singular).  Multiplicity is the size
+    On the QZ route (A_0 not the identity), eigenvalues beyond 1/TOL_INF in
+    magnitude are treated as infinite and dropped (they appear when A_0 is
+    singular); the other routes keep every eigenvalue.  Multiplicity is the size
     of a single-linkage cluster under absolute distance TOL_CLUSTER; Jordan
     structure is not resolved (``certify_spectrum`` flags clusters of size
     > 1).  Report order sorts by real part up to TOL_CLUSTER, then by
@@ -482,7 +486,6 @@ def search_radius(p, vertex):
 class ClearanceReport:
     clear: bool
     violations: tuple
-    spectrum: SpectrumReport
 
     @property
     def verdict(self):
@@ -502,7 +505,7 @@ def cone_clearance(p, cone, search_radius):
     spec = spectrum(p, region=Disk(cone.vertex, search_radius))
     violations = tuple(lam for lam in spec.eigenvalues
                        if cone.contains_closed(lam, margin=TOL_MARGIN))
-    return ClearanceReport(not violations, violations, spec)
+    return ClearanceReport(not violations, violations)
 
 
 def line_distance(ray, lam):

@@ -451,7 +451,8 @@ def spectrum_uncached(p, region=None, tol_cluster=1e-7, tol_inf=1e-8):
     eigenvalues of -A_m for a binomial pencil lam^m I + A_m, by eigh when
     -A_m is exactly Hermitian; else the companion by standard QR when A_0
     is the identity, QZ otherwise), clustered by cluster_pairwise, with
-    the region filter applied before each cluster's SVD certificate.
+    the region filter applied before each cluster's SVD certificate; only
+    the QZ route drops eigenvalues beyond 1 / tol_inf as infinite.
     Clusters are ordered by a walk over their real parts that starts a new
     group at each gap above tol_cluster, then by imaginary part within a
     group; notes follow the same order.
@@ -459,21 +460,25 @@ def spectrum_uncached(p, region=None, tol_cluster=1e-7, tol_inf=1e-8):
     # the eigenvalues of the with-vectors solve, as the pencil computes
     # them (eigvalsh or eigvals may differ in the last digits)
     k = _binomial_part(p)
+    qz = k is None and not _is_identity(p.coefficients[0])
     if k is not None:
         nu = (np.linalg.eigh(k) if np.array_equal(k, k.conj().T)
               else np.linalg.eig(k))[0]
         raw = _roots(nu.astype(complex), p.degree).ravel()
     else:
         a, b = _companion_blocks(p)
-        if not _is_identity(p.coefficients[0]):
+        if qz:
             raw = scipy.linalg.eig(a, b)[0]
         elif all(np.all(c.imag == 0.0) for c in p.coefficients):
             raw = np.linalg.eig(np.ascontiguousarray(a.real))[0]
         else:
             raw = np.linalg.eig(a)[0]
         raw = raw.astype(complex)
-    finite = raw[np.isfinite(raw)]
-    kept = finite[np.abs(finite) <= 1.0 / tol_inf]
+    kept = raw[np.isfinite(raw)]
+    if qz:
+        # only QZ meets a singular A_0; its infinite eigenvalues may come
+        # out huge, so the QZ route drops everything beyond 1 / tol_inf
+        kept = kept[np.abs(kept) <= 1.0 / tol_inf]
     head = []
     if raw.size - kept.size:
         head.append(f"dropped {raw.size - kept.size} eigenvalue(s) at or "

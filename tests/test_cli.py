@@ -47,6 +47,15 @@ def linear_problem():
     return data
 
 
+def large_root_problem():
+    """lam - 2e8, with a cone of angle pi/8 about the positive real axis."""
+    data = linear_problem()
+    data["pencil"]["coefficients"][1] = [[[-2e8, 0.0]]]
+    data["geometry"]["cone"] = {"angle": math.pi / 8, "vertex": [0.0, 0.0],
+                                "orientation": 1}
+    return data
+
+
 def write(tmp_path, data, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -88,6 +97,14 @@ class TestSpectrumCommand:
         assert run(["spectrum", path, "--radius", "0.5"]) == 0
         rows = table_lines(capsys.readouterr().out, "spectrum")
         assert len(rows) == 1
+
+    def test_large_finite_eigenvalue_listed(self, tmp_path, capsys):
+        # A_0 = 1 is regular, so 2e8 is a finite eigenvalue, not a dropped one
+        path = write(tmp_path, large_root_problem())
+        assert run(["spectrum", path]) == 0
+        out = capsys.readouterr().out
+        assert "# note=" not in out
+        assert table_lines(out, "spectrum")[1:] == ["200000000,0,1,0"]
 
 
 MALFORMED = {
@@ -330,6 +347,30 @@ class TestClearanceCommand:
         assert "# verdict=violated" in out
         assert len(table_lines(out, "violations")) == 3
 
+    def test_large_finite_eigenvalue_violates(self, tmp_path, capsys):
+        path = write(tmp_path, large_root_problem())
+        assert run(["clearance", path]) == 0
+        out = capsys.readouterr().out
+        assert "# note=" not in out
+        assert "# search_radius=400000001\n# verdict=violated\n" in out
+        assert table_lines(out, "violations")[1:] == ["200000000,0"]
+
+    def test_dropped_infinite_eigenvalue_noted(self, tmp_path, capsys):
+        # lam diag(1, 0) + diag(-1, 1): A_0 is singular, so QZ finds 1 and
+        # one infinite eigenvalue, which the report names
+        data = quad_problem()
+        data["pencil"] = {"degree": 1, "dim": 2, "coefficients": [
+            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            [[[-1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}
+        data["rhs"]["cross_section"] = [[1.0, 0.0], [0.0, 0.0]]
+        path = write(tmp_path, data)
+        assert run(["clearance", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index("# note=dropped 1 eigenvalue(s) at or near infinity")
+        # 2 |1 - 2i| + 1 about the cone vertex 2i
+        assert lines[at + 1:at + 3] == ["# search_radius=5.4721359549995796",
+                                        "# verdict=clear"]
+
 
 class TestSolveCommand:
     def test_identity_echoes_rhs(self, tmp_path, capsys):
@@ -355,6 +396,22 @@ class TestSolveCommand:
         dev = [l for l in out.splitlines() if l.startswith("# deviation=")]
         assert dev and float(dev[0].split("=")[1]) <= 1e-6
 
+    def test_scaled_runs_three_solves(self, tmp_path, monkeypatch):
+        # the base, scaled and rotated-ray solves; the ray-energy table,
+        # which the report does not print, is not computed
+        calls = []
+        solve = conescale.solver.solve_const
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(conescale.solver, "solve_const", counting)
+        path = write(tmp_path, linear_problem())
+        assert run(["solve", path, "--scaled", str(math.pi / 8),
+                    "--out", str(tmp_path / "report.csv")]) == 0
+        assert len(calls) == 3
+
     def test_solve_on_eigenvalue_line_exit_4(self, tmp_path, capsys):
         data = linear_problem()
         data["geometry"]["weight"] = [0.0, -1.0]   # line through -i
@@ -369,6 +426,19 @@ class TestSolveCommand:
         path = write(tmp_path, data)
         assert run(["solve", path]) == 4
         assert "not contracting" in capsys.readouterr().err
+
+    def test_residual_above_1e6_refused_exit_4(self, tmp_path, capsys):
+        # the first sweep's residual is already past 1e6: one-entry trace
+        data = linear_problem()
+        data["rhs"] = {"kind": "shifted_gaussian", "center": [5.0, 0.0]}
+        data["perturbation"] = {"kind": "rational_decay", "epsilon": 1e8,
+                                "pole_scale": 3.0}
+        data["solver"] = {"res_tol": 1e-8}
+        path = write(tmp_path, data)
+        assert run(["solve", path]) == 4
+        err = capsys.readouterr().err
+        trace = err.split("(residual trace: ")[1].split(")")[0]
+        assert "," not in trace and float(trace) > 1e6
 
     def test_scaled_with_perturbation_exit_2(self, tmp_path, capsys):
         # the variable solve has no scaled variant; --scaled is refused
@@ -444,6 +514,21 @@ class TestVerifyCommand:
         lines = out.splitlines()
         header = lines[lines.index("# table=parseval") + 1].split(",")
         assert header[-2:] == ["lhs_tail", "rhs_tail"]
+
+    @pytest.mark.parametrize("suite, sweep", [("parseval", "parseval sweep"),
+                                              ("hardy", "hardy scan")])
+    @pytest.mark.parametrize("rhs", [
+        {"kind": "bump"}, {"kind": "sampled", "values": [[1.0, 0.0]] * 2048}],
+        ids=["bump", "sampled"])
+    def test_non_analytic_rhs_exit_2(self, tmp_path, capsys, suite, sweep,
+                                     rhs):
+        # sampled values would come back on any ray: this check is the guard
+        data = linear_problem()
+        data["rhs"] = rhs
+        path = write(tmp_path, data)
+        assert run(["verify", "--suite", suite, path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: rhs: {sweep} needs an analytic rhs kind\n")
 
     def test_hardy_suite(self, tmp_path, capsys):
         path = write(tmp_path, linear_problem())
@@ -573,6 +658,16 @@ def _per_cell_row(row):
 
 
 class TestReportTable:
+    def test_meta_and_table_format_numbers_alike(self):
+        values = (2, 0.1, np.float64(0.1), math.inf, math.nan)
+        report = conescale.cli.Report("test")
+        for value in values:
+            report.meta("x", value)
+        report.table("x", ("x",), [(value,) for value in values])
+        meta = [line[len("# x="):] for line in report.lines[2:7]]
+        assert meta == report.lines[-5:] == [
+            "2", "0.10000000000000001", "0.10000000000000001", "inf", "nan"]
+
     def test_rows_match_per_cell_rendering(self):
         rows = [
             (0.1, -0.0, 0.0, math.inf, -math.inf, math.nan, "inf"),

@@ -256,6 +256,68 @@ def test_fft_lint_sees_an_offence(tmp_path):
         "transform.py:13 scipy.fft in TransformContext.inverse"]
 
 
+# (module, qualified function) -> the %.17g formats it may spell out:
+# Report's two renderers, which print every report number, and the
+# numbers set inside report text, where no renderer sees them
+ALLOWED_17G = {
+    ("cli.py", "Report.meta"): 1,
+    ("cli.py", "Report.table"): 1,
+    # the complex weight echo, its real and its signed imaginary part
+    ("cli.py", "_echo_config"): 2,
+    # the two continuation diagnostics: the reached energy and a ray's psi
+    ("cli.py", "_verify_continuation"): 2,
+}
+
+
+def _number_formats(path):
+    """Every .17g format (a %-string, a format spec, an f-string's spec)
+    in a function that may spell out fewer than it does."""
+    found = {}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and ".17g" in node.value):
+            found.setdefault(scope, []).append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return [f"{path.name}:{line} .17g in {scope}"
+            for scope, lines in found.items()
+            if len(lines) > ALLOWED_17G.get((path.name, scope), 0)
+            for line in lines]
+
+
+def test_one_number_format():
+    files = sorted(SRC.glob("*.py"))
+    assert "cli.py" in {f.name for f in files}
+    assert [o for f in files for o in _number_formats(f)] == []
+
+
+def test_number_format_lint_sees_an_offence(tmp_path):
+    bad = tmp_path / "cli.py"
+    bad.write_text("class Report:\n"
+                   "    def meta(self, key, value):\n"
+                   "        return '%.17g' % value\n"
+                   "def _echo_config(report, z):\n"
+                   "    report.meta('weight', f'{z.real:.17g}{z.imag:+.17g}j')\n"
+                   "def _verify_continuation(report, psi):\n"
+                   "    report.meta('phi', f'{psi:.17g}')\n"
+                   "def _fmt(x):\n"
+                   "    return format(x, '.17g')\n"
+                   "def cmd_solve(report, r):\n"
+                   "    report.meta('residual', '{:.17g}'.format(r))\n"
+                   "    report.meta('deviation', f'{r:.17g}' + f'{r:.3e}')\n",
+                   encoding="utf-8")
+    assert _number_formats(bad) == [
+        "cli.py:9 .17g in _fmt",
+        "cli.py:11 .17g in cmd_solve",
+        "cli.py:12 .17g in cmd_solve"]
+
+
 def _dead_code(paths):
     """Unused imports (outside __init__.py, whose imports are the package's
     API), and module-private top-level functions or classes that no module

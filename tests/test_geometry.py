@@ -182,10 +182,11 @@ class TestWeightedL2:
 
 
 def sobolev_energy(f, ell):
-    """derivative_energy with the binomial weights C(ell, j) on identity
-    forms: the squared H^ell norm."""
-    return derivative_energy(f, [None] * (ell + 1),
-                             [math.comb(ell, j) for j in range(ell + 1)])
+    """derivative_energy with the forms C(ell, j) I: the squared H^ell
+    norm."""
+    eye = np.eye(f.values.shape[1])
+    return derivative_energy(f, [math.comb(ell, j) * eye
+                                 for j in range(ell + 1)])
 
 
 class TestSobolevNorms:

@@ -303,6 +303,19 @@ class TestClustering:
         lams = spectrum(p).eigenvalues
         assert [round(l.imag) for l in lams] == [-1, 1, -5]
 
+    def test_failed_certificate_noted(self):
+        # lam I - diag(0, 5e-8): one cluster of size 2 at 2.5e-8, where
+        # sigma_min is 2.5e-8 against a backward-error bound near 8.5e-16
+        p = MatrixPencil((np.eye(2), -np.diag([0.0, 5e-8])))
+        assert spectrum(p) == SpectrumReport((2.5e-8 + 0j,), (2,))
+        assert certify_spectrum(p) == ((2.5e-8,), (
+            "eigenvalue (2.5e-08+0j) fails its residual certificate: "
+            "smallest singular value 2.500e-08 vs backward-error bound "
+            "8.536e-16",
+            "cluster at (2.5e-08+0j): multiplicity 2 by distance; Jordan "
+            "chains unresolved, may be defective"))
+        assert (spectrum(p), certify_spectrum(p)) == spectrum_uncached(p)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
                               st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)),
@@ -880,6 +893,19 @@ class TestStandardCompanion:
         assert dropped_notes == (
             [f"dropped {dropped} eigenvalue(s) at or near infinity"]
             if dropped else [])
+
+
+@pytest.mark.parametrize("coefficients", [(1.0, -2e8),
+                                          (1.0, -(2e8 + 1.0), 2e8)],
+                         ids=["binomial", "companion"])
+def test_large_eigenvalue_kept_off_qz(coefficients):
+    # only QZ meets a singular A_0, so a monic pencil drops nothing: its
+    # eigenvalue 2e8 is finite and listed
+    p = MatrixPencil(tuple(np.array([[c]]) for c in coefficients))
+    lams = spectrum(p).eigenvalues
+    assert lams[-1] == 2e8 and len(lams) == len(coefficients) - 1
+    assert not any(n.startswith("dropped") for n in certify_spectrum(p)[1])
+    assert (spectrum(p), certify_spectrum(p)) == spectrum_uncached(p)
 
 
 def binomial_pencil(seed, degree, n, real, magnitude):
