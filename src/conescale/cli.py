@@ -26,14 +26,14 @@ import numpy as np
 from . import __version__
 from .errors import (ConescaleError, ConfigurationError,
                      HypothesisViolationError, ValidationError)
-from .geometry import TIME, Cone, Disk, Grid, Ray
+from .geometry import TIME, Cone, Disk, Grid, Ray, derivative_energy
 from .hardy import ConeFunction, membership_scan, paley_wiener_check
 from .pencil import (MatrixPencil, certify_spectrum, cone_clearance,
                      search_radius, spectrum)
 from .rhs import BumpRhs, GaussianRhs, OneSidedExpRhs, SampledRhs
-from .solver import (VariableProblem, constant_problem,
-                     continuation_certificate, solve_const, solve_scaled,
-                     solve_variable)
+from .solver import (MAX_ITER, RES_TOL, SCALE_TOL, VariableProblem,
+                     constant_problem, continuation_certificate, solve_const,
+                     solve_scaled, solve_variable)
 from .transform import TransformContext, parseval_check
 
 SCHEMA_VERSION = 1
@@ -223,10 +223,12 @@ def parse_problem(data):
     _require_keys(sd, "solver", (),
                   ("res_tol", "scale_tol", "max_iter", "phi_list"))
     solver_cfg = {
-        "res_tol": _number(sd.get("res_tol", 1e-6), "solver.res_tol", float, True),
-        "scale_tol": _number(sd.get("scale_tol", 1e-6), "solver.scale_tol",
+        "res_tol": _number(sd.get("res_tol", RES_TOL), "solver.res_tol",
+                           float, True),
+        "scale_tol": _number(sd.get("scale_tol", SCALE_TOL), "solver.scale_tol",
                              float, True),
-        "max_iter": _number(sd.get("max_iter", 50), "solver.max_iter", int, True),
+        "max_iter": _number(sd.get("max_iter", MAX_ITER), "solver.max_iter",
+                            int, True),
         "phi_list": [_number(x, "solver.phi_list", float)
                      for x in sd.get("phi_list", [])],
     }
@@ -426,11 +428,9 @@ def cmd_solve(problem, args, report):
         report.meta("iterations", len(result.residuals))
         report.meta("contraction_ratio", result.contraction_ratio)
     elif args.scaled is not None:
-        # no ray-energy table is printed, so none is computed
         u, v, scaling = solve_scaled(problem.constant(), args.scaled,
                                      scale_tol=cfg["scale_tol"],
-                                     res_tol=cfg["res_tol"],
-                                     ray_table_angles=0)
+                                     res_tol=cfg["res_tol"])
         report.meta("mode", "scaled")
         report.meta("phi", args.scaled)
         _scaled_meta(report, scaling)
@@ -582,22 +582,23 @@ def cylinder_problem_dict(n, phi, count=4096):
     }
 
 
-def cmd_demo_cylinder(args):
+def _demo_problem_file(args):
+    """Write the demo's problem file and return its path.  The demo reads
+    it back, so it runs on exactly what a later `conescale solve` sees."""
     if args.n < 1:
         raise ValidationError("need at least one cross-section point", "n")
     data = cylinder_problem_dict(args.n, args.phi)
-    problem_path = args.out_problem
     try:
-        with open(problem_path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(args.out_problem, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(data, fh, indent=1, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
         raise ValidationError(f"cannot write problem file: {exc}",
                               "--out-problem")
-    # reparse from disk so the pipeline sees exactly what a later
-    # `conescale solve` of the generated file will see
-    problem = load_problem(problem_path)
+    return args.out_problem
 
+
+def cmd_demo_cylinder(problem, args, report):
     # run the whole pipeline first so the metadata block can precede every
     # table, as the report format requires
     n = args.n
@@ -617,11 +618,9 @@ def cmd_demo_cylinder(args):
         worst = max(worst, err)
         rows.append((lam.real, lam.imag, mult, res, 0.0, closed_im, err))
 
-    report = Report("demo-cylinder")
-    _echo_config(report, problem)
-    report.meta("n", args.n)
+    report.meta("n", n)
     report.meta("phi", args.phi)
-    report.meta("problem_file", problem_path)
+    report.meta("problem_file", args.out_problem)
     report.meta("eigenvalue_max_rel_err", worst)
 
     clearance = cone_clearance(problem.pencil, problem.cone,
@@ -630,10 +629,17 @@ def cmd_demo_cylinder(args):
     report.meta("clearance", clearance.verdict)
     if clearance.clear:
         cfg = problem.solver_cfg
-        u, _, scaling = solve_scaled(problem.constant(), args.phi,
+        base = problem.constant()
+        u, _, scaling = solve_scaled(base, args.phi,
                                      scale_tol=cfg["scale_tol"],
-                                     res_tol=cfg["res_tol"],
-                                     ray_table_angles=3)
+                                     res_tol=cfg["res_tol"])
+        # the weighted energy of the solution on rays from psi = 0 to phi
+        energies = []
+        for psi in np.linspace(0.0, args.phi, 3):
+            ray_u = solve_const(base.on_ray(Ray(psi, 0, TIME)),
+                                res_tol=cfg["res_tol"]).u
+            energies.append((psi, derivative_energy(
+                ray_u, problem.pencil.norm_forms[::-1])))
         _scaled_meta(report, scaling)
     report.table("eigenvalues",
                  ("re", "im", "multiplicity", "residual",
@@ -645,9 +651,8 @@ def cmd_demo_cylinder(args):
         _emit(report, args.out)
         raise HypothesisViolationError(
             "dual cone is not free of pencil eigenvalues")
-    report.table("ray_energies", ("psi", "energy"), scaling.ray_norms)
+    report.table("ray_energies", ("psi", "energy"), energies)
     report.table("solution", _solution_header(u.dim), _solution_rows(u))
-    return report
 
 
 def _emit(report, out):
@@ -735,15 +740,16 @@ def _check_options(args):
 
 def _run(args):
     _check_options(args)
-    if args.command == "demo-cylinder":
-        return cmd_demo_cylinder(args)
-    problem = load_problem(args.problem)
+    path = (_demo_problem_file(args) if args.command == "demo-cylinder"
+            else args.problem)
+    problem = load_problem(path)
     report = Report(args.command)
     _echo_config(report, problem)
     # looked up on each call, so a wrapper set on a module attribute after
     # import is the one that runs
     command = {"spectrum": cmd_spectrum, "clearance": cmd_clearance,
-               "solve": cmd_solve, "verify": cmd_verify}[args.command]
+               "solve": cmd_solve, "verify": cmd_verify,
+               "demo-cylinder": cmd_demo_cylinder}[args.command]
     command(problem, args, report)
     return report
 

@@ -71,11 +71,15 @@ class Ray:
         """Complex points at ray parameters ``t``."""
         return self.offset + self.direction * np.asarray(t)
 
+    def distance(self, z):
+        """Distance from a point to the full line carrying the ray."""
+        return abs(((complex(z) - self.offset) / self.direction).imag)
+
     def parameter(self, z):
         """Ray parameter of a point on the ray; rejects off-ray points
-        (offset above 1e-9 relative to max(1, |parameter|))."""
+        (distance above 1e-9 relative to max(1, |parameter|))."""
         u = (complex(z) - self.offset) / self.direction
-        if abs(u.imag) > 1e-9 * max(1.0, abs(u)):
+        if self.distance(z) > 1e-9 * max(1.0, abs(u)):
             raise ValidationError(f"point {z} is not on the ray (offset {u.imag:.3g})")
         return u.real
 
@@ -100,23 +104,26 @@ class Cone:
             raise ValidationError("orientation must be +1 or -1")
         object.__setattr__(self, "vertex", complex(self.vertex))
 
-    def _local_angle(self, lam):
-        return (self.orientation * cmath.phase(complex(lam) - self.vertex)) % math.pi
+    def nappe(self, lam):
+        """"+" or "-" for a point strictly inside that nappe, else None."""
+        turn = self.orientation * cmath.phase(complex(lam) - self.vertex)
+        theta = turn % (2 * math.pi)
+        if 0.0 < theta < self.angle:
+            return "+"
+        if math.pi < theta < math.pi + self.angle:
+            return "-"
+        return None
 
     def contains(self, lam):
         """Open membership: boundary rays and the vertex are excluded."""
-        lam = complex(lam)
-        if lam == self.vertex:
-            return False
-        theta = self._local_angle(lam)
-        return 0.0 < theta < self.angle
+        return self.nappe(lam) is not None
 
     def contains_closed(self, lam, margin=0.0):
         """Closed membership with an angular safety margin (radians)."""
         lam = complex(lam)
         if abs(lam - self.vertex) <= max(margin, 0.0) * max(1.0, abs(self.vertex)):
             return True
-        theta = self._local_angle(lam)
+        theta = (self.orientation * cmath.phase(lam - self.vertex)) % math.pi
         return theta <= self.angle + margin or theta >= math.pi - margin
 
     def ray(self, psi_local, side=FREQUENCY):

@@ -10,7 +10,6 @@ reproduced from its boundary data by a Cauchy contour integral
 bounded norms on lines sweeping a half-plane (paley_wiener_check).
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -132,16 +131,6 @@ class CauchyResult:
     tail_estimate: float
 
 
-def _nappe_of(cone, lam):
-    """"+" or "-" for a point strictly inside that nappe, else None."""
-    theta = (cone.orientation * cmath.phase(complex(lam) - cone.vertex)) % (2 * math.pi)
-    if 0.0 < theta < cone.angle:
-        return "+"
-    if math.pi < theta < math.pi + cone.angle:
-        return "-"
-    return None
-
-
 def cauchy_reconstruct(f, lam, s=0, eta=None):
     """Recover f(lam) from its boundary-ray samples by a contour integral.
 
@@ -161,21 +150,20 @@ def cauchy_reconstruct(f, lam, s=0, eta=None):
     s = int(s)
     if s > f.weight_order + 1e-12:
         raise ValidationError("kernel order s must not exceed the weight order")
-    nappe = _nappe_of(cone, lam)
+    nappe = cone.nappe(lam)
     if nappe is None:
         raise ValidationError("reconstruction point is not strictly inside the cone")
     if s != 0:
         if eta is None:
             raise ValidationError("s != 0 needs the auxiliary point eta")
-        if _nappe_of(cone, eta) != ("-" if nappe == "+" else "+"):
+        if cone.nappe(eta) != ("-" if nappe == "+" else "+"):
             raise ValidationError("eta must lie strictly inside the opposite half-cone")
     rf0, rf1 = f.boundary
     grid = rf0.grid
     spacing = grid.spacing
     # the kernel's near-singularity 1/(mu - lam) must stay resolved
     for rf in (rf0, rf1):
-        u = (lam - rf.ray.offset) / rf.ray.direction
-        if abs(u.imag) < DIST_MIN_FACTOR * spacing:
+        if rf.ray.distance(lam) < DIST_MIN_FACTOR * spacing:
             raise IllConditionedKernelError(
                 f"point {lam} is within {DIST_MIN_FACTOR} node spacings of a "
                 f"boundary ray"
@@ -204,12 +192,11 @@ def _edge_quadrature(rf, lam, s, eta, w, nappe, sigma):
         kernel_log = kernel_log + s * (np.log(mu - eta) - np.log(lam - eta))
     base = 1.0 / (2j * math.pi * (mu - lam))
     weights = np.full(tt.size, rf.grid.spacing)
-    weights[0] *= 0.5
+    # trapezoid from a vertex node; without one the samples sit at
+    # (k + 1/2) h, and the midpoint rule takes them at full weight
+    if abs(tt[0]) <= 0.25 * rf.grid.spacing:
+        weights[0] *= 0.5
     weights[-1] *= 0.5
-    if abs(tt[0]) > 0.25 * rf.grid.spacing:
-        # no vertex node on this grid: close the gap [0, |t_0|] with a
-        # one-sided trapezoid panel using the nearest sample
-        weights[0] += abs(tt[0]) * 0.5
     # row 0 sums the weighted integrand; row 1 keeps the far end alone for
     # a crude truncation diagnostic, |integrand| there times |t_end|
     exponents = np.full((2, tt.size), -np.inf, dtype=complex)
@@ -278,8 +265,7 @@ def _cut_plan(ctx, s, eta, t_v, extra_power):
         before = None
         after = np.ones_like(lam)
         if s != 0:
-            offside = abs(((eta - ctx.zeta) / ctx.frequency_ray.direction).imag)
-            if offside < 1e-9:
+            if ctx.frequency_ray.distance(eta) < 1e-9:
                 raise ValidationError("eta must lie off the frequency-side ray")
             before = (lam - eta) ** s
             after = after / before

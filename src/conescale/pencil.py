@@ -168,10 +168,6 @@ class MatrixPencil:
         """(head notes, cluster means, cluster sizes), in report order."""
         raw = self.eigenvalues
         kept = raw[np.isfinite(raw)]
-        if self._modes[2] is not None:
-            # B is set only on the QZ route, the one route that meets a
-            # singular A_0, whose infinite eigenvalues may come out huge
-            kept = kept[np.abs(kept) <= 1.0 / TOL_INF]
         head = ()
         if raw.size - kept.size:
             head = (f"dropped {raw.size - kept.size} eigenvalue(s) at or near "
@@ -248,7 +244,10 @@ def _companion_eig(A, B, hermitian):
     """Eigenvalues nu and eigenvectors V of lam B - A, both complex, by the
     module's one eigensolve: eigh when ``hermitian``, eig when B is None
     (the identity), QZ otherwise (scipy, imported on the first QZ solve).
-    LAPACK failures are raised as EigenSolverError."""
+    A QZ pair (alpha, beta) with |beta| <= TOL_INF |B|_F is an eigenvalue
+    at or near infinity, nu = inf, however large or small alpha is; every
+    other nu is alpha / beta.  LAPACK failures are raised as
+    EigenSolverError."""
     try:
         if hermitian:
             out = np.linalg.eigh(A)
@@ -256,7 +255,10 @@ def _companion_eig(A, B, hermitian):
             out = np.linalg.eig(A)
         else:
             import scipy.linalg
-            out = scipy.linalg.eig(A, B)
+            (alpha, beta), V = scipy.linalg.eig(A, B, homogeneous_eigvals=True)
+            finite = np.abs(beta) > TOL_INF * np.linalg.norm(B)
+            out = np.divide(alpha, beta, out=np.full_like(alpha, np.inf),
+                            where=finite), V
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise EigenSolverError(
             f"companion eigenvalue solve failed: {exc}") from exc
@@ -428,14 +430,14 @@ def _clusters_in(p, region):
 def spectrum(p, region=None):
     """Finite spectrum of the pencil, clustered, in report order.
 
-    On the QZ route (A_0 not the identity), eigenvalues beyond 1/TOL_INF in
-    magnitude are treated as infinite and dropped (they appear when A_0 is
-    singular); the other routes keep every eigenvalue.  Multiplicity is the size
-    of a single-linkage cluster under absolute distance TOL_CLUSTER; Jordan
-    structure is not resolved (``certify_spectrum`` flags clusters of size
-    > 1).  Report order sorts by real part up to TOL_CLUSTER, then by
-    imaginary part.  The clusters are cached on the pencil, and only the
-    ``region`` filter runs per call; no SVD runs.
+    Infinite eigenvalues are dropped: only the QZ route meets them, where
+    A_0 is singular, as the pairs (alpha, beta) with |beta| <= TOL_INF
+    |B|_F (_companion_eig).  Multiplicity is the size of a single-linkage
+    cluster under absolute distance TOL_CLUSTER; Jordan structure is not
+    resolved (``certify_spectrum`` flags clusters of size > 1).  Report
+    order sorts by real part up to TOL_CLUSTER, then by imaginary part.
+    The clusters are cached on the pencil, and only the ``region`` filter
+    runs per call; no SVD runs.
     """
     _, lams, sizes = _clusters_in(p, region)
     return SpectrumReport(tuple(lams), tuple(sizes))
@@ -506,12 +508,6 @@ def cone_clearance(p, cone, search_radius):
     violations = tuple(lam for lam in spec.eigenvalues
                        if cone.contains_closed(lam, margin=TOL_MARGIN))
     return ClearanceReport(not violations, violations)
-
-
-def line_distance(ray, lam):
-    """Distance from a point to the full line carrying a ray."""
-    u = (complex(lam) - ray.offset) / ray.direction
-    return abs(u.imag)
 
 
 @dataclass(frozen=True)

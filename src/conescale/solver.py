@@ -27,8 +27,8 @@ from .errors import (ConfigurationError, ContractionFailureError,
                      NumericalError, SpectralObstructionError, ValidationError)
 from .geometry import TIME, Cone, Ray, RayFunction, derivative_energy
 from .hardy import halfline_projection
-from .pencil import (MatrixPencil, cone_clearance, line_distance,
-                     resolvent_apply_batch, search_radius, spectrum)
+from .pencil import (MatrixPencil, cone_clearance, resolvent_apply_batch,
+                     search_radius, spectrum)
 from .stencils import derivative_with_cuts
 from .transform import TransformContext
 
@@ -118,7 +118,7 @@ def _check_line_clear(pencil, ctx):
     spec = spectrum(pencil)
     ray = ctx.frequency_ray
     offenders = [lam for lam in spec.eigenvalues
-                 if line_distance(ray, lam) <= LINE_MARGIN]
+                 if ray.distance(lam) <= LINE_MARGIN]
     if offenders:
         raise SpectralObstructionError(
             f"the solve line {ray} passes through pencil eigenvalues "
@@ -173,11 +173,9 @@ class ScalingReport:
     residual_scaled: float
     deviation: float
     deviation_continuation: float
-    ray_norms: tuple
 
 
-def solve_scaled(problem, phi, scale_tol=SCALE_TOL, res_tol=RES_TOL,
-                 ray_table_angles=5):
+def solve_scaled(problem, phi, scale_tol=SCALE_TOL, res_tol=RES_TOL):
     """Solve, scale, and verify the two are the same analytic function.
 
     Checks the scaled solve v (coefficients A_j e^{i phi (m-j)}, rhs
@@ -246,18 +244,12 @@ def solve_scaled(problem, phi, scale_tol=SCALE_TOL, res_tol=RES_TOL,
     else:
         deviation_cont = math.nan
 
-    rows = []
-    for psi in np.linspace(0.0, phi, ray_table_angles):
-        res = solve_const(problem.on_ray(Ray(psi, w, TIME)), res_tol=res_tol)
-        rows.append((float(psi),
-                     derivative_energy(res.u, problem.pencil.norm_forms[::-1])))
     report = ScalingReport(
         phi=float(phi),
         residual_unscaled=base.residual,
         residual_scaled=v.residual,
         deviation=deviation,
         deviation_continuation=deviation_cont,
-        ray_norms=tuple(rows),
     )
     return base.u, v.u, report
 

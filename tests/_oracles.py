@@ -452,7 +452,8 @@ def spectrum_uncached(p, region=None, tol_cluster=1e-7, tol_inf=1e-8):
     -A_m is exactly Hermitian; else the companion by standard QR when A_0
     is the identity, QZ otherwise), clustered by cluster_pairwise, with
     the region filter applied before each cluster's SVD certificate; only
-    the QZ route drops eigenvalues beyond 1 / tol_inf as infinite.
+    the QZ route meets infinite eigenvalues, the pairs (alpha, beta) with
+    |beta| <= tol_inf |B|_F, and drops them.
     Clusters are ordered by a walk over their real parts that starts a new
     group at each gap above tol_cluster, then by imaginary part within a
     group; notes follow the same order.
@@ -468,17 +469,18 @@ def spectrum_uncached(p, region=None, tol_cluster=1e-7, tol_inf=1e-8):
     else:
         a, b = _companion_blocks(p)
         if qz:
-            raw = scipy.linalg.eig(a, b)[0]
+            # a pair with |beta| <= tol_inf |B|_F is at or near infinity
+            alpha, beta = scipy.linalg.eig(a, b, right=False,
+                                           homogeneous_eigvals=True)
+            raw = np.full_like(alpha, np.inf)
+            finite = np.abs(beta) > tol_inf * np.linalg.norm(b)
+            raw[finite] = alpha[finite] / beta[finite]
         elif all(np.all(c.imag == 0.0) for c in p.coefficients):
             raw = np.linalg.eig(np.ascontiguousarray(a.real))[0]
         else:
             raw = np.linalg.eig(a)[0]
         raw = raw.astype(complex)
     kept = raw[np.isfinite(raw)]
-    if qz:
-        # only QZ meets a singular A_0; its infinite eigenvalues may come
-        # out huge, so the QZ route drops everything beyond 1 / tol_inf
-        kept = kept[np.abs(kept) <= 1.0 / tol_inf]
     head = []
     if raw.size - kept.size:
         head.append(f"dropped {raw.size - kept.size} eigenvalue(s) at or "

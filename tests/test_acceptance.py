@@ -97,7 +97,7 @@ def test_criterion_04_scaling_equivalence(grid4096):
     p = constant_problem(LINEAR, GaussianRhs(), grid4096)
     devs = []
     for phi in (math.pi / 16, math.pi / 8):
-        _, _, rep = solve_scaled(p, phi, ray_table_angles=2)
+        _, _, rep = solve_scaled(p, phi)
         assert rep.deviation <= 1e-6
         assert rep.deviation_continuation <= 1e-6
         devs.append(rep.deviation)
@@ -110,7 +110,7 @@ def test_criterion_04_scaling_equivalence(grid4096):
     cross = np.sin(math.pi * xs)
     cross /= np.linalg.norm(cross)
     pc = constant_problem(cyl, GaussianRhs(cross_section=cross), grid4096)
-    _, _, repc = solve_scaled(pc, math.pi / 16, ray_table_angles=2)
+    _, _, repc = solve_scaled(pc, math.pi / 16)
     assert repc.deviation <= 1e-5
     elapsed = budget(4, started, 30.0)
     report(4, f"scalar deviations {max(devs):.1e} <= 1e-6; cylinder "

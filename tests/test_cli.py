@@ -47,10 +47,11 @@ def linear_problem():
     return data
 
 
-def large_root_problem():
-    """lam - 2e8, with a cone of angle pi/8 about the positive real axis."""
+def large_root_problem(lead=1.0):
+    """lead (lam - 2e8), with a cone of angle pi/8 about the positive real
+    axis."""
     data = linear_problem()
-    data["pencil"]["coefficients"][1] = [[[-2e8, 0.0]]]
+    data["pencil"]["coefficients"] = [[[[lead, 0.0]]], [[[-2e8 * lead, 0.0]]]]
     data["geometry"]["cone"] = {"angle": math.pi / 8, "vertex": [0.0, 0.0],
                                 "orientation": 1}
     return data
@@ -101,6 +102,15 @@ class TestSpectrumCommand:
     def test_large_finite_eigenvalue_listed(self, tmp_path, capsys):
         # A_0 = 1 is regular, so 2e8 is a finite eigenvalue, not a dropped one
         path = write(tmp_path, large_root_problem())
+        assert run(["spectrum", path]) == 0
+        out = capsys.readouterr().out
+        assert "# note=" not in out
+        assert table_lines(out, "spectrum")[1:] == ["200000000,0,1,0"]
+
+    def test_large_finite_eigenvalue_listed_on_qz(self, tmp_path, capsys):
+        # 2 lam - 4e8 goes through QZ (A_0 = 2 is not I); its pair (alpha,
+        # beta) has beta far from 0, so 2e8 is finite however large
+        path = write(tmp_path, large_root_problem(lead=2.0))
         assert run(["spectrum", path]) == 0
         out = capsys.readouterr().out
         assert "# note=" not in out
@@ -355,6 +365,14 @@ class TestClearanceCommand:
         assert "# search_radius=400000001\n# verdict=violated\n" in out
         assert table_lines(out, "violations")[1:] == ["200000000,0"]
 
+    def test_large_finite_eigenvalue_violates_on_qz(self, tmp_path, capsys):
+        path = write(tmp_path, large_root_problem(lead=2.0))
+        assert run(["clearance", path]) == 0
+        out = capsys.readouterr().out
+        assert "# note=" not in out
+        assert "# search_radius=400000001\n# verdict=violated\n" in out
+        assert table_lines(out, "violations")[1:] == ["200000000,0"]
+
     def test_dropped_infinite_eigenvalue_noted(self, tmp_path, capsys):
         # lam diag(1, 0) + diag(-1, 1): A_0 is singular, so QZ finds 1 and
         # one infinite eigenvalue, which the report names
@@ -543,6 +561,19 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "# verdict=consistent" in out
         assert "# opposite_verdict=correctly-rejected" in out
+
+    def test_paley_wiener_overflow_prints_inf(self, tmp_path, capsys):
+        # e^{0.1 t} on [-400, 0): the opposite sweep's transforms overflow
+        # at offsets 1.5 and 2, which count as blow-up, not as an error
+        data = identity_problem()
+        data["rhs"] = {"kind": "one_sided_exp", "rate": 0.1}
+        data["grid"] = {"half_width": 400.0, "count": 8192}
+        path = write(tmp_path, data)
+        assert run(["verify", "--suite", "paley-wiener", path]) == 0
+        out = capsys.readouterr().out
+        assert "# opposite_verdict=correctly-rejected" in out
+        rows = table_lines(out, "paley_wiener")[-2:]
+        assert rows == ["opposite,1.5,inf", "opposite,2,inf"]
 
     def test_continuation_suite(self, tmp_path, capsys):
         data = linear_problem()
@@ -785,6 +816,14 @@ class TestDemoCylinder:
         assert f"# cone.angle={math.pi / 16!r}\n" in out
         assert "# cone.orientation=-1\n" in out
         assert "# clearance=clear\n" in out
+
+    def test_no_cross_section_exit_2_writes_no_file(self, tmp_path, capsys):
+        problem = tmp_path / "p.json"
+        assert run(["demo-cylinder", "--n", "0", "--phi", "0.1",
+                    "--out-problem", str(problem)]) == 2
+        assert capsys.readouterr().err == (
+            "error: n: need at least one cross-section point\n")
+        assert not problem.exists()
 
     def test_generated_file_validates(self, tmp_path):
         data = cylinder_problem_dict(3, math.pi / 16)

@@ -456,7 +456,6 @@ UNSET_DEFAULTS = {
     "constant_problem(psi)": "problem data: the ray angle",
     "projection_idempotence_check(v)": "problem data: the cut point",
     "localize_traces(orientation)": "problem data: the cone orientation",
-    "localize_traces(zeta)": "problem data: the weight number",
     "PoleRhs(order)": "problem data: the pole order",
     "PoleRhs(window)": "problem data: the window width",
     "PoleRhs(amplitude)": "problem data: the amplitude",

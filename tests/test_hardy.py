@@ -124,6 +124,24 @@ class TestCauchyReconstruct:
             errs.append(abs(res.value[0] - GAUSS(np.array([lam]))[0]))
         assert math.log2(errs[0] / errs[1]) >= 1.8
 
+    def test_even_grid_second_order(self):
+        # an even node count has no vertex node: the samples sit at
+        # (k + 1/2) h, and the contour must keep second order there too
+        # (criterion 6's points and tolerances, at N = 8192 and 16384)
+        points = [0.5 * cmath.exp(1j * math.pi / 12),
+                  0.8 * cmath.exp(1j * math.pi / 12),
+                  1.2 * cmath.exp(1j * math.pi / 24),
+                  0.6 * cmath.exp(1j * math.pi / 8),
+                  -0.9 * cmath.exp(1j * math.pi / 12)]
+        errs = []
+        for count in (8192, 16384):
+            cf = ConeFunction.from_callable(Cone(math.pi / 6, 0j, 1), GAUSS,
+                                            Grid(20.0, count), n_angles=5)
+            errs.append([abs(cauchy_reconstruct(cf, lam).value[0]
+                             - GAUSS(np.array([lam]))[0]) for lam in points])
+        assert max(errs[1]) <= 1e-6
+        assert math.log2(errs[0][0] / errs[1][0]) >= 1.8
+
     def test_overflowing_integrand_names_its_node(self):
         # w = -50i makes the kernel e^{50 (mu - lam)}, e^{990} at mu = 20:
         # the sum raises at that node instead of returning nan

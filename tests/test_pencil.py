@@ -908,6 +908,18 @@ def test_large_eigenvalue_kept_off_qz(coefficients):
     assert (spectrum(p), certify_spectrum(p)) == spectrum_uncached(p)
 
 
+def test_large_eigenvalue_of_scaled_pencil_kept_on_qz():
+    # e^{i phi} lam - 2e8 goes through QZ (A_0 = e^{i phi} is not I); its
+    # pair (alpha, beta) has |beta| = |B|_F, so 2e8 e^{-i phi} is finite
+    phi = math.pi / 16
+    p = MatrixPencil((np.eye(1), -2e8 * np.eye(1))).scaled(phi)
+    lams = spectrum(p).eigenvalues
+    assert len(lams) == 1
+    assert abs(lams[0] - 2e8 * cmath.exp(-1j * phi)) <= 1e-15 * 2e8
+    assert not any(n.startswith("dropped") for n in certify_spectrum(p)[1])
+    assert (spectrum(p), certify_spectrum(p)) == spectrum_uncached(p)
+
+
 def binomial_pencil(seed, degree, n, real, magnitude):
     """A(lam) = lam^m I + A_m, A_m Gaussian times ``magnitude``, complex
     unless ``real``."""

@@ -142,7 +142,7 @@ class TestSolveScaled:
 
         monkeypatch.setattr(conescale.solver.TransformContext,
                             "evaluate_continuation", refuse)
-        u, v, rep = solve_scaled(linear_problem, 0.0, ray_table_angles=2)
+        u, v, rep = solve_scaled(linear_problem, 0.0)
         assert math.isnan(rep.deviation_continuation)
         assert rep.deviation <= 1e-6
 
@@ -150,12 +150,10 @@ class TestSolveScaled:
         # at amplitude 1e8 the absolute deviation is ~1e-7 while the
         # agreement relative to |u|_inf stays near machine precision
         p = constant_problem(LINEAR, GaussianRhs(amplitude=1e8), grid)
-        u, v, rep = solve_scaled(p, math.pi / 8, scale_tol=1e-12,
-                                 ray_table_angles=2)
+        u, v, rep = solve_scaled(p, math.pi / 8, scale_tol=1e-12)
         assert rep.deviation > 1e-12
         with pytest.raises(NumericalError, match="scale_tol"):
-            solve_scaled(p, math.pi / 8, scale_tol=1e-20,
-                         ray_table_angles=2)
+            solve_scaled(p, math.pi / 8, scale_tol=1e-20)
 
     def test_clearance_guard(self, grid):
         # +-i obstruct any upper cone through the origin wider than nothing
@@ -170,8 +168,11 @@ class TestSolveScaled:
             solve_scaled(sampled, math.pi / 8)
 
     def test_ray_energy_table_monotone_scale(self, linear_problem):
-        u, v, rep = solve_scaled(linear_problem, math.pi / 8)
-        energies = [e for _, e in rep.ray_norms]
+        # the demo's ray-energy table, over five rays from psi = 0 to pi/8
+        energies = [derivative_energy(
+            solve_const(linear_problem.on_ray(Ray(psi, 0, TIME))).u,
+            linear_problem.pencil.norm_forms[::-1])
+            for psi in np.linspace(0.0, math.pi / 8, 5)]
         assert all(np.isfinite(e) for e in energies)
         assert max(energies) <= 10.0 * min(energies)
 
@@ -209,7 +210,7 @@ def test_scaling_equivalence_property(grid, case, phi):
     pencil, cross = case
     p = constant_problem(pencil, GaussianRhs(cross_section=cross), grid)
     # solve_scaled itself enforces the scaled-versus-rotated deviation
-    _, _, rep = solve_scaled(p, phi, ray_table_angles=2)
+    _, _, rep = solve_scaled(p, phi)
     dev = rep.deviation_continuation
     assert math.isnan(dev) or dev <= 1e-6
 
@@ -235,7 +236,7 @@ class TestCylinderClosedForm:
         _, h = dirichlet_laplacian(n)
         kappa = 2.0 / h * math.sin(math.pi * h / 2)
         cross = np.array([re for re, _ in data["rhs"]["cross_section"]])
-        u, v, _ = solve_scaled(problem, phi, ray_table_angles=2)
+        u, v, _ = solve_scaled(problem, phi)
         rot = solve_const(problem.on_ray(Ray(phi, problem.ray.offset, TIME))).u
         base_exact = cylinder_mode_solution(u.points, kappa, cross)
         # the scaled solve samples u(w + e^{-i phi} t): the rotated ray
@@ -733,6 +734,12 @@ class TestLocalizeTraces:
         with pytest.raises(LocalizationFailureError):
             localize_traces([np.array([1.0])], cone=math.pi / 8,
                             gamma=+1.0)
+
+    def test_search_exhausted_raises(self):
+        # with zeta = 100i the weight e^{-i zeta z} = e^{100 z} outgrows
+        # every candidate e^{gamma z}, |gamma| <= 64, on the forward rays
+        with pytest.raises(LocalizationFailureError, match="search set"):
+            localize_traces([np.array([1.0])], cone=math.pi / 8, zeta=100j)
 
     def test_search_is_deterministic(self):
         a = localize_traces([np.array([1.0])], cone=math.pi / 8)

@@ -28,13 +28,18 @@ print(json.dumps({"rc": rc, "scipy": "scipy" in sys.modules}))
 """
 
 
-def fresh(code, *argv):
-    """The JSON last printed by ``code`` in a fresh interpreter."""
+def python(*args):
+    """``python args`` in a fresh interpreter that imports this checkout."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def fresh(code, *argv):
+    """The JSON last printed by ``code`` in a fresh interpreter."""
+    proc = python("-c", code, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     return json.loads(proc.stdout.splitlines()[-1])
@@ -105,3 +110,16 @@ def test_qz_spectrum_loads_scipy_with_same_bytes(tmp_path, data):
     assert main(["spectrum", path, "--out", str(own_out)]) == 0
     assert "# table=spectrum" in own_out.read_text(encoding="utf-8")
     assert fresh_out.read_bytes() == own_out.read_bytes()
+
+
+def test_module_entry_point_runs_main(tmp_path, capsys):
+    # python -m conescale exits with main's code and prints its output
+    path = write(tmp_path, quad_problem())
+    for argv in (["spectrum", path],
+                 ["spectrum", str(tmp_path / "missing.json")]):
+        proc = python("-m", "conescale", *argv)
+        rc = main(argv)
+        out = capsys.readouterr()
+        assert proc.returncode == rc
+        assert (proc.stdout, proc.stderr) == (out.out, out.err)
+    assert rc == 2
