@@ -21,8 +21,8 @@ from .hardy import (ConeFunction, cauchy_reconstruct, membership_scan,
                     paley_wiener_check, project_halfline,
                     projection_idempotence_check)
 from .pencil import (MatrixPencil, SpectrumReport, certify_spectrum,
-                     cone_clearance, evaluate, resolvent_apply, spectrum,
-                     verify_growth_condition)
+                     cone_clearance, evaluate, resolvent_apply_batch,
+                     spectrum, verify_growth_condition)
 from .rhs import BumpRhs, GaussianRhs, OneSidedExpRhs, PoleRhs, SampledRhs
 from .solver import (ConstantProblem, VariableProblem, constant_problem,
                      continuation_certificate, localize_traces, solve_const,

@@ -587,6 +587,9 @@ def _demo_problem_file(args):
     it back, so it runs on exactly what a later `conescale solve` sees."""
     if args.n < 1:
         raise ValidationError("need at least one cross-section point", "n")
+    if abs(args.phi) > math.pi:
+        raise ValidationError("must lie in [-pi, pi]: the cone angle is |phi|",
+                              "--phi")
     data = cylinder_problem_dict(args.n, args.phi)
     try:
         with open(args.out_problem, "w", encoding="utf-8", newline="\n") as fh:

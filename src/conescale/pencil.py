@@ -287,33 +287,15 @@ def evaluate_batch(p, lams, us):
     return out
 
 
-def resolvent_apply(p, lam, f):
-    """Solve A(lam) u = f densely, certifying the residual against
-    RESOLVENT_TOL |f|."""
-    f = np.asarray(f, dtype=complex)
-    a = evaluate(p, lam)
-    try:
-        u = np.linalg.solve(a, f)
-    except np.linalg.LinAlgError:
-        raise NearEigenvalueError(lam)
-    with np.errstate(invalid="ignore", over="ignore"):
-        scale = float(np.linalg.norm(f))
-        residual = float(np.linalg.norm(a @ u - f))
-    if not np.all(np.isfinite(u)) or residual > RESOLVENT_TOL * max(scale, 1e-300):
-        raise NearEigenvalueError(lam, residual / max(scale, 1e-300))
-    return u
-
-
 def resolvent_apply_batch(p, lams, rhs):
     """A(lam_k)^{-1} rhs_k for every node k, certified nodewise.
 
-    ``rhs`` has shape (len(lams), n).  With the pencil's triple (w, X, Y,
-    power) the solves are U = ((F Y^T) / (lam_k^power - w_i)) X^T; the
-    modal triple of a binomial pencil has n terms whose far-node rounding
-    does not cancel.  Each node must pass
-    |A(lam_k) u_k - f_k| <= RESOLVENT_TOL |f_k| (rows with |f_k| <= 1e-280
-    only need a finite residual).  Failing nodes, or all nodes when the
-    pencil has no triple, go to the LU fallback (_lu_fallback).
+    ``rhs`` has shape (len(lams), n); one node is the single solve.  With
+    the pencil's triple (w, X, Y, power) the solves are
+    U = ((F Y^T) / (lam_k^power - w_i)) X^T; the modal triple of a binomial
+    pencil has n terms whose far-node rounding does not cancel.  Every node
+    must pass _certificate.  Failing nodes, or all nodes when the pencil
+    has no triple, go to the LU fallback (_lu_fallback).
     """
     lams = np.asarray(lams, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
@@ -326,13 +308,25 @@ def resolvent_apply_batch(p, lams, rhs):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             shifted = (lams if power == 1 else lams ** power)[:, None] - w
             sols = ((rhs @ Y.T) / shifted) @ X.T
-            res = np.linalg.norm(evaluate_batch(p, lams, sols) - rhs, axis=1)
-            scale = np.linalg.norm(rhs, axis=1)
-        fails = (res > RESOLVENT_TOL * scale) & (scale > 1e-280)
-        redo = np.nonzero(~np.isfinite(res) | fails)[0]
+        redo, _ = _certificate(p, lams, rhs, sols)
     if redo.size:
         _lu_fallback(p, lams, rhs, redo, sols)
     return sols
+
+
+def _certificate(p, lams, rhs, sols):
+    """(failing nodes, relative residuals) of the solutions sols.
+
+    Node k fails when |A(lam_k) u_k - f_k| (by evaluate_batch) is not
+    finite, or exceeds RESOLVENT_TOL |f_k| where |f_k| > 1e-280; its
+    relative residual is that over max(|f_k|, 1e-300).
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        res = np.linalg.norm(evaluate_batch(p, lams, sols) - rhs, axis=1)
+        scale = np.linalg.norm(rhs, axis=1)
+        fails = (res > RESOLVENT_TOL * scale) & (scale > 1e-280)
+        return (np.nonzero(~np.isfinite(res) | fails)[0],
+                res / np.maximum(scale, 1e-300))
 
 
 # the LU fallback stacks at most this many matrix entries (32 MiB) at once
@@ -340,37 +334,37 @@ _LU_STACK_ENTRIES = 1 << 21
 
 
 def _lu_fallback(p, lams, rhs, nodes, sols):
-    """Fill sols[nodes] by stacked LU, certified as in resolvent_apply.
+    """Fill sols[nodes] by stacked LU, certified by _certificate.
 
-    Nodes go in increasing order, in chunks of stacked A(lam_k).  A node
-    whose stacked solve fails the certificate, or every node of a chunk
-    whose stack is exactly singular, is solved alone by resolvent_apply;
-    the first one that fails there raises NearEigenvalueError with its node
-    index, its lam and ``partial``, the solutions of all earlier nodes.
+    Nodes go in increasing order, in stacks of A(lam_k).  The first node
+    that fails its certificate raises NearEigenvalueError with its node
+    index, lam, relative residual and ``partial``, the solutions of all
+    earlier nodes.  An exactly singular A(lam_k) fails the LU of its whole
+    stack; only then is that stack solved one node at a time, which names
+    the singular node (with no residual).
     """
     chunk = max(1, _LU_STACK_ENTRIES // p.dim ** 2)
-    for start in range(0, nodes.size, chunk):
-        ks = nodes[start:start + chunk]
-        mats = evaluate(p, lams[ks, None, None])
+    stacks = [nodes[start:start + chunk]
+              for start in range(0, nodes.size, chunk)]
+    while stacks:
+        ks = stacks.pop(0)
         try:
-            out = np.linalg.solve(mats, rhs[ks, :, None])[:, :, 0]
+            out = np.linalg.solve(evaluate(p, lams[ks, None, None]),
+                                  rhs[ks, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            alone = ks
-        else:
-            with np.errstate(invalid="ignore", over="ignore"):
-                res = np.linalg.norm(
-                    np.einsum("kij,kj->ki", mats, out) - rhs[ks], axis=1)
-                scale = np.linalg.norm(rhs[ks], axis=1)
-            ok = (np.all(np.isfinite(out), axis=1)
-                  & (res <= RESOLVENT_TOL * np.maximum(scale, 1e-300)))
-            sols[ks[ok]] = out[ok]
-            alone = ks[~ok]
-        for k in alone:
-            try:
-                sols[k] = resolvent_apply(p, lams[k], rhs[k])
-            except NearEigenvalueError as exc:
-                raise NearEigenvalueError(exc.lam, exc.residual, node=int(k),
-                                          partial=sols[:k]) from None
+            if ks.size > 1:
+                stacks[:0] = np.split(ks, ks.size)
+                continue
+            k = int(ks[0])
+            raise NearEigenvalueError(lams[k], node=k,
+                                      partial=sols[:k]) from None
+        bad, rel = _certificate(p, lams[ks], rhs[ks], out)
+        good = bad[0] if bad.size else ks.size
+        sols[ks[:good]] = out[:good]
+        if bad.size:
+            k = int(ks[good])
+            raise NearEigenvalueError(lams[k], float(rel[good]), node=k,
+                                      partial=sols[:k])
 
 
 @dataclass(frozen=True)

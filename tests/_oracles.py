@@ -19,7 +19,9 @@ projection transforming u afresh) that the five-pass sweep replaced, the
 transform's derivative rule
 (the inverse transform of lam^j Fhat) that finite differences are checked
 against, and the spectral Sobolev norm (from the Fourier transform of the
-weighted pullback) that checks the weighted-derivative energy.  The modal
+weighted pullback) that checks the weighted-derivative energy, and the
+certified dense LU of one node at a time that the batched resolvent's
+triple and stacked LU replaced.  The modal
 solve of the perturbed cylinder does run the package's solver, but one
 1 x 1 cross-section mode at a time: it checks the n x n path against the
 problem's own separation of variables.
@@ -37,7 +39,7 @@ import scipy.special
 
 from conescale import (ConstantProblem, MatrixPencil, continuation_certificate,
                        solve_variable)
-from conescale.errors import ConfigurationError
+from conescale.errors import ConfigurationError, NearEigenvalueError
 from conescale.hardy import halfline_projection
 from conescale.pencil import SpectrumReport, _roots, evaluate
 from conescale.rhs import AnalyticRhs
@@ -375,6 +377,23 @@ def exp_sum_per_component(values, exponents):
     return sums, sizes
 
 
+def resolvent_lu(p, lam, f):
+    """Solve A(lam) u = f by one dense LU, certifying
+    |A(lam) u - f| <= 1e-10 max(|f|, 1e-300) with the dense product."""
+    f = np.asarray(f, dtype=complex)
+    a = evaluate(p, lam)
+    try:
+        u = np.linalg.solve(a, f)
+    except np.linalg.LinAlgError:
+        raise NearEigenvalueError(lam)
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale = float(np.linalg.norm(f))
+        residual = float(np.linalg.norm(a @ u - f))
+    if not np.all(np.isfinite(u)) or residual > 1e-10 * max(scale, 1e-300):
+        raise NearEigenvalueError(lam, residual / max(scale, 1e-300))
+    return u
+
+
 def cluster_pairwise(values, tol):
     """Single-linkage clusters from the full N x N matrix of distances.
 
@@ -639,8 +658,22 @@ def cylinder_mode_solution(z, kappa, cross):
     pencil lam^2 I + L_h and its rhs e^{-z^2} c, with c (``cross``) an
     eigenvector of L_h of eigenvalue kappa^2, it solves A(D) u = F exactly.
     """
+    return cylinder_mode_derivatives(z, kappa, cross)[0]
+
+
+def cylinder_mode_derivatives(z, kappa, cross):
+    """(u, u', u'') of cylinder_mode_solution at the complex points z.
+
+    erfcx'(x) = 2 x erfcx(x) - 2 / sqrt(pi) gives
+    u' = sqrt(pi) / 4 e^{-z^2} [erfcx(kappa/2 + z) - erfcx(kappa/2 - z)] c,
+    and the equation itself gives u'' = kappa^2 u - e^{-z^2} c.
+    """
     z = np.asarray(z, dtype=complex)
-    mode = (math.sqrt(math.pi) / (4.0 * kappa) * np.exp(-z ** 2)
-            * (scipy.special.erfcx(0.5 * kappa - z)
-               + scipy.special.erfcx(0.5 * kappa + z)))
-    return mode[:, None] * np.asarray(cross)[None, :]
+    gauss = np.exp(-z ** 2)
+    minus = scipy.special.erfcx(0.5 * kappa - z)
+    plus = scipy.special.erfcx(0.5 * kappa + z)
+    u = math.sqrt(math.pi) / (4.0 * kappa) * gauss * (minus + plus)
+    du = math.sqrt(math.pi) / 4.0 * gauss * (plus - minus)
+    ddu = kappa ** 2 * u - gauss
+    cross = np.asarray(cross)[None, :]
+    return u[:, None] * cross, du[:, None] * cross, ddu[:, None] * cross

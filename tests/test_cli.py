@@ -825,6 +825,20 @@ class TestDemoCylinder:
             "error: n: need at least one cross-section point\n")
         assert not problem.exists()
 
+    @pytest.mark.parametrize("phi", ["4", "-3.2"])
+    def test_phi_beyond_pi_exit_2_writes_no_file(self, tmp_path, capsys,
+                                                 phi):
+        problem = tmp_path / "p.json"
+        assert run(["demo-cylinder", "--n", "4", "--phi", phi,
+                    "--out-problem", str(problem)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --phi: must lie in [-pi, pi]: the cone angle is |phi|\n")
+        assert not problem.exists()
+
+    @pytest.mark.parametrize("phi", [math.pi, -math.pi])
+    def test_phi_at_pi_is_a_legal_cone(self, phi):
+        parse_problem(cylinder_problem_dict(2, phi))
+
     def test_generated_file_validates(self, tmp_path):
         data = cylinder_problem_dict(3, math.pi / 16)
         parse_problem(copy.deepcopy(data))

@@ -16,17 +16,16 @@ import conescale.solver
 from conescale import (Cone, Disk, GaussianRhs, Grid, MatrixPencil,
                        NearEigenvalueError, SpectrumReport, certify_spectrum,
                        cone_clearance, constant_problem, evaluate,
-                       resolvent_apply, solve_const, spectrum,
+                       resolvent_apply_batch, solve_const, spectrum,
                        verify_growth_condition)
 from conescale.cli import main as cli_main
 from conescale.errors import ValidationError
 from conescale.geometry import TIME, Ray
-from conescale.pencil import (_cluster, evaluate_batch, resolvent_apply_batch,
-                              search_radius)
+from conescale.pencil import _cluster, evaluate_batch, search_radius
 from conescale.solver import apply_pencil_fd
 from _oracles import (cluster_pairwise, companion_qz_eigvals,
                       fd_laplacian_eigenvalues, partial_fraction_triple,
-                      spectrum_uncached)
+                      resolvent_lu, spectrum_uncached)
 
 
 @pytest.fixture(scope="module")
@@ -180,23 +179,28 @@ class TestEvaluate:
         assert evaluate(quad_pencil, 2.0)[0, 0] == pytest.approx(5.0)
 
 
+def resolvent_one(p, lam, f):
+    """The batched resolvent at one node: the single solve."""
+    return resolvent_apply_batch(p, np.array([lam]), np.array([f]))[0]
+
+
 class TestResolvent:
     def test_identity(self, identity_pencil):
         f = np.array([3.0 - 1.0j])
-        assert np.allclose(resolvent_apply(identity_pencil, 7.7, f), f)
+        assert np.allclose(resolvent_one(identity_pencil, 7.7, f), f)
 
     def test_scalar(self, quad_pencil):
-        assert resolvent_apply(quad_pencil, 2.0,
-                               np.array([10.0]))[0] == pytest.approx(2.0)
+        assert resolvent_one(quad_pencil, 2.0,
+                             np.array([10.0]))[0] == pytest.approx(2.0)
 
     def test_diagonal(self):
         p = MatrixPencil((np.eye(2), -np.diag([1.0, 2.0])))
-        u = resolvent_apply(p, 0.0, np.array([1.0, 1.0]))
+        u = resolvent_one(p, 0.0, np.array([1.0, 1.0]))
         assert np.allclose(u, [-1.0, -0.5])
 
     def test_near_eigenvalue(self, quad_pencil):
         with pytest.raises(NearEigenvalueError):
-            resolvent_apply(quad_pencil, 1j, np.array([1.0]))
+            resolvent_one(quad_pencil, 1j, np.array([1.0]))
 
 
 class TestSpectrum:
@@ -517,14 +521,14 @@ def test_evaluate_resolvent_identity(lam, f):
     p = MatrixPencil((np.eye(2), -np.diag([1.0, 2.0])))
     if min(abs(lam - 1.0), abs(lam - 2.0)) < 1e-6:
         return
-    u = resolvent_apply(p, lam, f)
+    u = resolvent_one(p, lam, f)
     residual = np.linalg.norm(evaluate(p, lam) @ u - f)
     assert residual <= 1e-10 * max(np.linalg.norm(f), 1.0)
 
 
 def nodewise(p, lams, rhs):
     """The per-node LU route the batched resolvent is checked against."""
-    return np.array([resolvent_apply(p, lam, f) for lam, f in zip(lams, rhs)])
+    return np.array([resolvent_lu(p, lam, f) for lam, f in zip(lams, rhs)])
 
 
 class TestEvaluateBatch:
@@ -598,15 +602,20 @@ class TestResolventBatch:
     def test_fallback_stacks_instead_of_looping(self, identity_pencil,
                                                 monkeypatch):
         # the identity pencil has no triple; a full stack never fails, so
-        # no node is solved alone
-        def refuse(*args, **kwargs):
-            raise AssertionError("solved a node alone")
+        # one LU solve covers every node
+        shapes = []
+        solve = np.linalg.solve
 
-        monkeypatch.setattr(conescale.pencil, "resolvent_apply", refuse)
+        def spy(a, b):
+            shapes.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
         lams = np.linspace(-5.0, 5.0, 4096) + 1j
         rhs = np.linspace(0.0, 1.0, 4096)[:, None] + 0j
         assert np.array_equal(resolvent_apply_batch(identity_pencil, lams,
                                                     rhs), rhs)
+        assert shapes == [(4096, 1, 1)]
 
     @pytest.mark.parametrize("stack_entries", [1 << 21, 4])
     def test_singular_node_in_fallback(self, stack_entries, monkeypatch):
@@ -624,6 +633,30 @@ class TestResolventBatch:
         assert np.array_equal(info.value.partial,
                               nodewise(p, lams[:2], rhs[:2]))
 
+    def test_fallback_certificate_is_the_triple_routes(self):
+        # A(lam) = [[lam + 1, 1], [1, 1]] has no triple and is singular at 0;
+        # its LU at lam = 1e-15 leaves a residual of 0.14 |f|
+        p = MatrixPencil((np.diag([1.0, 0.0]), np.ones((2, 2))))
+        assert p.triple is None
+        lams = np.array([2.0, 1e-15, 3.0])
+        rhs = np.array([[1.0, 2.0], [1.0, -1.0], [1.0, 0.0]], dtype=complex)
+        with pytest.raises(NearEigenvalueError) as info:
+            resolvent_apply_batch(p, lams, rhs)
+        assert info.value.node == 1
+        u = np.linalg.solve(evaluate(p, lams[1]), rhs[1])
+        res = np.linalg.norm(evaluate_batch(p, lams[1:2], u[None]) - rhs[1])
+        assert info.value.residual == pytest.approx(
+            res / np.linalg.norm(rhs[1]), rel=1e-12)
+        assert info.value.residual > 0.1
+        assert np.array_equal(info.value.partial, nodewise(p, lams[:1],
+                                                           rhs[:1]))
+        # a row with |f| <= 1e-280 needs only a finite residual
+        rhs[1] *= 1e-290
+        got = resolvent_apply_batch(p, lams, rhs)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got[[0, 2]], nodewise(p, lams[[0, 2]],
+                                                    rhs[[0, 2]]))
+
     def test_node_on_eigenvalue_names_node(self, quad_pencil):
         lams = np.array([0.0, 1j, 2.0])
         with pytest.raises(NearEigenvalueError) as info:
@@ -636,7 +669,7 @@ class TestResolventBatch:
 
     def test_non_finite_residual_message(self, quad_pencil):
         with pytest.raises(NearEigenvalueError) as info:
-            resolvent_apply(quad_pencil, 2.0, np.array([np.inf]))
+            resolvent_one(quad_pencil, 2.0, np.array([np.inf]))
         assert info.value.residual == math.inf
         assert "nan" not in str(info.value)
         with pytest.raises(NearEigenvalueError) as info:
@@ -755,7 +788,7 @@ def test_growth_samples_match_columnwise():
     basis = np.linalg.inv(np.linalg.cholesky(p.norm_forms[0])).conj().T
     for k, (lam, ratio) in enumerate(rep.samples):
         f = basis[:, k % 2]
-        u = resolvent_apply(p, lam, f)
+        u = resolvent_lu(p, lam, f)
         want = (p.vector_norm(u, 1) + abs(lam) * p.vector_norm(u, 0)) \
             / p.vector_norm(f, 0)
         assert ratio == pytest.approx(want, rel=1e-12)

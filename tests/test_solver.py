@@ -26,7 +26,8 @@ from conescale.solver import (_apply_perturbation, _prepare_perturbation,
 from conescale.stencils import (_edge_rows, _window_weights,
                                 derivative_with_cuts, fornberg_weights)
 from _oracles import (collocation_constant, collocation_perturbed_first_order,
-                      cylinder_mode_solution, differentiation_matrix,
+                      cylinder_mode_derivatives, cylinder_mode_solution,
+                      differentiation_matrix,
                       modal_variable_solve, perturbation_per_point,
                       solve_variable_six_pass, variation_of_constants)
 
@@ -221,21 +222,27 @@ class TestCylinderClosedForm:
     take the binomial eigh route of lam^2 I + L_h, and the scaled solve
     takes QZ on e^{2i phi} lam^2 I + L_h."""
 
+    PHI = math.pi / 16
     # about 100 times the largest error measured relative to the peak
     # (base, scaled, rotated: 3.9e-15, 4.0e-15, 4.2e-15 at n = 4; 9.5e-15,
     # 6.6e-15, 9.7e-15 at n = 16; 9.8e-14, 6.6e-14, 9.9e-14 at n = 64)
     TOL = {4: 4e-13, 16: 1e-12, 64: 1e-11}
 
-    @pytest.mark.parametrize("n", [4, 16, 64])
-    def test_solves_match_closed_form(self, n):
-        phi = math.pi / 16
-        data = cylinder_problem_dict(n, phi)
+    def demo(self, n):
+        """(problem, kappa, cross) of demo-cylinder at n and PHI."""
+        data = cylinder_problem_dict(n, self.PHI)
         problem = parse_problem(data).constant()
-        assert problem.pencil.scalars == (1, 0, None)
-        assert problem.pencil.scaled(phi).scalars[0] != 1
         _, h = dirichlet_laplacian(n)
         kappa = 2.0 / h * math.sin(math.pi * h / 2)
         cross = np.array([re for re, _ in data["rhs"]["cross_section"]])
+        return problem, kappa, cross
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_solves_match_closed_form(self, n):
+        phi = self.PHI
+        problem, kappa, cross = self.demo(n)
+        assert problem.pencil.scalars == (1, 0, None)
+        assert problem.pencil.scaled(phi).scalars[0] != 1
         u, v, _ = solve_scaled(problem, phi)
         rot = solve_const(problem.on_ray(Ray(phi, problem.ray.offset, TIME))).u
         base_exact = cylinder_mode_solution(u.points, kappa, cross)
@@ -245,6 +252,39 @@ class TestCylinderClosedForm:
                           (rot.values, rot_exact)):
             assert (np.max(np.abs(got - want))
                     <= self.TOL[n] * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_continuation_matches_closed_form(self, n):
+        # solve_scaled's shallow window |t| <= 20 / (xi_max |sin phi|): 66
+        # nodes; errors 2.6e-12, 2.8e-12 and 3.2e-12 relative to the peak
+        problem, kappa, cross = self.demo(n)
+        base = solve_const(problem)
+        ctx = problem.context()
+        nodes = problem.rhs.grid.nodes
+        shallow = nodes[np.abs(nodes) <= 20.0 / (
+            ctx.dst_grid.half_width * abs(math.sin(self.PHI)))]
+        assert shallow.size == 66
+        points = Ray(self.PHI, problem.ray.offset, TIME).points(shallow)
+        got = ctx.evaluate_continuation(base.frequency_data, points)
+        want = cylinder_mode_solution(points, kappa, cross)
+        assert np.max(np.abs(got - want)) <= 3e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_ray_energy_matches_closed_form(self, n):
+        # the demo's ray energy against the rectangle rule of the closed
+        # form's |u|^2 + |u'|^2 + |u''|^2 on the stencil core (the norm
+        # forms are I): 6.2e-13 to 8.2e-13 relative
+        problem, kappa, cross = self.demo(n)
+        count = problem.rhs.grid.count
+        for psi in (0.0, self.PHI):
+            u = solve_const(problem.on_ray(
+                Ray(psi, problem.ray.offset, TIME))).u
+            got = derivative_energy(u, problem.pencil.norm_forms[::-1])
+            orders = cylinder_mode_derivatives(u.points[5:count - 5], kappa,
+                                               cross)
+            want = u.grid.spacing * sum(float(np.sum(np.abs(d) ** 2))
+                                        for d in orders)
+            assert abs(got - want) <= 1e-10 * want
 
 
 def rational_coefficients(eps, pole_scale):
@@ -547,6 +587,67 @@ class TestModalOracle:
     def test_non_commuting_matrix_does_not_split(self):
         u_gap, energy_gap, _ = self.compare(cylinder_variable(8, _non_commuting))
         assert u_gap > 1e-6 and energy_gap > 1e-6
+
+
+def demo_variable(n, eps, matrix):
+    """The demo-cylinder pencil lam^2 I + L_h at n and phi = pi/16 with a
+    seeded random unit cross-section (the demo's own is one sine mode, which
+    every iterate keeps, so it is flat in n whatever the perturbation), and
+    one perturbing term eps / (z^2 + 9) matrix(L_h) on D^0 (Q_2)."""
+    parsed = parse_problem(cylinder_problem_dict(n, math.pi / 16))
+    cross = np.random.default_rng(0).standard_normal(n)
+    base = constant_problem(
+        parsed.pencil, GaussianRhs(cross_section=cross / np.linalg.norm(cross)),
+        parsed.grid, zeta=parsed.zeta)
+    term = matrix(parsed.pencil.coefficients[-1])
+    return VariableProblem(
+        base, lambda z: [None, None, [(eps / (z ** 2 + 9.0), term)]],
+        sector_start=-0.6 * parsed.grid.half_width)
+
+
+class TestRelativelyBounded:
+    """The paper's unbounded coefficients on the discrete cylinder: |L_h|
+    grows like 4 (n + 1)^2, and the Neumann ratio stays uniform in n exactly
+    when the perturbation is bounded relative to the pencil."""
+
+    RES_TOL = 1e-6
+
+    @pytest.mark.parametrize("eps", [0.05, 4.5])
+    def test_laplacian_on_d0_is_uniform_in_n(self, eps):
+        # q = 0.00537, 0.00544, 0.00550 at eps 0.05 (3 sweeps each), and
+        # 0.485, 0.493, 0.496 at eps 4.5
+        runs = [solve_variable(demo_variable(n, eps, lambda lap: lap),
+                               res_tol=self.RES_TOL) for n in (8, 16, 32)]
+        ratios = [r.contraction_ratio for r in runs]
+        assert max(ratios) <= 1.05 * min(ratios) < 1.0
+        assert len({len(r.residuals) for r in runs}) == 1
+
+    def test_norm_times_identity_degrades_with_n(self):
+        # |L_h|_2 I is not bounded relative to the pencil: q = 0.161 at
+        # n = 8 and 0.586 at n = 16, and no contraction at n = 32
+        def norm_eye(lap):
+            return np.linalg.norm(lap, 2) * np.eye(lap.shape[0])
+
+        q8, q16 = (solve_variable(demo_variable(n, 0.05, norm_eye),
+                                  res_tol=self.RES_TOL).contraction_ratio
+                   for n in (8, 16))
+        assert q16 > 3.0 * q8
+        with pytest.raises(ContractionFailureError):
+            solve_variable(demo_variable(32, 0.05, norm_eye),
+                           res_tol=self.RES_TOL)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_threshold_does_not_move_with_n(self, n):
+        with pytest.raises(ContractionFailureError):
+            solve_variable(demo_variable(n, 12.0, lambda lap: lap),
+                           res_tol=self.RES_TOL)
+
+    def test_laplacian_on_d0_matches_modal_oracle(self):
+        # L_h commutes with the pencil, so the modal solve is exact: 4.1e-15
+        vp = demo_variable(8, 0.05, lambda lap: lap)
+        full = solve_variable(vp, res_tol=self.RES_TOL).u.values
+        u, _, _ = modal_variable_solve(vp, math.pi / 16, 1.0, 3, self.RES_TOL)
+        assert np.max(np.abs(full - u)) <= 5e-13 * np.max(np.abs(u))
 
 
 def _neumann_cert_problem():
