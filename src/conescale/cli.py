@@ -29,7 +29,7 @@ from .errors import (ConescaleError, ConfigurationError,
 from .geometry import TIME, Cone, Disk, Grid, Ray, derivative_energy
 from .hardy import ConeFunction, membership_scan, paley_wiener_check
 from .pencil import (MatrixPencil, certify_spectrum, cone_clearance,
-                     search_radius, spectrum)
+                     spectrum)
 from .rhs import BumpRhs, GaussianRhs, OneSidedExpRhs, SampledRhs
 from .solver import (MAX_ITER, RES_TOL, SCALE_TOL, VariableProblem,
                      constant_problem, continuation_certificate, solve_const,
@@ -379,13 +379,11 @@ def cmd_spectrum(problem, args, report):
 
 
 def cmd_clearance(problem, args, report):
-    radius = args.radius if args.radius is not None else \
-        search_radius(problem.pencil, problem.cone.vertex)
-    clearance = cone_clearance(problem.pencil, problem.cone, radius)
+    clearance = cone_clearance(problem.pencil, problem.cone, args.radius)
     # the note on dropped infinite eigenvalues, as the spectrum report has it
     for note in problem.pencil.clusters[0]:
         report.meta("note", note)
-    report.meta("search_radius", radius)
+    report.meta("search_radius", clearance.radius)
     report.meta("verdict", clearance.verdict)
     report.table("violations", ("re", "im"),
                  [(lam.real, lam.imag) for lam in clearance.violations])
@@ -478,8 +476,7 @@ def _verify_hardy(problem, report, args):
         f = problem.rhs.sample(ctx.time_ray, problem.grid,
                                weight_number=problem.zeta)
         rays.append(ctx.forward(f))
-    conef = ConeFunction(cone, tuple(angles), tuple(rays),
-                         0.0, rays[0].weight_number)
+    conef = ConeFunction(cone, tuple(angles), tuple(rays))
     scan = membership_scan(conef)
     report.meta("verdict", scan.verdict)
     report.meta("ratio", scan.ratio)
@@ -586,7 +583,7 @@ def _demo_problem_file(args):
     """Write the demo's problem file and return its path.  The demo reads
     it back, so it runs on exactly what a later `conescale solve` sees."""
     if args.n < 1:
-        raise ValidationError("need at least one cross-section point", "n")
+        raise ValidationError("need at least one cross-section point", "--n")
     if abs(args.phi) > math.pi:
         raise ValidationError("must lie in [-pi, pi]: the cone angle is |phi|",
                               "--phi")
@@ -626,9 +623,7 @@ def cmd_demo_cylinder(problem, args, report):
     report.meta("problem_file", args.out_problem)
     report.meta("eigenvalue_max_rel_err", worst)
 
-    clearance = cone_clearance(problem.pencil, problem.cone,
-                               search_radius(problem.pencil,
-                                             problem.cone.vertex))
+    clearance = cone_clearance(problem.pencil, problem.cone)
     report.meta("clearance", clearance.verdict)
     if clearance.clear:
         cfg = problem.solver_cfg

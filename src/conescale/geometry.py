@@ -7,7 +7,7 @@ offset copy of the real line; frequency-side rays turn counterclockwise
 such rays.  A Grid is a uniform sampling of the ray parameter, and a
 RayFunction couples samples of a vector-valued function on a ray with the
 weight metadata (order ``ell`` and a complex weight number) that define its
-weighted norms.
+weighted norms; the ray's side signs the exponential weight (_log_weight).
 
 Weighted L2 norms use composite trapezoid quadrature over the grid, and
 report a tail mass (the integrand at the grid ends relative to its peak) so
@@ -183,7 +183,8 @@ class RayFunction:
     ``values`` has one row per grid node; scalar data may be passed 1-D and
     is stored as a single column.  ``weight_order`` is the polynomial weight
     exponent ell, ``weight_number`` the complex number in the exponential
-    weight (zeta on the time side, w on the frequency side).
+    weight, Parseval's: |e^{-i zeta z}| on the time side, |e^{i w lam}| on
+    the frequency side (the transform pair is an isometry between them).
     """
 
     ray: Ray
@@ -288,29 +289,31 @@ def exp_weighted(log_weight, q, points):
     return out
 
 
-def _weighted_integrand_log(f, order, number, form):
-    """(log integrand, quadratic form) for the weighted L2 norm squared.
-
-    Splitting into log weight + data keeps huge weights representable until
-    we know the product is safe; the caller adds quadrature weights.
-    """
+def _log_weight(f, order):
+    """The log of f's weight at its points, the one place a side signs it:
+    2 Im(zeta z), of |e^{-i zeta z}|^2, on the time side and -2 Im(w lam),
+    of |e^{i w lam}|^2, on the frequency side (zeta or w is f's weight
+    number), plus order * log(1 + |z|^2) for a nonzero ``order``."""
     z = f.points
-    log_w = -2.0 * np.imag(number * z) + order * np.log1p(np.abs(z) ** 2)
-    return log_w, _quadratic_form(f.values, form)
+    sign = 2.0 if f.ray.side == TIME else -2.0
+    log_w = sign * np.imag(f.weight_number * z)
+    if order:
+        log_w += order * np.log1p(np.abs(z) ** 2)
+    return log_w
 
 
-def weighted_l2_report(f, form=None, order=None, number=None):
+def weighted_l2_report(f, order=None):
     """Weighted L2 norm of a RayFunction plus a tail-mass diagnostic.
 
-    Computes ( integral |exp(2 i w lam)| (1+|lam|^2)^ell <H f, f> |dlam| )^(1/2)
-    by composite trapezoid along the ray, where w/ell default to the
-    function's weight metadata.  Raises WeightOverflowError naming the first
-    node whose integrand would overflow.
+    Computes ( integral W(z) (1+|z|^2)^ell |f(z)|^2 |dz| )^(1/2) by
+    composite trapezoid along the ray, W the weight of f's side
+    (_log_weight) and ell its weight order unless ``order`` is given.
+    Raises WeightOverflowError naming the first node whose integrand would
+    overflow.
     """
     order = f.weight_order if order is None else float(order)
-    number = f.weight_number if number is None else complex(number)
-    log_w, q = _weighted_integrand_log(f, order, number, form)
-    integrand = exp_weighted(log_w, q, f.points)
+    integrand = exp_weighted(_log_weight(f, order),
+                             _quadratic_form(f.values, None), f.points)
     w = f.grid.trapezoid_weights()
     total = float(np.sum(w * integrand) * f.grid.spacing)
     peak = float(np.max(integrand)) if integrand.size else 0.0
@@ -326,20 +329,20 @@ def derivative_energy(f, forms, keep=None):
 
     Evaluates
 
-        sum_j integral |e^{-i w z} D^j f(z)|^2_{forms[j]} |dz|
+        sum_j integral |e^{-i zeta z} D^j f(z)|^2_{forms[j]} |dz|
 
-    with w the function's weight number, D the complex derivative along the
-    ray (centered differences of accuracy order 8), one order j per entry of
-    ``forms`` (None is the identity form; c I weights an order by c).  One
-    stencil call returns every order; each is summed by the rectangle
-    rule over the one stencil-valid core (where the highest order's
-    centered stencil fits), restricted to the boolean node mask ``keep`` if
-    given.  The weight joins each quadratic form in log space
+    with e^{-i zeta z} the weight of f's side (_log_weight), D the complex
+    derivative along the ray (centered differences of accuracy order 8),
+    one order j per entry of ``forms`` (None is the identity form; c I
+    weights an order by c).  One stencil call returns every order; each is
+    summed by the rectangle rule over the one stencil-valid core (where the
+    highest order's centered stencil fits), restricted to the boolean node
+    mask ``keep`` if given.  The weight joins each quadratic form in log space
     (exp_weighted), so WeightOverflowError is raised only where an
     integrand itself overflows.
     """
     z = f.points
-    log_w = -2.0 * np.imag(f.weight_number * z)
+    log_w = _log_weight(f, 0.0)
     # D^j is (-i / direction)^j d^j/dt^j; the factor has modulus 1, so no
     # quadratic form sees it
     derivs, core = derivative_with_cuts(f.values, f.grid.spacing,

@@ -30,13 +30,11 @@ DIST_MIN_FACTOR = 5.0
 
 @dataclass(frozen=True)
 class ConeFunction:
-    """Per-angle ray samples of a function on a frequency-side cone."""
+    """Per-angle ray samples, of one weight, on a frequency-side cone."""
 
     cone: Cone
     angles: tuple
     rays: tuple
-    weight_order: float = 0.0
-    weight_number: complex = 0j
 
     def __post_init__(self):
         angles = tuple(float(a) for a in self.angles)
@@ -46,12 +44,12 @@ class ConeFunction:
             raise ValidationError("angle grid must be sorted")
         if abs(angles[0]) > 1e-12 or abs(angles[-1] - self.cone.angle) > 1e-9:
             raise ValidationError("angle grid must include both boundary angles")
-        dims = {rf.dim for rf in self.rays}
-        if len(dims) != 1:
-            raise ValidationError("all rays must share the value dimension")
+        if len({(rf.dim, rf.weight_order, rf.weight_number)
+                for rf in self.rays}) != 1:
+            raise ValidationError("all rays must share the value dimension "
+                                  "and the weight")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "rays", tuple(self.rays))
-        object.__setattr__(self, "weight_number", complex(self.weight_number))
 
     @classmethod
     def from_callable(cls, cone, func, grid, n_angles=7,
@@ -63,7 +61,7 @@ class ConeFunction:
             ray = cone.ray(psi, FREQUENCY)
             vals = func(ray.points(grid.nodes))
             rays.append(RayFunction(ray, grid, vals, weight_order, weight_number))
-        return cls(cone, tuple(angles), tuple(rays), weight_order, weight_number)
+        return cls(cone, tuple(angles), tuple(rays))
 
     @property
     def boundary(self):
@@ -136,19 +134,21 @@ def cauchy_reconstruct(f, lam, s=0, eta=None):
 
     Integrates the kernel e^{i w (mu - lam)} (mu - eta)^s / (2 pi i
     (lam - eta)^s (mu - lam)) against the boundary data of the half-cone
-    containing lam, oriented counterclockwise around it.  ``s`` must be an
-    integer <= the weight order (the kernel gains |mu|^s decay); for s != 0
-    ``eta`` must lie strictly inside the opposite half-cone.  A point within
-    DIST_MIN_FACTOR node spacings of a boundary ray is refused.  Truncation
-    at the grid extent is summarized in the returned tail estimate.
+    containing lam, oriented counterclockwise around it; w is the rays'
+    weight number.  ``s`` must be an integer <= their weight order (the
+    kernel gains |mu|^s decay); for s != 0 ``eta`` must lie strictly inside
+    the opposite half-cone.  A point within DIST_MIN_FACTOR node spacings of
+    a boundary ray is refused.  Truncation at the grid extent is summarized
+    in the returned tail estimate.
     """
     lam = complex(lam)
     cone = f.cone
-    w = f.weight_number
+    rf0, rf1 = f.boundary
+    w = rf0.weight_number
     if not float(s).is_integer():
         raise ValidationError("only integer kernel orders are supported")
     s = int(s)
-    if s > f.weight_order + 1e-12:
+    if s > rf0.weight_order + 1e-12:
         raise ValidationError("kernel order s must not exceed the weight order")
     nappe = cone.nappe(lam)
     if nappe is None:
@@ -158,7 +158,6 @@ def cauchy_reconstruct(f, lam, s=0, eta=None):
             raise ValidationError("s != 0 needs the auxiliary point eta")
         if cone.nappe(eta) != ("-" if nappe == "+" else "+"):
             raise ValidationError("eta must lie strictly inside the opposite half-cone")
-    rf0, rf1 = f.boundary
     grid = rf0.grid
     spacing = grid.spacing
     # the kernel's near-singularity 1/(mu - lam) must stay resolved
@@ -341,7 +340,7 @@ def paley_wiener_check(F, side):
             shifted = TransformContext(ctx.psi, eta, ctx.w, ctx.src_grid)
             try:
                 fhat = shifted.forward(F)
-                norm = weighted_l2_report(fhat, order=0.0, number=ctx.w).value
+                norm = weighted_l2_report(fhat, order=0.0).value
             except WeightOverflowError:
                 norm = math.inf
             half = "predicted" if direction > 0 else "opposite"

@@ -482,26 +482,27 @@ def search_radius(p, vertex):
 class ClearanceReport:
     clear: bool
     violations: tuple
+    radius: float
 
     @property
     def verdict(self):
         return "clear" if self.clear else "violated"
 
 
-def cone_clearance(p, cone, search_radius):
+def cone_clearance(p, cone, radius=None):
     """Is the closed cone free of pencil eigenvalues?
 
     Membership is tested against the closed cone (boundary rays and vertex
     included) widened by the angular margin TOL_MARGIN, so grazing
-    eigenvalues count as violations.  Only eigenvalues within
-    ``search_radius`` of the vertex are examined; the caller is responsible
-    for a radius that covers every eigenvalue that could matter (>= 2x the
-    largest magnitude is a safe habit).
+    eigenvalues count as violations.  Only eigenvalues within ``radius``
+    of the vertex are examined, search_radius(p, cone.vertex) by default,
+    which covers every finite eigenvalue; the report carries the radius.
     """
-    spec = spectrum(p, region=Disk(cone.vertex, search_radius))
+    radius = search_radius(p, cone.vertex) if radius is None else radius
+    spec = spectrum(p, region=Disk(cone.vertex, radius))
     violations = tuple(lam for lam in spec.eigenvalues
                        if cone.contains_closed(lam, margin=TOL_MARGIN))
-    return ClearanceReport(not violations, violations)
+    return ClearanceReport(not violations, violations, radius)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .errors import (ConfigurationError, ContractionFailureError,
 from .geometry import TIME, Cone, Ray, RayFunction, derivative_energy
 from .hardy import halfline_projection
 from .pencil import (MatrixPencil, cone_clearance, resolvent_apply_batch,
-                     search_radius, spectrum)
+                     spectrum)
 from .stencils import derivative_with_cuts
 from .transform import TransformContext
 
@@ -199,8 +199,7 @@ def solve_scaled(problem, phi, scale_tol=SCALE_TOL, res_tol=RES_TOL):
     aperture = abs(float(phi))
     if aperture > 0:
         cone = Cone(aperture, problem.zeta, orientation)
-        clearance = cone_clearance(problem.pencil, cone,
-                                   search_radius(problem.pencil, cone.vertex))
+        clearance = cone_clearance(problem.pencil, cone)
         if not clearance.clear:
             raise SpectralObstructionError(
                 f"dual cone of aperture {aperture:.6g} holds eigenvalues "

@@ -500,13 +500,14 @@ class ParsevalReport:
 def parseval_check(ctx, f):
     """Isometry check: frequency-side and time-side weighted norms agree.
 
-    The frequency side carries the weight number w, the time side -zeta
-    (the two sides swap roles under the transform); both norms are order 0.
-    Each side's tail mass says whether its window truncates the integral.
+    Each side has its own weight, order 0 (geometry._log_weight):
+    |e^{i w lam}| on the frequency side, |e^{-i zeta z}| on the time side,
+    where f carries zeta.  Its tail mass says whether its window truncates
+    the integral.
     """
     fhat = ctx.forward(f)
-    lhs = weighted_l2_report(fhat, order=0.0, number=ctx.w)
-    rhs = weighted_l2_report(f, order=0.0, number=-ctx.zeta)
+    lhs = weighted_l2_report(fhat, order=0.0)
+    rhs = weighted_l2_report(f, order=0.0)
     denom = max(lhs.value, rhs.value)
     rel = abs(lhs.value - rhs.value) / denom if denom > 0.0 else 0.0
     return ParsevalReport(lhs.value, rhs.value, rel, lhs.tail_mass,

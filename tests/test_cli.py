@@ -822,7 +822,7 @@ class TestDemoCylinder:
         assert run(["demo-cylinder", "--n", "0", "--phi", "0.1",
                     "--out-problem", str(problem)]) == 2
         assert capsys.readouterr().err == (
-            "error: n: need at least one cross-section point\n")
+            "error: --n: need at least one cross-section point\n")
         assert not problem.exists()
 
     @pytest.mark.parametrize("phi", ["4", "-3.2"])

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conescale import (Cone, Grid, Ray, RayFunction, TIME, FREQUENCY,
-                       NonFiniteSampleError, ValidationError,
-                       WeightOverflowError, weighted_l2_report)
+                       NonFiniteSampleError, TransformContext,
+                       ValidationError, WeightOverflowError,
+                       weighted_l2_report)
 from conescale.geometry import derivative_energy
 from conftest import gaussian_on
 from _oracles import GAUSS_L2, GAUSS_SOBOLEV1, sobolev_norm_spectral
@@ -141,13 +143,16 @@ class TestWeightedL2:
         z = ray.points(g.nodes)
         w = 0.2 + 0.1j
         v = w + cmath.exp(-1j * psi) * 0.8
-        f = RayFunction(ray, g, np.exp(-((z - zeta) ** 2) / 2.0), 0.0, w)
-        lhs = weighted_l2_report(f, number=v).value
-        rhs = math.exp((zeta * (w - v)).imag) * weighted_l2_report(f, number=w).value
+        vals = np.exp(-((z - zeta) ** 2) / 2.0)
+        lhs = weighted_l2_report(RayFunction(ray, g, vals, 0.0, v)).value
+        rhs = math.exp((zeta * (w - v)).imag) * weighted_l2_report(
+            RayFunction(ray, g, vals, 0.0, w)).value
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_overflow_names_node(self, grid4096, real_ray):
-        f = gaussian_on(grid4096, number=100j)
+        # the time-side weight |e^{-i zeta t}|^2 is e^{-200 t}, e^{4000} at
+        # node 0
+        f = gaussian_on(grid4096, number=-100j)
         with pytest.raises(WeightOverflowError) as err:
             weighted_l2_report(f).value
         assert err.value.node_index == 0
@@ -158,7 +163,7 @@ class TestWeightedL2:
         # |f|^2 = 1e300 is representable
         grid = Grid(1.0, 257)
         f = RayFunction(Ray(0.0, 10.5, TIME), grid, np.full(257, 1e150),
-                        0.0, 40j)
+                        0.0, -40j)
         weights = [0.5 if k in (0, 256) else 1.0 for k in range(257)]
         terms = [w * math.exp(-80.0 * (10.5 + t) + 2.0 * math.log(1e150))
                  for w, t in zip(weights, grid.nodes)]
@@ -178,7 +183,37 @@ class TestWeightedL2:
         f = RayFunction(real_ray, grid4096, vals)
         h = np.array([[2.0, 0.0], [0.0, 1.0]])
         expected = math.sqrt(6.0) * math.sqrt(math.sqrt(math.pi / 2.0))
-        assert weighted_l2_report(f, form=h).value == pytest.approx(expected, rel=1e-12)
+        assert derivative_energy(f, [h]) == pytest.approx(expected ** 2,
+                                                          rel=1e-12)
+
+
+@st.composite
+def weighted_packets(draw):
+    """An asymmetric packet on a time-side ray and its transform context:
+    a Gaussian off the ray's origin with a kick and a linear factor, decayed
+    with its weight at both ends of both windows."""
+    part = st.floats(-0.5, 0.5)
+    ctx = TransformContext(draw(st.floats(0.0, math.pi / 8)),
+                           complex(draw(part), draw(part)),
+                           draw(st.sampled_from([0j, 0.5 + 0j])),
+                           Grid(20.0, 1024))
+    center, kick, tilt = (draw(st.floats(-3.0, 3.0)) for _ in range(3))
+    t = ctx.src_grid.nodes
+    values = np.exp(-(t - center) ** 2 / 2.0 + 1j * kick * t) * (1.0 + tilt * t)
+    return ctx, RayFunction(ctx.time_ray, ctx.src_grid, values, 0.0, ctx.zeta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_packets())
+def test_time_side_weight_is_parsevals_property(case):
+    # the time side's energy, its norm and the norm of its transform all
+    # use Parseval's weights, |e^{-i zeta z}| and |e^{i w lam}|
+    ctx, f = case
+    energy = derivative_energy(f, [np.eye(1)])
+    time = weighted_l2_report(f).value ** 2
+    frequency = weighted_l2_report(ctx.forward(f)).value ** 2
+    assert energy == pytest.approx(time, rel=1e-10)
+    assert frequency == pytest.approx(time, rel=1e-10)
 
 
 def sobolev_energy(f, ell):
@@ -227,14 +262,15 @@ class TestSobolevNorms:
                            0.0, number)
 
     def test_derivative_weight_past_exp_range_over_decayed_tail(self):
-        # e^{20 t} overflows for t > 35.5, where f has underflowed to zero;
-        # the integrand e^{20 t - 2 t^2} (1 + 4 t^2) itself peaks near e^50
+        # the weight e^{-20 t} overflows for t < -35.5, where f has
+        # underflowed to zero; the integrand e^{-20 t - 2 t^2} (1 + 4 t^2)
+        # itself peaks near e^50
         energy = sobolev_energy(self.gaussian40(-10j), 1)
         exact = 102.0 * math.sqrt(math.pi / 2.0) * math.exp(50.0)
         assert energy == pytest.approx(exact, rel=1e-5)
 
     def test_derivative_overflowing_integrand_raises(self):
-        # e^{80 t - 2 t^2} peaks at e^800
+        # e^{-80 t - 2 t^2} peaks at e^800
         with pytest.raises(WeightOverflowError):
             sobolev_energy(self.gaussian40(-40j), 1)
 

@@ -79,6 +79,16 @@ class TestMembership:
         assert estimates[1] <= estimates[0] * 1.1
 
 
+def test_rays_differing_in_weight_refused():
+    grid = Grid(20.0, 513)
+    cf = ConeFunction.from_callable(Cone(math.pi / 6, 0j, 1), GAUSS, grid,
+                                    n_angles=5)
+    rays = cf.rays[:-1] + (RayFunction(cf.rays[-1].ray, grid,
+                                       cf.rays[-1].values, 0.0, 0.5j),)
+    with pytest.raises(ValidationError, match="and the weight"):
+        ConeFunction(cf.cone, cf.angles, rays)
+
+
 class TestCauchyReconstruct:
     def test_zero_boundary(self):
         grid = Grid(20.0, 4097)

@@ -915,14 +915,15 @@ class TestRayEnergy:
                            np.exp(-grid.nodes ** 2), 0.0, zeta)
 
     def test_weight_past_exp_range_over_decayed_tail(self):
-        # e^{20 t} overflows for t > 35.5, where u has underflowed to zero;
-        # the integrand e^{20 t - 2 t^2} (1 + 4 t^2) itself peaks near e^50
+        # the weight e^{-20 t} overflows for t < -35.5, where u has
+        # underflowed to zero; the integrand e^{-20 t - 2 t^2} (1 + 4 t^2)
+        # itself peaks near e^50
         energy = derivative_energy(self.gaussian(-10j), LINEAR.norm_forms[::-1])
         exact = 102.0 * math.sqrt(math.pi / 2.0) * math.exp(50.0)
         assert energy == pytest.approx(exact, rel=1e-5)
 
     def test_overflowing_integrand_raises(self):
-        # e^{80 t - 2 t^2} peaks at e^800
+        # e^{-80 t - 2 t^2} peaks at e^800
         with pytest.raises(WeightOverflowError):
             derivative_energy(self.gaussian(-40j), LINEAR.norm_forms[::-1])
 

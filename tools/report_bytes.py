@@ -88,6 +88,15 @@ def _runs():
         json.dump(data, fh)
     yield "cyl-rational-continuation", ["verify", "--suite", "continuation",
                                         qcyl]
+    # the one run whose time-side energies carry a nonzero weight
+    with open(neumann, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["geometry"]["weight"] = [0.0, 0.3]
+    wneumann = _path("neumann_weighted.json")
+    with open(wneumann, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    yield "neumann-weighted-continuation", ["verify", "--suite",
+                                            "continuation", wneumann]
 
 
 def main(argv=None):
